@@ -11,14 +11,13 @@ that are undecidable or unsupported on wild diagrams, with
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass
 
 from .classify import classify_diagram
-from .decompose import Band, Interval, StringBlock, block_alias, decompose, isomorphic
+from .decompose import Band, Interval, block_alias, decompose, isomorphic
 from .errors import (
     NotDecidableWild,
     NotDecomposable,
@@ -43,20 +42,12 @@ from .wildness import (
 @dataclass(frozen=True)
 class CommandReport:
     command: str
-    input_digests: dict
     result: object
     exit_code: int
 
 
 def canonical_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
 
 
 def _load_json(path):
@@ -137,7 +128,7 @@ def _rep_record(r):
     }
 
 
-def _decomposition_record(dec, family, n):
+def _decomposition_record(dec):
     out = []
     for desc, mult in dec.blocks:
         if isinstance(desc, Interval):
@@ -149,17 +140,11 @@ def _decomposition_record(dec, family, n):
         else:
             entry = {"type": "string", "start": desc.start,
                      "len": desc.length, "mult": mult}
-        alias = block_alias(family, n, desc)
+        alias = block_alias(dec.shape.family, dec.shape.n, desc)
         if alias is not None:
             entry["alias"] = alias
         out.append(entry)
     return out
-
-
-def _shape_of(d):
-    comps = classify_diagram(d)
-    cls = comps[0][1]
-    return cls.family, cls.n
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +168,7 @@ def _cmd_classify(ns):
 
 
 def _cmd_decompose(ns):
-    r = _load_rep(ns.rep)
-    dec = decompose(r)
-    family, n = _shape_of(r.diagram)
-    return _decomposition_record(dec, family, n)
+    return _decomposition_record(decompose(_load_rep(ns.rep)))
 
 
 def _cmd_isotest(ns):
@@ -261,9 +243,8 @@ def _cmd_gen_random(ns):
         raise ParseError("--dims must be a JSON object")
     res = gen_random(d, dims, ns.seed, ns.mode)
     if ns.key_out and res.key is not None:
-        family, n = _shape_of(d)
         with open(ns.key_out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(_decomposition_record(res.key, family, n)))
+            fh.write(canonical_json(_decomposition_record(res.key)))
     return _rep_record(res.rep)
 
 
@@ -294,7 +275,7 @@ def _build_parser():
         for arg in file_args:
             p.add_argument(arg)
         p.add_argument("--out", default=None)
-        p.set_defaults(handler=handler, file_args=file_args)
+        p.set_defaults(handler=handler)
         return p
 
     add("classify", _cmd_classify, "diagram")
@@ -321,25 +302,20 @@ def run(argv):
             raise UnknownCommand("no command given")
     except UnknownCommand as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return CommandReport("?", {}, {"error": str(exc)}, 1)
+        return CommandReport("?", {"error": str(exc)}, 1)
 
-    digests = {}
     try:
-        for arg in ns.file_args:
-            path = getattr(ns, arg)
-            if os.path.exists(path):
-                digests[path] = _digest(path)
         result = ns.handler(ns)
     except (NotDecomposable, NotDecidableWild):
         result = {"error": "wild"}
         sys.stdout.write(canonical_json(result))
-        return CommandReport(ns.command, digests, result, 2)
+        return CommandReport(ns.command, result, 2)
     except TdrError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return CommandReport(ns.command, digests, {"error": str(exc)}, 1)
+        return CommandReport(ns.command, {"error": str(exc)}, 1)
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return CommandReport(ns.command, digests, {"error": str(exc)}, 1)
+        return CommandReport(ns.command, {"error": str(exc)}, 1)
 
     text = canonical_json(result)
     if ns.command != "wild-embed" and ns.out:
@@ -347,7 +323,7 @@ def run(argv):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return CommandReport(ns.command, digests, result, 0)
+    return CommandReport(ns.command, result, 0)
 
 
 def main():

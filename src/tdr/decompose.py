@@ -15,7 +15,8 @@ Jordan chains.  Closed paths are decomposed through their associated
 cycle, whose last position is the pinned scalar slot.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .classify import classify_diagram
 from .errors import (
@@ -33,13 +34,13 @@ from .exactalg import (
     coords_in_basis,
     factor_poly,
     graded_jordan_chains,
-    _kernel_filtration,
+    kernel_filtration,
     rank,
     rational_canonical,
 )
 from .rational import ONE, ZERO
 from .representation import Representation, reverse_wire_rep
-from .semigraph import TensorDiagram, Wire, connected_components
+from .semigraph import TensorDiagram, Wire
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,10 @@ class Interval:
     def _key(self):
         return (0, self.a, self.b)
 
+    def dims(self, m):
+        """Dimension of the block at each of m positions."""
+        return [1 if self.a <= p <= self.b else 0 for p in range(1, m + 1)]
+
 
 @dataclass(frozen=True)
 class Band:
@@ -58,6 +63,9 @@ class Band:
 
     def _key(self):
         return (1, self.poly.degree(), self.poly.coeffs, self.power)
+
+    def dims(self, m):
+        return [self.poly.degree() * self.power] * m
 
 
 @dataclass(frozen=True)
@@ -68,25 +76,34 @@ class StringBlock:
     def _key(self):
         return (2, self.start, self.length)
 
+    def dims(self, m):
+        out = [0] * m
+        for j in range(self.length):
+            out[(self.start - 1 + j) % m] += 1
+        return out
+
 
 @dataclass(frozen=True)
 class Decomposition:
     blocks: tuple   # ((descriptor, multiplicity), ...) canonically sorted
+    # the Shape the blocks live on, when known; not part of equality
+    shape: object = field(default=None, compare=False, repr=False)
 
     def as_multiset(self):
         return dict(self.blocks)
 
-
-def _collect(descs):
-    counts = {}
-    for desc in descs:
-        counts[desc] = counts.get(desc, 0) + 1
-    return Decomposition(tuple(
-        sorted(counts.items(), key=lambda dm: dm[0]._key())))
+    @classmethod
+    def of(cls, descs, shape=None):
+        """The decomposition with these descriptors, repeats counted."""
+        counts = {}
+        for desc in descs:
+            counts[desc] = counts.get(desc, 0) + 1
+        return cls(tuple(sorted(counts.items(), key=lambda dm: dm[0]._key())),
+                   shape)
 
 
 # ---------------------------------------------------------------------------
-# shape traversal
+# shapes
 
 def _incident(d, v):
     out = []
@@ -102,7 +119,7 @@ def _other_end(w, v):
     return w.head if w.tail == v else w.tail
 
 
-def _normalize(r, wanted):
+def reorient(r, wanted):
     """Reverse wires until each (wire, tail, head) in wanted holds."""
     for wid, tail, head in wanted:
         w = r.diagram.wire(wid)
@@ -111,105 +128,71 @@ def _normalize(r, wanted):
     return r
 
 
-def _walk_path(d, first_wire, start_vertex):
-    """Wires and vertices of a path, from a wire end towards the rest."""
-    wires = [first_wire]
-    verts = []
-    v = start_vertex
-    prev = first_wire
-    while v is not None:
-        verts.append(v)
-        nxt = [w for w in _incident(d, v) if w.id != prev.id]
-        if not nxt:
-            break
-        prev = nxt[0]
-        wires.append(prev)
-        v = _other_end(prev, v)
-    return wires, verts
-
-
-def _traverse(d, family):
+def traverse(d, family):
     """Deterministic traversal of a path or cycle shape.
 
     Returns (wires, verts, wanted): wires in position order, the arc
-    vertices in arc order (for P the closed start comes first, for J the
-    start vertex comes last), and the (wire, tail, head) orientations a
-    co-oriented traversal wants.
+    vertices in arc order, and the (wire, tail, head) orientations a
+    co-oriented traversal wants.  Open paths start at their (smallest)
+    dangling wire; closed paths at their smallest end vertex and cycles at
+    their smallest vertex, leaving along its smallest wire, and that start
+    vertex becomes the last arc vertex.
     """
-    if family == "A0":
-        first = sorted(w for w in d.wires if w.is_dangling())[0]
-        v0 = first.tail if first.tail is not None else first.head
-        wires, verts = _walk_path(d, first, v0)
-        wanted = []
-        for i, w in enumerate(wires):
-            tail = verts[i - 1] if i > 0 else None
-            head = verts[i] if i < len(verts) else None
-            wanted.append((w.id, tail, head))
-        return wires, verts, wanted
-    if family == "A1":
-        first = next(w for w in d.wires if w.is_dangling())
-        v0 = first.tail if first.tail is not None else first.head
-        wires, verts = _walk_path(d, first, v0)
-        wanted = [(w.id, verts[i - 1] if i > 0 else None, verts[i])
-                  for i, w in enumerate(wires)]
-        return wires, verts, wanted
-    if family == "P":
-        if len(d.vertices) == 1:
-            return [], [d.vertices[0]], []
-        ends = sorted(v for v in d.vertices if len(_incident(d, v)) == 1)
-        start = ends[0]
-        first = _incident(d, start)[0]
-        wires, verts = _walk_path(d, first, _other_end(first, start))
-        verts = [start] + verts
-        wanted = [(w.id, verts[i], verts[i + 1]) for i, w in enumerate(wires)]
-        return wires, verts, wanted
-    # J: cycle; start at the smallest vertex, leave along its smaller wire
-    start = d.vertices[0]
-    first = sorted(_incident(d, start), key=lambda w: w.id)[0]
-    wires = [first]
-    verts = []
-    v = _other_end(first, start)
-    prev = first
-    while v != start:
+    if family in ("A0", "A1"):
+        start = None
+        nxt = [min(w for w in d.wires if w.is_dangling())]
+    else:
+        ends = [v for v in d.vertices if len(_incident(d, v)) == 1]
+        start = min(ends or d.vertices)
+        nxt = sorted(_incident(d, start))[:1]
+    wires, verts, v = [], [], start
+    while nxt:
+        wires.append(nxt[0])
+        v = _other_end(nxt[0], v)
+        if v is None or v == start:
+            break
         verts.append(v)
-        nxt = [w for w in _incident(d, v) if w.id != prev.id][0]
-        wires.append(nxt)
-        prev = nxt
-        v = _other_end(nxt, v)
-    verts.append(start)
-    wanted = []
-    for i, w in enumerate(wires):
-        tail = verts[i - 1] if i > 0 else start
-        wanted.append((w.id, tail, verts[i]))
+        nxt = [w for w in _incident(d, v) if w.id != wires[-1].id]
+    if start is not None:
+        verts.append(start)
+    wanted = [(w.id, verts[i - 1] if i else start,
+               verts[i] if i < len(verts) else None)
+              for i, w in enumerate(wires)]
     return wires, verts, wanted
 
 
-def _oriented_arcs(r, family):
-    """Traversal + reorientation; returns (positions dims, arcs, n_positions).
+class Shape(NamedTuple):
+    family: str     # "A0" | "A1" | "P" | "J"
+    n: int
+    wires: list     # position order
+    verts: list     # arc order
+    wanted: list    # (wire, tail, head) of a co-oriented traversal
+
+
+def shape_of(d):
+    """Family, size and traversal of a connected finite or tame diagram."""
+    comps = classify_diagram(d)
+    if len(comps) != 1:
+        raise NotConnected(f"{len(comps)} components")
+    _, cls = comps[0]
+    if cls.kind == "wild":
+        raise NotDecomposable(f"wild component ({cls.witness.kind})")
+    return Shape(cls.family, cls.n, *traverse(d, cls.family))
+
+
+def position_dims(dims, shape):
+    """Dimension at each position: the wires, then the pinned 1 of A1 and P."""
+    return [dims[w.id] for w in shape.wires] + [1] * (shape.family in ("A1", "P"))
+
+
+def _oriented_arcs(r, shape):
+    """Reorientation along the traversal; returns (position dims, arcs).
 
     Positions are 1-based; arcs[i] maps position i+1 to position i+2
     (cyclically for J/P, where the last position of P is the scalar slot).
     """
-    d = r.diagram
-    wires, verts, wanted = _traverse(d, family)
-    r = _normalize(r, wanted)
-    if family == "A0":
-        dims = [r.dims[w.id] for w in wires]
-        arcs = [r.tensors[v] for v in verts]
-        return dims, arcs, len(wires)
-    if family == "A1":
-        dims = [r.dims[w.id] for w in wires] + [1]
-        arcs = [r.tensors[v] for v in verts]
-        return dims, arcs, len(wires) + 1
-    if family == "P":
-        n = len(d.vertices)
-        dims = [r.dims[w.id] for w in wires] + [1]
-        # arcs: interior vertices, then the covector end, then the vector end
-        arcs = [r.tensors[v] for v in verts[1:]] + [r.tensors[verts[0]]]
-        return dims, arcs, n
-    dims = [r.dims[w.id] for w in wires]
-    arcs = [r.tensors[v] for v in verts]
-    return dims, arcs, len(wires)
+    r = reorient(r, shape.wanted)
+    return position_dims(r.dims, shape), [r.tensors[v] for v in shape.verts]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +240,7 @@ def _fitting_cores(arcs, dims):
 def _cycle_blocks(dims, arcs):
     n = len(arcs)
     cores = _fitting_cores(arcs, dims)
-    _, kers = _kernel_filtration(arcs, dims)
+    _, kers = kernel_filtration(arcs, dims)
     out = []
     if cores[0].cols:
         x = cores[0]
@@ -273,29 +256,18 @@ def _cycle_blocks(dims, arcs):
     return out
 
 
-def _classified(r):
-    comps = classify_diagram(r.diagram)
-    if len(comps) != 1:
-        raise NotConnected(f"{len(comps)} components")
-    _, cls = comps[0]
-    if cls.kind == "wild":
-        raise NotDecomposable(f"wild component ({cls.witness.kind})")
-    return cls
-
-
 def decompose(r):
     """Indecomposable block multiset of a connected finite/tame shape."""
-    cls = _classified(r)
-    dims, arcs, m = _oriented_arcs(r, cls.family)
-    if cls.family in ("A0", "A1"):
+    shape = shape_of(r.diagram)
+    dims, arcs = _oriented_arcs(r, shape)
+    m = len(dims)
+    if shape.family in ("A0", "A1"):
         blocks = _interval_blocks(dims, arcs, m)
-        if cls.family == "A1":
-            blocks = [blk for blk in blocks if blk != Interval(m, m)]
-        return _collect(blocks)
-    blocks = _cycle_blocks(dims, arcs)
-    if cls.family == "P":
-        blocks = [blk for blk in blocks if blk != StringBlock(m, 1)]
-    return _collect(blocks)
+    else:
+        blocks = _cycle_blocks(dims, arcs)
+    # the simple block at the pinned position of A1 and P is no block
+    pinned = {"A1": Interval(m, m), "P": StringBlock(m, 1)}.get(shape.family)
+    return Decomposition.of([blk for blk in blocks if blk != pinned], shape)
 
 
 def block_alias(family, n, desc):
@@ -323,10 +295,11 @@ def isomorphic(r1, r2):
     """Orbit equality through decomposition, componentwise."""
     if r1.diagram != r2.diagram:
         raise DiagramMismatch("isomorphism test needs a common diagram")
-    for comp, cls in classify_diagram(r1.diagram):
+    comps = classify_diagram(r1.diagram)
+    for _, cls in comps:
         if cls.kind == "wild":
             raise NotDecidableWild(f"wild component ({cls.witness.kind})")
-    for comp in connected_components(r1.diagram):
+    for comp, _ in comps:
         s1 = _restrict(r1, comp)
         s2 = _restrict(r2, comp)
         if s1.dims != s2.dims or decompose(s1) != decompose(s2):
@@ -396,13 +369,6 @@ def _check_band(desc):
         raise InvalidDescriptor("band polynomial must be irreducible")
 
 
-def _string_grade_dims(desc, n):
-    dims = [0] * n
-    for j in range(desc.length):
-        dims[(desc.start - 1 + j) % n] += 1
-    return dims
-
-
 def _cycle_block_data(desc, n):
     """(per-grade dims, arcs) of one cycle block, grades 0-based."""
     if isinstance(desc, Band):
@@ -415,7 +381,7 @@ def _cycle_block_data(desc, n):
     if isinstance(desc, StringBlock):
         if not (1 <= desc.start <= n) or desc.length < 1:
             raise InvalidDescriptor(f"string out of range for n={n}")
-        dims = _string_grade_dims(desc, n)
+        dims = desc.dims(n)
         # basis at each grade: chain indices ascending
         index_of = {}
         seen = [0] * n
@@ -448,10 +414,7 @@ def realize(family, n, desc):
             raise InvalidDescriptor(f"interval out of range for {family}({n})")
         if family == "A1" and desc.a == m:
             raise InvalidDescriptor("interval covers only the pinned position")
-        pos = [1 if desc.a <= i <= desc.b else 0 for i in range(1, m + 1)]
-        wire_dims = pos[:-1] if family == "A1" else pos
-        es = _wire_names(len(wire_dims))
-        dims = dict(zip(es, wire_dims))
+        pos = desc.dims(m)
         tensors = {}
         for i, v in enumerate(vs):
             rows = pos[i + 1] if (family == "A0" or i + 1 < n) else 1
@@ -460,34 +423,20 @@ def realize(family, n, desc):
                 tensors[v] = Matrix.from_rows([[1]])
             else:
                 tensors[v] = Matrix.zeros(rows, cols)
-        return Representation(d, dims, tensors)
+        # A1's last position is the pinned one, which no wire carries
+        return Representation(d, dict(zip(_wire_names(len(d.wires)), pos)),
+                              tensors)
+    gdims, arcs = _cycle_block_data(desc, n)
     if family == "P":
-        gdims, arcs = _cycle_block_data(desc, n)
         if gdims[n - 1] > 1:
             raise InvalidDescriptor(
                 "block needs more than one copy of the pinned position")
-        if isinstance(desc, StringBlock) and desc == StringBlock(n, 1):
+        if desc == StringBlock(n, 1):
             raise InvalidDescriptor("pinned simple is the zero block")
-        if n == 1:
-            return Representation(d, {}, {vs[0]: arcs[0]})
-        es = _wire_names(n - 1)
-        dims = {es[i]: gdims[i] for i in range(n - 1)}
-        tensors = {}
-        for i in range(1, n - 1):
-            tensors[vs[i]] = arcs[i - 1]
-        last = arcs[n - 2]   # grade n-1 -> pinned grade
-        tensors[vs[n - 1]] = (last if gdims[n - 1] == 1
-                              else Matrix.zeros(1, gdims[n - 2]))
-        firstm = arcs[n - 1]  # pinned grade -> grade 1
-        tensors[vs[0]] = (firstm if gdims[n - 1] == 1
-                          else Matrix.zeros(gdims[0], 1))
-        return Representation(d, dims, tensors)
-    if family == "J":
-        gdims, arcs = _cycle_block_data(desc, n)
-        es = _wire_names(n)
-        dims = {es[i]: gdims[i] for i in range(n)}
-        tensors = {vs[0]: arcs[n - 1]}
-        for i in range(1, n):
-            tensors[vs[i]] = arcs[i - 1]
-        return Representation(d, dims, tensors)
-    raise InvalidDescriptor(f"unknown family {family!r}")
+        if gdims[n - 1] == 0:
+            # the pinned position keeps dimension 1, through zero maps
+            arcs[n - 2:] = [Matrix.zeros(1, gdims[n - 2]),
+                            Matrix.zeros(gdims[0], 1)]
+    # P's last grade is the pinned position, which no wire carries
+    return Representation(d, dict(zip(_wire_names(len(d.wires)), gdims)),
+                          {v: arcs[i - 1] for i, v in enumerate(vs)})

@@ -659,7 +659,7 @@ class JordanChain:
         return len(self.vectors)
 
 
-def _kernel_filtration(blocks, dims):
+def kernel_filtration(blocks, dims):
     """Filtrations F[a][j] = vectors of grade a killed within j steps.
 
     blocks[a] maps grade a to grade (a+1) mod n.  Grows by simultaneous
@@ -693,7 +693,7 @@ def graded_jordan_chains(blocks):
         dims.append(blocks[a].cols)
         if blocks[a].rows != blocks[(a + 1) % n].cols:
             raise ShapeMismatch("graded blocks do not chain")
-    filt, stable = _kernel_filtration(blocks, dims)
+    filt, stable = kernel_filtration(blocks, dims)
     if any(stable[a].cols != dims[a] for a in range(n)):
         raise NotNilpotent("cyclic composite has a nonzero eventual image")
     lmax = max(len(filt[a]) for a in range(n)) - 1

@@ -15,25 +15,25 @@ drawn multiset is returned as the answer key, so decompose(rep) == key.
 
 from typing import NamedTuple
 
-from .classify import classify_diagram
 from .decompose import (
     Band,
+    Decomposition,
     Interval,
     StringBlock,
-    _collect,
-    _string_grade_dims,
-    _traverse,
     canonical_diagram,
+    position_dims,
     realize,
+    reorient,
+    shape_of,
+    traverse,
 )
-from .errors import InvalidDims, NotConnected, NotDecomposable
+from .errors import InvalidDims
 from .exactalg import Matrix, Poly, det, factor_poly
 from .rational import ONE, Q
 from .representation import (
     Representation,
     apply_group_element,
     direct_sum,
-    reverse_wire_rep,
     vertex_shape,
 )
 from .semigraph import TensorDiagram, Wire, validate_diagram
@@ -127,15 +127,6 @@ def _generic(d, dims, rng):
     return Representation(d, dict(dims), tensors)
 
 
-def _desc_dims(desc, m):
-    if isinstance(desc, Interval):
-        return [1 if desc.a <= p <= desc.b else 0 for p in range(1, m + 1)]
-    if isinstance(desc, Band):
-        k = desc.poly.degree() * desc.power
-        return [k] * m
-    return _string_grade_dims(desc, m)
-
-
 def _draw_desc(family, n, m, rng):
     if family in ("A0", "A1"):
         a = 1 + rng.below(m)
@@ -149,7 +140,7 @@ def _draw_desc(family, n, m, rng):
         desc = StringBlock(1 + rng.below(n), 1 + rng.below(max(2 * n - 1, 1)))
         if desc == StringBlock(n, 1):
             return None
-        if _string_grade_dims(desc, n)[n - 1] > 1:
+        if desc.dims(n)[n - 1] > 1:
             return None
         return desc
     if rng.below(2):
@@ -170,25 +161,15 @@ def _zero_block_rep(family, n):
 
 
 def _sum_mode(d, dims, rng):
-    comps = classify_diagram(d)
-    if len(comps) != 1:
-        raise NotConnected(f"{len(comps)} components")
-    _, cls = comps[0]
-    if cls.kind == "wild":
-        raise NotDecomposable(f"wild component ({cls.witness.kind})")
-    family, n = cls.family, cls.n
-    wires, verts, wanted = _traverse(d, family)
-    caps = [dims[w.id] for w in wires]
-    if family in ("A1", "P"):
-        caps.append(1)
-    m = len(caps)
-
-    remaining = caps[:]
+    shape = shape_of(d)
+    family, n = shape.family, shape.n
+    remaining = position_dims(dims, shape)
+    m = len(remaining)
     blocks = []
     misses = 0
     while misses < 24:
         desc = _draw_desc(family, n, m, rng)
-        need = _desc_dims(desc, m) if desc is not None else None
+        need = desc.dims(m) if desc is not None else None
         if desc is not None and all(x <= r for x, r in zip(need, remaining)):
             blocks.append(desc)
             remaining = [r - x for r, x in zip(remaining, need)]
@@ -205,11 +186,11 @@ def _sum_mode(d, dims, rng):
 
     # carry the canonical rep onto the input diagram (traversal order)
     cd = canonical_diagram(family, n)
-    cwires, cverts, _ = _traverse(cd, family)
-    wire_map = {cw.id: w.id for cw, w in zip(cwires, wires)}
-    vert_map = dict(zip(cverts, verts))
+    cwires, cverts, _ = traverse(cd, family)
+    wire_map = {cw.id: w.id for cw, w in zip(cwires, shape.wires)}
+    vert_map = dict(zip(cverts, shape.verts))
     norm_wires = tuple(sorted(Wire(wid, tail, head)
-                              for wid, tail, head in wanted))
+                              for wid, tail, head in shape.wanted))
     d_norm = TensorDiagram(d.vertices, norm_wires)
     rep = Representation(
         d_norm,
@@ -220,11 +201,7 @@ def _sum_mode(d, dims, rng):
           for wid in sorted(rep.dims)}
     rep = apply_group_element(gs, rep)
 
-    for w in sorted(d.wires):
-        norm = d_norm.wire(w.id)
-        if (norm.tail, norm.head) != (w.tail, w.head):
-            rep = reverse_wire_rep(rep, w.id)
-    return rep, _collect(blocks)
+    return reorient(rep, d.wires), Decomposition.of(blocks, shape)
 
 
 def gen_random(diagram, dims, seed, mode="generic"):

@@ -1,24 +1,18 @@
 """Exact rational scalars.
 
 Everything in this package computes over Q.  The scalar type is gmpy2.mpq
-when available (roughly an order of magnitude faster than Fraction on the
-elimination-heavy paths); set TDR_RATIONAL=fraction to force the stdlib
-fallback.  Both expose .numerator/.denominator and hash alike, so results
+when gmpy2 is installed (roughly an order of magnitude faster than Fraction
+on the elimination-heavy paths) and the stdlib fractions.Fraction
+otherwise.  Both expose .numerator/.denominator and hash alike, so results
 are identical either way.
 """
 
-import os
-from fractions import Fraction
-
 from .errors import ParseError
 
-if os.environ.get("TDR_RATIONAL", "").lower() == "fraction":
-    Q = Fraction
-else:
-    try:
-        from gmpy2 import mpq as Q
-    except ImportError:  # pragma: no cover - gmpy2 is a hard dependency
-        Q = Fraction
+try:
+    from gmpy2 import mpq as Q
+except ImportError:
+    from fractions import Fraction as Q
 
 ZERO = Q(0)
 ONE = Q(1)

@@ -6,13 +6,15 @@ wires in canonical (lexicographic) wire order with the first wire varying
 slowest; columns likewise over incoming wires; an empty side indexes a
 single scalar slot.  A loop contributes its dimension to both sides.
 
-Everything downstream (direct sums, contraction, the splitting functor)
-manipulates tensors purely through this indexing, so the encode/decode
-helpers here are the single source of truth for it.
+Everything downstream (direct sums, tensor products, wire reversal, the
+splitting functor, contraction) re-indexes a vertex's flat tensor through
+one primitive, _offsets: the flat offsets of an axis view with chosen
+strides.  Each operation is a choice of strides.
 """
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import mul
 
 from .errors import (
     DiagramMismatch,
@@ -27,7 +29,7 @@ from .errors import (
     UnknownWire,
 )
 from .exactalg import Matrix, column_space, extend_basis, inverse, rank
-from .rational import ONE, Q, ZERO
+from .rational import ONE, ZERO
 from .semigraph import (
     TensorDiagram,
     Wire,
@@ -62,19 +64,54 @@ def _prod(xs):
     return out
 
 
-def _enc(idx, ds):
-    code = 0
-    for i, d in zip(idx, ds):
-        code = code * d + i
-    return code
+def _strides(dims):
+    """Flat strides of a tensor over axes of these dims, first axis slowest."""
+    out = []
+    step = 1
+    for d in reversed(dims):
+        out.append(step)
+        step *= d
+    return out[::-1]
 
 
-def _dec(code, ds):
-    out = [0] * len(ds)
-    for k in range(len(ds) - 1, -1, -1):
-        out[k] = code % ds[k]
-        code //= ds[k]
-    return tuple(out)
+def _offsets(dims, strides, base=0):
+    """Flat offsets, first axis slowest, of an axis view with these strides.
+
+    This is the one re-indexing primitive: permuting slots is a choice of
+    strides, a block is a view at a base offset, a repeated stride walks a
+    diagonal and a stride of 0 pins a dimension-1 axis.
+    """
+    offs = [base]
+    for d, s in zip(dims, strides):
+        offs = [o + i * s for o in offs for i in range(d)]
+    return offs
+
+
+def _slot_keys(d, v):
+    """(wire, side) per slot of v: the row slots, then the column slots."""
+    nb = neighborhood(d, v)
+    return [(w, "out") for w in nb.outgoing] + [(w, "in") for w in nb.incoming]
+
+
+def _flat(m):
+    return [x for row in m.data for x in row]
+
+
+def _as_matrix(entries, keys, dims):
+    """The vertex matrix of a flat tensor over the slot keys of a vertex."""
+    rows = _prod(dims[w] for w, side in keys if side == "out")
+    cols = _prod(dims[w] for w, side in keys if side == "in")
+    return Matrix(rows, cols, tuple(
+        tuple(entries[i * cols:(i + 1) * cols]) for i in range(rows)))
+
+
+def _outer(size, offs1, xs1, offs2, xs2):
+    """Outer product of two views that together cover a flat tensor once."""
+    out = [ZERO] * size
+    for o1, x1 in zip(offs1, xs1):
+        for o2, x2 in zip(offs2, xs2):
+            out[o1 + o2] = x1 * x2
+    return out
 
 
 def vertex_shape(diagram, dims, v):
@@ -151,39 +188,17 @@ def direct_sum(r1, r2):
     dims = {w: r1.dims[w] + r2.dims[w] for w in r1.dims}
     tensors = {}
     for v in d.vertices:
-        nb = neighborhood(d, v)
-        if not nb.outgoing and not nb.incoming:
-            tensors[v] = Matrix.from_rows(
-                [[r1.tensors[v].data[0][0] + r2.tensors[v].data[0][0]]])
-            continue
-        rds = [dims[w] for w in nb.outgoing]
-        cds = [dims[w] for w in nb.incoming]
-        rd1 = [r1.dims[w] for w in nb.outgoing]
-        cd1 = [r1.dims[w] for w in nb.incoming]
-        rows, cols = _prod(rds), _prod(cds)
-        m1, m2 = r1.tensors[v], r2.tensors[v]
-        data = []
-        for row in range(rows):
-            ridx = _dec(row, rds)
-            rparts = {0 if i < d1 else 1 for i, d1 in zip(ridx, rd1)}
-            out_row = []
-            for col in range(cols):
-                cidx = _dec(col, cds)
-                parts = rparts | {0 if i < d1 else 1
-                                  for i, d1 in zip(cidx, cd1)}
-                if parts == {0}:
-                    out_row.append(m1.data[
-                        _enc(ridx, rd1)][_enc(cidx, cd1)])
-                elif parts == {1}:
-                    r2i = [i - d1 for i, d1 in zip(ridx, rd1)]
-                    c2i = [i - d1 for i, d1 in zip(cidx, cd1)]
-                    rd2 = [dims[w] - d1 for w, d1 in zip(nb.outgoing, rd1)]
-                    cd2 = [dims[w] - d1 for w, d1 in zip(nb.incoming, cd1)]
-                    out_row.append(m2.data[_enc(r2i, rd2)][_enc(c2i, cd2)])
-                else:
-                    out_row.append(ZERO)
-            data.append(tuple(out_row))
-        tensors[v] = Matrix(rows, cols, tuple(data))
+        keys = _slot_keys(d, v)
+        strides = _strides([dims[w] for w, _ in keys])
+        # r2's block starts past r1's on every slot; with no slots both
+        # blocks sit at offset 0 and the scalars add
+        base2 = sum(r1.dims[w] * s for (w, _), s in zip(keys, strides))
+        out = [ZERO] * _prod(dims[w] for w, _ in keys)
+        for r, base in ((r1, 0), (r2, base2)):
+            offs = _offsets([r.dims[w] for w, _ in keys], strides, base)
+            for o, x in zip(offs, _flat(r.tensors[v])):
+                out[o] += x
+        tensors[v] = _as_matrix(out, keys, dims)
     return Representation(d, dims, tensors)
 
 
@@ -195,30 +210,15 @@ def tensor_product(r1, r2):
     dims = {w: r1.dims[w] * r2.dims[w] for w in r1.dims}
     tensors = {}
     for v in d.vertices:
-        nb = neighborhood(d, v)
-        rds = [dims[w] for w in nb.outgoing]
-        cds = [dims[w] for w in nb.incoming]
-        rd1 = [r1.dims[w] for w in nb.outgoing]
-        rd2 = [r2.dims[w] for w in nb.outgoing]
-        cd1 = [r1.dims[w] for w in nb.incoming]
-        cd2 = [r2.dims[w] for w in nb.incoming]
-        rows, cols = _prod(rds), _prod(cds)
-        m1, m2 = r1.tensors[v], r2.tensors[v]
-        data = []
-        for row in range(rows):
-            ridx = _dec(row, rds)
-            ri1 = [i // b for i, b in zip(ridx, rd2)]
-            ri2 = [i % b for i, b in zip(ridx, rd2)]
-            out_row = []
-            for col in range(cols):
-                cidx = _dec(col, cds)
-                ci1 = [i // b for i, b in zip(cidx, cd2)]
-                ci2 = [i % b for i, b in zip(cidx, cd2)]
-                out_row.append(
-                    m1.data[_enc(ri1, rd1)][_enc(ci1, cd1)]
-                    * m2.data[_enc(ri2, rd2)][_enc(ci2, cd2)])
-            data.append(tuple(out_row))
-        tensors[v] = Matrix(rows, cols, tuple(data))
+        keys = _slot_keys(d, v)
+        strides = _strides([dims[w] for w, _ in keys])
+        d2 = [r2.dims[w] for w, _ in keys]
+        outer_strides = [b * s for b, s in zip(d2, strides)]
+        out = _outer(_prod(dims[w] for w, _ in keys),
+                     _offsets([r1.dims[w] for w, _ in keys], outer_strides),
+                     _flat(r1.tensors[v]),
+                     _offsets(d2, strides), _flat(r2.tensors[v]))
+        tensors[v] = _as_matrix(out, keys, dims)
     return Representation(d, dims, tensors)
 
 
@@ -377,56 +377,32 @@ class _Node:
 
 
 def _node_of_vertex(r, v):
-    nb = neighborhood(r.diagram, v)
-    slots = [(w, "out") for w in nb.outgoing] + [(w, "in") for w in nb.incoming]
-    dims = [r.dims[w] for w, _ in slots]
-    m = r.tensors[v]
-    entries = [x for row in m.data for x in row]
-    return _Node(entries, slots, dims)
+    slots = _slot_keys(r.diagram, v)
+    return _Node(_flat(r.tensors[v]), slots, [r.dims[w] for w, _ in slots])
+
+
+def _fibres(node, axes):
+    """Slots kept besides axes, and at each of their indices the entries
+    along the diagonal of axes (one axis, or two of equal dimension)."""
+    keep = [i for i in range(len(node.slots)) if i not in axes]
+    strides = _strides(node.dims)
+    e, step, k = node.entries, sum(strides[i] for i in axes), node.dims[axes[0]]
+    offs = _offsets([node.dims[i] for i in keep], [strides[i] for i in keep])
+    return keep, [[e[o + t * step] for t in range(k)] for o in offs]
 
 
 def _contract_same(node, p, q):
-    keep = [i for i in range(len(node.slots)) if i not in (p, q)]
-    dims = [node.dims[i] for i in keep]
-    k = node.dims[p]
-    size = _prod(dims)
-    entries = []
-    for code in range(size):
-        idx = _dec(code, dims)
-        full = [0] * len(node.slots)
-        for pos, i in zip(keep, idx):
-            full[pos] = i
-        acc = ZERO
-        for t in range(k):
-            full[p] = t
-            full[q] = t
-            acc += node.entries[_enc(full, node.dims)]
-        entries.append(acc)
-    return _Node(entries, [node.slots[i] for i in keep], dims)
+    keep, fib = _fibres(node, (p, q))
+    return _Node([sum(f, ZERO) for f in fib], [node.slots[i] for i in keep],
+                 [node.dims[i] for i in keep])
 
 
 def _contract_pair(na, p, nb, q):
-    keep_a = [i for i in range(len(na.slots)) if i != p]
-    keep_b = [i for i in range(len(nb.slots)) if i != q]
+    keep_a, fa = _fibres(na, (p,))
+    keep_b, fb = _fibres(nb, (q,))
     slots = [na.slots[i] for i in keep_a] + [nb.slots[i] for i in keep_b]
     dims = [na.dims[i] for i in keep_a] + [nb.dims[i] for i in keep_b]
-    k = na.dims[p]
-    size = _prod(dims)
-    entries = []
-    for code in range(size):
-        idx = _dec(code, dims)
-        fa = [0] * len(na.slots)
-        fb = [0] * len(nb.slots)
-        for pos, i in zip(keep_a, idx[:len(keep_a)]):
-            fa[pos] = i
-        for pos, i in zip(keep_b, idx[len(keep_a):]):
-            fb[pos] = i
-        acc = ZERO
-        for t in range(k):
-            fa[p] = t
-            fb[q] = t
-            acc += na.entries[_enc(fa, na.dims)] * nb.entries[_enc(fb, nb.dims)]
-        entries.append(acc)
+    entries = [sum(map(mul, x, y), ZERO) for x in fa for y in fb]
     return _Node(entries, slots, dims)
 
 
@@ -521,36 +497,6 @@ def monodromy(r, base):
 # ---------------------------------------------------------------------------
 # reindexing functors
 
-def _retensor(m, dims, old_out, old_in, new_out, new_in, keymap):
-    """Rebuild a vertex tensor for new slot lists.
-
-    keymap sends a new slot key (wire, side) to the old key holding its
-    index; unlisted keys map to themselves.
-    """
-    old_keys = [(w, "out") for w in old_out] + [(w, "in") for w in old_in]
-    old_pos = {k: i for i, k in enumerate(old_keys)}
-    old_dims = [dims[w] for w, _ in old_keys]
-    n_out = len(old_out)
-    new_keys = [(w, "out") for w in new_out] + [(w, "in") for w in new_in]
-    rds = [dims[w] for w in new_out]
-    cds = [dims[w] for w in new_in]
-    rows, cols = _prod(rds), _prod(cds)
-    data = []
-    for row in range(rows):
-        ridx = _dec(row, rds)
-        out_row = []
-        for col in range(cols):
-            cidx = _dec(col, cds)
-            old_idx = [0] * len(old_keys)
-            for key, val in zip(new_keys, list(ridx) + list(cidx)):
-                old_idx[old_pos[keymap.get(key, key)]] = val
-            r_i = _enc(old_idx[:n_out], old_dims[:n_out])
-            c_i = _enc(old_idx[n_out:], old_dims[n_out:])
-            out_row.append(m.data[r_i][c_i])
-        data.append(tuple(out_row))
-    return Matrix(rows, cols, tuple(data))
-
-
 def reverse_wire_rep(r, wid):
     """Reverse one wire, reindexing its endpoint tensors; an involution.
 
@@ -564,21 +510,17 @@ def reverse_wire_rep(r, wid):
         Wire(x.id, x.head, x.tail) if x.id == wid else x for x in d.wires))
     dd = TensorDiagram(d.vertices, wires)
     tensors = dict(r.tensors)
-    touched = {v for v in (w.tail, w.head) if v is not None}
-    for v in touched:
-        old_nb = neighborhood(d, v)
-        new_nb = neighborhood(dd, v)
-        if w.is_loop():
-            keymap = {(wid, "out"): (wid, "in"), (wid, "in"): (wid, "out")}
-        else:
-            # the single slot of wid at v changes side, index carried over
-            if wid in old_nb.outgoing:
-                keymap = {(wid, "in"): (wid, "out")}
-            else:
-                keymap = {(wid, "out"): (wid, "in")}
-        tensors[v] = _retensor(
-            r.tensors[v], r.dims, old_nb.outgoing, old_nb.incoming,
-            new_nb.outgoing, new_nb.incoming, keymap)
+    flip = {"out": "in", "in": "out"}
+    for v in {v for v in (w.tail, w.head) if v is not None}:
+        old = _slot_keys(d, v)
+        strides = dict(zip(old, _strides([r.dims[x] for x, _ in old])))
+        new = _slot_keys(dd, v)
+        # each slot of wid changes side and carries its index along
+        offs = _offsets([r.dims[x] for x, _ in new],
+                        [strides[(x, flip[s]) if x == wid else (x, s)]
+                         for x, s in new])
+        flat = _flat(r.tensors[v])
+        tensors[v] = _as_matrix([flat[o] for o in offs], new, r.dims)
     return Representation(dd, dict(r.dims), tensors)
 
 
@@ -627,51 +569,17 @@ def split_functor(r, fresh_wire, merged_id=None):
     dd = TensorDiagram(tuple(sorted(taken | {merged})), tuple(sorted(wires)))
     dims = {x.id: r.dims[x.id] for x in wires}
 
-    nb1 = neighborhood(d, v1)
-    nb2 = neighborhood(d, v2)
-    m1, m2 = r.tensors[v1], r.tensors[v2]
-    side1 = {(x, "out") for x in nb1.outgoing} | {(x, "in") for x in nb1.incoming}
-    nbm = neighborhood(dd, merged)
-    rds = [dims[x] for x in nbm.outgoing]
-    cds = [dims[x] for x in nbm.incoming]
-    new_keys = ([(x, "out") for x in nbm.outgoing]
-                + [(x, "in") for x in nbm.incoming])
-    d1r = [r.dims[x] for x in nb1.outgoing]
-    d1c = [r.dims[x] for x in nb1.incoming]
-    d2r = [r.dims[x] for x in nb2.outgoing]
-    d2c = [r.dims[x] for x in nb2.incoming]
-    pos1r = {x: i for i, x in enumerate(nb1.outgoing)}
-    pos1c = {x: i for i, x in enumerate(nb1.incoming)}
-    pos2r = {x: i for i, x in enumerate(nb2.outgoing)}
-    pos2c = {x: i for i, x in enumerate(nb2.incoming)}
-    rows, cols = _prod(rds), _prod(cds)
-    data = []
-    for row in range(rows):
-        ridx = _dec(row, rds)
-        out_row = []
-        for col in range(cols):
-            cidx = _dec(col, cds)
-            i1r = [0] * len(d1r)
-            i1c = [0] * len(d1c)
-            i2r = [0] * len(d2r)
-            i2c = [0] * len(d2c)
-            for key, val in zip(new_keys, list(ridx) + list(cidx)):
-                x, side = key
-                if key in side1:
-                    if side == "out":
-                        i1r[pos1r[x]] = val
-                    else:
-                        i1c[pos1c[x]] = val
-                elif side == "out":
-                    i2r[pos2r[x]] = val
-                else:
-                    i2c[pos2c[x]] = val
-            # the fresh-wire index is pinned to 0 on both halves
-            a = m1.data[_enc(i1r, d1r)][_enc(i1c, d1c)]
-            b = m2.data[_enc(i2r, d2r)][_enc(i2c, d2c)]
-            out_row.append(a * b)
-        data.append(tuple(out_row))
-    tensors = {merged: Matrix(rows, cols, tuple(data))}
+    keys = _slot_keys(dd, merged)
+    strides = dict(zip(keys, _strides([dims[x] for x, _ in keys])))
+    views = []
+    for v in (v1, v2):
+        old = _slot_keys(d, v)
+        # the fresh wire is the only slot not kept; stride 0 pins it to 0
+        views += [_offsets([r.dims[x] for x, _ in old],
+                           [strides.get(k, 0) for k in old]),
+                  _flat(r.tensors[v])]
+    out = _outer(_prod(dims[x] for x, _ in keys), *views)
+    tensors = {merged: _as_matrix(out, keys, dims)}
     for v in dd.vertices:
         if v != merged:
             tensors[v] = r.tensors[v]

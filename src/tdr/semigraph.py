@@ -14,6 +14,7 @@ from .errors import (
     DuplicateId,
     NotAPartition,
     NotASubdiagram,
+    ParseError,
     UnknownVertexRef,
     UnknownWire,
 )
@@ -69,9 +70,14 @@ def validate_diagram(raw):
         vs = list(raw.vertices)
         ws = [(w.id, w.tail, w.head) for w in raw.wires]
     else:
-        vs = list(raw.get("vertices", ()))
-        ws = [(w.get("id"), w.get("tail"), w.get("head"))
-              for w in raw.get("wires", ())]
+        if not isinstance(raw, dict):
+            raise ParseError("a diagram must be an object")
+        vs, ws = raw.get("vertices", []), raw.get("wires", [])
+        if not isinstance(vs, (list, tuple)) or not isinstance(ws, (list, tuple)):
+            raise ParseError("diagram vertices and wires must be lists")
+        if not all(isinstance(w, dict) for w in ws):
+            raise ParseError("every wire must be an object")
+        ws = [(w.get("id"), w.get("tail"), w.get("head")) for w in ws]
     seen = set()
     for v in vs:
         if not isinstance(v, str) or not v:
@@ -89,7 +95,7 @@ def validate_diagram(raw):
             raise DuplicateId(f"wire {wid}")
         wseen.add(wid)
         for end in (tail, head):
-            if end is not None and end not in vset:
+            if end is not None and (not isinstance(end, str) or end not in vset):
                 raise UnknownVertexRef(f"wire {wid} endpoint {end}")
         wires.append(Wire(wid, tail, head))
     return TensorDiagram(tuple(sorted(vs)), tuple(sorted(wires)))

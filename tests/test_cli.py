@@ -47,7 +47,6 @@ def test_classify_command(tmp_path, capsys):
     report = run(["classify", path])
     assert report.exit_code == 0
     assert report.command == "classify"
-    assert path in report.input_digests
     out = json.loads(capsys.readouterr().out)
     assert out["components"][0]["class"] == "finite"
     assert out["components"][0]["family"] == "A0"
@@ -233,6 +232,19 @@ def test_wild_embed_no_witness(tmp_path, capsys):
     pp = write(tmp_path, "pairs.json", pairs)
     assert run(["wild-embed", pp, "--out", str(tmp_path)]).exit_code == 0
     assert json.loads(capsys.readouterr().out)["witness"] is None
+
+
+@pytest.mark.parametrize("diagram", [
+    {"vertices": 5, "wires": []},
+    {"vertices": ["a"], "wires": ["x"]},
+    {"vertices": ["a"], "wires": 3},
+    {"vertices": ["a"], "wires": [{"id": "e1", "tail": ["a"], "head": None}]},
+])
+def test_malformed_diagram_is_a_one_line_error(tmp_path, capsys, diagram):
+    path = write(tmp_path, "bad.json", diagram)
+    assert run(["classify", path]).exit_code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_error_paths(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,8 +30,9 @@ from tdr.representation import (
     tensor_product,
     unit,
     validate_representation,
+    vertex_shape,
 )
-from tdr.semigraph import validate_diagram
+from tdr.semigraph import connected_components, split_vertex, validate_diagram
 
 J1 = validate_diagram({"vertices": ["v1"], "wires": [
     {"id": "e1", "tail": "v1", "head": "v1"}]})
@@ -232,3 +234,85 @@ def test_split_functor_merges_dim1_wire():
             d, {"e1": 1, "e2": 2, "e3": 1},
             {"v1": Matrix.from_rows([[1], [0]]),
              "v2": Matrix.from_rows([[1, 0]])}), "e2")
+
+
+def _rand_rep(rng, d, dims):
+    tensors = {}
+    for v in d.vertices:
+        rows, cols = vertex_shape(d, dims, v)
+        tensors[v] = Matrix(rows, cols, tuple(
+            tuple(Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols))
+            for _ in range(rows)))
+    return validate_representation(d, dims, tensors)
+
+
+def _largest_tensor(d, dims):
+    return max(rows * cols for rows, cols in
+               (vertex_shape(d, dims, v) for v in d.vertices))
+
+
+def test_reindexing_functors_on_wild_diagrams():
+    """Seeded wild diagrams with vertices of three or more slots, loops,
+    dangling wires and dimensions 0 and 1: wire reversal is an involution
+    commuting with direct sums, and reversing every wire is the dual; on connected closed networks contraction
+    ignores wire orientation and wire order, adds over direct sums,
+    multiplies over tensor products and survives merging a split vertex
+    back along its dimension-1 wire."""
+    rng = random.Random(20261018)
+    seen = set()
+    for case in range(60):
+        closed = case % 2 == 0
+        while True:
+            vs = [f"v{i}" for i in range(rng.randint(1, 3))]
+            ends = vs if closed else vs + [None]
+            wires = []
+            for i in range(rng.randint(3, 4)):
+                tail = rng.choice(ends)
+                head = rng.choice(vs if tail is None else ends)
+                wires.append({"id": f"e{i}", "tail": tail, "head": head})
+            d = validate_diagram({"vertices": vs, "wires": wires})
+            # direct sums add contractions only on a connected network
+            if not closed or len(connected_components(d)) == 1:
+                break
+        while True:
+            dims1, dims2 = ({w.id: rng.choice([0, 1, 1, 2, 3]) for w in d.wires}
+                            for _ in range(2))
+            if _largest_tensor(d, {w: a * b for (w, a), b in
+                                   zip(dims1.items(), dims2.values())}) <= 400:
+                break
+        r1, r2 = _rand_rep(rng, d, dims1), _rand_rep(rng, d, dims2)
+        seen |= {"loop" for w in d.wires if w.is_loop()}
+        seen |= {"dangling" for w in d.wires if w.is_dangling()}
+        seen |= {f"dim {x}" for x in dims1.values()}
+        seen |= {"3 slots" for v in d.vertices
+                 if sum((w.tail == v) + (w.head == v) for w in d.wires) >= 3}
+
+        summed = direct_sum(r1, r2)
+        every = r1
+        for w in d.wires:
+            rev = reverse_wire_rep(r1, w.id)
+            assert reverse_wire_rep(rev, w.id) == r1, (case, w.id)
+            assert reverse_wire_rep(summed, w.id) == direct_sum(
+                rev, reverse_wire_rep(r2, w.id)), (case, w.id)
+            every = reverse_wire_rep(every, w.id)
+        assert every == dual_rep(r1), case
+        if not closed:
+            continue
+        value = contract(r1)
+        for w in d.wires:
+            assert contract(reverse_wire_rep(r1, w.id)) == value, (case, w.id)
+        for order in itertools.permutations(w.id for w in d.wires):
+            assert contract(r1, _order=order) == value, (case, order)
+        assert contract(summed) == value + contract(r2), case
+        assert contract(tensor_product(r1, r2)) == value * contract(r2), case
+        for v in d.vertices:
+            slots = ([(w.id, "tail") for w in d.wires if w.tail == v]
+                     + [(w.id, "head") for w in d.wires if w.head == v])
+            if len(slots) < 2:
+                continue
+            rng.shuffle(slots)
+            cut = rng.randint(1, len(slots) - 1)
+            ds, fresh = split_vertex(d, v, slots[:cut], slots[cut:])
+            rs = _rand_rep(rng, ds, {**dims1, fresh: 1})
+            assert contract(split_functor(rs, fresh)) == contract(rs), (case, v)
+    assert seen >= {"loop", "dangling", "3 slots", "dim 0", "dim 1"}
