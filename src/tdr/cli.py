@@ -102,6 +102,8 @@ def _rep_from_record(obj, base_dir):
         if not isinstance(cell, dict) or not {"rows", "cols", "entries"} <= set(cell):
             raise ParseError(f"vertex {v}: need rows, cols, entries")
         rows, cols, entries = cell["rows"], cell["cols"], cell["entries"]
+        if any(type(n) is not int or n < 0 for n in (rows, cols)):
+            raise ParseError(f"vertex {v}: rows and cols must be non-negative integers")
         m = _matrix_from_grid(entries, f"vertex {v}")
         if (m.rows, m.cols) != (rows, cols):
             # an empty grid [] carries no column count; trust the declared

@@ -1,16 +1,21 @@
 """Exact linear algebra over Q.
 
-Matrices are immutable, dense, arbitrary-precision rational.  Rank and
-determinant run fraction-free (Bareiss) on integer-rescaled rows; everything
-that returns a basis goes through reduced row echelon form so outputs are
-canonical and comparable by equality.  Polynomial factorization is delegated
+Matrices are immutable, dense, arbitrary-precision rational.  Rank,
+determinant, reduced row echelon form and the matrix product run
+fraction-free on Python integers: rows (and, for a product, the right
+factor's columns) are rescaled by the lcm of their denominators, rank and
+determinant by Bareiss elimination, the RREF by fraction-free Gauss-Jordan,
+and each result entry becomes a rational once, at the end.  Everything that
+returns a basis goes through the RREF, so outputs are canonical and
+comparable by equality.  Polynomial factorization is delegated
 to sympy behind a thin monic wrapper; the rest is authored here because the
 decomposition algorithms need the intermediate data (filtrations, chains),
 not just final answers.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm, prod
+from operator import mul
 
 from .errors import (
     NotNilpotent,
@@ -50,7 +55,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        row = (ZERO,) * cols
+        row = (ZERO,) * cols if rows else ()
         return cls(rows, cols, (row,) * rows)
 
     @classmethod
@@ -93,18 +98,15 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        bdata = other.data
+        # integer rows of self times integer columns of other, one division
+        # per entry: (a / ra) . (b / cb) = (a . b) / (ra * cb)
+        arows, ras = _int_rows(self.data)
+        bcols, cbs = _int_rows(other.transpose().data)
         out = []
-        for arow in self.data:
-            acc = [ZERO] * other.cols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = bdata[k]
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
+        for arow, ra in zip(arows, ras):
+            out.append(tuple(
+                Q(acc, ra * cb) if (acc := sum(map(mul, arow, bcol))) else ZERO
+                for bcol, cb in zip(bcols, cbs)))
         return Matrix(self.rows, other.cols, tuple(out))
 
     def transpose(self):
@@ -162,46 +164,63 @@ def block_diag(blocks):
     return Matrix(rows, cols, tuple(tuple(row) for row in out))
 
 
-def _int_rows(m):
-    """Rows rescaled to integers (row scaling preserves rank and pivots)."""
+def _int_rows(rows):
+    """Each rational vector rescaled to integers by the lcm of its denominators.
+
+    Returns (integer rows, lcms).  Row scaling preserves rank, pivots and the
+    reduced row echelon form; the lcms give back the determinant and products.
+    """
     out = []
-    for row in m.data:
-        l = 1
-        for x in row:
-            d = x.denominator
-            l = l * d // gcd(l, int(d))
-        out.append([int(x.numerator) * (l // int(x.denominator)) for x in row])
-    return out
+    lcms = []
+    for row in rows:
+        nums = [int(x.numerator) for x in row]
+        dens = [int(x.denominator) for x in row]
+        l = lcm(*dens)
+        out.append(nums if l == 1 else [n * (l // d) for n, d in zip(nums, dens)])
+        lcms.append(l)
+    return out, lcms
+
+
+def _eliminate(a, cols, reduce_above=False):
+    """Fraction-free (Bareiss) elimination of the integer rows a, in place.
+
+    Each pivot step replaces every row i below the pivot row r, and with
+    reduce_above every row above it too, by (p*a[i] - a[i][col]*a[r]) / prev,
+    p being the pivot and prev the one before it.  The division is exact
+    (Sylvester's identity) and keeps the entries minors of the input.  A row
+    with a zero in the pivot column is still rescaled by p / prev, and a row
+    above is updated across its whole width, since it carries earlier pivots
+    and the free columns between them.  Afterwards every pivot column is the
+    last pivot times a unit vector (reduce_above) or zero below its pivot.
+    Returns (pivot columns, sign of the row permutation).
+    """
+    rows = len(a)
+    pivots = []
+    sign = prev = 1
+    for col in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        ar = a[r]
+        p = ar[col]
+        for i in range(0 if reduce_above else r + 1, rows):
+            f = a[i][col]
+            if i != r and (f or p != prev):
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], ar)]
+        pivots.append(col)
+        prev = p
+    return pivots, sign
 
 
 def rank(m):
     """Exact rank via fraction-free (Bareiss) elimination on integer rows."""
-    a = _int_rows(m)
-    rows, cols = m.rows, m.cols
-    prev = 1
-    r = 0
-    for col in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        for i in range(r + 1, rows):
-            ai = a[i]
-            f = ai[col]
-            arow = a[r]
-            for j in range(col + 1, cols):
-                ai[j] = (p * ai[j] - f * arow[j]) // prev
-            ai[col] = 0
-        prev = p
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(_eliminate(_int_rows(m.data)[0], m.cols)[0])
 
 
 def det(m):
@@ -210,69 +229,27 @@ def det(m):
     n = m.rows
     if n == 0:
         return ONE
-    a = []
-    scale = 1
-    for row in m.data:
-        l = 1
-        for x in row:
-            d = int(x.denominator)
-            l = l * d // gcd(l, d)
-        scale *= l
-        a.append([int(x.numerator) * (l // int(x.denominator)) for x in row])
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = None
-        for i in range(col, n):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return ZERO
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        p = a[col][col]
-        for i in range(col + 1, n):
-            ai = a[i]
-            f = ai[col]
-            arow = a[col]
-            for j in range(col + 1, n):
-                ai[j] = (p * ai[j] - f * arow[j]) // prev
-            ai[col] = 0
-        prev = p
-    return Q(sign * a[n - 1][n - 1], scale)
+    a, lcms = _int_rows(m.data)
+    pivots, sign = _eliminate(a, n)
+    if len(pivots) < n:
+        return ZERO
+    # the last Bareiss pivot is the determinant of the integer rows
+    return Q(sign * a[n - 1][n - 1], prod(lcms))
 
 
 def rref(m):
-    """Reduced row echelon form; returns (rref matrix, pivot column tuple)."""
-    a = [list(row) for row in m.data]
-    rows, cols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for col in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                ai = a[i]
-                ar = a[r]
-                for j in range(col, cols):
-                    ai[j] = ai[j] - f * ar[j]
-        pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    return Matrix(rows, cols, tuple(tuple(row) for row in a)), tuple(pivots)
+    """Reduced row echelon form; returns (rref matrix, pivot column tuple).
+
+    Fraction-free Gauss-Jordan on integer rows.  The reduced form is
+    canonical, so dividing each pivot row by its pivot at the end gives the
+    same matrix as elimination over Q.
+    """
+    a, _ = _int_rows(m.data)
+    pivots, _ = _eliminate(a, m.cols, reduce_above=True)
+    out = [tuple(Q(x, a[i][col]) if x else ZERO for x in a[i])
+           for i, col in enumerate(pivots)]
+    out.extend([(ZERO,) * m.cols] * (m.rows - len(pivots)))
+    return Matrix(m.rows, m.cols, tuple(out)), tuple(pivots)
 
 
 def inverse(m):

@@ -1,10 +1,10 @@
 """Exact rational scalars.
 
 Everything in this package computes over Q.  The scalar type is gmpy2.mpq
-when gmpy2 is installed (roughly an order of magnitude faster than Fraction
-on the elimination-heavy paths) and the stdlib fractions.Fraction
-otherwise.  Both expose .numerator/.denominator and hash alike, so results
-are identical either way.
+when gmpy2 is installed (the optional "fast" extra) and the stdlib
+fractions.Fraction otherwise.  Both expose .numerator/.denominator and hash
+alike, so results are identical either way; the elimination and product
+kernels read those through int() and compute on Python integers.
 """
 
 from .errors import ParseError

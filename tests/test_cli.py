@@ -247,6 +247,18 @@ def test_malformed_diagram_is_a_one_line_error(tmp_path, capsys, diagram):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field", ["rows", "cols"])
+@pytest.mark.parametrize("value", ["x", -1, True, 1.5])
+def test_malformed_vertex_shape_is_a_one_line_error(tmp_path, capsys, field, value):
+    cell = {"rows": 0, "cols": 0, "entries": [], field: value}
+    rep = {"diagram": {"vertices": ["a"], "wires": []}, "dims": {},
+           "vertices": {"a": cell}}
+    path = write(tmp_path, "bad.json", rep)
+    assert run(["decompose", path]).exit_code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_error_paths(tmp_path, capsys):
     assert run(["no-such-command"]).exit_code == 1
     capsys.readouterr()

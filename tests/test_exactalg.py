@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -52,6 +53,17 @@ def rand_invertible(rng, n):
 def test_from_rows_rejects_ragged():
     with pytest.raises(ShapeMismatch):
         Matrix.from_rows([[1, 2], [3]])
+
+
+def test_zeros_without_rows_allocates_no_row():
+    # a declared 0 x cols tensor must not cost memory in cols
+    tracemalloc.start()
+    try:
+        m = Matrix.zeros(0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m.rows, m.cols, m.data) == (0, 10**6, ()) and peak < 10**5
 
 
 def test_matmul_shapes():
@@ -303,3 +315,118 @@ def test_graded_chains_form_basis():
             for v in vecs[1:]:
                 stack = stack.hstack(v)
             assert rank(stack) == dims[a]
+
+
+# ---------------------------------------------------------------------------
+# differential test against sympy
+
+def _rand_entry(rng, zero_share):
+    if rng.random() < zero_share:
+        return Q(0)
+    return Q(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _echelon_product(rng, rows, cols):
+    """B @ R with R in echelon form: rank-deficient, free columns between
+    pivots, and (with B's first row zero) a zero first row forcing a swap."""
+    k = rng.randint(0, min(rows, cols))
+    pivots = sorted(rng.sample(range(cols), k))
+    r = [[Q(0)] * cols for _ in range(k)]
+    for i, p in enumerate(pivots):
+        r[i][p] = Q(rng.randint(1, 9), rng.randint(1, 9))
+        for j in range(p + 1, cols):
+            r[i][j] = _rand_entry(rng, 0.2)
+    b = [[_rand_entry(rng, 0.3) for _ in range(k)] for _ in range(rows)]
+    if rows and rng.random() < 0.5:
+        b[0] = [Q(0)] * k
+    return [[sum((b[i][t] * r[t][j] for t in range(k)), Q(0)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def _rand_grid(rng, rows, cols):
+    kind = rng.choice(("zero", "dense", "sparse", "echelon", "echelon"))
+    if kind == "zero":
+        return [[Q(0)] * cols for _ in range(rows)]
+    if kind == "echelon":
+        return _echelon_product(rng, rows, cols)
+    share = 0.1 if kind == "dense" else 0.7
+    return [[_rand_entry(rng, share) for _ in range(cols)] for _ in range(rows)]
+
+
+def _tdr(rows, cols, grid):
+    return Matrix(rows, cols, tuple(tuple(row) for row in grid))
+
+
+def _sym(sympy, m):
+    return sympy.Matrix(m.rows, m.cols, [
+        sympy.Rational(int(x.numerator), int(x.denominator))
+        for row in m.data for x in row])
+
+
+def _q(r):
+    return Q(int(r.p), int(r.q))
+
+
+def _from_sym(s):
+    return Matrix(s.rows, s.cols, tuple(
+        tuple(_q(s[i, j]) for j in range(s.cols)) for i in range(s.rows)))
+
+
+def _exact(*matrices):
+    kind = type(Q(0))
+    for m in matrices:
+        assert all(type(x) is kind for row in m.data for x in row)
+
+
+def test_kernels_agree_with_sympy():
+    import sympy
+    rng = random.Random(2024)
+    shapes = [(0, 0), (0, 3), (4, 0), (1, 1), (8, 8)]
+    shapes += [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(170)]
+    for rows, cols in shapes:
+        m = _tdr(rows, cols, _rand_grid(rng, rows, cols))
+        s = _sym(sympy, m)
+
+        red, pivots = rref(m)
+        s_red, s_pivots = s.rref()
+        assert (red, pivots) == (_from_sym(s_red), tuple(s_pivots))
+        assert rank(m) == s.rank() == len(pivots)
+
+        ns = nullspace(m)
+        assert ns == _from_sym(sympy.Matrix.hstack(sympy.zeros(cols, 0), *s.nullspace()))
+        cs = column_space(m)
+        s_cs = s.T.rref()[0][:len(pivots), :].T if rows and cols else sympy.zeros(rows, 0)
+        assert cs == _from_sym(s_cs)
+
+        k = rng.randint(0, 3)
+        b = _tdr(rows, k, _rand_grid(rng, rows, k))
+        s_b = _sym(sympy, b)
+        sol = solve_linear(m, b)
+        if s.row_join(s_b).rank() > s.rank():
+            assert sol.particular is None
+        else:
+            # pivot variables solve the system, free variables are zero
+            assert s * _sym(sympy, sol.particular) == s_b
+            free = set(range(cols)) - set(pivots)
+            assert all(not sol.particular.data[j][t] for j in free for t in range(k))
+            _exact(sol.particular)
+        assert sol.homogeneous == ns
+
+        other = _tdr(cols, k, _rand_grid(rng, cols, k))
+        prod = m @ other
+        assert prod == _from_sym(s * _sym(sympy, other))
+        _exact(red, ns, cs, sol.homogeneous, prod)
+
+        if rows == cols:
+            d = det(m)
+            assert d == _q(s.det()) and type(d) is type(Q(0))
+            x = sympy.Symbol("x")
+            s_poly = s.charpoly(x).all_coeffs()[::-1]
+            assert charpoly(m) == Poly(tuple(_q(c) for c in s_poly))
+            if d:
+                inv = inverse(m)
+                assert inv == _from_sym(s.inv())
+                _exact(inv)
+            else:
+                with pytest.raises(SingularMatrix):
+                    inverse(m)
