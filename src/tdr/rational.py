@@ -1,7 +1,7 @@
 """Exact rational scalars.
 
 Everything in this package computes over Q.  The scalar type is gmpy2.mpq
-when gmpy2 is installed (the optional "fast" extra) and the stdlib
+when gmpy2 happens to be installed (it is not a dependency) and the stdlib
 fractions.Fraction otherwise.  Both expose .numerator/.denominator and hash
 alike, so results are identical either way; the elimination and product
 kernels read those through int() and compute on Python integers.
