@@ -21,6 +21,7 @@ from .decompose import (
     realize,
 )
 from .errors import (
+    ContractionTooLarge,
     DiagramMismatch,
     DomainMismatch,
     DuplicateId,

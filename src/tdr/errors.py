@@ -79,6 +79,10 @@ class NotClosed(TdrError):
     pass
 
 
+class ContractionTooLarge(TdrError):
+    pass
+
+
 class NotALoop(TdrError):
     pass
 

@@ -12,11 +12,12 @@ one primitive, _offsets: the flat offsets of an axis view with chosen
 strides.  Each operation is a choice of strides.
 """
 
-from dataclasses import dataclass
 from functools import reduce
+from math import lcm
 from operator import mul
 
 from .errors import (
+    ContractionTooLarge,
     DiagramMismatch,
     NotALoop,
     NotAMorphism,
@@ -29,7 +30,7 @@ from .errors import (
     UnknownWire,
 )
 from .exactalg import Matrix, column_space, extend_basis, inverse, rank
-from .rational import ONE, ZERO
+from .rational import ZERO, Q
 from .semigraph import (
     TensorDiagram,
     Wire,
@@ -369,96 +370,114 @@ def kernel(phi, r1, r2):
 # ---------------------------------------------------------------------------
 # contraction
 
-@dataclass
-class _Node:
-    entries: list   # flat values, slots first-slowest
-    slots: list     # (wire id, "out" | "in")
-    dims: list
+CONTRACT_CAP = 1 << 22   # entries of the largest node a contraction may build
 
 
-def _node_of_vertex(r, v):
-    slots = _slot_keys(r.diagram, v)
-    return _Node(_flat(r.tensors[v]), slots, [r.dims[w] for w, _ in slots])
+def _fibres(node, dims, wids):
+    """Wires of the slots kept besides wids, and at each index of those the
+    entries of a node (entries, wires) over every joint index of wids; both
+    slots of a loop share one index, so the view walks their diagonal."""
+    entries, wires = node
+    keep = [i for i, w in enumerate(wires) if w not in wids]
+    strides = _strides([dims[w] for w in wires])
+    inner = _offsets([dims[w] for w in wids], [
+        sum(s for x, s in zip(wires, strides) if x == w) for w in wids])
+    outer = _offsets([dims[wires[i]] for i in keep], [strides[i] for i in keep])
+    return [wires[i] for i in keep], [[entries[o + t] for t in inner]
+                                      for o in outer]
 
 
-def _fibres(node, axes):
-    """Slots kept besides axes, and at each of their indices the entries
-    along the diagonal of axes (one axis, or two of equal dimension)."""
-    keep = [i for i in range(len(node.slots)) if i not in axes]
-    strides = _strides(node.dims)
-    e, step, k = node.entries, sum(strides[i] for i in axes), node.dims[axes[0]]
-    offs = _offsets([node.dims[i] for i in keep], [strides[i] for i in keep])
-    return keep, [[e[o + t * step] for t in range(k)] for o in offs]
+def _contract_wires(na, nb, dims, wids):
+    """Trace wids within node na (nb is None), or contract every wire in
+    wids between nodes na and nb in one pass."""
+    wires, fa = _fibres(na, dims, wids)
+    if nb is None:
+        return [sum(f) for f in fa], wires
+    rest, fb = _fibres(nb, dims, wids)
+    return [sum(map(mul, x, y)) for x in fa for y in fb], wires + rest
 
 
-def _contract_same(node, p, q):
-    keep, fib = _fibres(node, (p, q))
-    return _Node([sum(f, ZERO) for f in fib], [node.slots[i] for i in keep],
-                 [node.dims[i] for i in keep])
+def _plan(dims, held, order):
+    """Steps (a, b, wires) chosen on dims alone from the wires held at each
+    vertex, and the largest node they build: trace wires at node a (b is
+    None), or merge node b into a over every wire the two share."""
+    held = dict(held)
+    steps, largest = [], 0
 
+    def step(a, b, wids):
+        nonlocal largest
+        held[a] = [w for w in held[a] + held.pop(b, []) if w not in wids]
+        steps.append((a, b, wids))
+        largest = max(largest, _prod(dims[w] for w in held[a]))
 
-def _contract_pair(na, p, nb, q):
-    keep_a, fa = _fibres(na, (p,))
-    keep_b, fb = _fibres(nb, (q,))
-    slots = [na.slots[i] for i in keep_a] + [nb.slots[i] for i in keep_b]
-    dims = [na.dims[i] for i in keep_a] + [nb.dims[i] for i in keep_b]
-    entries = [sum(map(mul, x, y), ZERO) for x in fa for y in fb]
-    return _Node(entries, slots, dims)
+    def shared(a, b):
+        return [w for w in held[a] if w in held[b]]
 
+    def holders():
+        at = {}
+        for k, ws in held.items():
+            for w in ws:
+                at.setdefault(w, []).append(k)
+        return at
 
-def _find_slot(nodes, wid, side):
-    for key, node in nodes.items():
-        for pos, slot in enumerate(node.slots):
-            if slot == (wid, side):
-                return key, pos
-    raise UnknownWire(wid)
+    # a forced order contracts every wire, so nothing is left for the rest
+    for wid in order or ():
+        ends = holders().get(wid)
+        if ends and ends[0] == ends[1]:
+            step(ends[0], None, [wid])
+        elif ends:
+            step(*ends, shared(*ends))
+    for v, ws in list(held.items()):
+        loops = [w for w in dict.fromkeys(ws) if ws.count(w) == 2]
+        if loops:
+            step(v, None, loops)
+    while pairs := {tuple(sorted(ks)) for ks in holders().values()}:
+        a, b = min(pairs, key=lambda p: (
+            _prod(dims[w] for w in held[p[0]] + held[p[1]])
+            // _prod(dims[w] for w in shared(*p)) ** 2, p))
+        step(a, b, shared(a, b))
+    return steps, largest
 
 
 def contract(r, _order=None):
     """Contract a closed diagram to its exact scalar value.
 
-    Greedy pairwise order: always the wire whose contraction leaves the
-    smallest node, ties broken by wire id.  _order forces an explicit wire
-    order (any order yields the same scalar; tests exercise that).
+    A wire of dimension 0 sums over nothing, so the value is 0.  Otherwise
+    self-loops are traced, then the two nodes whose merge leaves the
+    smallest node merge over every wire they share, in one pass; the plan
+    is made on dims first and raises ContractionTooLarge if it needs a node
+    of more than CONTRACT_CAP entries.  Vertex tensors are rescaled to
+    integers, so the value is an integer total over the product of their
+    denominator lcms.  _order forces a wire order instead: each wire merges
+    the two nodes holding its ends, or is traced if both sit in one node
+    (any order yields the same scalar; tests exercise that).
     """
     if not r.diagram.is_closed():
         raise NotClosed("diagram has dangling or endpointless wires")
-    nodes = {v: _node_of_vertex(r, v) for v in r.diagram.vertices}
-    remaining = [w.id for w in r.diagram.wires]
-    if _order is not None:
-        order = list(_order)
-        if sorted(order) != sorted(remaining):
-            raise UnknownWire("order must list every wire exactly once")
-    while remaining:
-        if _order is not None:
-            wid = order[len(order) - len(remaining)]
-        else:
-            best = None
-            for cand in remaining:
-                ka, pa = _find_slot(nodes, cand, "out")
-                kb, pb = _find_slot(nodes, cand, "in")
-                if ka == kb:
-                    sz = _prod(nodes[ka].dims) // max(1, nodes[ka].dims[pa]) \
-                        // max(1, nodes[ka].dims[pb])
-                else:
-                    sz = (_prod(nodes[ka].dims) // max(1, nodes[ka].dims[pa])
-                          * (_prod(nodes[kb].dims) // max(1, nodes[kb].dims[pb])))
-                if best is None or (sz, cand) < best:
-                    best = (sz, cand)
-            wid = best[1]
-        ka, pa = _find_slot(nodes, wid, "out")
-        kb, pb = _find_slot(nodes, wid, "in")
-        if ka == kb:
-            nodes[ka] = _contract_same(nodes[ka], pa, pb)
-        else:
-            merged = _contract_pair(nodes[ka], pa, nodes[kb], pb)
-            del nodes[kb]
-            nodes[ka] = merged
-        remaining.remove(wid)
-    total = ONE
-    for node in nodes.values():
-        total *= node.entries[0]
-    return total
+    if _order is not None and sorted(_order) != sorted(r.dims):
+        raise UnknownWire("order must list every wire exactly once")
+    if 0 in r.dims.values():
+        return ZERO
+    held = {v: [w for w, _ in _slot_keys(r.diagram, v)]
+            for v in r.diagram.vertices}
+    steps, largest = _plan(r.dims, held, _order)
+    if largest > CONTRACT_CAP:
+        raise ContractionTooLarge(f"contraction needs a node of {largest} "
+                                  f"entries, over the cap of {CONTRACT_CAP}")
+    nodes, scale = {}, 1
+    for v in r.diagram.vertices:
+        flat = _flat(r.tensors[v])
+        dens = [int(x.denominator) for x in flat]
+        lcd = lcm(*dens)
+        nodes[v] = ([int(x.numerator) * (lcd // d) for x, d in zip(flat, dens)],
+                    held[v])
+        scale *= lcd
+    for a, b, wids in steps:
+        nodes[a] = _contract_wires(nodes[a], nodes.pop(b, None), r.dims, wids)
+    total = 1
+    for entries, _ in nodes.values():
+        total *= entries[0]
+    return Q(total, scale)
 
 
 def monodromy(r, base):

@@ -1,6 +1,8 @@
 import json
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdr.cli import run
 
@@ -131,6 +133,21 @@ def test_contract_command(tmp_path, capsys):
     path = write(tmp_path, "j1.json", J1_REP)
     assert run(["contract", path]).exit_code == 0
     assert json.loads(capsys.readouterr().out) == {"value": "5"}
+
+
+def test_contract_over_the_cap_is_a_one_line_error(tmp_path, capsys):
+    # K_8 with dimension-4 wires needs a node of at least 4^15 entries
+    vs = [f"v{i}" for i in range(8)]
+    rep = {"diagram": {"vertices": vs, "wires": [
+        {"id": f"e{i}{j}", "tail": vs[i], "head": vs[j]}
+        for i in range(8) for j in range(i + 1, 8)]},
+        "dims": {f"e{i}{j}": 4 for i in range(8) for j in range(i + 1, 8)},
+        "vertices": {v: {"rows": 4 ** (7 - i), "cols": 4 ** i,
+                         "entries": [[1] * 4 ** i] * 4 ** (7 - i)}
+                     for i, v in enumerate(vs)}}
+    assert run(["contract", write(tmp_path, "k8.json", rep)]).exit_code == 1
+    err = capsys.readouterr().err
+    assert "over the cap" in err and err.count("\n") == 1
 
 
 def test_flow_extend_command(tmp_path, capsys):
@@ -276,3 +293,74 @@ def test_error_paths(tmp_path, capsys):
     capsys.readouterr()
     assert run(["gen-random", dp, "--dims", '{"e1": 1}']).exit_code == 1
     capsys.readouterr()
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=3),
+    st.floats(-2, 2, allow_nan=False), st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+_ENTRY = st.one_of(st.sampled_from(["0", "1", "-2/3", " 5 ", 2]), _JUNK)
+
+
+@st.composite
+def _rep_records(draw):
+    """Rep records for contract, well formed or with one part broken."""
+    vs = draw(st.lists(st.sampled_from("abcd"), max_size=4, unique=True))
+    end = st.sampled_from(vs or [None])
+    wires = [{"id": f"e{i}", "tail": draw(end), "head": draw(end)}
+             for i in range(draw(st.integers(0, 4)))]
+    dims = {w["id"]: draw(st.integers(0, 2)) for w in wires}
+    fill = draw(st.lists(st.sampled_from(["0", "1", "-2/3", "7/2"]),
+                         min_size=1, max_size=4))
+    vertices = {}
+    for v in vs:
+        rows = prod(dims[w["id"]] for w in wires if w["tail"] == v)
+        cols = prod(dims[w["id"]] for w in wires if w["head"] == v)
+        vertices[v] = {"rows": rows, "cols": cols, "entries": [
+            [fill[(i * cols + j) % len(fill)] for j in range(cols)]
+            for i in range(rows)]}
+    rec = {"diagram": {"vertices": vs, "wires": wires}, "dims": dims,
+           "vertices": vertices}
+    broken = draw(st.sampled_from(
+        ["none", "none", "dim", "shape", "entry", "ragged", "key", "part",
+         "endpoint", "whole"]))
+    if broken == "dim" and dims:
+        dims[draw(st.sampled_from(sorted(dims)))] = draw(_JUNK)
+    elif broken in ("shape", "entry", "ragged") and vertices:
+        cell = vertices[draw(st.sampled_from(sorted(vertices)))]
+        if broken == "shape":
+            cell[draw(st.sampled_from(["rows", "cols"]))] = draw(_JUNK)
+        elif cell["entries"] and cell["entries"][0]:
+            row = cell["entries"][0]
+            if broken == "entry":
+                row[0] = draw(_ENTRY)
+            else:
+                row.append("1")
+    elif broken == "key":
+        del rec[draw(st.sampled_from(sorted(rec)))]
+    elif broken == "part":
+        rec[draw(st.sampled_from(sorted(rec)))] = draw(_JUNK)
+    elif broken == "endpoint" and wires:
+        wires[0][draw(st.sampled_from(["id", "tail", "head"]))] = draw(_JUNK)
+    elif broken == "whole":
+        rec = draw(_JUNK)
+    return rec
+
+
+def test_contract_fuzzed_records_never_trace_back(tmp_path, capsys):
+    """Any rep record: either a value, or exit 1 or 2 with one stderr line."""
+    path = tmp_path / "rep.json"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_rep_records())
+    def check(rec):
+        path.write_text(json.dumps(rec))
+        code = run(["contract", str(path)]).exit_code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert set(json.loads(out)) == {"value"} and not err
+        else:
+            assert code in (1, 2), code
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    check()

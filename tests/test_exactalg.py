@@ -430,3 +430,45 @@ def test_kernels_agree_with_sympy():
             else:
                 with pytest.raises(SingularMatrix):
                     inverse(m)
+
+
+_IRREDUCIBLE = ((0, 1), (-2, 1), (1, 1), (1, 0, 1), (-2, 0, 1), (1, 1, 1))
+
+
+def _planted_square(rng, n):
+    """Companion blocks of p^s for a few irreducible p, hidden by a base
+    change, so elementary divisors repeat and powers exceed 1; a third of
+    the cases are plain random grids instead."""
+    if n == 0:
+        return Matrix(0, 0, ())
+    if rng.random() < 1 / 3:
+        return _tdr(n, n, _rand_grid(rng, n, n))
+    blocks, left = [], n
+    while left:
+        p = Poly(tuple(Q(c) for c in rng.choice(_IRREDUCIBLE)))
+        s = rng.randint(1, 3)
+        if p.degree() * s <= left:
+            blocks.append(companion(p ** s))
+            left -= p.degree() * s
+    g = rand_invertible(rng, n)
+    return g @ block_diag(blocks) @ inverse(g)
+
+
+def test_rational_canonical_agrees_with_sympy():
+    """Elementary divisors against sympy's invariant factors of xI - M
+    over Q[x], each factored into irreducible powers."""
+    import sympy
+    from sympy.matrices.normalforms import invariant_factors
+    x = sympy.Symbol("x")
+    rng = random.Random(4242)
+    for case in range(60):
+        n = case % 6
+        m = _planted_square(rng, n)
+        want = []
+        if n:
+            for f in invariant_factors(x * sympy.eye(n) - _sym(sympy, m),
+                                       domain=sympy.QQ[x]):
+                for p, e in sympy.Poly(f, x, domain="QQ").factor_list()[1]:
+                    want.append((tuple(_q(c) for c in reversed(p.monic().all_coeffs())), e))
+        got = [(p.coeffs, s) for p, s in rational_canonical(m)]
+        assert sorted(got) == sorted(want), (case, m)

@@ -1,9 +1,12 @@
 import itertools
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from tdr.errors import (
+    ContractionTooLarge,
     DiagramMismatch,
     NotAMorphism,
     NotALoop,
@@ -14,8 +17,9 @@ from tdr.errors import (
     SizeMismatch,
 )
 from tdr.exactalg import Matrix, det, inverse, nullspace, rank
-from tdr.rational import Q
+from tdr.rational import ONE, ZERO, Q
 from tdr.representation import (
+    CONTRACT_CAP,
     apply_group_element,
     cokernel,
     contract,
@@ -32,7 +36,12 @@ from tdr.representation import (
     validate_representation,
     vertex_shape,
 )
-from tdr.semigraph import connected_components, split_vertex, validate_diagram
+from tdr.semigraph import (
+    connected_components,
+    neighborhood,
+    split_vertex,
+    validate_diagram,
+)
 
 J1 = validate_diagram({"vertices": ["v1"], "wires": [
     {"id": "e1", "tail": "v1", "head": "v1"}]})
@@ -316,3 +325,104 @@ def test_reindexing_functors_on_wild_diagrams():
             rs = _rand_rep(rng, ds, {**dims1, fresh: 1})
             assert contract(split_functor(rs, fresh)) == contract(rs), (case, v)
     assert seen >= {"loop", "dangling", "3 slots", "dim 0", "dim 1"}
+
+
+def test_dimension_zero_wire_contracts_to_zero_without_allocating():
+    # two vertices joined by a dimension-0 wire and four wires of dimension 6:
+    # both tensors are empty, and the sum over the empty wire is 0
+    d = validate_diagram({"vertices": ["a", "b"], "wires": [
+        {"id": f"w{i}", "tail": "a", "head": "b"} for i in range(5)]})
+    dims = {"w0": 0, **{f"w{i}": 6 for i in range(1, 5)}}
+    r = validate_representation(d, dims, {"a": Matrix.zeros(0, 1),
+                                          "b": Matrix.zeros(1, 0)})
+    tracemalloc.start()
+    try:
+        value = contract(r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 0 and type(value) is type(ZERO)
+    assert peak < 1 << 20
+
+
+def _complete_rep(n, dim):
+    """K_n with one wire v_i -> v_j per pair i < j, every entry 1."""
+    vs = [f"v{i}" for i in range(n)]
+    d = validate_diagram({"vertices": vs, "wires": [
+        {"id": f"e{i}{j}", "tail": vs[i], "head": vs[j]}
+        for i in range(n) for j in range(i + 1, n)]})
+    dims = {w.id: dim for w in d.wires}
+    tensors = {}
+    for v in vs:
+        rows, cols = vertex_shape(d, dims, v)
+        tensors[v] = Matrix(rows, cols, ((ONE,) * cols,) * rows)
+    return validate_representation(d, dims, tensors)
+
+
+def test_contract_cap_is_checked_before_allocation():
+    # every merge order on K_8 with dimension-4 wires needs a node of at
+    # least 4^15 entries, far over the cap; the plan alone must refuse it
+    r = _complete_rep(8, 4)
+    assert 4 ** 15 > CONTRACT_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractionTooLarge):
+            contract(r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # K_4 with the same wires stays under the cap: every index sum is 4^6
+    assert contract(_complete_rep(4, 4)) == 4 ** 6
+
+
+def _brute_contract(d, dims, tensors):
+    """Sum over every index assignment of the product of tensor entries."""
+    wires = [w.id for w in d.wires]
+    total = Fraction(0)
+    for idx in itertools.product(*(range(dims[w]) for w in wires)):
+        at = dict(zip(wires, idx))
+        term = Fraction(1)
+        for v in d.vertices:
+            nb = neighborhood(d, v)
+            row = col = 0
+            for w in nb.outgoing:
+                row = row * dims[w] + at[w]
+            for w in nb.incoming:
+                col = col * dims[w] + at[w]
+            term *= tensors[v].data[row][col]
+        total += term
+    return total
+
+
+def test_contract_agrees_with_brute_force():
+    """Seeded closed networks on 1-4 vertices with loops, multi-wires,
+    dimensions 0-3, several components and slot-less scalar vertices:
+    contract equals the plain sum over index assignments, in the greedy
+    order and in every forced wire order."""
+    rng = random.Random(5150)
+    seen = set()
+    for case in range(120):
+        vs = [f"v{i}" for i in range(rng.randint(1, 4))]
+        wires = [{"id": f"e{i}", "tail": rng.choice(vs), "head": rng.choice(vs)}
+                 for i in range(rng.randint(0, 5))]
+        d = validate_diagram({"vertices": vs, "wires": wires})
+        dims = {w.id: rng.choice([0, 1, 2, 2, 3, 3]) for w in d.wires}
+        r = _rand_rep(rng, d, dims)
+        want = _brute_contract(d, dims, r.tensors)
+        value = contract(r)
+        assert value == want and type(value) is type(ZERO), case
+        for order in itertools.permutations(dims):
+            assert contract(r, _order=order) == want, (case, order)
+        ends = [(w.tail, w.head) for w in d.wires]
+        seen |= {"loop" for t, h in ends if t == h}
+        seen |= {"multi-wire" for i, e in enumerate(ends)
+                 if e in ends[:i] or e[::-1] in ends[:i]}
+        seen |= {f"dim {x}" for x in dims.values()}
+        seen |= {"scalar vertex" for v in vs if all(v not in e for e in ends)}
+        if len(connected_components(d)) > 1:
+            seen.add("components")
+        if want:
+            seen.add("nonzero")
+    assert seen >= {"loop", "multi-wire", "dim 0", "dim 1", "dim 2", "dim 3",
+                    "components", "scalar vertex", "nonzero"}
