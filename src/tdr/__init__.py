@@ -48,6 +48,7 @@ from .errors import (
     SingularMatrix,
     SizeMismatch,
     TdrError,
+    TensorTooLarge,
     UnknownCommand,
     UnknownVertexRef,
     UnknownWire,

@@ -74,8 +74,7 @@ def _matrix_from_grid(grid, what):
     cols = len(grid[0]) if rows else 0
     if any(len(r) != cols for r in grid):
         raise ParseError(f"{what}: ragged rows")
-    data = tuple(tuple(parse_rational(x) for x in row) for row in grid)
-    return Matrix(rows, cols, data)
+    return Matrix(rows, cols, [[parse_rational(x) for x in row] for row in grid])
 
 
 def _load_rep(path):
@@ -124,7 +123,7 @@ def _rep_record(r):
         "vertices": {
             v: {"rows": m.rows, "cols": m.cols,
                 "entries": [[format_rational(x) for x in row]
-                            for row in m.data]}
+                            for row in m.entries()]}
             for v, m in r.tensors.items()
         },
     }
@@ -229,7 +228,7 @@ def _cmd_wild_embed(ns):
     if p is not None:
         g = iso_from_similarity(p, pair1, pair2)
         verified = apply_group_element(g, r1) == r2
-        witness = {"P": [[format_rational(x) for x in row] for row in p.data],
+        witness = {"P": [[format_rational(x) for x in row] for row in p.entries()],
                    "verified": verified}
     return {"needle1": paths["needle1"], "needle2": paths["needle2"],
             "witness": witness}

@@ -38,7 +38,6 @@ from .exactalg import (
     rank,
     rational_canonical,
 )
-from .rational import ONE, ZERO
 from .representation import Representation, reverse_wire_rep
 from .semigraph import TensorDiagram, Wire
 
@@ -392,12 +391,11 @@ def _cycle_block_data(desc, n):
         arcs = []
         for g in range(n):
             h = (g + 1) % n
-            rows = [[ZERO] * dims[g] for _ in range(dims[h])]
+            rows = [[0] * dims[g] for _ in range(dims[h])]
             for j in range(desc.length - 1):
                 if (desc.start - 1 + j) % n == g:
-                    rows[index_of[j + 1]][index_of[j]] = ONE
-            arcs.append(Matrix(dims[h], dims[g],
-                               tuple(tuple(row) for row in rows)))
+                    rows[index_of[j + 1]][index_of[j]] = 1
+            arcs.append(Matrix.from_ints(dims[h], dims[g], rows))
         return dims, arcs
     raise InvalidDescriptor(f"descriptor {desc!r} not valid for a cycle")
 

@@ -83,6 +83,10 @@ class ContractionTooLarge(TdrError):
     pass
 
 
+class TensorTooLarge(TdrError):
+    pass
+
+
 class NotALoop(TdrError):
     pass
 

@@ -1,20 +1,22 @@
 """Exact linear algebra over Q.
 
-Matrices are immutable, dense, arbitrary-precision rational.  Rank,
-determinant, reduced row echelon form and the matrix product run
-fraction-free on Python integers: rows (and, for a product, the right
-factor's columns) are rescaled by the lcm of their denominators, rank and
-determinant by Bareiss elimination, the RREF by fraction-free Gauss-Jordan,
-and each result entry becomes a rational once, at the end.  Everything that
-returns a basis goes through the RREF, so outputs are canonical and
-comparable by equality.  Polynomial factorization is delegated
-to sympy behind a thin monic wrapper; the rest is authored here because the
-decomposition algorithms need the intermediate data (filtrations, chains),
-not just final answers.
+A matrix is held as integer rows over one positive common denominator,
+reduced so that the numerators and the denominator have gcd 1 (the zero
+matrix has denominator 1); equality and hashing are therefore canonical.
+Every kernel computes on those integers: rank, determinant and the RREF
+by fraction-free (Bareiss) elimination, the characteristic polynomial by
+Berkowitz's division-free algorithm, products over the product of the
+denominators.  Entries are rationals only at the boundary: the Matrix
+constructor, from_rows, column and entries().  Everything that returns a
+basis goes through the RREF, so outputs are canonical.  Polynomial
+factorization is delegated to sympy behind a thin monic wrapper; the rest
+is authored here because the decomposition algorithms need the
+intermediate data (filtrations, chains), not just final answers.
 """
 
 from dataclasses import dataclass
-from math import lcm, prod
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -28,157 +30,159 @@ from .rational import ONE, ZERO, Q
 
 
 class Matrix:
-    """Immutable rows x cols matrix with exact rational entries."""
+    """Immutable rows x cols matrix over Q: integer rows nums over den > 0."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "nums", "den")
 
     def __init__(self, rows, cols, data):
-        # data: tuple of row tuples, already Q
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        # data: rows of rationals (anything Q takes), cleared to one
+        # denominator; ints and Qs are read without conversion
+        try:
+            pairs = [[x.as_integer_ratio() for x in row] for row in data]
+        except AttributeError:
+            pairs = [[Q(x).as_integer_ratio() for x in row] for row in data]
+        den = lcm(*[d for row in pairs for _, d in row])
+        self.rows, self.cols, self.den = rows, cols, den
+        self.nums = tuple(tuple(n * (den // d) for n, d in row) for row in pairs)
+
+    @classmethod
+    def _new(cls, rows, cols, nums, den=1):
+        """From tuple rows nums over den, already in reduced form."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.nums, m.den = rows, cols, nums, den
+        return m
+
+    @classmethod
+    def from_ints(cls, rows, cols, nums, den=1):
+        """The matrix nums / den, for integer rows and a nonzero integer den."""
+        if den < 0:
+            nums, den = [[-x for x in row] for row in nums], -den
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(nums))
+            if g != 1:
+                nums, den = [[x // g for x in row] for row in nums], den // g
+        return cls._new(rows, cols, tuple(map(tuple, nums)), den)
 
     @classmethod
     def from_rows(cls, rows_list):
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
-        data = tuple(tuple(Q(x) for x in row) for row in rows_list)
-        for row in data:
-            if len(row) != cols:
-                raise ShapeMismatch("ragged rows")
-        return cls(rows, cols, data)
+        if any(len(row) != cols for row in rows_list):
+            raise ShapeMismatch("ragged rows")
+        return cls(rows, cols, rows_list)
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, tuple(
-            tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+        return cls._new(n, n, tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows, cols):
-        row = (ZERO,) * cols if rows else ()
-        return cls(rows, cols, (row,) * rows)
+        return cls._new(rows, cols, ((0,) * cols if rows else (),) * rows)
 
     @classmethod
     def column(cls, entries):
-        return cls(len(entries), 1, tuple((Q(x),) for x in entries))
+        return cls(len(entries), 1, [(x,) for x in entries])
+
+    def entries(self):
+        """The rows as tuples of exact rationals."""
+        den = self.den
+        return tuple(tuple(Q(x, den) for x in row) for row in self.nums)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.den, self.nums))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries())
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def __add__(self, other):
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.data, other.data)))
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ShapeMismatch(
+                f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        den, (a, b) = _over((self, other))
+        return Matrix.from_ints(self.rows, self.cols, [
+            [x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], den)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.data, other.data)))
+        return self + -other
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(-a for a in row) for row in self.data))
+        return Matrix._new(self.rows, self.cols, tuple(
+            tuple(-x for x in row) for row in self.nums), self.den)
 
     def scale(self, c):
         c = Q(c)
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(c * a for a in row) for row in self.data))
+        return Matrix.from_ints(self.rows, self.cols, [
+            [c.numerator * x for x in row] for row in self.nums],
+            self.den * c.denominator)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # integer rows of self times integer columns of other, one division
-        # per entry: (a / ra) . (b / cb) = (a . b) / (ra * cb)
-        arows, ras = _int_rows(self.data)
-        bcols, cbs = _int_rows(other.transpose().data)
-        out = []
-        for arow, ra in zip(arows, ras):
-            out.append(tuple(
-                Q(acc, ra * cb) if (acc := sum(map(mul, arow, bcol))) else ZERO
-                for bcol, cb in zip(bcols, cbs)))
-        return Matrix(self.rows, other.cols, tuple(out))
+        bcols = tuple(zip(*other.nums)) if other.rows else ((),) * other.cols
+        return Matrix.from_ints(self.rows, other.cols, [
+            tuple(sum(map(mul, arow, bcol)) for bcol in bcols)
+            for arow in self.nums], self.den * other.den)
 
     def transpose(self):
-        return Matrix(self.cols, self.rows, tuple(zip(*self.data)) if self.rows and self.cols
-                      else ((),) * self.cols if self.cols else ())
+        return Matrix._new(self.cols, self.rows, tuple(zip(*self.nums))
+                           if self.rows and self.cols else ((),) * self.cols,
+                           self.den)
 
     def kron(self, other):
         """Kronecker product; first factor slowest-varying (row-major blocks)."""
-        out = []
-        for arow in self.data:
-            for brow in other.data:
-                out.append(tuple(a * b for a in arow for b in brow))
-        return Matrix(self.rows * other.rows, self.cols * other.cols, tuple(out))
+        return Matrix.from_ints(self.rows * other.rows, self.cols * other.cols, [
+            tuple(a * b for a in arow for b in brow)
+            for arow in self.nums for brow in other.nums], self.den * other.den)
+
+    # stacks stay reduced: a prime of the lcm divides some part's den fully,
+    # and that part has a numerator the prime does not divide
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")
-        return Matrix(self.rows, self.cols + other.cols, tuple(
-            ra + rb for ra, rb in zip(self.data, other.data)))
+        den, (a, b) = _over((self, other))
+        return Matrix._new(self.rows, self.cols + other.cols, tuple(
+            ra + rb for ra, rb in zip(a, b)), den)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ShapeMismatch("vstack col mismatch")
-        return Matrix(self.rows + other.rows, self.cols, self.data + other.data)
+        den, (a, b) = _over((self, other))
+        return Matrix._new(self.rows + other.rows, self.cols, a + b, den)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(len(row_idx), len(col_idx), tuple(
-            tuple(self.data[i][j] for j in col_idx) for i in row_idx))
-
-    def columns(self):
-        """The columns as a list of rows-x-1 matrices."""
-        return [self.submatrix(range(self.rows), (j,)) for j in range(self.cols)]
+        return Matrix.from_ints(len(row_idx), len(col_idx), [
+            tuple(self.nums[i][j] for j in col_idx) for i in row_idx], self.den)
 
     def is_zero(self):
-        return all(not x for row in self.data for x in row)
+        return not any(map(any, self.nums))
 
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeMismatch(
-                f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
+def _over(mats):
+    """The lcm of the matrices' denominators, and their rows over it."""
+    den = lcm(*(m.den for m in mats))
+    return den, [m.nums if m.den == den else tuple(
+        tuple(x * (den // m.den) for x in row) for row in m.nums) for m in mats]
 
 
 def block_diag(blocks):
-    rows = sum(b.rows for b in blocks)
+    den, parts = _over(blocks)
     cols = sum(b.cols for b in blocks)
-    out = [[ZERO] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i, row in enumerate(b.data):
-            orow = out[r0 + i]
-            for j, x in enumerate(row):
-                orow[c0 + j] = x
-        r0 += b.rows
-        c0 += b.cols
-    return Matrix(rows, cols, tuple(tuple(row) for row in out))
-
-
-def _int_rows(rows):
-    """Each rational vector rescaled to integers by the lcm of its denominators.
-
-    Returns (integer rows, lcms).  Row scaling preserves rank, pivots and the
-    reduced row echelon form; the lcms give back the determinant and products.
-    """
     out = []
-    lcms = []
-    for row in rows:
-        nums = [int(x.numerator) for x in row]
-        dens = [int(x.denominator) for x in row]
-        l = lcm(*dens)
-        out.append(nums if l == 1 else [n * (l // d) for n, d in zip(nums, dens)])
-        lcms.append(l)
-    return out, lcms
+    c0 = 0
+    for b, rows in zip(blocks, parts):
+        left, right = (0,) * c0, (0,) * (cols - c0 - b.cols)
+        out.extend(left + row + right for row in rows)
+        c0 += b.cols
+    return Matrix._new(len(out), cols, tuple(out), den)
 
 
 def _eliminate(a, cols, reduce_above=False):
@@ -192,6 +196,7 @@ def _eliminate(a, cols, reduce_above=False):
     above is updated across its whole width, since it carries earlier pivots
     and the free columns between them.  Afterwards every pivot column is the
     last pivot times a unit vector (reduce_above) or zero below its pivot.
+    Rows are replaced, never changed, so a may hold a matrix's own rows.
     Returns (pivot columns, sign of the row permutation).
     """
     rows = len(a)
@@ -218,9 +223,15 @@ def _eliminate(a, cols, reduce_above=False):
     return pivots, sign
 
 
+def _pivots(m):
+    """Pivot columns of m's RREF: each column outside the span of those
+    before it."""
+    return _eliminate(list(m.nums), m.cols)[0]
+
+
 def rank(m):
     """Exact rank via fraction-free (Bareiss) elimination on integer rows."""
-    return len(_eliminate(_int_rows(m.data)[0], m.cols)[0])
+    return len(_pivots(m))
 
 
 def det(m):
@@ -229,55 +240,57 @@ def det(m):
     n = m.rows
     if n == 0:
         return ONE
-    a, lcms = _int_rows(m.data)
+    a = list(m.nums)
     pivots, sign = _eliminate(a, n)
     if len(pivots) < n:
         return ZERO
     # the last Bareiss pivot is the determinant of the integer rows
-    return Q(sign * a[n - 1][n - 1], prod(lcms))
+    return Q(sign * a[n - 1][n - 1], m.den ** n)
 
 
 def rref(m):
     """Reduced row echelon form; returns (rref matrix, pivot column tuple).
 
-    Fraction-free Gauss-Jordan on integer rows.  The reduced form is
-    canonical, so dividing each pivot row by its pivot at the end gives the
-    same matrix as elimination over Q.
+    Fraction-free Gauss-Jordan on the integer rows leaves every pivot equal
+    to the last one, so the reduced form is those rows over the last pivot.
     """
-    a, _ = _int_rows(m.data)
+    a = list(m.nums)
     pivots, _ = _eliminate(a, m.cols, reduce_above=True)
-    out = [tuple(Q(x, a[i][col]) if x else ZERO for x in a[i])
-           for i, col in enumerate(pivots)]
-    out.extend([(ZERO,) * m.cols] * (m.rows - len(pivots)))
-    return Matrix(m.rows, m.cols, tuple(out)), tuple(pivots)
+    r = len(pivots)
+    if not r:
+        return Matrix.zeros(m.rows, m.cols), ()
+    a[r:] = [(0,) * m.cols] * (m.rows - r)
+    return Matrix.from_ints(m.rows, m.cols, a, a[0][pivots[0]]), tuple(pivots)
 
 
 def inverse(m):
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
     n = m.rows
-    aug = m.hstack(Matrix.identity(n))
-    red, pivots = rref(aug)
+    red, pivots = rref(m.hstack(Matrix.identity(n)))
     if len(pivots) < n or any(p >= n for p in pivots):
         raise SingularMatrix("matrix has no inverse")
     return red.submatrix(range(n), range(n, 2 * n))
 
 
 def nullspace(m):
-    """Canonical nullspace basis as the columns of a cols x k matrix."""
+    """Canonical nullspace basis as the columns of a cols x k matrix.
+
+    The column of free variable f is e_f minus the RREF's column f on the
+    pivot rows; over the RREF's denominator that is reduced already, since
+    the RREF's other numerators are its denominator or 0.
+    """
     red, pivots = rref(m)
     pivot_set = set(pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
-    cols = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red.data[r][f]
-        cols.append(v)
-    if not cols:
-        return Matrix(m.cols, 0, ((),) * m.cols)
-    return Matrix(m.cols, len(cols), tuple(zip(*cols)))
+    out = [None] * m.cols
+    for r, p in enumerate(pivots):
+        row = red.nums[r]
+        out[p] = tuple(-row[f] for f in free)
+    unit = (0,) * len(free)
+    for k, f in enumerate(free):
+        out[f] = unit[:k] + (red.den,) + unit[k + 1:]
+    return Matrix._new(m.cols, len(free), tuple(out), red.den)
 
 
 def column_space(m):
@@ -285,9 +298,8 @@ def column_space(m):
     red, pivots = rref(m.transpose())
     r = len(pivots)
     if r == 0:
-        return Matrix(m.rows, 0, ((),) * m.rows)
-    rows = red.data[:r]
-    return Matrix(m.rows, r, tuple(zip(*rows)))
+        return Matrix.zeros(m.rows, 0)
+    return Matrix._new(m.rows, r, tuple(zip(*red.nums[:r])), red.den)
 
 
 @dataclass(frozen=True)
@@ -303,40 +315,18 @@ def solve_linear(a, b):
     red, pivots = rref(a.hstack(b))
     if any(p >= a.cols for p in pivots):
         return LinearSolution(None, nullspace(a))
-    part = [[ZERO] * b.cols for _ in range(a.cols)]
+    part = [(0,) * b.cols] * a.cols
     for r, p in enumerate(pivots):
-        for j in range(b.cols):
-            part[p][j] = red.data[r][a.cols + j]
-    return LinearSolution(
-        Matrix(a.cols, b.cols, tuple(tuple(row) for row in part)), nullspace(a))
+        part[p] = red.nums[r][a.cols:]
+    return LinearSolution(Matrix.from_ints(a.cols, b.cols, part, red.den),
+                          nullspace(a))
 
 
-class _Eliminator:
-    """Incremental column elimination for extend_basis / independence tests."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.rows = []      # list of (pivot index, reduced vector list)
-
-    def reduce(self, vec):
-        v = list(vec)
-        for piv, w in self.rows:
-            f = v[piv]
-            if f:
-                for i in range(self.dim):
-                    v[i] -= f * w[i]
-        return v
-
-    def add(self, vec):
-        """Reduce vec; if independent of current span, absorb and return True."""
-        v = self.reduce(vec)
-        for piv in range(self.dim):
-            if v[piv]:
-                inv = 1 / v[piv]
-                v = [x * inv for x in v]
-                self.rows.append((piv, v))
-                return True
-        return False
+def _new_columns(span, candidates):
+    """Indices of the candidate columns that grow the span of span's columns
+    and the candidates before them: the pivot columns of their hstack."""
+    return [p - span.cols for p in _pivots(span.hstack(candidates))
+            if p >= span.cols]
 
 
 def extend_basis(base, candidates):
@@ -348,18 +338,10 @@ def extend_basis(base, candidates):
     """
     if base.rows != candidates.rows:
         raise ShapeMismatch("extend_basis row mismatch")
-    elim = _Eliminator(base.rows)
-    for j in range(base.cols):
-        if not elim.add([base.data[i][j] for i in range(base.rows)]):
-            raise ShapeMismatch("base columns are dependent")
-    full = base
-    added = []
-    for j in range(candidates.cols):
-        col = [candidates.data[i][j] for i in range(candidates.rows)]
-        if elim.add(col):
-            full = full.hstack(Matrix.column(col))
-            added.append(j)
-    return full, added
+    if rank(base) < base.cols:
+        raise ShapeMismatch("base columns are dependent")
+    added = _new_columns(base, candidates)
+    return base.hstack(candidates.submatrix(range(base.rows), added)), added
 
 
 def coords_in_basis(basis, vecs):
@@ -374,8 +356,7 @@ def preimage(m, space):
     """Canonical basis of {x : m x in span(space columns)}."""
     if space.cols == 0:
         return column_space(nullspace(m))
-    stacked = m.hstack(-space)
-    null = nullspace(stacked)
+    null = nullspace(m.hstack(-space))
     xpart = null.submatrix(range(m.cols), range(null.cols))
     return column_space(xpart)
 
@@ -532,19 +513,29 @@ class Poly:
 
 
 def charpoly(m):
-    """Characteristic polynomial det(xI - m), monic, via Faddeev-LeVerrier."""
+    """det(xI - m), monic, by Berkowitz's division-free algorithm.
+
+    Bordering the leading r x r block A by row r (R, a) and column r (C, a)
+    multiplies its characteristic polynomial by the lower triangular
+    Toeplitz matrix with first column 1, -a, -R C, -R A C, ..., -R A^(r-1) C.
+    The coefficient of x^(n-k) is then divided by den^k.
+    """
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    n = m.rows
-    coeffs_high = [ONE]   # x^n downwards
-    mk = Matrix.identity(n)
-    for k in range(1, n + 1):
-        mk = m @ mk
-        c = -sum(mk.data[i][i] for i in range(n)) / k
-        coeffs_high.append(c)
-        if k < n:
-            mk = mk + Matrix.identity(n).scale(c)
-    return Poly(tuple(reversed(coeffs_high)))
+    n, a = m.rows, m.nums
+    c = [1]   # highest degree first
+    for r in range(n):
+        block = [x[:r] for x in a[:r]]
+        row = a[r][:r]
+        v = [x[r] for x in a[:r]]
+        t = [1, -a[r][r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(mul, b, v)) for b in block]
+            t.append(-sum(map(mul, row, v)))
+        c = [sum(t[i - j] * c[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
+             for i in range(r + 2)]
+    return Poly(tuple(Q(c[k], m.den ** k) for k in range(n, -1, -1)))
 
 
 def factor_poly(p):
@@ -560,8 +551,8 @@ def factor_poly(p):
 
     x = sympy.Symbol("x")
     expr = sympy.Poly(
-        [sympy.Rational(int(c.numerator), int(c.denominator))
-         for c in reversed(p.coeffs)], x, domain="QQ")
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+        x, domain="QQ")
     _, factors = expr.factor_list()
     out = []
     for f, mult in factors:
@@ -577,13 +568,8 @@ def companion(p):
     d = p.degree()
     if d < 1:
         raise ZeroPolynomial("companion needs degree >= 1")
-    cols = []
-    for j in range(d - 1):
-        col = [ZERO] * d
-        col[j + 1] = ONE
-        cols.append(col)
-    cols.append([-c for c in p.coeffs[:d]])
-    return Matrix(d, d, tuple(zip(*cols)))
+    return Matrix(d, d, [[int(i == j + 1) for j in range(d - 1)] + [-c]
+                         for i, c in enumerate(p.coeffs[:d])])
 
 
 def rational_canonical(m):
@@ -644,7 +630,7 @@ def kernel_filtration(blocks, dims):
     each ending at its stable level.
     """
     n = len(blocks)
-    zero = [Matrix(dims[a], 0, ((),) * dims[a]) for a in range(n)]
+    zero = [Matrix.zeros(dims[a], 0) for a in range(n)]
     filt = [[zero[a]] for a in range(n)]
     cur = zero
     while True:
@@ -682,25 +668,20 @@ def graded_jordan_chains(blocks):
     chains = []
     for ell in range(lmax, 0, -1):
         for a in range(n):
+            # a candidate starts a chain iff it is new modulo the lower
+            # level and the image of the grade before
             prev_grade = (a - 1) % n
-            mod_out = level(a, ell - 1)
-            pushed = blocks[prev_grade] @ level(prev_grade, ell + 1)
-            modspace = column_space(mod_out.hstack(pushed))
-            elim = _Eliminator(dims[a])
-            for j in range(modspace.cols):
-                elim.add([modspace.data[i][j] for i in range(dims[a])])
+            span = level(a, ell - 1).hstack(
+                blocks[prev_grade] @ level(prev_grade, ell + 1))
             cand = level(a, ell)
-            for j in range(cand.cols):
-                col = [cand.data[i][j] for i in range(dims[a])]
-                if elim.add(col):
-                    top = Matrix.column(col)
-                    vecs = [top]
-                    cur = top
-                    g = a
-                    for _ in range(ell - 1):
-                        cur = blocks[g] @ cur
-                        g = (g + 1) % n
-                        vecs.append(cur)
-                    chains.append(JordanChain(a + 1, tuple(vecs)))
+            for j in _new_columns(span, cand):
+                cur = cand.submatrix(range(dims[a]), (j,))
+                vecs = [cur]
+                g = a
+                for _ in range(ell - 1):
+                    cur = blocks[g] @ cur
+                    g = (g + 1) % n
+                    vecs.append(cur)
+                chains.append(JordanChain(a + 1, tuple(vecs)))
     chains.sort(key=lambda c: (c.start, -c.length))
     return chains

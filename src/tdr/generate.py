@@ -33,6 +33,7 @@ from .rational import ONE, Q
 from .representation import (
     Representation,
     apply_group_element,
+    check_size,
     direct_sum,
     vertex_shape,
 )
@@ -117,6 +118,9 @@ def _check_dims(d, dims):
     for wid in dims:
         if wid not in ids:
             raise InvalidDims(f"dim for unknown wire {wid}")
+    for v in d.vertices:
+        rows, cols = vertex_shape(d, dims, v)
+        check_size(v, rows * cols)
 
 
 def _generic(d, dims, rng):

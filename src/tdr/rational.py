@@ -1,25 +1,17 @@
-"""Exact rational scalars.
+"""Exact rational scalars at the boundary: parsing and formatting.
 
-Everything in this package computes over Q.  The scalar type is gmpy2.mpq
-when gmpy2 happens to be installed (it is not a dependency) and the stdlib
-fractions.Fraction otherwise.  Both expose .numerator/.denominator and hash
-alike, so results are identical either way; the elimination and product
-kernels read those through int() and compute on Python integers.
+Everything in this package computes over Q.  Matrices hold integer rows
+over one common denominator (exactalg.Matrix); a single rational, such as
+an entry, a determinant or a polynomial coefficient, is the stdlib
+fractions.Fraction, named Q here.
 """
+
+from fractions import Fraction as Q
 
 from .errors import ParseError
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:
-    from fractions import Fraction as Q
-
 ZERO = Q(0)
 ONE = Q(1)
-
-
-def rat(num, den=1):
-    return Q(num, den)
 
 
 def parse_rational(value):

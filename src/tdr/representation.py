@@ -1,7 +1,8 @@
 """Representations of tensor diagrams and their structure maps.
 
 A representation assigns a dimension to every wire and one exact rational
-matrix to every vertex.  Rows are indexed by the multi-index over outgoing
+matrix to every vertex, of at most TENSOR_CAP entries (checked on dims,
+before allocating; contraction nodes too).  Rows are indexed by the multi-index over outgoing
 wires in canonical (lexicographic) wire order with the first wire varying
 slowest; columns likewise over incoming wires; an empty side indexes a
 single scalar slot.  A loop contributes its dimension to both sides.
@@ -27,6 +28,7 @@ from .errors import (
     RestrictedDimViolation,
     ShapeMismatch,
     SizeMismatch,
+    TensorTooLarge,
     UnknownWire,
 )
 from .exactalg import Matrix, column_space, extend_basis, inverse, rank
@@ -94,21 +96,32 @@ def _slot_keys(d, v):
     return [(w, "out") for w in nb.outgoing] + [(w, "in") for w in nb.incoming]
 
 
+TENSOR_CAP = 1 << 22   # entries of the largest tensor or contraction node
+
+
+def check_size(v, size):
+    """Refuse a tensor of more than TENSOR_CAP entries at vertex v."""
+    if size > TENSOR_CAP:
+        raise TensorTooLarge(f"vertex {v} needs a tensor of {size} entries, "
+                             f"over the cap of {TENSOR_CAP}")
+
+
 def _flat(m):
-    return [x for row in m.data for x in row]
+    """The integer numerators of a matrix, row-major (over m.den)."""
+    return [x for row in m.nums for x in row]
 
 
-def _as_matrix(entries, keys, dims):
-    """The vertex matrix of a flat tensor over the slot keys of a vertex."""
+def _as_matrix(nums, den, keys, dims):
+    """The matrix nums / den of a flat tensor over the slot keys of a vertex."""
     rows = _prod(dims[w] for w, side in keys if side == "out")
     cols = _prod(dims[w] for w, side in keys if side == "in")
-    return Matrix(rows, cols, tuple(
-        tuple(entries[i * cols:(i + 1) * cols]) for i in range(rows)))
+    return Matrix.from_ints(rows, cols, [
+        nums[i * cols:(i + 1) * cols] for i in range(rows)], den)
 
 
 def _outer(size, offs1, xs1, offs2, xs2):
     """Outer product of two views that together cover a flat tensor once."""
-    out = [ZERO] * size
+    out = [0] * size
     for o1, x1 in zip(offs1, xs1):
         for o2, x2 in zip(offs2, xs2):
             out[o1 + o2] = x1 * x2
@@ -138,12 +151,13 @@ def validate_representation(diagram, dims, tensors):
             raise ShapeMismatch(f"dimension for unknown wire {wid}")
     out = {}
     for v in d.vertices:
+        rows, cols = vertex_shape(d, dv, v)
+        check_size(v, rows * cols)
         if v not in tensors:
             raise ShapeMismatch(f"missing tensor for vertex {v}")
         m = tensors[v]
         if not isinstance(m, Matrix):
             m = Matrix.from_rows(m)
-        rows, cols = vertex_shape(d, dv, v)
         if (m.rows, m.cols) != (rows, cols):
             raise ShapeMismatch(
                 f"vertex {v}: expected {rows}x{cols}, got {m.rows}x{m.cols}")
@@ -194,12 +208,16 @@ def direct_sum(r1, r2):
         # r2's block starts past r1's on every slot; with no slots both
         # blocks sit at offset 0 and the scalars add
         base2 = sum(r1.dims[w] * s for (w, _), s in zip(keys, strides))
-        out = [ZERO] * _prod(dims[w] for w, _ in keys)
+        size = _prod(dims[w] for w, _ in keys)
+        check_size(v, size)
+        out = [0] * size
+        den = lcm(r1.tensors[v].den, r2.tensors[v].den)
         for r, base in ((r1, 0), (r2, base2)):
             offs = _offsets([r.dims[w] for w, _ in keys], strides, base)
+            s = den // r.tensors[v].den
             for o, x in zip(offs, _flat(r.tensors[v])):
-                out[o] += x
-        tensors[v] = _as_matrix(out, keys, dims)
+                out[o] += s * x
+        tensors[v] = _as_matrix(out, den, keys, dims)
     return Representation(d, dims, tensors)
 
 
@@ -215,11 +233,13 @@ def tensor_product(r1, r2):
         strides = _strides([dims[w] for w, _ in keys])
         d2 = [r2.dims[w] for w, _ in keys]
         outer_strides = [b * s for b, s in zip(d2, strides)]
-        out = _outer(_prod(dims[w] for w, _ in keys),
+        size = _prod(dims[w] for w, _ in keys)
+        check_size(v, size)
+        m1, m2 = r1.tensors[v], r2.tensors[v]
+        out = _outer(size,
                      _offsets([r1.dims[w] for w, _ in keys], outer_strides),
-                     _flat(r1.tensors[v]),
-                     _offsets(d2, strides), _flat(r2.tensors[v]))
-        tensors[v] = _as_matrix(out, keys, dims)
+                     _flat(m1), _offsets(d2, strides), _flat(m2))
+        tensors[v] = _as_matrix(out, m1.den * m2.den, keys, dims)
     return Representation(d, dims, tensors)
 
 
@@ -296,19 +316,19 @@ def hom_dim(r1, r2):
     for v in d.vertices:
         a, b = slots[v]
         m1, m2 = r1.tensors[v], r2.tensors[v]
-        # phi_b m1 - m2 phi_a = 0, unknowns vec'd row-major
+        # phi_b m1 - m2 phi_a = 0, unknowns vec'd row-major; each equation
+        # is taken times m1.den * m2.den, which keeps the rank
         for i in range(r2.dims[b]):
             for j in range(r1.dims[a]):
-                row = [ZERO] * total
+                row = [0] * total
                 for k in range(r1.dims[b]):
-                    row[offs[b] + i * r1.dims[b] + k] += m1.data[k][j]
+                    row[offs[b] + i * r1.dims[b] + k] += m2.den * m1.nums[k][j]
                 for k in range(r2.dims[a]):
-                    row[offs[a] + k * r1.dims[a] + j] -= m2.data[i][k]
-                rows.append(tuple(row))
+                    row[offs[a] + k * r1.dims[a] + j] -= m1.den * m2.nums[i][k]
+                rows.append(row)
     if not rows:
         return total
-    sys = Matrix(len(rows), total, tuple(rows))
-    return total - rank(sys)
+    return total - rank(Matrix.from_ints(len(rows), total, rows))
 
 
 def _coker_data(phi, r1, r2):
@@ -331,8 +351,7 @@ def _coker_data(phi, r1, r2):
         k = r2.dims[wid] - im.cols
         dims[wid] = k
         if r2.dims[wid] == 0:
-            psi[wid] = Matrix(0, 0, ())
-            sec[wid] = Matrix(0, 0, ())
+            psi[wid] = sec[wid] = Matrix.zeros(0, 0)
             continue
         uinv = inverse(full)
         psi[wid] = uinv.submatrix(range(im.cols, r2.dims[wid]),
@@ -369,9 +388,6 @@ def kernel(phi, r1, r2):
 
 # ---------------------------------------------------------------------------
 # contraction
-
-CONTRACT_CAP = 1 << 22   # entries of the largest node a contraction may build
-
 
 def _fibres(node, dims, wids):
     """Wires of the slots kept besides wids, and at each index of those the
@@ -446,9 +462,9 @@ def contract(r, _order=None):
     self-loops are traced, then the two nodes whose merge leaves the
     smallest node merge over every wire they share, in one pass; the plan
     is made on dims first and raises ContractionTooLarge if it needs a node
-    of more than CONTRACT_CAP entries.  Vertex tensors are rescaled to
-    integers, so the value is an integer total over the product of their
-    denominator lcms.  _order forces a wire order instead: each wire merges
+    of more than TENSOR_CAP entries.  The steps run on the tensors' integer
+    numerators, so the value is an integer total over the product of their
+    denominators.  _order forces a wire order instead: each wire merges
     the two nodes holding its ends, or is traced if both sit in one node
     (any order yields the same scalar; tests exercise that).
     """
@@ -461,17 +477,13 @@ def contract(r, _order=None):
     held = {v: [w for w, _ in _slot_keys(r.diagram, v)]
             for v in r.diagram.vertices}
     steps, largest = _plan(r.dims, held, _order)
-    if largest > CONTRACT_CAP:
+    if largest > TENSOR_CAP:
         raise ContractionTooLarge(f"contraction needs a node of {largest} "
-                                  f"entries, over the cap of {CONTRACT_CAP}")
+                                  f"entries, over the cap of {TENSOR_CAP}")
     nodes, scale = {}, 1
     for v in r.diagram.vertices:
-        flat = _flat(r.tensors[v])
-        dens = [int(x.denominator) for x in flat]
-        lcd = lcm(*dens)
-        nodes[v] = ([int(x.numerator) * (lcd // d) for x, d in zip(flat, dens)],
-                    held[v])
-        scale *= lcd
+        nodes[v] = (_flat(r.tensors[v]), held[v])
+        scale *= r.tensors[v].den
     for a, b, wids in steps:
         nodes[a] = _contract_wires(nodes[a], nodes.pop(b, None), r.dims, wids)
     total = 1
@@ -538,8 +550,9 @@ def reverse_wire_rep(r, wid):
         offs = _offsets([r.dims[x] for x, _ in new],
                         [strides[(x, flip[s]) if x == wid else (x, s)]
                          for x, s in new])
-        flat = _flat(r.tensors[v])
-        tensors[v] = _as_matrix([flat[o] for o in offs], new, r.dims)
+        m = r.tensors[v]
+        flat = _flat(m)
+        tensors[v] = _as_matrix([flat[o] for o in offs], m.den, new, r.dims)
     return Representation(dd, dict(r.dims), tensors)
 
 
@@ -590,15 +603,16 @@ def split_functor(r, fresh_wire, merged_id=None):
 
     keys = _slot_keys(dd, merged)
     strides = dict(zip(keys, _strides([dims[x] for x, _ in keys])))
-    views = []
+    views, den = [], 1
     for v in (v1, v2):
         old = _slot_keys(d, v)
         # the fresh wire is the only slot not kept; stride 0 pins it to 0
         views += [_offsets([r.dims[x] for x, _ in old],
                            [strides.get(k, 0) for k in old]),
                   _flat(r.tensors[v])]
+        den *= r.tensors[v].den
     out = _outer(_prod(dims[x] for x, _ in keys), *views)
-    tensors = {merged: _as_matrix(out, keys, dims)}
+    tensors = {merged: _as_matrix(out, den, keys, dims)}
     for v in dd.vertices:
         if v != merged:
             tensors[v] = r.tensors[v]

@@ -13,11 +13,12 @@ the loop factor acts by I_6 (x) P, the dimension-2 wire by the identity.
 """
 
 import random
+from math import lcm
 from typing import NamedTuple
 
 from .errors import NotASimilarity, ShapeMismatch
 from .exactalg import Matrix, det, inverse, nullspace
-from .rational import ONE, Q, ZERO
+from .rational import Q, ZERO
 from .representation import Representation
 from .semigraph import TensorDiagram, Wire
 
@@ -33,10 +34,11 @@ def _check_pair(p):
     return p.a.rows
 
 
-def _place(grid, r0, c0, m):
-    for i in range(m.rows):
-        for j in range(m.cols):
-            grid[r0 + i][c0 + j] = m.data[i][j]
+def _place(grid, den, r0, c0, m):
+    """Write m into an integer grid over den, a multiple of m.den."""
+    s = den // m.den
+    for i, row in enumerate(m.nums):
+        grid[r0 + i][c0:c0 + m.cols] = [s * x for x in row]
 
 
 def build_Y_pair(p):
@@ -48,17 +50,18 @@ def build_Y_pair(p):
     """
     n = _check_pair(p)
     size = 6 * n
-    y1 = [[ZERO] * size for _ in range(size)]
-    y2 = [[ZERO] * size for _ in range(size)]
+    den = lcm(p.a.den, p.b.den)
+    y1 = [[0] * size for _ in range(size)]
+    y2 = [[0] * size for _ in range(size)]
     eye = Matrix.identity(n)
-    _place(y1, 0, 0, eye)                  # X1
-    _place(y2, n, n, eye)                  # X2
+    _place(y1, 1, 0, 0, eye)                    # X1
+    _place(y2, den, n, n, eye)                  # X2
     for k in range(3):                     # C1 subdiagonal, blocks (k+2, k+1)
-        _place(y1, 2 * n + (k + 1) * n, 2 * n + k * n, eye)
-    _place(y2, 2 * n + 2 * n, 2 * n, p.a)  # C2 block (3,1)
-    _place(y2, 2 * n + 3 * n, 2 * n + n, p.b)   # C2 block (4,2)
-    to_m = lambda g: Matrix(size, size, tuple(tuple(r) for r in g))
-    return to_m(y1), to_m(y2)
+        _place(y1, 1, 2 * n + (k + 1) * n, 2 * n + k * n, eye)
+    _place(y2, den, 2 * n + 2 * n, 2 * n, p.a)  # C2 block (3,1)
+    _place(y2, den, 2 * n + 3 * n, 2 * n + n, p.b)   # C2 block (4,2)
+    return (Matrix.from_ints(size, size, y1),
+            Matrix.from_ints(size, size, y2, den))
 
 
 def needle_diagram():
@@ -74,8 +77,8 @@ def eight_diagram():
 def needle_rep_from_pair(p):
     """Needle representation Y1 (x) u1 + Y2 (x) u2, dims (6n, 2)."""
     y1, y2 = build_Y_pair(p)
-    u1 = Matrix.column([ONE, ZERO])
-    u2 = Matrix.column([ZERO, ONE])
+    u1 = Matrix.column([1, 0])
+    u2 = Matrix.column([0, 1])
     tensor = y1.kron(u1) + y2.kron(u2)
     d = needle_diagram()
     return Representation(d, {"e1": y1.rows, "e2": 2}, {"v1": tensor})
@@ -99,13 +102,8 @@ def eight_tuple(rep):
     """
     m = rep.tensors["v1"]
     d1 = rep.dims["e1"]
-    out = []
-    for i in range(2):
-        for j in range(2):
-            rows = tuple(tuple(m.data[a * 2 + i][b * 2 + j]
-                               for b in range(d1)) for a in range(d1))
-            out.append(Matrix(d1, d1, rows))
-    return tuple(out)
+    return tuple(m.submatrix(range(i, 2 * d1, 2), range(j, 2 * d1, 2))
+                 for i in range(2) for j in range(2))
 
 
 def mix_tuple(mats, g):
@@ -114,12 +112,12 @@ def mix_tuple(mats, g):
     h = g (x) (g^{-1})^T is exactly the change the dimension-2 loop factor
     induces on the elementary-matrix coordinates under conjugation by g.
     """
-    h = g.kron(inverse(g).transpose())
+    h = g.kron(inverse(g).transpose()).entries()
     out = []
     for k in range(4):
         acc = Matrix.zeros(mats[0].rows, mats[0].cols)
         for j in range(4):
-            acc = acc + mats[j].scale(h.data[k][j])
+            acc = acc + mats[j].scale(h[k][j])
         out.append(acc)
     return tuple(out)
 
@@ -153,22 +151,18 @@ def sim_similarity_solve(pair1, pair2, tries=40):
         raise ShapeMismatch("pairs must have equal sizes")
     rows = []
     for lhs, rhs in ((pair1.a, pair2.a), (pair1.b, pair2.b)):
+        # each equation taken times lhs.den * rhs.den: same solutions
         for i in range(n):
             for j in range(n):
-                row = [ZERO] * (n * n)
+                row = [0] * (n * n)
                 for k in range(n):
-                    row[i * n + k] += lhs.data[k][j]
-                    row[k * n + j] -= rhs.data[i][k]
+                    row[i * n + k] += rhs.den * lhs.nums[k][j]
+                    row[k * n + j] -= lhs.den * rhs.nums[i][k]
                 rows.append(row)
-    system = Matrix(len(rows), n * n, tuple(tuple(r) for r in rows))
-    basis = nullspace(system)
-
-    def unvec(col):
-        return Matrix(n, n, tuple(tuple(col[i * n + j] for j in range(n))
-                                  for i in range(n)))
-
-    cands = [unvec([basis.data[i][j] for i in range(n * n)])
-             for j in range(basis.cols)]
+    basis = nullspace(Matrix.from_ints(len(rows), n * n, rows))
+    cands = [Matrix.from_ints(n, n, [col[i * n:(i + 1) * n] for i in range(n)],
+                              basis.den)
+             for col in zip(*basis.nums)]
     for p in cands:
         if det(p) != ZERO:
             return p

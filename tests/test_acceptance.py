@@ -274,7 +274,7 @@ def test_criterion_5():
         b, _ = gen_random(j1, {"e1": rng.randrange(1, 4)}, seed=seed + 3)
         assert contract(tensor_product(a, b)) == contract(a) * contract(b)
         m = monodromy(a, "e1")
-        assert contract(a) == sum((m.data[k][k] for k in range(m.rows)),
+        assert contract(a) == sum((m.entries()[k][k] for k in range(m.rows)),
                                   Q(0))
 
 
@@ -432,7 +432,7 @@ def test_criterion_8():
             sv = src.tensors[v]
             rows = []
             for a in range(so):
-                rows.append(tuple(sv.data[a]) +
+                rows.append(sv.entries()[a] +
                             tuple(Q(rng.randrange(-3, 4))
                                   for _ in range(ri)))
             for _ in range(ro):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from math import prod
 
 import pytest
@@ -175,6 +176,23 @@ def test_gen_random_command(tmp_path, capsys):
     assert capsys.readouterr().out == first  # byte reproducible
     rep = json.loads(first)
     assert rep["dims"] == {"e1": 2, "e2": 2, "e3": 1}
+
+
+@pytest.mark.parametrize("mode", ["generic", "sum"])
+def test_gen_random_over_the_cap_is_a_one_line_error(tmp_path, capsys, mode):
+    # J_1's vertex would hold 10^10 entries; refused before any is drawn
+    dp = write(tmp_path, "j1.json", {"vertices": ["v1"], "wires": [
+        {"id": "e1", "tail": "v1", "head": "v1"}]})
+    tracemalloc.start()
+    try:
+        code = run(["gen-random", dp, "--dims", '{"e1": 100000}',
+                    "--mode", mode]).exit_code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1 and "over the cap" in err and err.count("\n") == 1
+    assert peak < 1 << 20
 
 
 def test_gen_random_sum_with_key(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from math import gcd
 
 import pytest
 
@@ -25,6 +26,7 @@ from tdr.exactalg import (
     factor_poly,
     graded_jordan_chains,
     inverse,
+    kernel_filtration,
     nullspace,
     preimage,
     rank,
@@ -63,7 +65,7 @@ def test_zeros_without_rows_allocates_no_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (m.rows, m.cols, m.data) == (0, 10**6, ()) and peak < 10**5
+    assert (m.rows, m.cols, m.entries()) == (0, 10**6, ()) and peak < 10**5
 
 
 def test_matmul_shapes():
@@ -78,8 +80,9 @@ def test_kron_first_factor_slowest():
     n = Matrix.from_rows([[0, 1], [0, 0]])
     k = n.kron(Matrix.identity(2))
     # entry (i*2+p, j*2+q) = n[i][j] * I[p][q]
-    assert k.data[0][2] == 1 and k.data[1][3] == 1
-    assert k.data[0][1] == 0 and k.data[2][0] == 0
+    e = k.entries()
+    assert e[0][2] == 1 and e[1][3] == 1
+    assert e[0][1] == 0 and e[2][0] == 0
 
 
 def test_kron_mixed_product():
@@ -129,7 +132,7 @@ def test_rref_and_nullspace():
     m = Matrix.from_rows([[1, 2, 3], [2, 4, 6]])
     red, pivots = rref(m)
     assert pivots == (0,)
-    assert red.data[0] == (Q(1), Q(2), Q(3))
+    assert red.entries()[0] == (Q(1), Q(2), Q(3))
     ns = nullspace(m)
     assert ns.cols == 2
     assert (m @ ns).is_zero()
@@ -183,7 +186,7 @@ def test_eventual_image_and_kernel():
 def test_block_diag():
     b = block_diag([Matrix.identity(1), Matrix.from_rows([[2, 3]])])
     assert (b.rows, b.cols) == (2, 3)
-    assert b.data[1] == (Q(0), Q(2), Q(3))
+    assert b.entries()[1] == (Q(0), Q(2), Q(3))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +363,7 @@ def _tdr(rows, cols, grid):
 def _sym(sympy, m):
     return sympy.Matrix(m.rows, m.cols, [
         sympy.Rational(int(x.numerator), int(x.denominator))
-        for row in m.data for x in row])
+        for row in m.entries() for x in row])
 
 
 def _q(r):
@@ -373,9 +376,14 @@ def _from_sym(s):
 
 
 def _exact(*matrices):
-    kind = type(Q(0))
+    """Each matrix in reduced form: int rows of its shape over a positive
+    int denominator, with gcd 1 across the numerators and denominator."""
     for m in matrices:
-        assert all(type(x) is kind for row in m.data for x in row)
+        assert type(m.den) is int and m.den > 0
+        assert len(m.nums) == m.rows
+        assert all(len(row) == m.cols and all(type(x) is int for x in row)
+                   for row in m.nums)
+        assert gcd(m.den, *(x for row in m.nums for x in row)) == 1
 
 
 def test_kernels_agree_with_sympy():
@@ -408,7 +416,7 @@ def test_kernels_agree_with_sympy():
             # pivot variables solve the system, free variables are zero
             assert s * _sym(sympy, sol.particular) == s_b
             free = set(range(cols)) - set(pivots)
-            assert all(not sol.particular.data[j][t] for j in free for t in range(k))
+            assert all(not sol.particular.entries()[j][t] for j in free for t in range(k))
             _exact(sol.particular)
         assert sol.homogeneous == ns
 
@@ -430,6 +438,174 @@ def test_kernels_agree_with_sympy():
             else:
                 with pytest.raises(SingularMatrix):
                     inverse(m)
+
+    # charpoly and det on 10 x 10 matrices with large entries
+    x = sympy.Symbol("x")
+    for _ in range(4):
+        m = _tdr(10, 10, [[Q(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+                           if rng.random() < 0.8 else Q(0) for _ in range(10)]
+                          for _ in range(10)])
+        s = _sym(sympy, m)
+        s_poly = s.charpoly(x).all_coeffs()[::-1]
+        assert charpoly(m) == Poly(tuple(_q(c) for c in s_poly))
+        assert det(m) == _q(s.det())
+
+
+# ---------------------------------------------------------------------------
+# canonical form
+
+def _spelled(rng, x):
+    """The rational x as a Q, an unreduced "p/q" string, or an int."""
+    k = rng.randint(2, 6)
+    ways = [x, f"{x.numerator * k}/{x.denominator * k}", Q(-x.numerator, -x.denominator)]
+    if x.denominator == 1:
+        ways.append(int(x))
+    return rng.choice(ways)
+
+
+def test_matrix_form_is_canonical():
+    """However the entries are written, equal matrices are equal and hash
+    alike, and every kernel returns the reduced form."""
+    rng = random.Random(606)
+    for case in range(150):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        grid = _rand_grid(rng, rows, cols)
+        if case % 10 == 0:
+            grid = [[Q(0)] * cols for _ in range(rows)]
+        m = (Matrix.from_rows([[_spelled(rng, x) for x in row] for row in grid])
+             if rows else Matrix.zeros(0, cols))
+        other = Matrix(rows, cols, [[_spelled(rng, x) for x in row] for row in grid])
+        k = rng.choice((-6, -1, 2, 35))
+        scaled = Matrix.from_ints(rows, cols, [[x * k for x in row] for row in m.nums],
+                                  m.den * k)
+        assert m == other == scaled and hash(m) == hash(other) == hash(scaled)
+        assert m.entries() == tuple(tuple(row) for row in grid)
+        if not any(map(any, grid)):
+            assert m.den == 1 and m == Matrix.zeros(rows, cols)
+        _exact(m, other, scaled)
+
+        b = _tdr(cols, 2, _rand_grid(rng, cols, 2))
+        c = _tdr(rows, cols, _rand_grid(rng, rows, cols))
+        outs = [rref(m)[0], m @ b, nullspace(m), column_space(m), m + c, m - c,
+                -m, m.scale(Q(rng.randint(-9, 9), rng.randint(1, 9))),
+                m.transpose(), m.kron(b), m.hstack(c), m.vstack(c),
+                block_diag([m, b, c]), extend_basis(column_space(m), c)[0],
+                preimage(m, column_space(c)),
+                m.submatrix(range(0, rows, 2), range(1, cols, 2))]
+        sol = solve_linear(m, c)
+        outs += [sol.homogeneous] + ([sol.particular] if sol.particular else [])
+        if rows == cols:
+            outs += [eventual_image(m), eventual_kernel(m), Poly((1, 2, 3)).eval_matrix(m)]
+            if rows and det(m):
+                outs.append(inverse(m))
+        _exact(*outs)
+        for out in outs:
+            assert out == Matrix(out.rows, out.cols, out.entries())
+
+
+# ---------------------------------------------------------------------------
+# independence: extend_basis and graded chains against rank growth
+
+def _kept_by_rank(sympy, span, cands):
+    """Candidate columns kept left to right by the rank-growth rule, with
+    sympy's rank over QQ."""
+    from sympy.polys.matrices import DomainMatrix
+
+    def rank(m):
+        return DomainMatrix.from_Matrix(m).convert_to(sympy.QQ).rank()
+
+    s = _sym(sympy, span)
+    r = rank(s)
+    kept = []
+    for j in range(cands.cols):
+        grown = sympy.Matrix.hstack(s, _sym(sympy, cands.submatrix(range(cands.rows), (j,))))
+        if rank(grown) > r:
+            kept.append(j)
+            s, r = grown, r + 1
+    return kept
+
+
+def test_extend_basis_agrees_with_rank_growth():
+    import sympy
+    rng = random.Random(707)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        base = column_space(_tdr(n, rng.randint(0, n), _rand_grid(rng, n, rng.randint(0, n))))
+        cols = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.choice(("zero", "repeat", "base", "combo", "fresh"))
+            pool = [base.submatrix(range(n), (j,)) for j in range(base.cols)] + cols
+            if kind == "zero" or (kind != "fresh" and not pool):
+                cols.append(Matrix.zeros(n, 1))
+            elif kind in ("repeat", "base"):
+                cols.append(rng.choice(pool))
+            elif kind == "combo":
+                acc = Matrix.zeros(n, 1)
+                for v in pool:
+                    acc = acc + v.scale(Q(rng.randint(-3, 3), rng.randint(1, 3)))
+                cols.append(acc)
+            else:
+                cols.append(_tdr(n, 1, [[_rand_entry(rng, 0.3)] for _ in range(n)]))
+        cands = Matrix.zeros(n, 0)
+        for c in cols:
+            cands = cands.hstack(c)
+        full, added = extend_basis(base, cands)
+        assert added == _kept_by_rank(sympy, base, cands)
+        assert full == base.hstack(cands.submatrix(range(n), added))
+        _exact(full)
+    with pytest.raises(ShapeMismatch):
+        extend_basis(Matrix.from_rows([[1, 2], [2, 4]]), Matrix.identity(2))
+
+
+def _planted_nilpotent(rng, grades):
+    """Graded shifts along random strings, hidden by a base change per grade."""
+    dims, links = [0] * grades, []
+    for _ in range(rng.randint(1, 4)):
+        start, length = rng.randrange(grades), rng.randint(1, 2 * grades)
+        prev = None
+        for k in range(length):
+            g = (start + k) % grades
+            if prev is not None:
+                links.append((prev, (g, dims[g])))
+            prev = (g, dims[g])
+            dims[g] += 1
+    grids = [[[Q(0)] * dims[a] for _ in range(dims[(a + 1) % grades])]
+             for a in range(grades)]
+    for (a, i), (_, j) in links:
+        grids[a][j][i] = Q(1)
+    gs = [rand_invertible(rng, d) if d else Matrix.zeros(0, 0) for d in dims]
+    return [gs[(a + 1) % grades] @ _tdr(dims[(a + 1) % grades], dims[a], grids[a])
+            @ inverse(gs[a]) for a in range(grades)]
+
+
+def test_graded_chains_agree_with_rank_growth():
+    """Each chain top is a filtration candidate that grows the span of the
+    level below and the image of the grade before, left to right."""
+    import sympy
+    rng = random.Random(808)
+    for _ in range(30):
+        grades = rng.randint(1, 3)
+        blocks = _planted_nilpotent(rng, grades)
+        dims = [b.cols for b in blocks]
+        filt, _ = kernel_filtration(blocks, dims)
+        lmax = max(len(f) for f in filt) - 1
+
+        def level(a, j):
+            return filt[a][min(j, len(filt[a]) - 1)]
+
+        want = []
+        for ell in range(lmax, 0, -1):
+            for a in range(grades):
+                prev = (a - 1) % grades
+                span = level(a, ell - 1).hstack(blocks[prev] @ level(prev, ell + 1))
+                cand = level(a, ell)
+                want += [(a + 1, ell, cand.submatrix(range(dims[a]), (j,)))
+                         for j in _kept_by_rank(sympy, span, cand)]
+        want.sort(key=lambda t: (t[0], -t[1]))
+        chains = graded_jordan_chains(blocks)
+        assert [(c.start, c.length, c.vectors[0]) for c in chains] == want
+        for c in chains:
+            _exact(*c.vectors)
 
 
 _IRREDUCIBLE = ((0, 1), (-2, 1), (1, 1), (1, 0, 1), (-2, 0, 1), (1, 1, 1))

@@ -37,7 +37,7 @@ def test_generic_mode_deterministic():
 def test_generic_mode_entry_bounds():
     d = canonical_diagram("A0", 1)
     r = gen_random(d, {"e1": 3, "e2": 3}, 7).rep
-    for row in r.tensors["v1"].data:
+    for row in r.tensors["v1"].entries():
         for x in row:
             num, den = x.numerator, x.denominator
             assert -9 <= num <= 9 and 1 <= den <= 9

@@ -15,11 +15,12 @@ from tdr.errors import (
     RestrictedDimViolation,
     ShapeMismatch,
     SizeMismatch,
+    TensorTooLarge,
 )
 from tdr.exactalg import Matrix, det, inverse, nullspace, rank
 from tdr.rational import ONE, ZERO, Q
 from tdr.representation import (
-    CONTRACT_CAP,
+    TENSOR_CAP,
     apply_group_element,
     cokernel,
     contract,
@@ -359,11 +360,32 @@ def _complete_rep(n, dim):
     return validate_representation(d, dims, tensors)
 
 
+def test_tensor_cap_is_checked_before_allocation():
+    # one vertex with 12 dangling wires: dims 2 give 4096 entries, while
+    # dims 4 (a direct sum or tensor product of two) give 4^12 > TENSOR_CAP
+    d = validate_diagram({"vertices": ["v"], "wires": [
+        {"id": f"e{i:02}", "tail": "v", "head": None} for i in range(12)]})
+    dims = {w.id: 2 for w in d.wires}
+    r = validate_representation(d, dims, {"v": Matrix(4096, 1, ((ONE,),) * 4096)})
+    assert 4 ** 12 > TENSOR_CAP
+    for build in (lambda: direct_sum(r, r), lambda: tensor_product(r, r),
+                  lambda: validate_representation(
+                      d, {w: 4 for w in dims}, {"v": Matrix.zeros(1, 1)})):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TensorTooLarge):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 def test_contract_cap_is_checked_before_allocation():
     # every merge order on K_8 with dimension-4 wires needs a node of at
     # least 4^15 entries, far over the cap; the plan alone must refuse it
     r = _complete_rep(8, 4)
-    assert 4 ** 15 > CONTRACT_CAP
+    assert 4 ** 15 > TENSOR_CAP
     tracemalloc.start()
     try:
         with pytest.raises(ContractionTooLarge):
@@ -379,6 +401,7 @@ def test_contract_cap_is_checked_before_allocation():
 def _brute_contract(d, dims, tensors):
     """Sum over every index assignment of the product of tensor entries."""
     wires = [w.id for w in d.wires]
+    entries = {v: m.entries() for v, m in tensors.items()}
     total = Fraction(0)
     for idx in itertools.product(*(range(dims[w]) for w in wires)):
         at = dict(zip(wires, idx))
@@ -390,7 +413,7 @@ def _brute_contract(d, dims, tensors):
                 row = row * dims[w] + at[w]
             for w in nb.incoming:
                 col = col * dims[w] + at[w]
-            term *= tensors[v].data[row][col]
+            term *= entries[v][row][col]
         total += term
     return total
 

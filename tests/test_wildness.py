@@ -45,11 +45,12 @@ def test_y_pair_layout_n1():
     y1, y2 = build_Y_pair(MatrixPair(Matrix.from_rows([[a]]),
                                      Matrix.from_rows([[b]])))
     assert y1.rows == y1.cols == 6
-    ones = {(i, j) for i in range(6) for j in range(6) if y1.data[i][j] != 0}
+    e1, e2 = y1.entries(), y2.entries()
+    ones = {(i, j) for i in range(6) for j in range(6) if e1[i][j] != 0}
     assert ones == {(0, 0), (3, 2), (4, 3), (5, 4)}
-    assert all(y1.data[i][j] == 1 for i, j in ones)
-    nz2 = {(i, j): y2.data[i][j]
-           for i in range(6) for j in range(6) if y2.data[i][j] != 0}
+    assert all(e1[i][j] == 1 for i, j in ones)
+    nz2 = {(i, j): e2[i][j]
+           for i in range(6) for j in range(6) if e2[i][j] != 0}
     assert nz2 == {(1, 1): Q(1), (4, 2): a, (5, 3): b}
 
 
@@ -89,11 +90,11 @@ def test_needle_rep_shape():
     assert r.tensors["v1"].rows == 12 and r.tensors["v1"].cols == 6
     y1, y2 = build_Y_pair(p)
     # loop slot slowest: row block i of the stacking is Y1 row i with Y2 row i
-    t = r.tensors["v1"]
+    t, e1, e2 = r.tensors["v1"].entries(), y1.entries(), y2.entries()
     for i in range(6):
         for j in range(6):
-            assert t.data[2 * i][j] == y1.data[i][j]
-            assert t.data[2 * i + 1][j] == y2.data[i][j]
+            assert t[2 * i][j] == e1[i][j]
+            assert t[2 * i + 1][j] == e2[i][j]
 
 
 def test_iso_from_similarity_intertwines():
@@ -146,7 +147,7 @@ def test_eight_tuple_unpacks_row_major():
     r = validate_representation(
         d, {"e1": 1, "e2": 2},
         {"v1": Matrix.from_rows([[1, 2], [3, 4]])})
-    assert [m.data[0][0] for m in eight_tuple(r)] == [1, 2, 3, 4]
+    assert [m.entries()[0][0] for m in eight_tuple(r)] == [1, 2, 3, 4]
 
 
 def test_mix_tuple_matches_conjugation():
