@@ -45,6 +45,9 @@ class TensorDiagram(NamedTuple):
                 return w
         raise UnknownWire(wire_id)
 
+    def has_vertex(self, v):
+        return v in self.vertices
+
     def is_closed(self):
         return all(w.tail is not None and w.head is not None for w in self.wires)
 
