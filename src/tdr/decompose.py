@@ -10,8 +10,8 @@ the rank inclusion-exclusion over composites; the closed end of a
 one-dangling path behaves as an extra pinned position of dimension 1.
 Cycles split at each position into the monodromy's eventual image and
 eventual kernel: the invertible part yields Band blocks named by
-elementary divisors, the nilpotent part yields String blocks from graded
-Jordan chains.  Closed paths are decomposed through their associated
+elementary divisors, the nilpotent part yields String blocks from the
+graded Jordan chains picked off the arcs' kernel filtration.  Closed paths are decomposed through their associated
 cycle, whose last position is the pinned scalar slot.
 """
 
@@ -29,11 +29,11 @@ from .errors import (
 from .exactalg import (
     Matrix,
     Poly,
+    chain_tops,
     column_space,
     companion,
     coords_in_basis,
     factor_poly,
-    graded_jordan_chains,
     kernel_filtration,
     rank,
     rational_canonical,
@@ -239,7 +239,7 @@ def _fitting_cores(arcs, dims):
 def _cycle_blocks(dims, arcs):
     n = len(arcs)
     cores = _fitting_cores(arcs, dims)
-    _, kers = kernel_filtration(arcs, dims)
+    filt, _ = kernel_filtration(arcs, dims)
     out = []
     if cores[0].cols:
         x = cores[0]
@@ -248,10 +248,10 @@ def _cycle_blocks(dims, arcs):
         lbar = coords_in_basis(cores[0], x)
         for p, s in rational_canonical(lbar):
             out.append(Band(p, s))
-    nil_arcs = [coords_in_basis(kers[(i + 1) % n], arcs[i] @ kers[i])
-                for i in range(n)]
-    for chain in graded_jordan_chains(nil_arcs):
-        out.append(StringBlock(chain.start, chain.length))
+    # the nilpotent part's chains come from the same filtration, in the
+    # arcs' own coordinates
+    for start, length, _ in chain_tops(arcs, filt):
+        out.append(StringBlock(start, length))
     return out
 
 

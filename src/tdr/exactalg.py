@@ -8,7 +8,10 @@ by fraction-free (Bareiss) elimination, the characteristic polynomial by
 Berkowitz's division-free algorithm, products over the product of the
 denominators.  Entries are rationals only at the boundary: the Matrix
 constructor, from_rows, column and entries().  Everything that returns a
-basis goes through the RREF, so outputs are canonical.  Polynomial
+basis goes through the RREF, so outputs are canonical.  A preimage (and a
+kernel, the preimage of the zero space) takes one elimination: the RREF of
+[space | m with its columns reversed] already holds the preimage's
+reduced column echelon basis, as preimage's docstring explains.  Polynomial
 factorization is delegated to sympy behind a thin monic wrapper; the rest
 is authored here because the decomposition algorithms need the
 intermediate data (filtrations, chains), not just final answers.
@@ -309,17 +312,22 @@ class LinearSolution:
     homogeneous: Matrix           # cols(a) x k nullspace basis of a
 
 
-def solve_linear(a, b):
+def _particular(a, b):
+    """The solution of a x = b whose free variables are zero, read off one
+    RREF of [a | b]; None if the system is inconsistent."""
     if a.rows != b.rows:
         raise ShapeMismatch(f"{a.rows} rows vs {b.rows} rows")
     red, pivots = rref(a.hstack(b))
     if any(p >= a.cols for p in pivots):
-        return LinearSolution(None, nullspace(a))
+        return None
     part = [(0,) * b.cols] * a.cols
     for r, p in enumerate(pivots):
         part[p] = red.nums[r][a.cols:]
-    return LinearSolution(Matrix.from_ints(a.cols, b.cols, part, red.den),
-                          nullspace(a))
+    return Matrix.from_ints(a.cols, b.cols, part, red.den)
+
+
+def solve_linear(a, b):
+    return LinearSolution(_particular(a, b), nullspace(a))
 
 
 def _new_columns(span, candidates):
@@ -346,19 +354,47 @@ def extend_basis(base, candidates):
 
 def coords_in_basis(basis, vecs):
     """Coordinates of vecs' columns in basis (columns independent, spanning them)."""
-    sol = solve_linear(basis, vecs)
-    if sol.particular is None:
+    coords = _particular(basis, vecs)
+    if coords is None:
         raise ShapeMismatch("vectors outside the span of the basis")
-    return sol.particular
+    return coords
 
 
 def preimage(m, space):
-    """Canonical basis of {x : m x in span(space columns)}."""
-    if space.cols == 0:
-        return column_space(nullspace(m))
-    null = nullspace(m.hstack(-space))
-    xpart = null.submatrix(range(m.cols), range(null.cols))
-    return column_space(xpart)
+    """Canonical basis of {x : m x in span(space columns)}.
+
+    One fraction-free Gauss-Jordan pass over a = [space | m with its columns
+    reversed]: the preimage is the x-part of a's nullspace, x_j sitting in
+    column q = space.cols + m.cols - 1 - j.  The nullspace vector of a free
+    column f of a is 1 at f, 0 at the other free columns, and otherwise
+    nonzero only at pivot columns before f.  For a free x column its x-part
+    is therefore 1 at x_j, 0 at the other free x positions and nonzero only
+    at positions after j: taken in ascending j these are the rows of the
+    RREF of the preimage's transpose, the basis column_space gives.  A free
+    space column lies left of every x column, so its vector has x-part 0 and
+    is dropped; this is what keeps the result right when space has
+    dependent columns.  Dropping the space rows can leave a common factor,
+    so the result is reduced through from_ints.  Scaling space or m leaves
+    the preimage alone, so their numerators are eliminated as they stand.
+    """
+    if m.rows != space.rows:
+        raise ShapeMismatch(f"{m.rows} rows vs {space.rows} rows")
+    k, width = space.cols, space.cols + m.cols
+    a = [s + x[::-1] for s, x in zip(space.nums, m.nums)]
+    pivots, _ = _eliminate(a, width, reduce_above=True)
+    den = a[0][pivots[0]] if pivots else 1
+    row_of = {p: r for r, p in enumerate(pivots)}
+    xcols = range(width - 1, k - 1, -1)
+    free = [q for q in xcols if q not in row_of]
+    out = []
+    for q in xcols:
+        r = row_of.get(q)
+        if r is None:
+            out.append([den if f == q else 0 for f in free])
+        else:
+            row = a[r]
+            out.append([-row[f] for f in free])
+    return Matrix.from_ints(m.cols, len(free), out, den)
 
 
 def eventual_image(m):
@@ -378,7 +414,7 @@ def eventual_kernel(m):
     """Canonical basis of the stable kernel, ker(m^k) for k >> 0."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    cur = column_space(nullspace(m))
+    cur = preimage(m, Matrix.zeros(m.rows, 0))
     while True:
         nxt = preimage(m, cur)
         if nxt.cols == cur.cols:
@@ -589,7 +625,7 @@ def rational_canonical(m):
         d = p.degree()
         pm = p.eval_matrix(m)
         dims = [0]
-        space = column_space(nullspace(pm))
+        space = preimage(pm, Matrix.zeros(n, 0))
         dims.append(space.cols)
         while dims[-1] < e * d:
             space = preimage(pm, space)
@@ -659,13 +695,35 @@ def graded_jordan_chains(blocks):
     filt, stable = kernel_filtration(blocks, dims)
     if any(stable[a].cols != dims[a] for a in range(n)):
         raise NotNilpotent("cyclic composite has a nonzero eventual image")
+    chains = []
+    for start, length, cur in chain_tops(blocks, filt):
+        vecs = [cur]
+        g = start - 1
+        for _ in range(length - 1):
+            cur = blocks[g] @ cur
+            g = (g + 1) % n
+            vecs.append(cur)
+        chains.append(JordanChain(start, tuple(vecs)))
+    return chains
+
+
+def chain_tops(blocks, filt):
+    """(start, length, top vector) of each Jordan chain of the graded blocks
+    on their stable kernel, picked from its filtration filt (as
+    kernel_filtration returns it); sorted by start, then longest first.
+
+    The blocks need not be nilpotent: every level of filt lies in the
+    stable kernel, and the rule that picks the tops only compares spans,
+    so the starts and lengths do not depend on coordinates.
+    """
+    n = len(blocks)
     lmax = max(len(filt[a]) for a in range(n)) - 1
 
     def level(a, j):
         f = filt[a]
         return f[j] if j < len(f) else f[-1]
 
-    chains = []
+    tops = []
     for ell in range(lmax, 0, -1):
         for a in range(n):
             # a candidate starts a chain iff it is new modulo the lower
@@ -674,14 +732,7 @@ def graded_jordan_chains(blocks):
             span = level(a, ell - 1).hstack(
                 blocks[prev_grade] @ level(prev_grade, ell + 1))
             cand = level(a, ell)
-            for j in _new_columns(span, cand):
-                cur = cand.submatrix(range(dims[a]), (j,))
-                vecs = [cur]
-                g = a
-                for _ in range(ell - 1):
-                    cur = blocks[g] @ cur
-                    g = (g + 1) % n
-                    vecs.append(cur)
-                chains.append(JordanChain(a + 1, tuple(vecs)))
-    chains.sort(key=lambda c: (c.start, -c.length))
-    return chains
+            tops.extend((a + 1, ell, cand.submatrix(range(cand.rows), (j,)))
+                        for j in _new_columns(span, cand))
+    tops.sort(key=lambda t: (t[0], -t[1]))
+    return tops

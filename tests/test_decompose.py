@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -19,7 +20,16 @@ from tdr.errors import (
     NotDecidableWild,
     NotDecomposable,
 )
-from tdr.exactalg import Matrix, Poly, det
+from tdr.exactalg import (
+    Matrix,
+    Poly,
+    block_diag,
+    coords_in_basis,
+    det,
+    graded_jordan_chains,
+    inverse,
+    kernel_filtration,
+)
 from tdr.rational import Q
 from tdr.representation import (
     apply_group_element,
@@ -361,3 +371,73 @@ def test_decomposition_order_is_canonical():
                    realize("J", 1, Band(x_minus(1), 1)))
     assert [type(desc).__name__ for desc, _ in decompose(s).blocks] == \
         ["Band", "StringBlock"]
+
+
+# ---------------------------------------------------------------------------
+# String blocks from the arcs' own kernel filtration
+
+def _planted_cycle(rng, grades):
+    """Arcs of a cycle with an invertible part on every grade and random
+    graded strings, hidden by a base change per grade; also the planted
+    strings as (start, length)."""
+    band = rng.randint(1, 2)
+    nil_dims, links, strings = [0] * grades, [], []
+    for _ in range(rng.randint(1, 4)):
+        start, length = rng.randrange(grades), rng.randint(1, 2 * grades)
+        strings.append((start + 1, length))
+        prev = None
+        for k in range(length):
+            g = (start + k) % grades
+            if prev is not None:
+                links.append((prev, (g, nil_dims[g])))
+            prev = (g, nil_dims[g])
+            nil_dims[g] += 1
+    nil = []
+    for a in range(grades):
+        grid = [[0] * nil_dims[a] for _ in range(nil_dims[(a + 1) % grades])]
+        for (src, i), (_, j) in links:
+            if src == a:
+                grid[j][i] = 1
+        nil.append(Matrix(nil_dims[(a + 1) % grades], nil_dims[a], grid))
+    dims = [band + d for d in nil_dims]
+    gs = [rand_invertible(rng, d) for d in dims]
+    arcs = [gs[(a + 1) % grades] @ block_diag([rand_invertible(rng, band), nil[a]])
+            @ inverse(gs[a]) for a in range(grades)]
+    return dims, arcs, strings
+
+
+def test_cycle_strings_match_chains_of_nilpotent_part():
+    """_cycle_blocks reads the String blocks off the arcs' kernel
+    filtration; they equal the chains of the arcs restricted to their
+    stable kernels, in coordinates of its canonical basis."""
+    cycle_blocks = sys.modules["tdr.decompose"]._cycle_blocks
+    rng = random.Random(5151)
+    for case in range(40):
+        grades = case % 5 + 1
+        dims, arcs, planted = _planted_cycle(rng, grades)
+        blocks = cycle_blocks(dims, arcs)
+        got = sorted((b.start, b.length) for b in blocks if isinstance(b, StringBlock))
+        _, kers = kernel_filtration(arcs, dims)
+        nil_arcs = [coords_in_basis(kers[(i + 1) % grades], arcs[i] @ kers[i])
+                    for i in range(grades)]
+        want = sorted((c.start, c.length) for c in graded_jordan_chains(nil_arcs))
+        assert got == want == sorted(planted), case
+        assert any(isinstance(b, Band) for b in blocks)
+
+
+def test_cycle_decompose_filters_kernels_once(monkeypatch):
+    dmod, emod = sys.modules["tdr.decompose"], sys.modules["tdr.exactalg"]
+    calls = []
+
+    def counted(blocks, dims):
+        calls.append(len(blocks))
+        return real(blocks, dims)
+
+    real = emod.kernel_filtration
+    monkeypatch.setattr(dmod, "kernel_filtration", counted)
+    monkeypatch.setattr(emod, "kernel_filtration", counted)
+    r = direct_sum(realize("J", 3, Band(x_minus(2), 2)),
+                   realize("J", 3, StringBlock(2, 5)))
+    r = conjugate(random.Random(53), r)
+    assert blocks_of(r) == {Band(x_minus(2), 2): 1, StringBlock(2, 5): 1}
+    assert calls == [3]

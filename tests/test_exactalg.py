@@ -451,6 +451,56 @@ def test_kernels_agree_with_sympy():
         assert det(m) == _q(s.det())
 
 
+def _dependent_columns(rng, grid, rows, k):
+    """grid's k columns plus repeats, combinations or zero columns of them,
+    shuffled: a space whose columns are dependent."""
+    cols = [[grid[i][j] for i in range(rows)] for j in range(k)]
+    for _ in range(rng.randint(1, 3)):
+        if not cols:
+            cols.append([Q(0)] * rows)
+        elif rng.random() < 0.5:
+            cols.append(list(rng.choice(cols)))
+        else:
+            u, v = rng.choice(cols), rng.choice(cols)
+            s, t = Q(rng.randint(-3, 3)), Q(rng.randint(-3, 3), rng.randint(1, 3))
+            cols.append([s * x + t * y for x, y in zip(u, v)])
+    rng.shuffle(cols)
+    return [[col[i] for col in cols] for i in range(rows)], len(cols)
+
+
+def test_preimage_agrees_with_sympy():
+    """preimage against the RREF of the transpose of the x-part of sympy's
+    nullspace of [m | -space]."""
+    import sympy
+    rng = random.Random(3131)
+    kinds = set()
+    shapes = [(0, 0, 0), (0, 3, 2), (3, 0, 2), (3, 0, 0), (2, 2, 0)]
+    shapes += [(rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 4))
+               for _ in range(215)]
+    for rows, cols, k in shapes:
+        m_grid, s_grid = _rand_grid(rng, rows, cols), _rand_grid(rng, rows, k)
+        if rows and rng.random() < 0.3:
+            s_grid, k = _dependent_columns(rng, s_grid, rows, k)
+        m, space = _tdr(rows, cols, m_grid), _tdr(rows, k, s_grid)
+        s_m, s_space = _sym(sympy, m), _sym(sympy, space)
+        null = s_m.row_join(-s_space).nullspace()
+        xpart = sympy.Matrix.hstack(sympy.zeros(cols, 0), *(v[:cols, :] for v in null))
+        red, pivots = xpart.T.rref()
+        want = red[:len(pivots), :].T if pivots else sympy.zeros(cols, 0)
+        got = preimage(m, space)
+        assert got == _from_sym(want), (m, space)
+        _exact(got)
+        kinds.add("rank-deficient m" if s_m.rank() < min(rows, cols) else "full m")
+        kinds.add("dependent space" if s_space.rank() < k else "independent space")
+        kinds.add("empty space" if k == 0 else "space")
+        kinds.add(f"rows {bool(rows)} cols {bool(cols)}")
+    assert kinds >= {"rank-deficient m", "dependent space", "empty space",
+                     "rows False cols True", "rows True cols False"}
+    for k in (0, 1):
+        with pytest.raises(ShapeMismatch):
+            preimage(Matrix.identity(2), Matrix.zeros(3, k))
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 
