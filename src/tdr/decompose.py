@@ -3,7 +3,11 @@
 Shapes are re-oriented internally (reverse_wire_rep) along a deterministic
 traversal keyed to lexicographic ids, so the output never depends on wire
 orientations.  Positions are wires along the traversal; arcs are the
-vertex matrices between consecutive positions.
+vertex matrices between consecutive positions.  _oriented_arcs reads a
+representation as (position dims, arcs); on_shape is its inverse, writing
+position dims and arcs onto a diagram's traversal, and block_arcs gives
+every indecomposable block in that form, so realize and the generator
+build blocks the way decompose reads them.
 
 Open paths (one or two dangling ends) decompose into Interval blocks by
 the rank inclusion-exclusion over composites; the closed end of a
@@ -11,8 +15,9 @@ one-dangling path behaves as an extra pinned position of dimension 1.
 Cycles split at each position into the monodromy's eventual image and
 eventual kernel: the invertible part yields Band blocks named by
 elementary divisors, the nilpotent part yields String blocks from the
-graded Jordan chains picked off the arcs' kernel filtration.  Closed paths are decomposed through their associated
-cycle, whose last position is the pinned scalar slot.
+graded Jordan chains picked off the arcs' kernel filtration.  Closed paths
+are decomposed through their associated cycle, whose last position is the
+pinned scalar slot.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +43,7 @@ from .exactalg import (
     rank,
     rational_canonical,
 )
-from .representation import Representation, reverse_wire_rep
+from .representation import Representation, check_size, reverse_wire_rep
 from .semigraph import TensorDiagram, Wire
 
 
@@ -76,10 +81,10 @@ class StringBlock:
         return (2, self.start, self.length)
 
     def dims(self, m):
-        out = [0] * m
-        for j in range(self.length):
-            out[(self.start - 1 + j) % m] += 1
-        return out
+        # a chain of length q*m + r passes every position q times and the
+        # r positions from start on once more
+        q, r = divmod(max(self.length, 0), m)
+        return [q + ((i - self.start + 1) % m < r) for i in range(m)]
 
 
 @dataclass(frozen=True)
@@ -104,16 +109,6 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 # shapes
 
-def _incident(d, v):
-    out = []
-    for w in d.wires:
-        if w.tail == v:
-            out.append(w)
-        if w.head == v:
-            out.append(w)
-    return out
-
-
 def _other_end(w, v):
     return w.head if w.tail == v else w.tail
 
@@ -137,13 +132,18 @@ def traverse(d, family):
     their smallest vertex, leaving along its smallest wire, and that start
     vertex becomes the last arc vertex.
     """
+    incident = {v: [] for v in d.vertices}   # a loop is listed twice
+    for w in d.wires:
+        for end in (w.tail, w.head):
+            if end is not None:
+                incident[end].append(w)
     if family in ("A0", "A1"):
         start = None
         nxt = [min(w for w in d.wires if w.is_dangling())]
     else:
-        ends = [v for v in d.vertices if len(_incident(d, v)) == 1]
+        ends = [v for v in d.vertices if len(incident[v]) == 1]
         start = min(ends or d.vertices)
-        nxt = sorted(_incident(d, start))[:1]
+        nxt = sorted(incident[start])[:1]
     wires, verts, v = [], [], start
     while nxt:
         wires.append(nxt[0])
@@ -151,7 +151,7 @@ def traverse(d, family):
         if v is None or v == start:
             break
         verts.append(v)
-        nxt = [w for w in _incident(d, v) if w.id != wires[-1].id]
+        nxt = [w for w in incident[v] if w.id != wires[-1].id]
     if start is not None:
         verts.append(start)
     wanted = [(w.id, verts[i - 1] if i else start,
@@ -317,42 +317,30 @@ def _restrict(r, comp):
 # ---------------------------------------------------------------------------
 # canonical realizations
 
-def _vertex_names(n):
-    width = len(str(max(n, 1)))
-    return [f"v{i:0{width}d}" if n > 9 else f"v{i}" for i in range(1, n + 1)]
+def _names(prefix, k):
+    """prefix1 .. prefixk, zero-padded to one width once k > 9."""
+    width = len(str(k)) if k > 9 else 1
+    return [f"{prefix}{i:0{width}d}" for i in range(1, k + 1)]
 
 
-def _wire_names(m):
-    width = len(str(max(m, 1)))
-    return [f"e{i:0{width}d}" if m > 9 else f"e{i}" for i in range(1, m + 1)]
+def _check_shape(family, n):
+    if not isinstance(n, int) or n < 1:
+        raise InvalidDescriptor(f"shape size {n!r} out of range")
+    if family not in ("A0", "A1", "P", "J"):
+        raise InvalidDescriptor(f"unknown family {family!r}")
 
 
 def canonical_diagram(family, n):
-    """The lex-traversal-friendly diagram for each shape family."""
-    if n < 1:
-        raise InvalidDescriptor(f"shape size {n} out of range")
-    vs = _vertex_names(n)
-    if family == "A0":
-        es = _wire_names(n + 1)
-        wires = [Wire(es[0], None, vs[0])]
-        wires += [Wire(es[i], vs[i - 1], vs[i]) for i in range(1, n)]
-        wires.append(Wire(es[n], vs[n - 1], None))
-    elif family == "A1":
-        es = _wire_names(n)
-        wires = [Wire(es[0], None, vs[0])]
-        wires += [Wire(es[i], vs[i - 1], vs[i]) for i in range(1, n)]
-    elif family == "P":
-        es = _wire_names(max(n - 1, 0))
-        wires = [Wire(es[i], vs[i], vs[i + 1]) for i in range(n - 1)]
-    elif family == "J":
-        es = _wire_names(n)
-        if n == 1:
-            wires = [Wire(es[0], vs[0], vs[0])]
-        else:
-            wires = [Wire(es[i], vs[i], vs[i + 1]) for i in range(n - 1)]
-            wires.append(Wire(es[n - 1], vs[n - 1], vs[0]))
-    else:
-        raise InvalidDescriptor(f"unknown family {family!r}")
+    """The lex-traversal-friendly diagram for each shape family.
+
+    Each family is a chain of endpoints (None for a dangling end) with one
+    wire from every endpoint to the next, named in chain order.
+    """
+    _check_shape(family, n)
+    vs = _names("v", n)
+    ends = {"A0": [None, *vs, None], "A1": [None, *vs], "P": vs,
+            "J": vs + vs[:1]}[family]
+    wires = map(Wire, _names("e", len(ends) - 1), ends, ends[1:])
     return TensorDiagram(tuple(vs), tuple(sorted(wires)))
 
 
@@ -368,73 +356,76 @@ def _check_band(desc):
         raise InvalidDescriptor("band polynomial must be irreducible")
 
 
-def _cycle_block_data(desc, n):
-    """(per-grade dims, arcs) of one cycle block, grades 0-based."""
-    if isinstance(desc, Band):
-        _check_band(desc)
-        base = companion(desc.poly ** desc.power)
-        m = base.rows
-        dims = [m] * n
-        arcs = [Matrix.identity(m) for _ in range(n - 1)] + [base]
-        return dims, arcs
-    if isinstance(desc, StringBlock):
-        if not (1 <= desc.start <= n) or desc.length < 1:
-            raise InvalidDescriptor(f"string out of range for n={n}")
-        dims = desc.dims(n)
-        # basis at each grade: chain indices ascending
-        index_of = {}
-        seen = [0] * n
-        for j in range(desc.length):
-            g = (desc.start - 1 + j) % n
-            index_of[j] = seen[g]
-            seen[g] += 1
-        arcs = []
-        for g in range(n):
-            h = (g + 1) % n
-            rows = [[0] * dims[g] for _ in range(dims[h])]
-            for j in range(desc.length - 1):
-                if (desc.start - 1 + j) % n == g:
-                    rows[index_of[j + 1]][index_of[j]] = 1
-            arcs.append(Matrix.from_ints(dims[h], dims[g], rows))
-        return dims, arcs
-    raise InvalidDescriptor(f"descriptor {desc!r} not valid for a cycle")
+def block_arcs(family, n, desc):
+    """Position dims and arcs, as _oriented_arcs reads them, of one block.
 
-
-def realize(family, n, desc):
-    """Canonical representation of one indecomposable block."""
-    d = canonical_diagram(family, n)
-    vs = _vertex_names(n)
+    Intervals and strings are chains: one basis vector per position they
+    pass, in order, each arc mapping a chain vector to the next one.  A
+    band is the identity on every arc but the last, the companion matrix
+    of poly ** power.  The pinned position of A1 and P is a scalar slot of
+    dimension 1 in every block; a block that misses it meets it through
+    zero maps.  Every arc's size is checked against the cap first.
+    """
+    _check_shape(family, n)
+    m = n + (family in ("A0", "A1"))
     if family in ("A0", "A1"):
-        m = n + 1
         if not isinstance(desc, Interval):
             raise InvalidDescriptor(f"{family} blocks are intervals")
         if not (1 <= desc.a <= desc.b <= m):
             raise InvalidDescriptor(f"interval out of range for {family}({n})")
         if family == "A1" and desc.a == m:
             raise InvalidDescriptor("interval covers only the pinned position")
-        pos = desc.dims(m)
-        tensors = {}
-        for i, v in enumerate(vs):
-            rows = pos[i + 1] if (family == "A0" or i + 1 < n) else 1
-            cols = pos[i]
-            if pos[i] and pos[i + 1]:
-                tensors[v] = Matrix.from_rows([[1]])
-            else:
-                tensors[v] = Matrix.zeros(rows, cols)
-        # A1's last position is the pinned one, which no wire carries
-        return Representation(d, dict(zip(_wire_names(len(d.wires)), pos)),
-                              tensors)
-    gdims, arcs = _cycle_block_data(desc, n)
+        start, length = desc.a, desc.b - desc.a + 1
+    elif isinstance(desc, Band):
+        _check_band(desc)
+    elif isinstance(desc, StringBlock):
+        if not (1 <= desc.start <= n) or desc.length < 1:
+            raise InvalidDescriptor(f"string out of range for n={n}")
+        start, length = desc.start, desc.length
+    else:
+        raise InvalidDescriptor(f"descriptor {desc!r} not valid for a cycle")
+    dims = desc.dims(m)
     if family == "P":
-        if gdims[n - 1] > 1:
+        if dims[-1] > 1:
             raise InvalidDescriptor(
                 "block needs more than one copy of the pinned position")
         if desc == StringBlock(n, 1):
             raise InvalidDescriptor("pinned simple is the zero block")
-        if gdims[n - 1] == 0:
-            # the pinned position keeps dimension 1, through zero maps
-            arcs[n - 2:] = [Matrix.zeros(1, gdims[n - 2]),
-                            Matrix.zeros(gdims[0], 1)]
-    # P's last grade is the pinned position, which no wire carries
-    return Representation(d, dict(zip(_wire_names(len(d.wires)), gdims)),
-                          {v: arcs[i - 1] for i, v in enumerate(vs)})
+    if family in ("A1", "P"):
+        dims[-1] = 1
+    # arc g maps position g+1 to position g+2 (cyclically), 1-based
+    for g in range(n):
+        check_size(f"of arc {g + 1}", dims[(g + 1) % m] * dims[g])
+    if isinstance(desc, Band):
+        return dims, ([Matrix.identity(dims[0])] * (n - 1)
+                      + [companion(desc.poly ** desc.power)])
+    arcs = []
+    for g in range(n):
+        rows = [[0] * dims[g] for _ in range(dims[(g + 1) % m])]
+        # chain vector j is the (j // m)-th basis vector at position
+        # start + j (cyclically)
+        for j in range((g - start + 1) % m, length - 1, m):
+            rows[(j + 1) // m][j // m] = 1
+        arcs.append(Matrix.from_ints(dims[(g + 1) % m], dims[g], rows))
+    return dims, arcs
+
+
+def on_shape(d, shape, dims, arcs):
+    """The representation with these position dims and arcs on d's shape.
+
+    The inverse of _oriented_arcs: the i-th wire of the traversal carries
+    position i+1, the i-th arc vertex holds arcs[i], and every wire points
+    along the traversal (shape.wanted).  The pinned position of A1 and P
+    is no wire, so its dimension (1) is not stored.
+    """
+    wires = tuple(sorted(Wire(*w) for w in shape.wanted))
+    return Representation(TensorDiagram(d.vertices, wires),
+                          {w.id: k for w, k in zip(shape.wires, dims)},
+                          dict(zip(shape.verts, arcs)))
+
+
+def realize(family, n, desc):
+    """Canonical representation of one indecomposable block."""
+    d = canonical_diagram(family, n)
+    shape = Shape(family, n, *traverse(d, family))
+    return on_shape(d, shape, *block_arcs(family, n, desc))

@@ -15,18 +15,14 @@ import cmath
 from collections import deque
 
 from .errors import DomainMismatch, InvalidPartialFlow, NotClosed
-from .semigraph import neighborhood
+from .semigraph import (
+    TensorDiagram,
+    connected_components,
+    neighborhood,
+    subdiagram_ref,
+)
 
 _MIN_ABS = 1e-12
-
-
-def _induced_wires(d, u_set):
-    out = set()
-    for w in d.wires:
-        ends = [e for e in (w.tail, w.head) if e is not None]
-        if ends and all(e in u_set for e in ends):
-            out.add(w.id)
-    return out
 
 
 def _check_domain(d, f, u):
@@ -34,7 +30,7 @@ def _check_domain(d, f, u):
     for v in u_set:
         if v not in d.vertices:
             raise DomainMismatch(f"unknown vertex {v}")
-    inner = _induced_wires(d, u_set)
+    inner = set(subdiagram_ref(d, u_set).wires)
     expected = {w.id for w in d.wires} - inner
     got = set(f)
     if got != expected:
@@ -90,26 +86,10 @@ def extend_flow(d, f, u, tol=1e-9):
     total = dict(f)
     wires = {w.id: w for w in d.wires}
 
-    # connected components of T[u] via its non-loop wires
-    parent = {v: v for v in u_set}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for wid in inner:
-        w = wires[wid]
-        if not w.is_loop():
-            ra, rb = find(w.tail), find(w.head)
-            if ra != rb:
-                parent[ra] = rb
-    comps = {}
-    for v in sorted(u_set):
-        comps.setdefault(find(v), []).append(v)
-
-    for members in comps.values():
+    sub = TensorDiagram(tuple(sorted(u_set)),
+                        tuple(w for w in d.wires if w.id in inner))
+    for comp in connected_components(sub):
+        members = comp.vertices
         mset = set(members)
         # closure: boundary values, signed toward the component, multiply to 1
         closure = 1 + 0j

@@ -8,11 +8,15 @@ Generic mode fills every vertex tensor entry from the stream, row-major
 over vertices in canonical order.  Sum mode treats the requested dims as
 per-wire caps: it draws indecomposable descriptors while they fit under
 the caps (at most one block may cover the pinned position of a closed or
-half-open path), realizes their direct sum on the given diagram, and
-conjugates by a random exact-invertible group element per wire.  The
-drawn multiset is returned as the answer key, so decompose(rep) == key.
+half-open path), lays each block out along the input diagram's own shape
+(decompose.block_arcs and on_shape), takes their direct sum, conjugates
+by a random exact-invertible group element per wire and turns the wires
+back to the input's orientations.  The drawn multiset is returned as the
+answer key, so decompose(rep) == key.
 """
 
+from collections.abc import Mapping
+from functools import reduce
 from typing import NamedTuple
 
 from .decompose import (
@@ -20,12 +24,11 @@ from .decompose import (
     Decomposition,
     Interval,
     StringBlock,
-    canonical_diagram,
+    block_arcs,
+    on_shape,
     position_dims,
-    realize,
     reorient,
     shape_of,
-    traverse,
 )
 from .errors import InvalidDims
 from .exactalg import Matrix, Poly, det, factor_poly
@@ -37,7 +40,7 @@ from .representation import (
     direct_sum,
     vertex_shape,
 )
-from .semigraph import TensorDiagram, Wire, validate_diagram
+from .semigraph import validate_diagram
 
 
 class SplitMix64:
@@ -108,6 +111,8 @@ class GenResult(NamedTuple):
 
 
 def _check_dims(d, dims):
+    if not isinstance(dims, Mapping):
+        raise InvalidDims("dims must be a mapping of wire ids to dims")
     ids = {w.id for w in d.wires}
     for wid in ids:
         if wid not in dims:
@@ -154,16 +159,6 @@ def _draw_desc(family, n, m, rng):
     return StringBlock(1 + rng.below(n), 1 + rng.below(2 * n))
 
 
-def _zero_block_rep(family, n):
-    d = canonical_diagram(family, n)
-    dims = {w.id: 0 for w in d.wires}
-    tensors = {}
-    for v in d.vertices:
-        rows, cols = vertex_shape(d, dims, v)
-        tensors[v] = Matrix.zeros(rows, cols)
-    return Representation(d, dims, tensors)
-
-
 def _sum_mode(d, dims, rng):
     shape = shape_of(d)
     family, n = shape.family, shape.n
@@ -181,26 +176,14 @@ def _sum_mode(d, dims, rng):
         else:
             misses += 1
 
-    rep = None
-    for desc in blocks:
-        block = realize(family, n, desc)
-        rep = block if rep is None else direct_sum(rep, block)
-    if rep is None:
-        rep = _zero_block_rep(family, n)
-
-    # carry the canonical rep onto the input diagram (traversal order)
-    cd = canonical_diagram(family, n)
-    cwires, cverts, _ = traverse(cd, family)
-    wire_map = {cw.id: w.id for cw, w in zip(cwires, shape.wires)}
-    vert_map = dict(zip(cverts, shape.verts))
-    norm_wires = tuple(sorted(Wire(wid, tail, head)
-                              for wid, tail, head in shape.wanted))
-    d_norm = TensorDiagram(d.vertices, norm_wires)
-    rep = Representation(
-        d_norm,
-        {wire_map[wid]: dim for wid, dim in rep.dims.items()},
-        {vert_map[v]: mat for v, mat in rep.tensors.items()})
-
+    # each block is laid out along the input diagram's own traversal
+    reps = [on_shape(d, shape, *block_arcs(family, n, desc)) for desc in blocks]
+    if reps:
+        rep = reduce(direct_sum, reps)
+    else:
+        zero = position_dims(dict.fromkeys(dims, 0), shape)
+        rep = on_shape(d, shape, zero, [Matrix.zeros(zero[(i + 1) % m], zero[i])
+                                        for i in range(n)])
     gs = {wid: _rand_invertible(rng, rep.dims[wid])
           for wid in sorted(rep.dims)}
     rep = apply_group_element(gs, rep)
@@ -212,6 +195,8 @@ def gen_random(diagram, dims, seed, mode="generic"):
     """Deterministic random representation; (rep, key) with key in sum mode."""
     d = validate_diagram(diagram)
     _check_dims(d, dims)
+    if not isinstance(seed, int):
+        raise InvalidDims(f"seed must be an integer, got {seed!r}")
     rng = SplitMix64(seed)
     if mode == "generic":
         return GenResult(_generic(d, dims, rng), None)

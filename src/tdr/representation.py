@@ -13,6 +13,7 @@ one primitive, _offsets: the flat offsets of an axis view with chosen
 strides.  Each operation is a choice of strides.
 """
 
+from collections.abc import Mapping
 from functools import reduce
 from math import lcm
 from operator import mul
@@ -137,6 +138,8 @@ def vertex_shape(diagram, dims, v):
 
 def validate_representation(diagram, dims, tensors):
     d = validate_diagram(diagram)
+    if not isinstance(dims, Mapping) or not isinstance(tensors, Mapping):
+        raise ShapeMismatch("dims and tensors must be mappings")
     wire_ids = [w.id for w in d.wires]
     dv = {}
     for wid in wire_ids:
@@ -157,7 +160,11 @@ def validate_representation(diagram, dims, tensors):
             raise ShapeMismatch(f"missing tensor for vertex {v}")
         m = tensors[v]
         if not isinstance(m, Matrix):
-            m = Matrix.from_rows(m)
+            try:
+                m = Matrix.from_rows(m)
+            except (TypeError, ValueError, LookupError, ArithmeticError):
+                raise ShapeMismatch(
+                    f"vertex {v}: not a grid of rationals") from None
         if (m.rows, m.cols) != (rows, cols):
             raise ShapeMismatch(
                 f"vertex {v}: expected {rows}x{cols}, got {m.rows}x{m.cols}")

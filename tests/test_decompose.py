@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -7,11 +8,16 @@ from tdr.decompose import (
     Band,
     Interval,
     StringBlock,
+    _oriented_arcs,
     block_alias,
     canonical_diagram,
     decompose,
     isomorphic,
+    on_shape,
+    position_dims,
     realize,
+    reorient,
+    shape_of,
 )
 from tdr.errors import (
     DiagramMismatch,
@@ -19,6 +25,7 @@ from tdr.errors import (
     NotConnected,
     NotDecidableWild,
     NotDecomposable,
+    TensorTooLarge,
 )
 from tdr.exactalg import (
     Matrix,
@@ -161,6 +168,65 @@ def test_realize_rejects_bad_descriptors():
         realize("P", 2, StringBlock(1, 5))  # wraps the pin twice
     with pytest.raises(InvalidDescriptor):
         realize("Q", 2, Interval(1, 1))
+
+
+def test_canonical_diagram_rejects_bad_sizes():
+    for n in (0, -1, "3", 2.0, None):
+        with pytest.raises(InvalidDescriptor):
+            canonical_diagram("J", n)
+
+
+def test_realize_cap_is_checked_before_allocation():
+    # J_1 arcs of 10**6 x 10**6 and 10**4 x 10**4 entries, both over
+    # TENSOR_CAP; the second must be refused before (x - 2)**10**4 is built
+    realize("J", 1, Band(x_minus(2), 1))   # load the factoring backend
+    for desc in (StringBlock(1, 10 ** 6), Band(x_minus(2), 10 ** 4)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TensorTooLarge):
+                realize("J", 1, desc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, desc
+
+
+def _relabelled(d, rng):
+    """d under fresh vertex and wire names, with about half its wires reversed."""
+    vs = {v: f"{rng.choice('kqz')}{rng.randrange(1000)}{i}"
+          for i, v in enumerate(d.vertices)}
+    wires = []
+    for i, w in enumerate(d.wires):
+        ends = [vs.get(w.tail), vs.get(w.head)]
+        if rng.random() < 0.5:
+            ends.reverse()
+        wires.append({"id": f"{rng.choice('abw')}{rng.randrange(1000)}{i}",
+                      "tail": ends[0], "head": ends[1]})
+    return validate_diagram({"vertices": sorted(vs.values()), "wires": wires})
+
+
+def test_on_shape_inverts_oriented_arcs():
+    rng = random.Random(808)
+    for family in ("A0", "A1", "P", "J"):
+        for n in range(1, 5):
+            for _ in range(3):
+                d = _relabelled(canonical_diagram(family, n), rng)
+                shape = shape_of(d)
+                dims = position_dims(
+                    {w.id: rng.randrange(3) for w in d.wires}, shape)
+                m = len(dims)
+                arcs = []
+                for i in range(n):
+                    rows, cols = dims[(i + 1) % m], dims[i]
+                    arcs.append(Matrix(rows, cols, [
+                        [Q(rng.randint(-4, 4), rng.randint(1, 3))
+                         for _ in range(cols)] for _ in range(rows)]))
+                r = on_shape(d, shape, dims, arcs)
+                assert _oriented_arcs(r, shape) == (dims, arcs)
+                # carried back to d's own orientations, it reads the same
+                back = reorient(r, d.wires)
+                assert back.diagram == d
+                assert _oriented_arcs(back, shape) == (dims, arcs)
 
 
 # ---------------------------------------------------------------------------

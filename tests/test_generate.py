@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from tdr.cli import _decomposition_record, _rep_record, canonical_json
 from tdr.decompose import Band, Interval, StringBlock, canonical_diagram, decompose
 from tdr.errors import InvalidDims, NotConnected, NotDecomposable
 from tdr.generate import SplitMix64, gen_random
@@ -122,3 +125,52 @@ def test_zero_caps_give_zero_rep():
     assert res.key.blocks == ()
     gen = gen_random(d, {"e1": 0, "e2": 0}, 0)
     assert gen.rep.dims == {"e1": 0, "e2": 0}
+
+
+# Canonical output of a fixed list of calls, on canonical diagrams and on
+# relabelled copies with some wires against the traversal; the digest pins
+# the generated bytes across versions, not only within one process.
+_GOLDEN_DIAGRAMS = {
+    "A0": canonical_diagram("A0", 3),
+    "A1": canonical_diagram("A1", 4),
+    "P": canonical_diagram("P", 3),
+    "J": canonical_diagram("J", 2),
+    "J1": canonical_diagram("J", 1),
+    "P-relabelled": validate_diagram({"vertices": ["a", "m", "z", "k"], "wires": [
+        {"id": "q", "tail": "z", "head": "m"},
+        {"id": "b", "tail": "a", "head": "k"},
+        {"id": "x", "tail": "m", "head": "k"}]}),
+    "J-relabelled": validate_diagram({"vertices": ["s", "r", "t"], "wires": [
+        {"id": "w2", "tail": "t", "head": "s"},
+        {"id": "w9", "tail": "r", "head": "s"},
+        {"id": "w1", "tail": "t", "head": "r"}]}),
+    "A1-relabelled": validate_diagram({"vertices": ["y", "c"], "wires": [
+        {"id": "f", "tail": "y", "head": None},
+        {"id": "g", "tail": "c", "head": "y"}]}),
+}
+_GOLDEN_CALLS = [
+    ("A0", {"e1": 2, "e2": 3, "e3": 2, "e4": 1}, 5, "sum"),
+    ("A1", {"e1": 2, "e2": 2, "e3": 3, "e4": 2}, 11, "sum"),
+    ("P", {"e1": 3, "e2": 2}, 3, "sum"),
+    ("J", {"e1": 4, "e2": 3}, 7, "sum"),
+    ("J1", {"e1": 4}, 9, "sum"),
+    ("P-relabelled", {"q": 2, "b": 3, "x": 2}, 21, "sum"),
+    ("J-relabelled", {"w1": 3, "w2": 2, "w9": 3}, 4, "sum"),
+    ("A1-relabelled", {"f": 3, "g": 2}, 8, "sum-of-indecomposables"),
+    ("A0", {"e1": 0, "e2": 0, "e3": 0, "e4": 0}, 1, "sum"),
+    ("J", {"e1": 2, "e2": 1}, 42, "generic"),
+    ("P-relabelled", {"q": 1, "b": 2, "x": 2}, 6, "generic"),
+]
+_GOLDEN_SHA256 = "ac6b765426d4d4351c5e45a99e381e90d23afc166e60af27b3455a69fffbf928"
+
+
+def test_generated_bytes_are_pinned():
+    records = []
+    for name, dims, seed, mode in _GOLDEN_CALLS:
+        res = gen_random(_GOLDEN_DIAGRAMS[name], dims, seed, mode)
+        rec = {"rep": _rep_record(res.rep)}
+        if res.key is not None:
+            rec["key"] = _decomposition_record(res.key)
+        records.append(rec)
+    digest = hashlib.sha256(canonical_json(records).encode()).hexdigest()
+    assert digest == _GOLDEN_SHA256
