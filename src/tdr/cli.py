@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .classify import classify_diagram
 from .decompose import Band, Interval, block_alias, decompose, isomorphic
@@ -42,7 +43,6 @@ from .wildness import (
 @dataclass(frozen=True)
 class CommandReport:
     command: str
-    result: object
     exit_code: int
 
 
@@ -267,7 +267,10 @@ class _Parser(argparse.ArgumentParser):
         raise UnknownCommand(message)
 
 
+@cache
 def _build_parser():
+    """The one parser of the process: parse_args keeps no state between
+    calls, since each call fills a fresh namespace from the defaults."""
     parser = _Parser(prog="tdr", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
@@ -303,20 +306,16 @@ def run(argv):
             raise UnknownCommand("no command given")
     except UnknownCommand as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return CommandReport("?", {"error": str(exc)}, 1)
+        return CommandReport("?", 1)
 
     try:
         result = ns.handler(ns)
     except (NotDecomposable, NotDecidableWild):
-        result = {"error": "wild"}
-        sys.stdout.write(canonical_json(result))
-        return CommandReport(ns.command, result, 2)
-    except TdrError as exc:
+        sys.stdout.write(canonical_json({"error": "wild"}))
+        return CommandReport(ns.command, 2)
+    except (TdrError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return CommandReport(ns.command, {"error": str(exc)}, 1)
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return CommandReport(ns.command, {"error": str(exc)}, 1)
+        return CommandReport(ns.command, 1)
 
     text = canonical_json(result)
     if ns.command != "wild-embed" and ns.out:
@@ -324,7 +323,7 @@ def run(argv):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return CommandReport(ns.command, result, 0)
+    return CommandReport(ns.command, 0)
 
 
 def main():

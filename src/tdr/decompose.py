@@ -13,9 +13,10 @@ Open paths (one or two dangling ends) decompose into Interval blocks by
 the rank inclusion-exclusion over composites; the closed end of a
 one-dangling path behaves as an extra pinned position of dimension 1.
 Cycles split at each position into the monodromy's eventual image and
-eventual kernel: the invertible part yields Band blocks named by
-elementary divisors, the nilpotent part yields String blocks from the
-graded Jordan chains picked off the arcs' kernel filtration.  Closed paths
+eventual kernel (Fitting's lemma): the invertible part yields Band blocks
+named by elementary divisors, the nilpotent part yields String blocks from
+the graded Jordan chains picked off the arcs' kernel filtration, which
+stops once it holds the complement of the stable images.  Closed paths
 are decomposed through their associated cycle, whose last position is the
 pinned scalar slot.
 """
@@ -35,13 +36,13 @@ from .exactalg import (
     Matrix,
     Poly,
     chain_tops,
-    column_space,
     companion,
     coords_in_basis,
     factor_poly,
     kernel_filtration,
     rank,
     rational_canonical,
+    stable_images,
 )
 from .representation import Representation, check_size, reverse_wire_rep
 from .semigraph import TensorDiagram, Wire
@@ -222,24 +223,12 @@ def _interval_blocks(dims, arcs, m):
 # ---------------------------------------------------------------------------
 # cycle decomposition
 
-def _fitting_cores(arcs, dims):
-    n = len(arcs)
-    cores = [Matrix.identity(dims[i]) for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            nxt = column_space(arcs[i - 1] @ cores[i - 1])
-            if nxt.cols != cores[i].cols:
-                changed = True
-            cores[i] = nxt
-    return cores
-
-
 def _cycle_blocks(dims, arcs):
     n = len(arcs)
-    cores = _fitting_cores(arcs, dims)
-    filt, _ = kernel_filtration(arcs, dims)
+    cores = stable_images(arcs)
+    # Fitting: each grade is its stable image plus its stable kernel, so
+    # the filtration stops as soon as it holds the complement of the cores
+    filt, _ = kernel_filtration(arcs, [d - c.cols for d, c in zip(dims, cores)])
     out = []
     if cores[0].cols:
         x = cores[0]

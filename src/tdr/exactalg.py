@@ -11,10 +11,13 @@ constructor, from_rows, column and entries().  Everything that returns a
 basis goes through the RREF, so outputs are canonical.  A preimage (and a
 kernel, the preimage of the zero space) takes one elimination: the RREF of
 [space | m with its columns reversed] already holds the preimage's
-reduced column echelon basis, as preimage's docstring explains.  Polynomial
-factorization is delegated to sympy behind a thin monic wrapper; the rest
-is authored here because the decomposition algorithms need the
-intermediate data (filtrations, chains), not just final answers.
+reduced column echelon basis, as preimage's docstring explains.  Two loops
+split the grades of a cycle of maps as Fitting's lemma does: stable_images
+and kernel_filtration; eventual_image and eventual_kernel are their
+one-grade case.  Polynomial factorization is delegated to sympy behind a
+thin monic wrapper; the rest is authored here because the decomposition
+algorithms need the intermediate data (filtrations, chains), not just
+final answers.
 """
 
 from dataclasses import dataclass
@@ -398,28 +401,19 @@ def preimage(m, space):
 
 
 def eventual_image(m):
-    """Canonical basis of the stable image of a square matrix, im(m^k) for k >> 0."""
+    """Canonical basis of the stable image of a square matrix, im(m^k) for
+    k >> 0: the one-grade case of stable_images."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    cur = column_space(m)
-    while True:
-        nxt = column_space(m @ cur)
-        if nxt.cols == cur.cols:
-            # dimension stabilized; the chain is constant from here on
-            return nxt
-        cur = nxt
+    return stable_images([m])[0]
 
 
 def eventual_kernel(m):
-    """Canonical basis of the stable kernel, ker(m^k) for k >> 0."""
+    """Canonical basis of the stable kernel, ker(m^k) for k >> 0: the
+    one-grade case of kernel_filtration."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    cur = preimage(m, Matrix.zeros(m.rows, 0))
-    while True:
-        nxt = preimage(m, cur)
-        if nxt.cols == cur.cols:
-            return nxt
-        cur = nxt
+    return kernel_filtration([m], [m.cols])[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -617,19 +611,12 @@ def rational_canonical(m):
     """
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return []
     out = []
     for p, e in factor_poly(charpoly(m)):
         d = p.degree()
-        pm = p.eval_matrix(m)
-        dims = [0]
-        space = preimage(pm, Matrix.zeros(n, 0))
-        dims.append(space.cols)
-        while dims[-1] < e * d:
-            space = preimage(pm, space)
-            dims.append(space.cols)
+        # ker p(m)^k grows until it is the p-primary part, of dimension e * d
+        filt, _ = kernel_filtration([p.eval_matrix(m)], [e * d])
+        dims = [f.cols for f in filt[0]]
         # b_k = number of divisors p^s with s >= k
         bs = [(dims[k] - dims[k - 1]) // d for k in range(1, len(dims))]
         bs.append(0)
@@ -658,18 +645,38 @@ class JordanChain:
         return len(self.vectors)
 
 
-def kernel_filtration(blocks, dims):
+def stable_images(blocks):
+    """Canonical bases of the stable images of a graded tuple, per grade.
+
+    blocks[a] maps grade a to grade (a+1) mod n.  Each core shrinks to the
+    image of the one before until a sweep leaves every dimension as it
+    was: the invertible part of Fitting's lemma.
+    """
+    n = len(blocks)
+    cores = [Matrix.identity(b.cols) for b in blocks]
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            nxt = column_space(blocks[a - 1] @ cores[a - 1])
+            changed |= nxt.cols != cores[a].cols
+            cores[a] = nxt
+    return cores
+
+
+def kernel_filtration(blocks, bound):
     """Filtrations F[a][j] = vectors of grade a killed within j steps.
 
     blocks[a] maps grade a to grade (a+1) mod n.  Grows by simultaneous
-    backward preimage sweeps; returns the list of per-grade filtrations,
-    each ending at its stable level.
+    backward preimage sweeps until every grade a holds bound[a] vectors or
+    a sweep adds nothing; when bound is the stable kernels' dimensions, no
+    sweep is made only to confirm.  Returns the per-grade filtrations and
+    their last levels.
     """
     n = len(blocks)
-    zero = [Matrix.zeros(dims[a], 0) for a in range(n)]
-    filt = [[zero[a]] for a in range(n)]
-    cur = zero
-    while True:
+    cur = [Matrix.zeros(b.cols, 0) for b in blocks]
+    filt = [[level] for level in cur]
+    while any(cur[a].cols < bound[a] for a in range(n)):
         nxt = [preimage(blocks[a], cur[(a + 1) % n]) for a in range(n)]
         if all(nxt[a].cols == cur[a].cols for a in range(n)):
             break
@@ -687,11 +694,9 @@ def graded_jordan_chains(blocks):
     direct sum of the grades; deterministic.
     """
     n = len(blocks)
-    dims = []
-    for a in range(n):
-        dims.append(blocks[a].cols)
-        if blocks[a].rows != blocks[(a + 1) % n].cols:
-            raise ShapeMismatch("graded blocks do not chain")
+    if any(blocks[a].rows != blocks[(a + 1) % n].cols for a in range(n)):
+        raise ShapeMismatch("graded blocks do not chain")
+    dims = [b.cols for b in blocks]
     filt, stable = kernel_filtration(blocks, dims)
     if any(stable[a].cols != dims[a] for a in range(n)):
         raise NotNilpotent("cyclic composite has a nonzero eventual image")

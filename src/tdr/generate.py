@@ -36,7 +36,6 @@ from .rational import ONE, Q
 from .representation import (
     Representation,
     apply_group_element,
-    check_size,
     direct_sum,
     vertex_shape,
 )
@@ -124,8 +123,7 @@ def _check_dims(d, dims):
         if wid not in ids:
             raise InvalidDims(f"dim for unknown wire {wid}")
     for v in d.vertices:
-        rows, cols = vertex_shape(d, dims, v)
-        check_size(v, rows * cols)
+        vertex_shape(d, dims, v)
 
 
 def _generic(d, dims, rng):

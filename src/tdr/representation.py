@@ -1,11 +1,12 @@
 """Representations of tensor diagrams and their structure maps.
 
 A representation assigns a dimension to every wire and one exact rational
-matrix to every vertex, of at most TENSOR_CAP entries (checked on dims,
-before allocating; contraction nodes too).  Rows are indexed by the multi-index over outgoing
-wires in canonical (lexicographic) wire order with the first wire varying
-slowest; columns likewise over incoming wires; an empty side indexes a
-single scalar slot.  A loop contributes its dimension to both sides.
+matrix to every vertex, of at most TENSOR_CAP entries, rows and columns
+(checked on dims, before allocating; contraction nodes too).  Rows are
+indexed by the multi-index over outgoing wires in canonical
+(lexicographic) wire order with the first wire varying slowest; columns
+likewise over incoming wires; an empty side indexes a single scalar slot.
+A loop contributes its dimension to both sides.
 
 Everything downstream (direct sums, tensor products, wire reversal, the
 splitting functor, contraction) re-indexes a vertex's flat tensor through
@@ -130,9 +131,17 @@ def _outer(size, offs1, xs1, offs2, xs2):
 
 
 def vertex_shape(diagram, dims, v):
+    """(rows, cols) of v's matrix, refused when it has more than TENSOR_CAP
+    entries, rows or columns (a side of dimension 0 leaves the entries at
+    0 however long the other side is)."""
     nb = neighborhood(diagram, v)
     rows = _prod(dims[w] for w in nb.outgoing)
     cols = _prod(dims[w] for w in nb.incoming)
+    check_size(v, rows * cols)
+    for count, side in ((rows, "rows"), (cols, "columns")):
+        if count > TENSOR_CAP:
+            raise TensorTooLarge(f"vertex {v} needs a tensor of {count} {side}, "
+                                 f"over the cap of {TENSOR_CAP}")
     return rows, cols
 
 
@@ -155,7 +164,6 @@ def validate_representation(diagram, dims, tensors):
     out = {}
     for v in d.vertices:
         rows, cols = vertex_shape(d, dv, v)
-        check_size(v, rows * cols)
         if v not in tensors:
             raise ShapeMismatch(f"missing tensor for vertex {v}")
         m = tensors[v]

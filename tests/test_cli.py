@@ -195,6 +195,50 @@ def test_gen_random_over_the_cap_is_a_one_line_error(tmp_path, capsys, mode):
     assert peak < 1 << 20
 
 
+def test_gen_random_side_over_the_cap_is_a_one_line_error(tmp_path, capsys):
+    # A0(1)'s vertex holds no entry at all, but 2^22 + 1 empty rows
+    dp = write(tmp_path, "a0.json", {"vertices": ["v1"], "wires": [
+        {"id": "e1", "tail": None, "head": "v1"},
+        {"id": "e2", "tail": "v1", "head": None}]})
+    code = run(["gen-random", dp, "--dims",
+                json.dumps({"e1": 0, "e2": (1 << 22) + 1})]).exit_code
+    err = capsys.readouterr().err
+    assert code == 1 and "4194305 rows, over the cap" in err
+    assert err.count("\n") == 1
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """run reuses one parser, and no option of a call reaches the next:
+    every call gives the same bytes and files in either order."""
+    dp = write(tmp_path, "d.json", DIAGRAM)
+    dims = ["--dims", '{"e1": 2, "e2": 2, "e3": 1}']
+    out, key = tmp_path / "out.json", tmp_path / "key.json"
+    calls = [
+        ["gen-random", dp, *dims, "--mode", "sum", "--seed", "3",
+         "--key-out", str(key), "--out", str(out)],
+        ["no-such-command", dp],
+        ["gen-random", dp, *dims],
+        ["classify", dp, "--out", str(out)],
+        ["gen-random", dp, *dims, "--mode", "sum", "--seed", "3"],
+        ["classify", dp],
+    ]
+
+    def outputs(order):
+        got = {}
+        for i in order:
+            for path in (out, key):
+                path.unlink(missing_ok=True)
+            code = run(calls[i]).exit_code
+            std = capsys.readouterr()
+            got[i] = (code, std.out, std.err, [
+                path.read_text() if path.exists() else None for path in (out, key)])
+        return got
+
+    forward = outputs(range(len(calls)))
+    assert outputs(reversed(range(len(calls)))) == forward
+    assert [forward[i][0] for i in range(len(calls))] == [0, 1, 0, 0, 0, 0]
+
+
 def test_gen_random_sum_with_key(tmp_path, capsys):
     dp = write(tmp_path, "d.json", DIAGRAM)
     key_path = tmp_path / "key.json"

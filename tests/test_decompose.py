@@ -491,6 +491,35 @@ def test_cycle_strings_match_chains_of_nilpotent_part():
         assert any(isinstance(b, Band) for b in blocks)
 
 
+def test_cycle_filtration_stops_at_the_fitting_bound(monkeypatch):
+    """The arcs' filtration stops once it holds the complement of the
+    stable images: one preimage per grade and level above the zero level,
+    with no sweep that only confirms nothing grew."""
+    dmod, emod = sys.modules["tdr.decompose"], sys.modules["tdr.exactalg"]
+    real_filtration, real_preimage = emod.kernel_filtration, emod.preimage
+    calls, seen = [], []
+
+    def counted(m, space):
+        calls.append(m.cols)
+        return real_preimage(m, space)
+
+    def filtration(blocks, bound):
+        calls.clear()
+        filt, last = real_filtration(blocks, bound)
+        seen.append((len(blocks), len(filt[0]), len(calls)))
+        return filt, last
+
+    monkeypatch.setattr(emod, "preimage", counted)
+    monkeypatch.setattr(dmod, "kernel_filtration", filtration)
+    rng = random.Random(5152)
+    for case in range(20):
+        dims, arcs, _ = _planted_cycle(rng, case % 4 + 1)
+        seen.clear()
+        dmod._cycle_blocks(dims, arcs)
+        [(grades, levels, made)] = seen
+        assert levels > 1 and made == grades * (levels - 1), case
+
+
 def test_cycle_decompose_filters_kernels_once(monkeypatch):
     dmod, emod = sys.modules["tdr.decompose"], sys.modules["tdr.exactalg"]
     calls = []
@@ -506,4 +535,5 @@ def test_cycle_decompose_filters_kernels_once(monkeypatch):
                    realize("J", 3, StringBlock(2, 5)))
     r = conjugate(random.Random(53), r)
     assert blocks_of(r) == {Band(x_minus(2), 2): 1, StringBlock(2, 5): 1}
-    assert calls == [3]
+    # the arcs once, then the band's single factor in rational_canonical
+    assert calls == [3, 1]

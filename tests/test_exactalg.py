@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from math import gcd
 
@@ -33,6 +34,7 @@ from tdr.exactalg import (
     rational_canonical,
     rref,
     solve_linear,
+    stable_images,
 )
 from tdr.rational import Q
 
@@ -174,13 +176,60 @@ def test_preimage():
     assert pre0.cols == 1  # kernel
 
 
+def _planted_fitting(rng, n):
+    """An invertible part of random size k and a strictly upper triangular
+    (nilpotent) rest, hidden by a base change: invertible (k = n),
+    nilpotent (k = 0) and mixed cases; returns the matrix and k."""
+    k = rng.randint(0, n)
+    nil = [[rng.randint(-2, 2) if j > i else 0 for j in range(n - k)]
+           for i in range(n - k)]
+    parts = [rand_invertible(rng, k), Matrix(n - k, n - k, nil)]
+    g = rand_invertible(rng, n)
+    return g @ block_diag(parts) @ inverse(g), k
+
+
 def test_eventual_image_and_kernel():
+    """Two hand cases, then im(m^n) and ker(m^n) of seeded n x n matrices
+    against sympy's powers and nullspaces."""
+    import sympy
     m = Matrix.from_rows([[1, 0], [0, 0]])
     assert eventual_image(m).cols == 1
     assert eventual_kernel(m).cols == 1
     n = Matrix.from_rows([[0, 1], [0, 0]])
     assert eventual_image(n).cols == 0
     assert eventual_kernel(n).cols == 2
+    rng = random.Random(611)
+    for case in range(70):
+        n = case % 7
+        m, k = _planted_fitting(rng, n)
+        image, kernel = eventual_image(m), eventual_kernel(m)
+        assert (image.cols, kernel.cols) == (k, n - k), case
+        _exact(image, kernel)
+        if not n:
+            continue
+        power = _sym(sympy, m) ** n
+        assert image == column_space(_from_sym(power)), case
+        assert len(power.nullspace()) == kernel.cols == rank(kernel), case
+        assert (power * _sym(sympy, kernel)).is_zero_matrix, case
+
+
+def test_stable_images_and_kernels_split_every_grade():
+    """Fitting per grade: the stable image and the stable kernel of a
+    planted graded tuple are complements, and the filtration bounded by
+    the exact stable-kernel dimensions has the levels of the one bounded
+    by the grade dimensions."""
+    rng = random.Random(612)
+    for case in range(30):
+        grades, band = rng.randint(1, 3), rng.randint(0, 2)
+        blocks = _planted_graded(rng, grades, band)
+        dims = [b.cols for b in blocks]
+        images = stable_images(blocks)
+        bound = [d - im.cols for d, im in zip(dims, images)]
+        filt, kernels = kernel_filtration(blocks, dims)
+        assert kernel_filtration(blocks, bound) == (filt, kernels), case
+        for a in range(grades):
+            split = images[a].hstack(kernels[a])
+            assert (images[a].cols, split.cols, rank(split)) == (band, dims[a], dims[a]), case
 
 
 def test_block_diag():
@@ -607,8 +656,10 @@ def test_extend_basis_agrees_with_rank_growth():
         extend_basis(Matrix.from_rows([[1, 2], [2, 4]]), Matrix.identity(2))
 
 
-def _planted_nilpotent(rng, grades):
-    """Graded shifts along random strings, hidden by a base change per grade."""
+def _planted_graded(rng, grades, band=0):
+    """Graded shifts along random strings, plus an invertible band x band
+    part on every grade, hidden by a base change per grade; nilpotent
+    when band is 0."""
     dims, links = [0] * grades, []
     for _ in range(rng.randint(1, 4)):
         start, length = rng.randrange(grades), rng.randint(1, 2 * grades)
@@ -623,9 +674,34 @@ def _planted_nilpotent(rng, grades):
              for a in range(grades)]
     for (a, i), (_, j) in links:
         grids[a][j][i] = Q(1)
+    parts = [_tdr(dims[(a + 1) % grades], dims[a], grids[a]) for a in range(grades)]
+    if band:
+        parts = [block_diag([rand_invertible(rng, band), p]) for p in parts]
+        dims = [band + d for d in dims]
     gs = [rand_invertible(rng, d) if d else Matrix.zeros(0, 0) for d in dims]
-    return [gs[(a + 1) % grades] @ _tdr(dims[(a + 1) % grades], dims[a], grids[a])
-            @ inverse(gs[a]) for a in range(grades)]
+    return [gs[(a + 1) % grades] @ p @ inverse(gs[a]) for a, p in enumerate(parts)]
+
+
+def test_graded_chains_make_no_confirming_sweep(monkeypatch):
+    """On a nilpotent tuple the filtration stops once every grade is full:
+    one preimage per grade and level above the zero level, no more."""
+    emod = sys.modules["tdr.exactalg"]
+    real, calls = emod.preimage, []
+
+    def counted(m, space):
+        calls.append(m.cols)
+        return real(m, space)
+
+    rng = random.Random(809)
+    for case in range(20):
+        grades = rng.randint(1, 4)
+        blocks = _planted_graded(rng, grades)
+        levels = len(kernel_filtration(blocks, [b.cols for b in blocks])[0][0])
+        calls.clear()
+        monkeypatch.setattr(emod, "preimage", counted)
+        graded_jordan_chains(blocks)
+        monkeypatch.setattr(emod, "preimage", real)
+        assert len(calls) == grades * (levels - 1), case
 
 
 def test_graded_chains_agree_with_rank_growth():
@@ -635,7 +711,7 @@ def test_graded_chains_agree_with_rank_growth():
     rng = random.Random(808)
     for _ in range(30):
         grades = rng.randint(1, 3)
-        blocks = _planted_nilpotent(rng, grades)
+        blocks = _planted_graded(rng, grades)
         dims = [b.cols for b in blocks]
         filt, _ = kernel_filtration(blocks, dims)
         lmax = max(len(f) for f in filt) - 1

@@ -1,12 +1,14 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
 from tdr.cli import _decomposition_record, _rep_record, canonical_json
 from tdr.decompose import Band, Interval, StringBlock, canonical_diagram, decompose
-from tdr.errors import InvalidDims, NotConnected, NotDecomposable
+from tdr.errors import InvalidDims, NotConnected, NotDecomposable, TensorTooLarge
 from tdr.generate import SplitMix64, gen_random
 from tdr.rational import Q
+from tdr.representation import TENSOR_CAP
 from tdr.semigraph import validate_diagram
 
 
@@ -35,6 +37,18 @@ def test_generic_mode_deterministic():
     assert r1.rep.dims == dims
     r3 = gen_random(d, dims, 43)
     assert r3.rep != r1.rep
+
+
+def test_generic_mode_caps_a_side_before_allocating():
+    # A0(1)'s vertex holds no entry at all, but TENSOR_CAP + 1 empty rows
+    tracemalloc.start()
+    try:
+        with pytest.raises(TensorTooLarge, match=f"{TENSOR_CAP + 1} rows"):
+            gen_random(canonical_diagram("A0", 1), {"e1": 0, "e2": TENSOR_CAP + 1}, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_generic_mode_entry_bounds():

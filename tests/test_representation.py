@@ -381,6 +381,18 @@ def test_tensor_cap_is_checked_before_allocation():
         assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("dims, side", [
+    ({"e1": 0, "e2": TENSOR_CAP + 1}, "rows"),
+    ({"e1": TENSOR_CAP + 1, "e2": 0}, "columns")])
+def test_tensor_cap_bounds_each_side(dims, side):
+    # v1 is e2 x e1, so it holds no entry however long its other side is
+    d = validate_diagram({"vertices": ["v1"], "wires": [
+        {"id": "e1", "tail": None, "head": "v1"},
+        {"id": "e2", "tail": "v1", "head": None}]})
+    with pytest.raises(TensorTooLarge, match=f"{TENSOR_CAP + 1} {side}"):
+        validate_representation(d, dims, {})
+
+
 def test_contract_cap_is_checked_before_allocation():
     # every merge order on K_8 with dimension-4 wires needs a node of at
     # least 4^15 entries, far over the cap; the plan alone must refuse it
