@@ -85,7 +85,9 @@ from .semigraph import (
     isolate_subdiagram,
     neighborhood,
     normalize,
+    restrict,
     reverse_wire,
+    slots,
     split_vertex,
     subdiagram_ref,
     validate_diagram,

@@ -9,7 +9,7 @@ with one), closed it is tame (P when acyclic, J when a cycle).
 from typing import NamedTuple, Optional
 
 from .errors import NotNormalized
-from .semigraph import connected_components
+from .semigraph import connected_components, slots
 
 
 class WildWitness(NamedTuple):
@@ -25,68 +25,51 @@ class ComponentClass(NamedTuple):
     witness: Optional[WildWitness]
 
 
-def _slot_table(d):
-    """vertex -> (sorted loop wire ids, sorted non-loop wire ids at vertex)."""
-    loops = {v: [] for v in d.vertices}
-    plain = {v: [] for v in d.vertices}
-    for w in d.wires:
-        if w.is_loop():
-            loops[w.tail].append(w.id)
-        else:
-            if w.tail is not None:
-                plain[w.tail].append(w.id)
-            if w.head is not None:
-                plain[w.head].append(w.id)
-    for v in d.vertices:
-        loops[v].sort()
-        plain[v].sort()
-    return loops, plain
-
-
-def _witness_at(v, loops, plain):
+def _witness_at(v, nb):
+    """The forbidden configuration at a vertex of three or more slots; a
+    loop is the one wire on both sides."""
+    ins = set(nb.incoming)
+    if ins.isdisjoint(nb.outgoing):
+        return WildWitness("open-claw", v,
+                           tuple(sorted(nb.incoming + nb.outgoing)[:3]))
+    loops = sorted(ins.intersection(nb.outgoing))
     if len(loops) >= 2:
         return WildWitness("figure-eight", v, (loops[0], loops[1]))
-    if len(loops) == 1 and plain:
-        return WildWitness("needle", v, (loops[0], plain[0]))
-    if len(plain) >= 3:
-        return WildWitness("open-claw", v, tuple(plain[:3]))
-    return None
+    return WildWitness("needle", v,
+                       (loops[0], min(ins.symmetric_difference(nb.outgoing))))
 
 
 def find_forbidden_witness(d):
     """First open claw, needle, or figure eight, scanning vertices in order."""
-    loops, plain = _slot_table(d)
-    for v in d.vertices:
-        if 2 * len(loops[v]) + len(plain[v]) >= 3:
-            w = _witness_at(v, loops[v], plain[v])
-            if w is not None:
-                return w
+    for v, nb in slots(d).items():
+        if len(nb.incoming) + len(nb.outgoing) >= 3:
+            return _witness_at(v, nb)
     return None
 
 
 def classify_diagram(d):
     """Classify each connected component; diagram must be normalized."""
-    if any(w.is_endpointless() for w in d.wires):
-        raise NotNormalized("endpointless wires present; normalize first")
-    loops, plain = _slot_table(d)
-    wire_by_id = {w.id: w for w in d.wires}
+    table = slots(d)
     out = []
     for comp in connected_components(d):
-        cls = None
+        if not comp.vertices:
+            raise NotNormalized("endpointless wires present; normalize first")
+        cls, count = None, 0
         for v in comp.vertices:
-            if 2 * len(loops[v]) + len(plain[v]) >= 3:
-                cls = ComponentClass(
-                    "wild", None, None, _witness_at(v, loops[v], plain[v]))
+            nb = table[v]
+            k = len(nb.incoming) + len(nb.outgoing)
+            if k >= 3:
+                cls = ComponentClass("wild", None, None, _witness_at(v, nb))
                 break
+            count += k
         if cls is None:
-            n = len(comp.vertices)
-            wires = [wire_by_id[wid] for wid in comp.wires]
-            dangling = sum(1 for w in wires if w.is_dangling())
+            # a wire takes two slots, one of them if it dangles
+            n, dangling = len(comp.vertices), 2 * len(comp.wires) - count
             if dangling == 2:
                 cls = ComponentClass("finite", "A0", n, None)
             elif dangling == 1:
                 cls = ComponentClass("finite", "A1", n, None)
-            elif len(wires) == n:
+            elif len(comp.wires) == n:
                 cls = ComponentClass("tame", "J", n, None)
             else:
                 cls = ComponentClass("tame", "P", n, None)

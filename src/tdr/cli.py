@@ -27,7 +27,7 @@ from .errors import (
     UnknownCommand,
 )
 from .exactalg import Matrix
-from .flows import extend_flow
+from .flows import extend_flow, flow_value
 from .generate import gen_random
 from .rational import format_rational, parse_rational
 from .representation import apply_group_element, contract, validate_representation
@@ -194,7 +194,7 @@ def _cmd_flow_extend(ns):
                 or any(isinstance(x, bool) or not isinstance(x, (int, float))
                        for x in pair)):
             raise ParseError(f"wire {wid}: flow value must be [re, im]")
-        f[wid] = complex(pair[0], pair[1])
+        f[wid] = flow_value(wid, *pair)
     u = obj.get("u", [])
     if not isinstance(u, list):
         raise ParseError("\"u\" must be a list of vertex ids")

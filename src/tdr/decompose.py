@@ -45,7 +45,7 @@ from .exactalg import (
     stable_images,
 )
 from .representation import Representation, check_size, reverse_wire_rep
-from .semigraph import TensorDiagram, Wire
+from .semigraph import TensorDiagram, Wire, restrict, slots
 
 
 @dataclass(frozen=True)
@@ -133,26 +133,24 @@ def traverse(d, family):
     their smallest vertex, leaving along its smallest wire, and that start
     vertex becomes the last arc vertex.
     """
-    incident = {v: [] for v in d.vertices}   # a loop is listed twice
-    for w in d.wires:
-        for end in (w.tail, w.head):
-            if end is not None:
-                incident[end].append(w)
+    incident = {v: nb.outgoing + nb.incoming   # a loop is listed twice
+                for v, nb in slots(d).items()}
+    wire = {w.id: w for w in d.wires}
     if family in ("A0", "A1"):
         start = None
-        nxt = [min(w for w in d.wires if w.is_dangling())]
+        nxt = [min(w.id for w in d.wires if w.is_dangling())]
     else:
         ends = [v for v in d.vertices if len(incident[v]) == 1]
         start = min(ends or d.vertices)
         nxt = sorted(incident[start])[:1]
     wires, verts, v = [], [], start
     while nxt:
-        wires.append(nxt[0])
-        v = _other_end(nxt[0], v)
+        wires.append(wire[nxt[0]])
+        v = _other_end(wires[-1], v)
         if v is None or v == start:
             break
         verts.append(v)
-        nxt = [w for w in incident[v] if w.id != wires[-1].id]
+        nxt = [x for x in incident[v] if x != nxt[0]]
     if start is not None:
         verts.append(start)
     wanted = [(w.id, verts[i - 1] if i else start,
@@ -246,7 +244,10 @@ def _cycle_blocks(dims, arcs):
 
 def decompose(r):
     """Indecomposable block multiset of a connected finite/tame shape."""
-    shape = shape_of(r.diagram)
+    return _decompose_on(r, shape_of(r.diagram))
+
+
+def _decompose_on(r, shape):
     dims, arcs = _oriented_arcs(r, shape)
     m = len(dims)
     if shape.family in ("A0", "A1"):
@@ -287,20 +288,15 @@ def isomorphic(r1, r2):
     for _, cls in comps:
         if cls.kind == "wild":
             raise NotDecidableWild(f"wild component ({cls.witness.kind})")
-    for comp, _ in comps:
-        s1 = _restrict(r1, comp)
-        s2 = _restrict(r2, comp)
-        if s1.dims != s2.dims or decompose(s1) != decompose(s2):
+    for comp, cls in comps:
+        d = restrict(r1.diagram, comp)
+        shape = Shape(cls.family, cls.n, *traverse(d, cls.family))
+        s1, s2 = (Representation(d, {w: r.dims[w] for w in comp.wires},
+                                 {v: r.tensors[v] for v in comp.vertices})
+                  for r in (r1, r2))
+        if s1.dims != s2.dims or _decompose_on(s1, shape) != _decompose_on(s2, shape):
             return False
     return True
-
-
-def _restrict(r, comp):
-    wires = tuple(sorted(w for w in r.diagram.wires if w.id in set(comp.wires)))
-    d = TensorDiagram(tuple(comp.vertices), wires)
-    dims = {w.id: r.dims[w.id] for w in wires}
-    tensors = {v: r.tensors[v] for v in comp.vertices}
-    return Representation(d, dims, tensors)
 
 
 # ---------------------------------------------------------------------------

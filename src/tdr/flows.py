@@ -15,36 +15,49 @@ import cmath
 from collections import deque
 
 from .errors import DomainMismatch, InvalidPartialFlow, NotClosed
-from .semigraph import (
-    TensorDiagram,
-    connected_components,
-    neighborhood,
-    subdiagram_ref,
-)
+from .semigraph import connected_components, restrict, slots, subdiagram_ref
 
 _MIN_ABS = 1e-12
 
 
-def _check_domain(d, f, u):
-    u_set = set(u)
-    for v in u_set:
+def flow_value(wid, re, im=0):
+    """The value re + i*im at wire wid, refused unless it is a finite number."""
+    try:
+        z = complex(re, im)
+    except (TypeError, OverflowError):
+        z = None
+    if z is None or not cmath.isfinite(z):
+        raise InvalidPartialFlow(f"wire {wid}: flow value is not a finite number")
+    return z
+
+
+def _check_input(d, f, u, tol):
+    """(u as a set, T[u]); refuses a tolerance not finite and >= 0, a u not
+    of vertex ids, a domain other than the wires outside T[u], a bad value."""
+    if not isinstance(tol, (int, float)) or not 0 <= tol < float("inf"):
+        raise InvalidPartialFlow(f"tolerance must be finite and >= 0, got {tol!r}")
+    for v in u:
+        if not isinstance(v, str):
+            raise DomainMismatch(f"u must hold vertex ids, got {v!r}")
         if v not in d.vertices:
             raise DomainMismatch(f"unknown vertex {v}")
-    inner = set(subdiagram_ref(d, u_set).wires)
-    expected = {w.id for w in d.wires} - inner
+    u_set = set(u)
+    ref = subdiagram_ref(d, u_set)
+    expected = {w.id for w in d.wires} - set(ref.wires)
     got = set(f)
     if got != expected:
         missing = sorted(expected - got)
         extra = sorted(got - expected)
         raise DomainMismatch(
             f"flow domain mismatch (missing {missing}, extra {extra})")
-    return u_set, inner
+    for wid, val in f.items():
+        flow_value(wid, val)
+    return u_set, ref
 
 
-def _condition(d, f, v):
-    """Signed product of the defined values at v; None when undefined ones
-    remain (loops with a defined value cancel exactly)."""
-    nb = neighborhood(d, v)
+def _condition(nb, f):
+    """Signed product of the defined values at a vertex whose slots are nb
+    (loops with a defined value cancel exactly)."""
     prod = 1 + 0j
     for wid in nb.outgoing:
         if wid in f:
@@ -57,13 +70,12 @@ def _condition(d, f, v):
 
 def verify_partial_flow(d, f, u, tol=1e-9):
     """Check the flow condition at every vertex outside u."""
-    u_set, _ = _check_domain(d, f, u)
+    u_set, _ = _check_input(d, f, u, tol)
     if any(abs(val) <= _MIN_ABS for val in f.values()):
         return False
-    for v in d.vertices:
-        if v in u_set:
-            continue
-        if abs(_condition(d, f, v) - 1) > tol:
+    for v, nb in slots(d).items():
+        # "not <=" so that a NaN product (inf / inf) fails too
+        if v not in u_set and not abs(_condition(nb, f) - 1) <= tol:
             return False
     return True
 
@@ -80,15 +92,14 @@ def extend_flow(d, f, u, tol=1e-9):
     """
     if not d.is_closed():
         raise NotClosed("flow extension needs a closed diagram")
-    u_set, inner = _check_domain(d, f, u)
+    u_set, ref = _check_input(d, f, u, tol)
     if not verify_partial_flow(d, f, u, tol):
         raise InvalidPartialFlow("input violates the partial flow condition")
     total = dict(f)
     wires = {w.id: w for w in d.wires}
+    table = slots(d)
 
-    sub = TensorDiagram(tuple(sorted(u_set)),
-                        tuple(w for w in d.wires if w.id in inner))
-    for comp in connected_components(sub):
+    for comp in connected_components(restrict(d, ref)):
         members = comp.vertices
         mset = set(members)
         # closure: boundary values, signed toward the component, multiply to 1
@@ -99,12 +110,12 @@ def extend_flow(d, f, u, tol=1e-9):
                     closure *= total[w.id]
                 elif w.tail in mset and w.head not in mset:
                     closure /= total[w.id]
-        if abs(closure - 1) > tol:
+        if not abs(closure - 1) <= tol:
             raise InvalidPartialFlow(
                 f"boundary product {closure} at component of {members[0]}")
 
         classes = {}   # frozenset{x,y} -> [wire ids]
-        for wid in inner:
+        for wid in ref.wires:
             w = wires[wid]
             if w.tail in mset:
                 if w.is_loop():
@@ -140,7 +151,10 @@ def extend_flow(d, f, u, tol=1e-9):
                 continue
             _, key = tree[v]
             group = classes[key]
-            prod = _condition(d, total, v)
+            prod = _condition(table[v], total)
+            if not (prod and cmath.isfinite(prod) and cmath.isfinite(1 / prod)):
+                raise InvalidPartialFlow(
+                    f"flow values at {v} leave the floating-point range")
             k = len(group)
             z = cmath.exp(cmath.log(1 / prod) / k)
             for wid in group:

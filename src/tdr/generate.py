@@ -39,7 +39,7 @@ from .representation import (
     direct_sum,
     vertex_shape,
 )
-from .semigraph import validate_diagram
+from .semigraph import slots, validate_diagram
 
 
 class SplitMix64:
@@ -76,6 +76,8 @@ def _nonzero_rational(rng):
 
 
 def _rand_matrix(rng, rows, cols):
+    if rows * cols == 0:   # no draws, and no rows of nothing to build
+        return Matrix.zeros(rows, cols)
     return Matrix(rows, cols, tuple(
         tuple(_rand_rational(rng) for _ in range(cols)) for _ in range(rows)))
 
@@ -122,14 +124,14 @@ def _check_dims(d, dims):
     for wid in dims:
         if wid not in ids:
             raise InvalidDims(f"dim for unknown wire {wid}")
-    for v in d.vertices:
-        vertex_shape(d, dims, v)
+    for v, nb in slots(d).items():
+        vertex_shape(nb, dims, v)
 
 
 def _generic(d, dims, rng):
     tensors = {}
-    for v in d.vertices:
-        rows, cols = vertex_shape(d, dims, v)
+    for v, nb in slots(d).items():
+        rows, cols = vertex_shape(nb, dims, v)
         tensors[v] = _rand_matrix(rng, rows, cols)
     return Representation(d, dict(dims), tensors)
 

@@ -3,10 +3,10 @@
 A representation assigns a dimension to every wire and one exact rational
 matrix to every vertex, of at most TENSOR_CAP entries, rows and columns
 (checked on dims, before allocating; contraction nodes too).  Rows are
-indexed by the multi-index over outgoing wires in canonical
-(lexicographic) wire order with the first wire varying slowest; columns
-likewise over incoming wires; an empty side indexes a single scalar slot.
-A loop contributes its dimension to both sides.
+indexed by the multi-index over the vertex's outgoing slots and columns
+over its incoming slots, as semigraph.slots lists them (canonical wire
+order), the first wire varying slowest; an empty side indexes a single
+scalar slot.  A loop has a slot on each side.
 
 Everything downstream (direct sums, tensor products, wire reversal, the
 splitting functor, contraction) re-indexes a vertex's flat tensor through
@@ -39,7 +39,7 @@ from .semigraph import (
     TensorDiagram,
     Wire,
     connected_components,
-    neighborhood,
+    slots,
     validate_diagram,
 )
 
@@ -92,9 +92,8 @@ def _offsets(dims, strides, base=0):
     return offs
 
 
-def _slot_keys(d, v):
-    """(wire, side) per slot of v: the row slots, then the column slots."""
-    nb = neighborhood(d, v)
+def _slot_keys(nb):
+    """(wire, side) per slot of a vertex: the row slots, then the column slots."""
     return [(w, "out") for w in nb.outgoing] + [(w, "in") for w in nb.incoming]
 
 
@@ -130,11 +129,10 @@ def _outer(size, offs1, xs1, offs2, xs2):
     return out
 
 
-def vertex_shape(diagram, dims, v):
-    """(rows, cols) of v's matrix, refused when it has more than TENSOR_CAP
-    entries, rows or columns (a side of dimension 0 leaves the entries at
-    0 however long the other side is)."""
-    nb = neighborhood(diagram, v)
+def vertex_shape(nb, dims, v):
+    """(rows, cols) of the matrix of v, whose slots are nb, refused when it
+    has more than TENSOR_CAP entries, rows or columns (a side of dimension
+    0 leaves the entries at 0 however long the other side is)."""
     rows = _prod(dims[w] for w in nb.outgoing)
     cols = _prod(dims[w] for w in nb.incoming)
     check_size(v, rows * cols)
@@ -162,8 +160,9 @@ def validate_representation(diagram, dims, tensors):
         if wid not in dv:
             raise ShapeMismatch(f"dimension for unknown wire {wid}")
     out = {}
+    table = slots(d)
     for v in d.vertices:
-        rows, cols = vertex_shape(d, dv, v)
+        rows, cols = vertex_shape(table[v], dv, v)
         if v not in tensors:
             raise ShapeMismatch(f"missing tensor for vertex {v}")
         m = tensors[v]
@@ -198,8 +197,7 @@ def apply_group_element(g, r):
                 f"wire {wid}: group entry {m.rows}x{m.cols}, dim {dim}")
     inv = {wid: inverse(g[wid]) for wid in r.dims}
     tensors = {}
-    for v in r.diagram.vertices:
-        nb = neighborhood(r.diagram, v)
+    for v, nb in slots(r.diagram).items():
         left = _kron_all([g[w] for w in nb.outgoing])
         right = _kron_all([inv[w] for w in nb.incoming])
         tensors[v] = left @ r.tensors[v] @ right
@@ -217,8 +215,8 @@ def direct_sum(r1, r2):
     d = r1.diagram
     dims = {w: r1.dims[w] + r2.dims[w] for w in r1.dims}
     tensors = {}
-    for v in d.vertices:
-        keys = _slot_keys(d, v)
+    for v, nb in slots(d).items():
+        keys = _slot_keys(nb)
         strides = _strides([dims[w] for w, _ in keys])
         # r2's block starts past r1's on every slot; with no slots both
         # blocks sit at offset 0 and the scalars add
@@ -243,8 +241,8 @@ def tensor_product(r1, r2):
     d = r1.diagram
     dims = {w: r1.dims[w] * r2.dims[w] for w in r1.dims}
     tensors = {}
-    for v in d.vertices:
-        keys = _slot_keys(d, v)
+    for v, nb in slots(d).items():
+        keys = _slot_keys(nb)
         strides = _strides([dims[w] for w, _ in keys])
         d2 = [r2.dims[w] for w, _ in keys]
         outer_strides = [b * s for b, s in zip(d2, strides)]
@@ -290,8 +288,7 @@ def _phi_checked(phi, r1, r2):
 
 def is_morphism(phi, r1, r2):
     d = _phi_checked(phi, r1, r2)
-    for v in d.vertices:
-        nb = neighborhood(d, v)
+    for v, nb in slots(d).items():
         left = _kron_all([phi[w] for w in nb.outgoing])
         right = _kron_all([phi[w] for w in nb.incoming])
         if left @ r1.tensors[v] != r2.tensors[v] @ right:
@@ -300,17 +297,37 @@ def is_morphism(phi, r1, r2):
 
 
 def _quiver_slots(d):
-    """Per-vertex (in wire, out wire); every vertex must have exactly one of
-    each so hom conditions stay linear and homogeneous."""
-    slots = {}
-    for v in d.vertices:
-        nb = neighborhood(d, v)
+    """The slot table, once every vertex has exactly one incoming and one
+    outgoing slot, so that hom conditions stay linear and homogeneous."""
+    table = slots(d)
+    for v, nb in table.items():
         if len(nb.incoming) != 1 or len(nb.outgoing) != 1:
             raise NotQuiverLike(
                 f"vertex {v} has {len(nb.incoming)} incoming and "
                 f"{len(nb.outgoing)} outgoing slots")
-        slots[v] = (nb.incoming[0], nb.outgoing[0])
-    return slots
+    return table
+
+
+def intertwining_system(squares, unknowns):
+    """The equations phi_out m1 = m2 phi_in, one row per entry, for every
+    (m1, m2, offset of phi_in, offset of phi_out) in squares.
+
+    phi_in is m2.cols x m1.cols and phi_out is m2.rows x m1.rows, each
+    vec'd row-major from its offset among the unknowns; two squares may
+    share an unknown.  Each equation is taken times m1.den * m2.den, which
+    keeps its solutions.
+    """
+    rows = []
+    for m1, m2, off_in, off_out in squares:
+        for i in range(m2.rows):
+            for j in range(m1.cols):
+                row = [0] * unknowns
+                for k in range(m1.rows):
+                    row[off_out + i * m1.rows + k] += m2.den * m1.nums[k][j]
+                for k in range(m2.cols):
+                    row[off_in + k * m1.cols + j] -= m1.den * m2.nums[i][k]
+                rows.append(row)
+    return Matrix.from_ints(len(rows), unknowns, rows)
 
 
 def hom_dim(r1, r2):
@@ -318,32 +335,16 @@ def hom_dim(r1, r2):
     if r1.diagram != r2.diagram:
         raise DiagramMismatch("hom_dim needs a common diagram")
     d = r1.diagram
-    slots = _quiver_slots(d)
-    wires = [w.id for w in d.wires]
-    offs = {}
-    total = 0
-    for wid in wires:
-        offs[wid] = total
-        total += r2.dims[wid] * r1.dims[wid]
-    if total == 0:
-        return 0
-    rows = []
-    for v in d.vertices:
-        a, b = slots[v]
-        m1, m2 = r1.tensors[v], r2.tensors[v]
-        # phi_b m1 - m2 phi_a = 0, unknowns vec'd row-major; each equation
-        # is taken times m1.den * m2.den, which keeps the rank
-        for i in range(r2.dims[b]):
-            for j in range(r1.dims[a]):
-                row = [0] * total
-                for k in range(r1.dims[b]):
-                    row[offs[b] + i * r1.dims[b] + k] += m2.den * m1.nums[k][j]
-                for k in range(r2.dims[a]):
-                    row[offs[a] + k * r1.dims[a] + j] -= m1.den * m2.nums[i][k]
-                rows.append(row)
-    if not rows:
-        return total
-    return total - rank(Matrix.from_ints(len(rows), total, rows))
+    quiver = _quiver_slots(d)
+    offs, total = {}, 0
+    for w in d.wires:
+        offs[w.id] = total
+        total += r2.dims[w.id] * r1.dims[w.id]
+    # phi_b m1 = m2 phi_a at a vertex with incoming a and outgoing b
+    system = intertwining_system(
+        [(r1.tensors[v], r2.tensors[v], offs[a], offs[b])
+         for v, ((a,), (b,)) in quiver.items()], total)
+    return total - rank(system)
 
 
 def _coker_data(phi, r1, r2):
@@ -354,7 +355,7 @@ def _coker_data(phi, r1, r2):
     psi_e phi_e = 0 exactly.
     """
     d = r1.diagram
-    slots = _quiver_slots(d)
+    quiver = _quiver_slots(d)
     if not is_morphism(phi, r1, r2):
         raise NotAMorphism("the commuting squares fail")
     psi = {}
@@ -374,8 +375,7 @@ def _coker_data(phi, r1, r2):
         sec[wid] = full.submatrix(range(r2.dims[wid]),
                                   range(im.cols, r2.dims[wid]))
     tensors = {}
-    for v in d.vertices:
-        a, b = slots[v]
+    for v, ((a,), (b,)) in quiver.items():
         tensors[v] = psi[b] @ r2.tensors[v] @ sec[a]
     r3 = Representation(d, dims, tensors)
     return r3, psi
@@ -489,8 +489,8 @@ def contract(r, _order=None):
         raise UnknownWire("order must list every wire exactly once")
     if 0 in r.dims.values():
         return ZERO
-    held = {v: [w for w, _ in _slot_keys(r.diagram, v)]
-            for v in r.diagram.vertices}
+    held = {v: list(nb.outgoing + nb.incoming)
+            for v, nb in slots(r.diagram).items()}
     steps, largest = _plan(r.dims, held, _order)
     if largest > TENSOR_CAP:
         raise ContractionTooLarge(f"contraction needs a node of {largest} "
@@ -523,8 +523,7 @@ def monodromy(r, base):
     if not d.is_closed():
         raise NotALoop("cycle must be closed")
     out_of = {}
-    for v in d.vertices:
-        nb = neighborhood(d, v)
+    for v, nb in slots(d).items():
         if len(nb.incoming) != 1 or len(nb.outgoing) != 1:
             raise NotALoop(f"vertex {v} is not on a co-oriented cycle")
         out_of[v] = nb.outgoing[0]
@@ -557,10 +556,11 @@ def reverse_wire_rep(r, wid):
     dd = TensorDiagram(d.vertices, wires)
     tensors = dict(r.tensors)
     flip = {"out": "in", "in": "out"}
+    before, after = slots(d), slots(dd)
     for v in {v for v in (w.tail, w.head) if v is not None}:
-        old = _slot_keys(d, v)
+        old = _slot_keys(before[v])
         strides = dict(zip(old, _strides([r.dims[x] for x, _ in old])))
-        new = _slot_keys(dd, v)
+        new = _slot_keys(after[v])
         # each slot of wid changes side and carries its index along
         offs = _offsets([r.dims[x] for x, _ in new],
                         [strides[(x, flip[s]) if x == wid else (x, s)]
@@ -616,11 +616,12 @@ def split_functor(r, fresh_wire, merged_id=None):
     dd = TensorDiagram(tuple(sorted(taken | {merged})), tuple(sorted(wires)))
     dims = {x.id: r.dims[x.id] for x in wires}
 
-    keys = _slot_keys(dd, merged)
+    keys = _slot_keys(slots(dd)[merged])
     strides = dict(zip(keys, _strides([dims[x] for x, _ in keys])))
     views, den = [], 1
+    before = slots(d)
     for v in (v1, v2):
-        old = _slot_keys(d, v)
+        old = _slot_keys(before[v])
         # the fresh wire is the only slot not kept; stride 0 pins it to 0
         views += [_offsets([r.dims[x] for x, _ in old],
                            [strides.get(k, 0) for k in old]),

@@ -5,9 +5,15 @@ wire may dangle (one endpoint None) or be endpointless (both None).  All
 surgery returns new diagrams; nothing mutates.  Canonical order is
 lexicographic on ids and every downstream multi-index convention relies on
 it, so validate_diagram is the only sanctioned constructor for outside data.
+
+A vertex's slots are its outgoing wires (the rows of its tensor) and its
+incoming wires (the columns); a loop takes one slot on each side, and a
+vertex of three or more slots makes its component wild.  slots(d) is the
+one incidence convention: one pass over the wires gives every vertex's
+slots, and every layer (neighborhood and degree, splitting, classify, the
+shape walk, the tensor layout, flows) reads them from that table.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -54,8 +60,7 @@ class VertexNeighborhood(NamedTuple):
     outgoing: tuple   # wire ids with tail = v, canonical order
 
 
-@dataclass(frozen=True)
-class SubdiagramRef:
+class SubdiagramRef(NamedTuple):
     vertices: tuple
     wires: tuple
     induced: bool
@@ -105,17 +110,29 @@ def diagram_to_record(d):
     }
 
 
+def slots(d):
+    """Every vertex's VertexNeighborhood, from one pass over d.wires: wire
+    ids in d.wires order, a loop listed on both sides."""
+    table = {v: ([], []) for v in d.vertices}
+    for w in d.wires:
+        if w.head is not None:
+            table[w.head][0].append(w.id)
+        if w.tail is not None:
+            table[w.tail][1].append(w.id)
+    # tuple.__new__ skips a Python-level constructor call per vertex, and
+    # classifying many small diagrams spends most of its time in this table
+    return {v: tuple.__new__(VertexNeighborhood, (tuple(i), tuple(o)))
+            for v, (i, o) in table.items()}
+
+
 def neighborhood(d, v):
     if v not in d.vertices:
         raise UnknownVertexRef(v)
-    incoming = tuple(w.id for w in d.wires if w.head == v)
-    outgoing = tuple(w.id for w in d.wires if w.tail == v)
-    return VertexNeighborhood(incoming, outgoing)
+    return slots(d)[v]
 
 
 def degree(d, v):
-    nb = neighborhood(d, v)
-    return len(nb.incoming) + len(nb.outgoing)
+    return sum(map(len, neighborhood(d, v)))
 
 
 def normalize(d):
@@ -141,17 +158,12 @@ def reverse_wire(d, wire_id):
     return TensorDiagram(d.vertices, tuple(sorted(wires)))
 
 
-def _slots_at(d, v):
-    slots = []
-    for w in d.wires:
-        if w.tail == v:
-            slots.append((w.id, "tail"))
-        if w.head == v:
-            slots.append((w.id, "head"))
-    return slots
+def _sides(nb):
+    """Slots as (wire id, "tail") when outgoing, (wire id, "head") when incoming."""
+    return [(w, "tail") for w in nb.outgoing] + [(w, "head") for w in nb.incoming]
 
 
-def _normalize_part(d, v, part, all_slots):
+def _normalize_part(v, part, all_slots):
     """Expand a mixed wire-id / (wire-id, side) collection into a slot set."""
     out = set()
     for item in part:
@@ -185,11 +197,9 @@ def _fresh_wire(taken):
 
 def _split(d, v, part1, part2):
     """Core splitting; parts are slot sets.  Returns (d', wire id, v1, v2)."""
-    if v not in d.vertices:
-        raise UnknownVertexRef(v)
-    all_slots = _slots_at(d, v)
-    s1 = _normalize_part(d, v, part1, all_slots)
-    s2 = _normalize_part(d, v, part2, all_slots)
+    all_slots = _sides(neighborhood(d, v))
+    s1 = _normalize_part(v, part1, all_slots)
+    s2 = _normalize_part(v, part2, all_slots)
     if s1 & s2 or s1 | s2 != set(all_slots):
         raise NotAPartition(f"parts do not partition the slots at {v}")
     taken = set(d.vertices)
@@ -268,6 +278,13 @@ def _check_subdiagram(d, s):
     return vset, set(s.wires)
 
 
+def restrict(d, ref):
+    """The diagram of a subdiagram reference: its vertices and its wires."""
+    vset, wset = _check_subdiagram(d, ref)
+    return TensorDiagram(tuple(sorted(vset)),
+                         tuple(w for w in d.wires if w.id in wset))
+
+
 def isolate_subdiagram(d, s):
     """Split d so a pinned copy of s sits inside; see the flows module.
 
@@ -283,17 +300,17 @@ def isolate_subdiagram(d, s):
     carrier1 = {}    # original vertex -> (pass-1 carrier, its fresh wire or None)
     inside = set(u_set)
     for v in sorted(u_set):
-        slots = _slots_at(cur, v)
+        at = set(_sides(slots(cur)[v]))
         wires = {w.id: w for w in cur.wires}
         w1 = set()
-        for wid, side in slots:
+        for wid, side in at:
             w = wires[wid]
             other = w.head if side == "tail" else w.tail
             if other is not None and other in inside:
                 w1.add((wid, side))
             elif other is None and wid in f_set:
                 w1.add((wid, side))
-        w2 = set(slots) - w1
+        w2 = at - w1
         if w2:
             cur, fresh, v1, _ = _split(cur, v, w1, w2)
             restricted.append(fresh)
@@ -305,10 +322,9 @@ def isolate_subdiagram(d, s):
     copy_vertices = []
     for v in sorted(u_set):
         c1, fresh1 = carrier1[v]
-        slots = _slots_at(cur, c1)
-        w1 = {(wid, side) for wid, side in slots
-              if wid in f_set or wid == fresh1}
-        w2 = set(slots) - w1
+        at = set(_sides(slots(cur)[c1]))
+        w1 = {(wid, side) for wid, side in at if wid in f_set or wid == fresh1}
+        w2 = at - w1
         if fresh1 is not None or w2:
             cur, fresh, v11, _ = _split(cur, c1, w1, w2)
             restricted.append(fresh)
@@ -321,31 +337,25 @@ def isolate_subdiagram(d, s):
 
 def connected_components(d):
     """Maximal connected pieces as refs; endpointless wires are singletons."""
-    parent = {v: v for v in d.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    comp = {v: [v] for v in d.vertices}   # vertex -> its component's vertices
     for w in d.wires:
         if w.tail is not None and w.head is not None:
-            ra, rb = find(w.tail), find(w.head)
-            if ra != rb:
-                parent[ra] = rb
-    groups = {}
-    for v in d.vertices:
-        groups.setdefault(find(v), []).append(v)
+            a, b = comp[w.tail], comp[w.head]
+            if a is not b:
+                if len(a) < len(b):
+                    a, b = b, a   # the smaller component moves
+                a += b
+                for x in b:
+                    comp[x] = a
+    groups = {c[0]: (c, []) for c in comp.values()}
     comps = []
-    for members in groups.values():
-        vset = set(members)
-        wset = [w.id for w in d.wires
-                if (w.tail in vset) or (w.head in vset)]
-        comps.append(SubdiagramRef(
-            tuple(sorted(vset)), tuple(sorted(wset)), True))
     for w in d.wires:
-        if w.is_endpointless():
+        end = w.tail if w.tail is not None else w.head
+        if end is None:
             comps.append(SubdiagramRef((), (w.id,), True))
+        else:
+            groups[comp[end][0]][1].append(w.id)
+    comps += [SubdiagramRef(tuple(sorted(vs)), tuple(sorted(ws)), True)
+              for vs, ws in groups.values()]
     comps.sort(key=lambda c: (c.vertices + c.wires))
     return comps

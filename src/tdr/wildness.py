@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .errors import NotASimilarity, ShapeMismatch
 from .exactalg import Matrix, det, inverse, nullspace
 from .rational import Q, ZERO
-from .representation import Representation
+from .representation import Representation, intertwining_system
 from .semigraph import TensorDiagram, Wire
 
 
@@ -149,17 +149,8 @@ def sim_similarity_solve(pair1, pair2, tries=40):
     n = _check_pair(pair1)
     if _check_pair(pair2) != n:
         raise ShapeMismatch("pairs must have equal sizes")
-    rows = []
-    for lhs, rhs in ((pair1.a, pair2.a), (pair1.b, pair2.b)):
-        # each equation taken times lhs.den * rhs.den: same solutions
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    row[i * n + k] += rhs.den * lhs.nums[k][j]
-                    row[k * n + j] -= lhs.den * rhs.nums[i][k]
-                rows.append(row)
-    basis = nullspace(Matrix.from_ints(len(rows), n * n, rows))
+    basis = nullspace(intertwining_system(
+        [(pair1.a, pair2.a, 0, 0), (pair1.b, pair2.b, 0, 0)], n * n))
     cands = [Matrix.from_ints(n, n, [col[i * n:(i + 1) * n] for i in range(n)],
                               basis.den)
              for col in zip(*basis.nums)]

@@ -426,3 +426,105 @@ def test_contract_fuzzed_records_never_trace_back(tmp_path, capsys):
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
     check()
+
+
+TRIANGLE = {"vertices": ["v1", "v2", "v3"],
+            "wires": [{"id": "e1", "tail": "v1", "head": "v2"},
+                      {"id": "e2", "tail": "v2", "head": "v3"},
+                      {"id": "e3", "tail": "v3", "head": "v1"}]}
+
+
+def _flow_extend_fails_cleanly(tmp_path, capsys, flow, *options):
+    dp = write(tmp_path, "d.json", TRIANGLE)
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps(flow))   # writes NaN for float("nan")
+    assert run(["flow-extend", dp, str(fp), *options]).exit_code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_flow_extend_refuses_a_nan_tolerance(tmp_path, capsys):
+    # 2, 3, 5 around the cycle break the condition at every vertex
+    flow = {"wires": {"e1": [2, 0], "e2": [3, 0], "e3": [5, 0]}, "u": []}
+    assert "tolerance" in _flow_extend_fails_cleanly(
+        tmp_path, capsys, flow, "--tol", "nan")
+
+
+def test_flow_extend_refuses_nan_values(tmp_path, capsys):
+    flow = {"wires": {"e2": [float("nan"), 0], "e3": [5, 0]}, "u": ["v1", "v2"]}
+    assert "e2" in _flow_extend_fails_cleanly(tmp_path, capsys, flow)
+
+
+def test_flow_extend_refuses_values_past_float_range(tmp_path, capsys):
+    flow = {"wires": {"e2": [10 ** 400, 0], "e3": [5, 0]}, "u": ["v1", "v2"]}
+    assert "e2" in _flow_extend_fails_cleanly(tmp_path, capsys, flow)
+
+
+def test_flow_extend_refuses_a_u_of_non_ids(tmp_path, capsys):
+    flow = {"wires": {"e2": [5, 0], "e3": [5, 0]}, "u": [["a"]]}
+    assert "vertex ids" in _flow_extend_fails_cleanly(tmp_path, capsys, flow)
+
+
+_FLOW_PART = st.one_of(
+    st.sampled_from([1, -1, 2, 0.5, 0]), st.floats(), _JUNK,
+    st.integers(-(10 ** 400), 10 ** 400))
+
+
+@st.composite
+def _flow_cases(draw):
+    """A diagram, a flow record for it (well formed or with one part
+    broken) and a --tol value."""
+    vs = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4,
+                       unique=True))
+    end = st.sampled_from(vs + vs + [None])
+    wires = [{"id": f"e{i}", "tail": draw(end), "head": draw(end)}
+             for i in range(draw(st.integers(0, 5)))]
+    u = draw(st.lists(st.sampled_from(vs), unique=True))
+    inner = {w["id"] for w in wires
+             if {w["tail"], w["head"]} - {None} <= set(u)}
+    flow = {w["id"]: [draw(_FLOW_PART), draw(_FLOW_PART)]
+            for w in wires if w["id"] not in inner}
+    rec = {"wires": flow, "u": u}
+    broken = draw(st.sampled_from(
+        ["none", "none", "value", "u", "key", "extra", "whole"]))
+    if broken == "value" and flow:
+        flow[draw(st.sampled_from(sorted(flow)))] = draw(_JUNK)
+    elif broken == "u":
+        rec["u"] = draw(st.one_of(_JUNK, st.lists(_JUNK, max_size=2)))
+    elif broken == "key":
+        del rec[draw(st.sampled_from(sorted(rec)))]
+    elif broken == "extra":
+        flow["zz"] = [1, 0]
+    elif broken == "whole":
+        rec = draw(_JUNK)
+    tol = draw(st.sampled_from(["1e-9", "0", "0.5", "1e300", "nan", "inf",
+                                "-1", "x"]))
+    return {"vertices": vs, "wires": wires}, rec, tol
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_flow_extend_fuzzed_records_never_trace_back(tmp_path, capsys):
+    """Any flow record: either valid JSON of finite values, or exit 1 with
+    one stderr line."""
+    dp, fp = tmp_path / "d.json", tmp_path / "f.json"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_flow_cases())
+    def check(case):
+        diagram, rec, tol = case
+        dp.write_text(json.dumps(diagram))
+        fp.write_text(json.dumps(rec))
+        code = run(["flow-extend", str(dp), str(fp), "--tol", tol]).exit_code
+        out, err = capsys.readouterr()
+        if code == 0:
+            got = json.loads(out, parse_constant=_no_constants)
+            assert set(got) == {"wires"} and not err
+        else:
+            assert code == 1, code
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    check()

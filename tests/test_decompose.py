@@ -537,3 +537,34 @@ def test_cycle_decompose_filters_kernels_once(monkeypatch):
     assert blocks_of(r) == {Band(x_minus(2), 2): 1, StringBlock(2, 5): 1}
     # the arcs once, then the band's single factor in rational_canonical
     assert calls == [3, 1]
+
+
+def test_isomorphic_classifies_once(monkeypatch):
+    """One classify_diagram call per isomorphic call, however many
+    components: each component's shape comes from that one call."""
+    dmod, cmod = sys.modules["tdr.decompose"], sys.modules["tdr.classify"]
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    real = cmod.classify_diagram
+    monkeypatch.setattr(dmod, "classify_diagram", counted)
+    monkeypatch.setattr(cmod, "classify_diagram", counted)
+    d = validate_diagram({"vertices": ["a1", "b1", "b2", "c1"], "wires": [
+        {"id": "a", "tail": "a1", "head": "a1"},
+        {"id": "b", "tail": "b1", "head": "b2"},
+        {"id": "b0", "tail": None, "head": "b1"},
+        {"id": "c", "tail": "c1", "head": None}]})
+    rng = random.Random(7)
+    r = validate_representation(d, {"a": 2, "b": 1, "b0": 2, "c": 1}, {
+        "a1": Matrix.from_rows([[2, 1], [0, 2]]),
+        "b1": Matrix.from_rows([[1, 1]]), "b2": Matrix.from_rows([[1]]),
+        "c1": Matrix.from_rows([[3]])})
+    for other, same in ((conjugate(rng, r), True), (r, True),
+                        (validate_representation(d, r.dims, dict(
+                            r.tensors, b1=Matrix.from_rows([[0, 0]]))), False)):
+        calls.clear()
+        assert isomorphic(r, other) is same
+        assert len(calls) == 1

@@ -117,3 +117,49 @@ def test_extension_against_random_potentials():
         partial = {"e2": f["e2"], "e3": f["e3"], "e4": f["e4"]}
         total = extend_flow(SQUARE, partial, u)
         assert abs(total["e1"] - f["e1"]) < 1e-9
+
+
+TRIANGLE = diag(["v1", "v2", "v3"], [("e1", "v1", "v2"), ("e2", "v2", "v3"),
+                                     ("e3", "v3", "v1")])
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("tol", [NAN, float("inf"), -1e-9, "1e-9", None])
+def test_tolerance_must_be_finite_and_non_negative(tol):
+    # 2, 3, 5 around the cycle break every vertex condition; with a NaN
+    # tolerance every comparison was false, so the check passed
+    f = {"e1": 2 + 0j, "e2": 3 + 0j, "e3": 5 + 0j}
+    for check in (verify_partial_flow, extend_flow):
+        with pytest.raises(InvalidPartialFlow, match="tolerance"):
+            check(TRIANGLE, f, [], tol)
+
+
+@pytest.mark.parametrize("bad", [NAN, complex(NAN, 0), float("inf"),
+                                 10 ** 400, "5", None],
+                         ids=["nan", "complex-nan", "inf", "huge-int", "text",
+                              "none"])
+def test_flow_values_must_be_finite_numbers(bad):
+    f = {"e2": bad, "e3": 5 + 0j}
+    for check in (verify_partial_flow, extend_flow):
+        with pytest.raises(InvalidPartialFlow, match="e2"):
+            check(TRIANGLE, f, ["v1", "v2"])
+
+
+@pytest.mark.parametrize("u", [[["v1"]], [1], [None, "v1"]])
+def test_u_must_hold_vertex_ids(u):
+    f = {"e2": 5 + 0j, "e3": 5 + 0j}
+    for check in (verify_partial_flow, extend_flow):
+        with pytest.raises(DomainMismatch, match="vertex ids"):
+            check(TRIANGLE, f, u)
+
+
+def test_values_past_float_range_fail_the_conditions():
+    # at v3 both sides overflow to inf, and inf / inf is NaN, which failed
+    # no comparison; at v2 the product underflows to 0 before its root
+    d = diag(["v1", "v2", "v3"],
+             [("a1", "v1", "v3"), ("a2", "v1", "v3"), ("b", "v1", "v2"),
+              ("c1", "v3", "v2"), ("c2", "v3", "v2")])
+    f = {w: 1e300 + 0j for w in ("a1", "a2", "c1", "c2")}
+    assert not verify_partial_flow(d, f, ["v1", "v2"])
+    with pytest.raises(InvalidPartialFlow):
+        extend_flow(d, f, ["v1", "v2"])

@@ -51,6 +51,18 @@ def test_generic_mode_caps_a_side_before_allocating():
     assert peak < 1 << 20
 
 
+def test_generic_mode_builds_no_rows_for_an_empty_side():
+    # 10**6 rows of nothing: one shared empty row, not a list per row
+    tracemalloc.start()
+    try:
+        rep = gen_random(canonical_diagram("A0", 1), {"e1": 0, "e2": 10 ** 6}, 0).rep
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.tensors["v1"].rows, rep.tensors["v1"].cols) == (10 ** 6, 0)
+    assert peak < 20 << 20
+
+
 def test_generic_mode_entry_bounds():
     d = canonical_diagram("A0", 1)
     r = gen_random(d, {"e1": 3, "e2": 3}, 7).rep

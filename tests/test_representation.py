@@ -27,6 +27,7 @@ from tdr.representation import (
     direct_sum,
     dual_rep,
     hom_dim,
+    intertwining_system,
     is_morphism,
     kernel,
     monodromy,
@@ -40,6 +41,7 @@ from tdr.representation import (
 from tdr.semigraph import (
     connected_components,
     neighborhood,
+    slots,
     split_vertex,
     validate_diagram,
 )
@@ -199,6 +201,29 @@ def test_is_morphism_and_hom_dim():
     assert hom_dim(nil, nil) == 2  # I and N commute with N
 
 
+def test_intertwining_system_vanishes_on_intertwiners():
+    """phi_out m1 = m2 phi_in, unknowns vec'd row-major at their offsets."""
+    rng = random.Random(17)
+    for _ in range(30):
+        r, c, r2 = rng.randint(0, 3), rng.randint(1, 3), rng.randint(0, 3)
+        m1 = Matrix.from_rows([[Q(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(c)] for _ in range(r)]) if r \
+            else Matrix.zeros(0, c)
+        phi_in = rand_invertible(rng, c)
+        phi_out = Matrix.from_ints(r2, r, [[rng.randint(-2, 2) for _ in range(r)]
+                                           for _ in range(r2)])
+        m2 = phi_out @ m1 @ inverse(phi_in)
+        system = intertwining_system([(m1, m2, 0, c * c)], c * c + r2 * r)
+        unknowns = Matrix.column(
+            [x for row in phi_in.entries() + phi_out.entries() for x in row])
+        assert (system.rows, system.cols) == (r2 * c, c * c + r2 * r)
+        assert (system @ unknowns).is_zero()
+        # a square whose two sides share one unknown: the commutant of m
+        m = rand_invertible(rng, c)
+        basis = nullspace(intertwining_system([(m, m, 0, 0)], c * c))
+        assert basis.cols == hom_dim(j1_rep(m), j1_rep(m))
+
+
 def test_cokernel_and_kernel():
     r1 = j1_rep(Matrix.from_rows([[2]]))
     r2 = j1_rep(Matrix.from_rows([[2, 0], [0, 3]]))
@@ -248,8 +273,8 @@ def test_split_functor_merges_dim1_wire():
 
 def _rand_rep(rng, d, dims):
     tensors = {}
-    for v in d.vertices:
-        rows, cols = vertex_shape(d, dims, v)
+    for v, nb in slots(d).items():
+        rows, cols = vertex_shape(nb, dims, v)
         tensors[v] = Matrix(rows, cols, tuple(
             tuple(Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols))
             for _ in range(rows)))
@@ -258,7 +283,7 @@ def _rand_rep(rng, d, dims):
 
 def _largest_tensor(d, dims):
     return max(rows * cols for rows, cols in
-               (vertex_shape(d, dims, v) for v in d.vertices))
+               (vertex_shape(nb, dims, v) for v, nb in slots(d).items()))
 
 
 def test_reindexing_functors_on_wild_diagrams():
@@ -354,8 +379,8 @@ def _complete_rep(n, dim):
         for i in range(n) for j in range(i + 1, n)]})
     dims = {w.id: dim for w in d.wires}
     tensors = {}
-    for v in vs:
-        rows, cols = vertex_shape(d, dims, v)
+    for v, nb in slots(d).items():
+        rows, cols = vertex_shape(nb, dims, v)
         tensors[v] = Matrix(rows, cols, ((ONE,) * cols,) * rows)
     return validate_representation(d, dims, tensors)
 
