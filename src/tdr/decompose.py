@@ -9,16 +9,17 @@ position dims and arcs onto a diagram's traversal, and block_arcs gives
 every indecomposable block in that form, so realize and the generator
 build blocks the way decompose reads them.
 
-Open paths (one or two dangling ends) decompose into Interval blocks by
-the rank inclusion-exclusion over composites; the closed end of a
-one-dangling path behaves as an extra pinned position of dimension 1.
-Cycles split at each position into the monodromy's eventual image and
-eventual kernel (Fitting's lemma): the invertible part yields Band blocks
-named by elementary divisors, the nilpotent part yields String blocks from
-the graded Jordan chains picked off the arcs' kernel filtration, which
-stops once it holds the complement of the stable images.  Closed paths
-are decomposed through their associated cycle, whose last position is the
-pinned scalar slot.
+Intervals and strings are chains of basis vectors along the arcs, which
+exactalg.chains counts from the ranks of composites.  Open paths (one or
+two dangling ends) are cycles closed by a zero arc, whose chains are the
+Interval blocks; the closed end of a one-dangling path behaves as an
+extra pinned position of dimension 1.  Cycles split at each position into
+the monodromy's stable image and stable kernel (Fitting's lemma): the
+invertible part yields Band blocks named by the elementary divisors of
+the monodromy on the stable image, and keeps the same rank in every
+composite, so the chains counted above it are the String blocks of the
+nilpotent part.  Closed paths are decomposed through their associated
+cycle, whose last position is the pinned scalar slot.
 """
 
 from dataclasses import dataclass, field
@@ -35,12 +36,10 @@ from .errors import (
 from .exactalg import (
     Matrix,
     Poly,
-    chain_tops,
+    chains,
     companion,
     coords_in_basis,
     factor_poly,
-    kernel_filtration,
-    rank,
     rational_canonical,
     stable_images,
 )
@@ -194,51 +193,20 @@ def _oriented_arcs(r, shape):
 
 
 # ---------------------------------------------------------------------------
-# interval multiplicities (open paths)
+# chain counts
 
-def _interval_blocks(dims, arcs, m):
-    ranks = {}
-    for a in range(1, m + 1):
-        x = Matrix.identity(dims[a - 1])
-        ranks[(a, a)] = dims[a - 1]
-        for b in range(a + 1, m + 1):
-            x = arcs[b - 2] @ x
-            ranks[(a, b)] = rank(x)
-
-    def r(a, b):
-        if a < 1 or b > m:
-            return 0
-        return ranks[(a, b)]
-
-    out = []
-    for a in range(1, m + 1):
-        for b in range(a, m + 1):
-            mult = r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1)
-            out.extend([Interval(a, b)] * mult)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# cycle decomposition
-
-def _cycle_blocks(dims, arcs):
-    n = len(arcs)
+def _cycle_blocks(arcs):
+    """Band and String blocks of a cycle's arcs."""
     cores = stable_images(arcs)
-    # Fitting: each grade is its stable image plus its stable kernel, so
-    # the filtration stops as soon as it holds the complement of the cores
-    filt, _ = kernel_filtration(arcs, [d - c.cols for d, c in zip(dims, cores)])
-    out = []
+    # the invertible part keeps the rank of its stable image in every
+    # composite of arcs, so the chains below are the nilpotent part's
+    out = [StringBlock(s, k) for s, k in chains(arcs, cores[0].cols)]
     if cores[0].cols:
         x = cores[0]
-        for i in range(n):
-            x = arcs[i] @ x
+        for arc in arcs:
+            x = arc @ x
         lbar = coords_in_basis(cores[0], x)
-        for p, s in rational_canonical(lbar):
-            out.append(Band(p, s))
-    # the nilpotent part's chains come from the same filtration, in the
-    # arcs' own coordinates
-    for start, length, _ in chain_tops(arcs, filt):
-        out.append(StringBlock(start, length))
+        out.extend(Band(p, s) for p, s in rational_canonical(lbar))
     return out
 
 
@@ -251,9 +219,11 @@ def _decompose_on(r, shape):
     dims, arcs = _oriented_arcs(r, shape)
     m = len(dims)
     if shape.family in ("A0", "A1"):
-        blocks = _interval_blocks(dims, arcs, m)
+        # an open path is the cycle closed by a zero arc
+        closing = Matrix.zeros(dims[0], dims[-1])
+        blocks = [Interval(a, a + k - 1) for a, k in chains(arcs + [closing])]
     else:
-        blocks = _cycle_blocks(dims, arcs)
+        blocks = _cycle_blocks(arcs)
     # the simple block at the pinned position of A1 and P is no block
     pinned = {"A1": Interval(m, m), "P": StringBlock(m, 1)}.get(shape.family)
     return Decomposition.of([blk for blk in blocks if blk != pinned], shape)

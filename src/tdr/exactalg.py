@@ -11,13 +11,15 @@ constructor, from_rows, column and entries().  Everything that returns a
 basis goes through the RREF, so outputs are canonical.  A preimage (and a
 kernel, the preimage of the zero space) takes one elimination: the RREF of
 [space | m with its columns reversed] already holds the preimage's
-reduced column echelon basis, as preimage's docstring explains.  Two loops
-split the grades of a cycle of maps as Fitting's lemma does: stable_images
-and kernel_filtration; eventual_image and eventual_kernel are their
-one-grade case.  Polynomial factorization is delegated to sympy behind a
-thin monic wrapper; the rest is authored here because the decomposition
-algorithms need the intermediate data (filtrations, chains), not just
-final answers.
+reduced column echelon basis, as preimage's docstring explains.  On a
+cycle of maps, stable_images shrinks each grade to the invertible part
+of Fitting's lemma, and chains counts the chains of basis vectors along
+the maps (intervals, strings, and the Jordan chains behind elementary
+divisors) from the ranks of composites alone; kernel_filtration and
+chain_tops pick the chains' top vectors.  Polynomial factorization is
+delegated to sympy behind a thin monic wrapper; the rest is authored here
+because the decomposition algorithms need the intermediate data (stable
+images, chains), not just final answers.
 """
 
 from dataclasses import dataclass
@@ -308,31 +310,6 @@ def column_space(m):
     return Matrix._new(m.rows, r, tuple(zip(*red.nums[:r])), red.den)
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    """Affine description of the solutions of a x = b."""
-    particular: "Matrix | None"   # cols(a) x cols(b); None if inconsistent
-    homogeneous: Matrix           # cols(a) x k nullspace basis of a
-
-
-def _particular(a, b):
-    """The solution of a x = b whose free variables are zero, read off one
-    RREF of [a | b]; None if the system is inconsistent."""
-    if a.rows != b.rows:
-        raise ShapeMismatch(f"{a.rows} rows vs {b.rows} rows")
-    red, pivots = rref(a.hstack(b))
-    if any(p >= a.cols for p in pivots):
-        return None
-    part = [(0,) * b.cols] * a.cols
-    for r, p in enumerate(pivots):
-        part[p] = red.nums[r][a.cols:]
-    return Matrix.from_ints(a.cols, b.cols, part, red.den)
-
-
-def solve_linear(a, b):
-    return LinearSolution(_particular(a, b), nullspace(a))
-
-
 def _new_columns(span, candidates):
     """Indices of the candidate columns that grow the span of span's columns
     and the candidates before them: the pivot columns of their hstack."""
@@ -356,11 +333,19 @@ def extend_basis(base, candidates):
 
 
 def coords_in_basis(basis, vecs):
-    """Coordinates of vecs' columns in basis (columns independent, spanning them)."""
-    coords = _particular(basis, vecs)
-    if coords is None:
+    """Coordinates x of vecs' columns in basis, basis @ x == vecs, read off
+    one RREF of [basis | vecs]; a basis column outside the RREF's pivots
+    gets coordinate 0, so x is unique when basis's columns are independent.
+    ShapeMismatch when a column of vecs lies outside basis's span."""
+    if basis.rows != vecs.rows:
+        raise ShapeMismatch(f"{basis.rows} rows vs {vecs.rows} rows")
+    red, pivots = rref(basis.hstack(vecs))
+    if any(p >= basis.cols for p in pivots):
         raise ShapeMismatch("vectors outside the span of the basis")
-    return coords
+    coords = [(0,) * vecs.cols] * basis.cols
+    for r, p in enumerate(pivots):
+        coords[p] = red.nums[r][basis.cols:]
+    return Matrix.from_ints(basis.cols, vecs.cols, coords, red.den)
 
 
 def preimage(m, space):
@@ -398,22 +383,6 @@ def preimage(m, space):
             row = a[r]
             out.append([-row[f] for f in free])
     return Matrix.from_ints(m.cols, len(free), out, den)
-
-
-def eventual_image(m):
-    """Canonical basis of the stable image of a square matrix, im(m^k) for
-    k >> 0: the one-grade case of stable_images."""
-    if m.rows != m.cols:
-        raise NotSquare(f"{m.rows}x{m.cols}")
-    return stable_images([m])[0]
-
-
-def eventual_kernel(m):
-    """Canonical basis of the stable kernel, ker(m^k) for k >> 0: the
-    one-grade case of kernel_filtration."""
-    if m.rows != m.cols:
-        raise NotSquare(f"{m.rows}x{m.cols}")
-    return kernel_filtration([m], [m.cols])[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -605,24 +574,21 @@ def companion(p):
 def rational_canonical(m):
     """Elementary divisors (irreducible p, power s) of a square matrix.
 
-    Repeats carry multiplicity; sorted canonically.  Kernel filtrations of
-    p(m) are grown by preimages instead of explicit matrix powers so entry
-    sizes stay bounded.
+    Repeats carry multiplicity; sorted canonically.  For a factor p of the
+    characteristic polynomial with multiplicity e, p(m) is nilpotent on the
+    p-primary part, of dimension e * deg p, and invertible on the rest; a
+    divisor p^s is deg p Jordan chains of p(m) of length s.  chains counts
+    them from the ranks of the powers of p(m), the invertible rest giving
+    the stable rank.
     """
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
     out = []
     for p, e in factor_poly(charpoly(m)):
         d = p.degree()
-        # ker p(m)^k grows until it is the p-primary part, of dimension e * d
-        filt, _ = kernel_filtration([p.eval_matrix(m)], [e * d])
-        dims = [f.cols for f in filt[0]]
-        # b_k = number of divisors p^s with s >= k
-        bs = [(dims[k] - dims[k - 1]) // d for k in range(1, len(dims))]
-        bs.append(0)
-        for s in range(1, len(bs)):
-            count = bs[s - 1] - bs[s]
-            out.extend([(p, s)] * count)
+        lengths = [s for _, s in chains([p.eval_matrix(m)], m.rows - e * d)]
+        # sorted lengths come in runs of d chains per divisor
+        out.extend((p, s) for s in lengths[::d])
     out.sort(key=lambda ps: (ps[0].degree(), ps[0].coeffs, ps[1]))
     return out
 
@@ -664,19 +630,51 @@ def stable_images(blocks):
     return cores
 
 
-def kernel_filtration(blocks, bound):
+def chains(blocks, stable=0):
+    """(start, length) of every chain of a graded tuple, repeats counted,
+    from the ranks of composites; sorted by start, then length.
+
+    blocks[a] maps grade a to grade (a+1) mod n, and r(a, k) is the rank of
+    the composite of the k blocks leaving grade a.  A vector of grade a
+    that survives k blocks but not k + 1, and is no image from grade a - 1,
+    tops a chain of length k + 1 starting at grade a + 1 (1-based): there
+    are r(a, k) - r(a-1, k+1) - r(a, k+1) + r(a-1, k+2) of them.  stable is
+    the rank of the invertible (Fitting) part, which every composite keeps,
+    so it cancels: each start stops at its first composite of rank stable,
+    and every r past it reads as stable.  An open path is the cycle closed
+    by a zero block.
+    """
+    n = len(blocks)
+    ranks = []
+    for a in range(n):
+        row, x = [blocks[a].cols], None
+        while row[-1] > stable:
+            b = blocks[(a + len(row) - 1) % n]
+            x = b if x is None else b @ x
+            row.append(rank(x))
+        ranks.append(row)
+
+    def r(a, k):
+        row = ranks[a % n]
+        return row[k] if k < len(row) else stable
+
+    return [(a + 1, k + 1) for a in range(n) for k in range(len(ranks[a]) - 1)
+            for _ in range(r(a, k) - r(a - 1, k + 1) - r(a, k + 1) + r(a - 1, k + 2))]
+
+
+def kernel_filtration(blocks):
     """Filtrations F[a][j] = vectors of grade a killed within j steps.
 
     blocks[a] maps grade a to grade (a+1) mod n.  Grows by simultaneous
-    backward preimage sweeps until every grade a holds bound[a] vectors or
-    a sweep adds nothing; when bound is the stable kernels' dimensions, no
-    sweep is made only to confirm.  Returns the per-grade filtrations and
-    their last levels.
+    backward preimage sweeps until every grade is full or a sweep adds
+    nothing; on a nilpotent tuple no sweep is made only to confirm.
+    Returns the per-grade filtrations and their last levels, the stable
+    kernels.
     """
     n = len(blocks)
     cur = [Matrix.zeros(b.cols, 0) for b in blocks]
     filt = [[level] for level in cur]
-    while any(cur[a].cols < bound[a] for a in range(n)):
+    while any(c.cols < b.cols for c, b in zip(cur, blocks)):
         nxt = [preimage(blocks[a], cur[(a + 1) % n]) for a in range(n)]
         if all(nxt[a].cols == cur[a].cols for a in range(n)):
             break
@@ -696,11 +694,10 @@ def graded_jordan_chains(blocks):
     n = len(blocks)
     if any(blocks[a].rows != blocks[(a + 1) % n].cols for a in range(n)):
         raise ShapeMismatch("graded blocks do not chain")
-    dims = [b.cols for b in blocks]
-    filt, stable = kernel_filtration(blocks, dims)
-    if any(stable[a].cols != dims[a] for a in range(n)):
+    filt, stable = kernel_filtration(blocks)
+    if any(k.cols != b.cols for k, b in zip(stable, blocks)):
         raise NotNilpotent("cyclic composite has a nonzero eventual image")
-    chains = []
+    out = []
     for start, length, cur in chain_tops(blocks, filt):
         vecs = [cur]
         g = start - 1
@@ -708,8 +705,8 @@ def graded_jordan_chains(blocks):
             cur = blocks[g] @ cur
             g = (g + 1) % n
             vecs.append(cur)
-        chains.append(JordanChain(start, tuple(vecs)))
-    return chains
+        out.append(JordanChain(start, tuple(vecs)))
+    return out
 
 
 def chain_tops(blocks, filt):

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -36,6 +37,7 @@ from tdr.exactalg import (
     graded_jordan_chains,
     inverse,
     kernel_filtration,
+    rank,
 )
 from tdr.rational import Q
 from tdr.representation import (
@@ -469,21 +471,21 @@ def _planted_cycle(rng, grades):
     gs = [rand_invertible(rng, d) for d in dims]
     arcs = [gs[(a + 1) % grades] @ block_diag([rand_invertible(rng, band), nil[a]])
             @ inverse(gs[a]) for a in range(grades)]
-    return dims, arcs, strings
+    return arcs, strings
 
 
 def test_cycle_strings_match_chains_of_nilpotent_part():
-    """_cycle_blocks reads the String blocks off the arcs' kernel
-    filtration; they equal the chains of the arcs restricted to their
+    """_cycle_blocks counts the String blocks from the ranks of the arcs'
+    composites; they equal the chains of the arcs restricted to their
     stable kernels, in coordinates of its canonical basis."""
     cycle_blocks = sys.modules["tdr.decompose"]._cycle_blocks
     rng = random.Random(5151)
     for case in range(40):
         grades = case % 5 + 1
-        dims, arcs, planted = _planted_cycle(rng, grades)
-        blocks = cycle_blocks(dims, arcs)
+        arcs, planted = _planted_cycle(rng, grades)
+        blocks = cycle_blocks(arcs)
         got = sorted((b.start, b.length) for b in blocks if isinstance(b, StringBlock))
-        _, kers = kernel_filtration(arcs, dims)
+        _, kers = kernel_filtration(arcs)
         nil_arcs = [coords_in_basis(kers[(i + 1) % grades], arcs[i] @ kers[i])
                     for i in range(grades)]
         want = sorted((c.start, c.length) for c in graded_jordan_chains(nil_arcs))
@@ -491,52 +493,41 @@ def test_cycle_strings_match_chains_of_nilpotent_part():
         assert any(isinstance(b, Band) for b in blocks)
 
 
-def test_cycle_filtration_stops_at_the_fitting_bound(monkeypatch):
-    """The arcs' filtration stops once it holds the complement of the
-    stable images: one preimage per grade and level above the zero level,
-    with no sweep that only confirms nothing grew."""
+def test_cycle_decompose_makes_no_preimage(monkeypatch):
+    """Cycles take stable images, ranks of composites and the rational
+    canonical form of the band part, never a preimage; the count sees
+    exactalg's own calls, as the positive control at the end shows."""
     dmod, emod = sys.modules["tdr.decompose"], sys.modules["tdr.exactalg"]
-    real_filtration, real_preimage = emod.kernel_filtration, emod.preimage
-    calls, seen = [], []
+    real, calls = emod.preimage, []
 
     def counted(m, space):
         calls.append(m.cols)
-        return real_preimage(m, space)
-
-    def filtration(blocks, bound):
-        calls.clear()
-        filt, last = real_filtration(blocks, bound)
-        seen.append((len(blocks), len(filt[0]), len(calls)))
-        return filt, last
+        return real(m, space)
 
     monkeypatch.setattr(emod, "preimage", counted)
-    monkeypatch.setattr(dmod, "kernel_filtration", filtration)
-    rng = random.Random(5152)
-    for case in range(20):
-        dims, arcs, _ = _planted_cycle(rng, case % 4 + 1)
-        seen.clear()
-        dmod._cycle_blocks(dims, arcs)
-        [(grades, levels, made)] = seen
-        assert levels > 1 and made == grades * (levels - 1), case
+    rng = random.Random(53)
+    for n in (3, 1):
+        band, string = Band(x_minus(2), 2), StringBlock(n, 5)
+        r = conjugate(rng, direct_sum(realize("J", n, band), realize("J", n, string)))
+        assert blocks_of(r) == {band: 1, string: 1}, n
+    for case in range(10):
+        arcs, planted = _planted_cycle(rng, case % 4 + 1)
+        got = dmod._cycle_blocks(arcs)
+        assert sorted((b.start, b.length) for b in got
+                      if isinstance(b, StringBlock)) == sorted(planted), case
+    assert calls == []
+    emod.graded_jordan_chains([Matrix.zeros(1, 1)])
+    assert calls == [1]
 
 
-def test_cycle_decompose_filters_kernels_once(monkeypatch):
-    dmod, emod = sys.modules["tdr.decompose"], sys.modules["tdr.exactalg"]
-    calls = []
-
-    def counted(blocks, dims):
-        calls.append(len(blocks))
-        return real(blocks, dims)
-
-    real = emod.kernel_filtration
-    monkeypatch.setattr(dmod, "kernel_filtration", counted)
-    monkeypatch.setattr(emod, "kernel_filtration", counted)
-    r = direct_sum(realize("J", 3, Band(x_minus(2), 2)),
-                   realize("J", 3, StringBlock(2, 5)))
-    r = conjugate(random.Random(53), r)
-    assert blocks_of(r) == {Band(x_minus(2), 2): 1, StringBlock(2, 5): 1}
-    # the arcs once, then the band's single factor in rational_canonical
-    assert calls == [3, 1]
+def test_long_string_decomposes_within_its_time_bound():
+    """A 28-long chain on J_1 under a base change: ranks of the powers of
+    one 28 x 28 arc, and no kernel filtration to grow level by level."""
+    r = conjugate(random.Random(2811), realize("J", 1, StringBlock(1, 28)))
+    assert rank(r.tensors["v1"]) == 27
+    t0 = time.monotonic()
+    assert blocks_of(r) == {StringBlock(1, 28): 1}
+    assert time.monotonic() - t0 < 2.5
 
 
 def test_isomorphic_classifies_once(monkeypatch):

@@ -16,13 +16,12 @@ from tdr.exactalg import (
     Matrix,
     Poly,
     block_diag,
+    chains,
     charpoly,
     column_space,
     companion,
     coords_in_basis,
     det,
-    eventual_image,
-    eventual_kernel,
     extend_basis,
     factor_poly,
     graded_jordan_chains,
@@ -33,7 +32,6 @@ from tdr.exactalg import (
     rank,
     rational_canonical,
     rref,
-    solve_linear,
     stable_images,
 )
 from tdr.rational import Q
@@ -144,11 +142,9 @@ def test_rref_and_nullspace():
 def test_solve_linear():
     a = Matrix.from_rows([[1, 1], [0, 1]])
     b = Matrix.column([3, 1])
-    sol = solve_linear(a, b)
-    assert a @ sol.particular == b
-    assert sol.homogeneous.cols == 0
-    bad = solve_linear(Matrix.from_rows([[1], [1]]), Matrix.column([0, 1]))
-    assert bad.particular is None
+    assert a @ coords_in_basis(a, b) == b
+    with pytest.raises(ShapeMismatch):
+        coords_in_basis(Matrix.from_rows([[1], [1]]), Matrix.column([0, 1]))
 
 
 def test_column_space_and_coords():
@@ -188,21 +184,25 @@ def _planted_fitting(rng, n):
     return g @ block_diag(parts) @ inverse(g), k
 
 
+def _eventual(m):
+    """The stable image and stable kernel of one square matrix: the
+    one-grade case of stable_images and kernel_filtration."""
+    return stable_images([m])[0], kernel_filtration([m])[1][0]
+
+
 def test_eventual_image_and_kernel():
     """Two hand cases, then im(m^n) and ker(m^n) of seeded n x n matrices
     against sympy's powers and nullspaces."""
     import sympy
     m = Matrix.from_rows([[1, 0], [0, 0]])
-    assert eventual_image(m).cols == 1
-    assert eventual_kernel(m).cols == 1
+    assert [x.cols for x in _eventual(m)] == [1, 1]
     n = Matrix.from_rows([[0, 1], [0, 0]])
-    assert eventual_image(n).cols == 0
-    assert eventual_kernel(n).cols == 2
+    assert [x.cols for x in _eventual(n)] == [0, 2]
     rng = random.Random(611)
     for case in range(70):
         n = case % 7
         m, k = _planted_fitting(rng, n)
-        image, kernel = eventual_image(m), eventual_kernel(m)
+        image, kernel = _eventual(m)
         assert (image.cols, kernel.cols) == (k, n - k), case
         _exact(image, kernel)
         if not n:
@@ -215,18 +215,14 @@ def test_eventual_image_and_kernel():
 
 def test_stable_images_and_kernels_split_every_grade():
     """Fitting per grade: the stable image and the stable kernel of a
-    planted graded tuple are complements, and the filtration bounded by
-    the exact stable-kernel dimensions has the levels of the one bounded
-    by the grade dimensions."""
+    planted graded tuple are complements."""
     rng = random.Random(612)
     for case in range(30):
         grades, band = rng.randint(1, 3), rng.randint(0, 2)
         blocks = _planted_graded(rng, grades, band)
         dims = [b.cols for b in blocks]
         images = stable_images(blocks)
-        bound = [d - im.cols for d, im in zip(dims, images)]
-        filt, kernels = kernel_filtration(blocks, dims)
-        assert kernel_filtration(blocks, bound) == (filt, kernels), case
+        _, kernels = kernel_filtration(blocks)
         for a in range(grades):
             split = images[a].hstack(kernels[a])
             assert (images[a].cols, split.cols, rank(split)) == (band, dims[a], dims[a]), case
@@ -458,21 +454,21 @@ def test_kernels_agree_with_sympy():
         k = rng.randint(0, 3)
         b = _tdr(rows, k, _rand_grid(rng, rows, k))
         s_b = _sym(sympy, b)
-        sol = solve_linear(m, b)
         if s.row_join(s_b).rank() > s.rank():
-            assert sol.particular is None
+            with pytest.raises(ShapeMismatch):
+                coords_in_basis(m, b)
         else:
             # pivot variables solve the system, free variables are zero
-            assert s * _sym(sympy, sol.particular) == s_b
+            coords = coords_in_basis(m, b)
+            assert s * _sym(sympy, coords) == s_b
             free = set(range(cols)) - set(pivots)
-            assert all(not sol.particular.entries()[j][t] for j in free for t in range(k))
-            _exact(sol.particular)
-        assert sol.homogeneous == ns
+            assert all(not coords.entries()[j][t] for j in free for t in range(k))
+            _exact(coords)
 
         other = _tdr(cols, k, _rand_grid(rng, cols, k))
         prod = m @ other
         assert prod == _from_sym(s * _sym(sympy, other))
-        _exact(red, ns, cs, sol.homogeneous, prod)
+        _exact(red, ns, cs, prod)
 
         if rows == cols:
             d = det(m)
@@ -591,10 +587,10 @@ def test_matrix_form_is_canonical():
                 block_diag([m, b, c]), extend_basis(column_space(m), c)[0],
                 preimage(m, column_space(c)),
                 m.submatrix(range(0, rows, 2), range(1, cols, 2))]
-        sol = solve_linear(m, c)
-        outs += [sol.homogeneous] + ([sol.particular] if sol.particular else [])
+        if rank(m.hstack(c)) == rank(m):
+            outs.append(coords_in_basis(m, c))
         if rows == cols:
-            outs += [eventual_image(m), eventual_kernel(m), Poly((1, 2, 3)).eval_matrix(m)]
+            outs += [*_eventual(m), Poly((1, 2, 3)).eval_matrix(m)]
             if rows and det(m):
                 outs.append(inverse(m))
         _exact(*outs)
@@ -696,7 +692,7 @@ def test_graded_chains_make_no_confirming_sweep(monkeypatch):
     for case in range(20):
         grades = rng.randint(1, 4)
         blocks = _planted_graded(rng, grades)
-        levels = len(kernel_filtration(blocks, [b.cols for b in blocks])[0][0])
+        levels = len(kernel_filtration(blocks)[0][0])
         calls.clear()
         monkeypatch.setattr(emod, "preimage", counted)
         graded_jordan_chains(blocks)
@@ -713,7 +709,7 @@ def test_graded_chains_agree_with_rank_growth():
         grades = rng.randint(1, 3)
         blocks = _planted_graded(rng, grades)
         dims = [b.cols for b in blocks]
-        filt, _ = kernel_filtration(blocks, dims)
+        filt, _ = kernel_filtration(blocks)
         lmax = max(len(f) for f in filt) - 1
 
         def level(a, j):
@@ -732,6 +728,45 @@ def test_graded_chains_agree_with_rank_growth():
         assert [(c.start, c.length, c.vectors[0]) for c in chains] == want
         for c in chains:
             _exact(*c.vectors)
+
+
+def _nilpotent_part(blocks):
+    """The blocks on their stable kernels, in the kernels' canonical bases."""
+    n = len(blocks)
+    _, kers = kernel_filtration(blocks)
+    return [coords_in_basis(kers[(a + 1) % n], b @ kers[a])
+            for a, b in enumerate(blocks)]
+
+
+def test_chains_agree_with_graded_jordan_chains():
+    """chains, from ranks of composites alone, against the Jordan chains
+    that chain_tops picks from the nilpotent part's kernel filtration: on
+    1-5-grade tuples with a planted invertible part, on random tuples, and
+    on random paths closed by a zero block."""
+    rng = random.Random(1212)
+    seen = set()
+    for case in range(120):
+        grades, kind = case % 5 + 1, ("planted", "random", "path")[case // 5 % 3]
+        if kind == "planted":
+            blocks = _planted_graded(rng, grades, rng.randint(0, 2))
+        else:
+            dims = [rng.randint(0, 4) for _ in range(grades)]
+            blocks = [_tdr(dims[(a + 1) % grades], dims[a],
+                           _rand_grid(rng, dims[(a + 1) % grades], dims[a]))
+                      for a in range(grades)]
+            if kind == "path":
+                blocks[-1] = Matrix.zeros(dims[0], dims[-1])
+        stable = stable_images(blocks)[0].cols
+        got = chains(blocks, stable)
+        want = [(c.start, c.length) for c in graded_jordan_chains(_nilpotent_part(blocks))]
+        assert got == sorted(got) == sorted(want), case
+        seen.add(kind)
+        if stable and got:
+            seen.add("invertible part and chains")
+        if any(length > grades for _, length in got):
+            seen.add("chain passing a grade twice")
+    assert seen == {"planted", "random", "path", "invertible part and chains",
+                    "chain passing a grade twice"}
 
 
 _IRREDUCIBLE = ((0, 1), (-2, 1), (1, 1), (1, 0, 1), (-2, 0, 1), (1, 1, 1))
