@@ -13,16 +13,17 @@ Intervals and strings are chains of basis vectors along the arcs, which
 exactalg.chains counts from the ranks of composites.  Open paths (one or
 two dangling ends) are cycles closed by a zero arc, whose chains are the
 Interval blocks; the closed end of a one-dangling path behaves as an
-extra pinned position of dimension 1.  Cycles split at each position into
-the monodromy's stable image and stable kernel (Fitting's lemma): the
-invertible part yields Band blocks named by the elementary divisors of
-the monodromy on the stable image, and keeps the same rank in every
-composite, so the chains counted above it are the String blocks of the
-nilpotent part.  Closed paths are decomposed through their associated
-cycle, whose last position is the pinned scalar slot.
+extra pinned position of dimension 1.  A cycle splits into the stable
+image and the stable kernel of its monodromy at position 1 (Fitting's
+lemma): the Band blocks are the elementary divisors of the monodromy on
+its stable image, and the invertible part keeps the rank of that image
+in every composite of arcs, so the chains counted above it are the
+String blocks of the nilpotent part.  Closed paths are decomposed
+through their associated cycle, whose last position is the pinned
+scalar slot.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .classify import classify_diagram
@@ -41,7 +42,7 @@ from .exactalg import (
     coords_in_basis,
     factor_poly,
     rational_canonical,
-    stable_images,
+    stable_image,
 )
 from .representation import Representation, check_size, reverse_wire_rep
 from .semigraph import TensorDiagram, Wire, restrict, slots
@@ -122,15 +123,24 @@ def reorient(r, wanted):
     return r
 
 
-def traverse(d, family):
-    """Deterministic traversal of a path or cycle shape.
+class Shape(NamedTuple):
+    family: str     # "A0" | "A1" | "P" | "J"
+    n: int
+    wires: list     # position order
+    verts: list     # arc order
+    wanted: list    # (wire, tail, head) of a co-oriented traversal
 
-    Returns (wires, verts, wanted): wires in position order, the arc
-    vertices in arc order, and the (wire, tail, head) orientations a
-    co-oriented traversal wants.  Open paths start at their (smallest)
-    dangling wire; closed paths at their smallest end vertex and cycles at
-    their smallest vertex, leaving along its smallest wire, and that start
-    vertex becomes the last arc vertex.
+
+def traverse(d, family):
+    """Deterministic traversal of a path or cycle shape, as a Shape of
+    size len(d.vertices).
+
+    Its wires are in position order, its vertices in arc order, and wanted
+    lists the (wire, tail, head) orientations a co-oriented traversal
+    wants.  Open paths start at their (smallest) dangling wire; closed
+    paths at their smallest end vertex and cycles at their smallest
+    vertex, leaving along its smallest wire, and that start vertex becomes
+    the last arc vertex.
     """
     incident = {v: nb.outgoing + nb.incoming   # a loop is listed twice
                 for v, nb in slots(d).items()}
@@ -155,15 +165,7 @@ def traverse(d, family):
     wanted = [(w.id, verts[i - 1] if i else start,
                verts[i] if i < len(verts) else None)
               for i, w in enumerate(wires)]
-    return wires, verts, wanted
-
-
-class Shape(NamedTuple):
-    family: str     # "A0" | "A1" | "P" | "J"
-    n: int
-    wires: list     # position order
-    verts: list     # arc order
-    wanted: list    # (wire, tail, head) of a co-oriented traversal
+    return Shape(family, len(d.vertices), wires, verts, wanted)
 
 
 def shape_of(d):
@@ -174,7 +176,7 @@ def shape_of(d):
     _, cls = comps[0]
     if cls.kind == "wild":
         raise NotDecomposable(f"wild component ({cls.witness.kind})")
-    return Shape(cls.family, cls.n, *traverse(d, cls.family))
+    return traverse(d, cls.family)
 
 
 def position_dims(dims, shape):
@@ -197,15 +199,15 @@ def _oriented_arcs(r, shape):
 
 def _cycle_blocks(arcs):
     """Band and String blocks of a cycle's arcs."""
-    cores = stable_images(arcs)
+    mono = arcs[0]   # the monodromy at position 1
+    for arc in arcs[1:]:
+        mono = arc @ mono
+    core = stable_image(mono)
     # the invertible part keeps the rank of its stable image in every
     # composite of arcs, so the chains below are the nilpotent part's
-    out = [StringBlock(s, k) for s, k in chains(arcs, cores[0].cols)]
-    if cores[0].cols:
-        x = cores[0]
-        for arc in arcs:
-            x = arc @ x
-        lbar = coords_in_basis(cores[0], x)
+    out = [StringBlock(s, k) for s, k in chains(arcs, core.cols)]
+    if core.cols:
+        lbar = coords_in_basis(core, mono @ core)
         out.extend(Band(p, s) for p, s in rational_canonical(lbar))
     return out
 
@@ -260,7 +262,7 @@ def isomorphic(r1, r2):
             raise NotDecidableWild(f"wild component ({cls.witness.kind})")
     for comp, cls in comps:
         d = restrict(r1.diagram, comp)
-        shape = Shape(cls.family, cls.n, *traverse(d, cls.family))
+        shape = traverse(d, cls.family)
         s1, s2 = (Representation(d, {w: r.dims[w] for w in comp.wires},
                                  {v: r.tensors[v] for v in comp.vertices})
                   for r in (r1, r2))
@@ -279,7 +281,7 @@ def _names(prefix, k):
 
 
 def _check_shape(family, n):
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvalidDescriptor(f"shape size {n!r} out of range")
     if family not in ("A0", "A1", "P", "J"):
         raise InvalidDescriptor(f"unknown family {family!r}")
@@ -322,10 +324,14 @@ def block_arcs(family, n, desc):
     zero maps.  Every arc's size is checked against the cap first.
     """
     _check_shape(family, n)
-    m = n + (family in ("A0", "A1"))
-    if family in ("A0", "A1"):
-        if not isinstance(desc, Interval):
-            raise InvalidDescriptor(f"{family} blocks are intervals")
+    open_path = family in ("A0", "A1")
+    m = n + open_path
+    if not isinstance(desc, (Interval,) if open_path else (Band, StringBlock)):
+        raise InvalidDescriptor(f"descriptor {desc!r} not valid for {family}")
+    # poly must be a Poly and every other field an int (no bool)
+    if any(type(getattr(desc, f.name)) is not f.type for f in fields(desc)):
+        raise InvalidDescriptor(f"descriptor {desc!r} has a field of the wrong type")
+    if open_path:
         if not (1 <= desc.a <= desc.b <= m):
             raise InvalidDescriptor(f"interval out of range for {family}({n})")
         if family == "A1" and desc.a == m:
@@ -333,12 +339,10 @@ def block_arcs(family, n, desc):
         start, length = desc.a, desc.b - desc.a + 1
     elif isinstance(desc, Band):
         _check_band(desc)
-    elif isinstance(desc, StringBlock):
+    else:
         if not (1 <= desc.start <= n) or desc.length < 1:
             raise InvalidDescriptor(f"string out of range for n={n}")
         start, length = desc.start, desc.length
-    else:
-        raise InvalidDescriptor(f"descriptor {desc!r} not valid for a cycle")
     dims = desc.dims(m)
     if family == "P":
         if dims[-1] > 1:
@@ -382,5 +386,4 @@ def on_shape(d, shape, dims, arcs):
 def realize(family, n, desc):
     """Canonical representation of one indecomposable block."""
     d = canonical_diagram(family, n)
-    shape = Shape(family, n, *traverse(d, family))
-    return on_shape(d, shape, *block_arcs(family, n, desc))
+    return on_shape(d, traverse(d, family), *block_arcs(family, n, desc))

@@ -11,15 +11,16 @@ constructor, from_rows, column and entries().  Everything that returns a
 basis goes through the RREF, so outputs are canonical.  A preimage (and a
 kernel, the preimage of the zero space) takes one elimination: the RREF of
 [space | m with its columns reversed] already holds the preimage's
-reduced column echelon basis, as preimage's docstring explains.  On a
-cycle of maps, stable_images shrinks each grade to the invertible part
-of Fitting's lemma, and chains counts the chains of basis vectors along
-the maps (intervals, strings, and the Jordan chains behind elementary
-divisors) from the ranks of composites alone; kernel_filtration and
-chain_tops pick the chains' top vectors.  Polynomial factorization is
-delegated to sympy behind a thin monic wrapper; the rest is authored here
-because the decomposition algorithms need the intermediate data (stable
-images, chains), not just final answers.
+reduced column echelon basis, as preimage's docstring explains.
+stable_image shrinks a square matrix's image to the invertible part of
+Fitting's lemma.  On a cycle of maps, chains counts the chains of basis
+vectors along the maps (intervals, strings, and the Jordan chains behind
+elementary divisors) from the ranks of composites alone;
+kernel_filtration and chain_tops pick the chains' top vectors.
+Polynomial factorization is delegated to sympy behind a thin monic
+wrapper; the rest is authored here because the decomposition algorithms
+need the intermediate data (stable image, chains), not just final
+answers.
 """
 
 from dataclasses import dataclass
@@ -593,6 +594,18 @@ def rational_canonical(m):
     return out
 
 
+def stable_image(m):
+    """Canonical basis of the stable image of a square matrix m, the
+    invertible part of Fitting's lemma: from m's image on, each sweep
+    takes the image under m of the last, until one keeps the dimension."""
+    if m.rows != m.cols:
+        raise NotSquare(f"{m.rows}x{m.cols}")
+    core, before = column_space(m), m.cols
+    while core.cols < before:
+        core, before = column_space(m @ core), core.cols
+    return core
+
+
 # ---------------------------------------------------------------------------
 # graded Jordan chains
 
@@ -609,25 +622,6 @@ class JordanChain:
     @property
     def length(self):
         return len(self.vectors)
-
-
-def stable_images(blocks):
-    """Canonical bases of the stable images of a graded tuple, per grade.
-
-    blocks[a] maps grade a to grade (a+1) mod n.  Each core shrinks to the
-    image of the one before until a sweep leaves every dimension as it
-    was: the invertible part of Fitting's lemma.
-    """
-    n = len(blocks)
-    cores = [Matrix.identity(b.cols) for b in blocks]
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            nxt = column_space(blocks[a - 1] @ cores[a - 1])
-            changed |= nxt.cols != cores[a].cols
-            cores[a] = nxt
-    return cores
 
 
 def chains(blocks, stable=0):

@@ -39,6 +39,7 @@ from .semigraph import (
     TensorDiagram,
     Wire,
     connected_components,
+    slot_keys,
     slots,
     validate_diagram,
 )
@@ -92,11 +93,6 @@ def _offsets(dims, strides, base=0):
     return offs
 
 
-def _slot_keys(nb):
-    """(wire, side) per slot of a vertex: the row slots, then the column slots."""
-    return [(w, "out") for w in nb.outgoing] + [(w, "in") for w in nb.incoming]
-
-
 TENSOR_CAP = 1 << 22   # entries of the largest tensor or contraction node
 
 
@@ -114,8 +110,8 @@ def _flat(m):
 
 def _as_matrix(nums, den, keys, dims):
     """The matrix nums / den of a flat tensor over the slot keys of a vertex."""
-    rows = _prod(dims[w] for w, side in keys if side == "out")
-    cols = _prod(dims[w] for w, side in keys if side == "in")
+    rows = _prod(dims[w] for w, side in keys if side == "tail")
+    cols = _prod(dims[w] for w, side in keys if side == "head")
     return Matrix.from_ints(rows, cols, [
         nums[i * cols:(i + 1) * cols] for i in range(rows)], den)
 
@@ -216,7 +212,7 @@ def direct_sum(r1, r2):
     dims = {w: r1.dims[w] + r2.dims[w] for w in r1.dims}
     tensors = {}
     for v, nb in slots(d).items():
-        keys = _slot_keys(nb)
+        keys = slot_keys(nb)
         strides = _strides([dims[w] for w, _ in keys])
         # r2's block starts past r1's on every slot; with no slots both
         # blocks sit at offset 0 and the scalars add
@@ -242,7 +238,7 @@ def tensor_product(r1, r2):
     dims = {w: r1.dims[w] * r2.dims[w] for w in r1.dims}
     tensors = {}
     for v, nb in slots(d).items():
-        keys = _slot_keys(nb)
+        keys = slot_keys(nb)
         strides = _strides([dims[w] for w, _ in keys])
         d2 = [r2.dims[w] for w, _ in keys]
         outer_strides = [b * s for b, s in zip(d2, strides)]
@@ -555,12 +551,12 @@ def reverse_wire_rep(r, wid):
         Wire(x.id, x.head, x.tail) if x.id == wid else x for x in d.wires))
     dd = TensorDiagram(d.vertices, wires)
     tensors = dict(r.tensors)
-    flip = {"out": "in", "in": "out"}
+    flip = {"tail": "head", "head": "tail"}
     before, after = slots(d), slots(dd)
     for v in {v for v in (w.tail, w.head) if v is not None}:
-        old = _slot_keys(before[v])
+        old = slot_keys(before[v])
         strides = dict(zip(old, _strides([r.dims[x] for x, _ in old])))
-        new = _slot_keys(after[v])
+        new = slot_keys(after[v])
         # each slot of wid changes side and carries its index along
         offs = _offsets([r.dims[x] for x, _ in new],
                         [strides[(x, flip[s]) if x == wid else (x, s)]
@@ -616,12 +612,12 @@ def split_functor(r, fresh_wire, merged_id=None):
     dd = TensorDiagram(tuple(sorted(taken | {merged})), tuple(sorted(wires)))
     dims = {x.id: r.dims[x.id] for x in wires}
 
-    keys = _slot_keys(slots(dd)[merged])
+    keys = slot_keys(slots(dd)[merged])
     strides = dict(zip(keys, _strides([dims[x] for x, _ in keys])))
     views, den = [], 1
     before = slots(d)
     for v in (v1, v2):
-        old = _slot_keys(before[v])
+        old = slot_keys(before[v])
         # the fresh wire is the only slot not kept; stride 0 pins it to 0
         views += [_offsets([r.dims[x] for x, _ in old],
                            [strides.get(k, 0) for k in old]),

@@ -11,7 +11,8 @@ incoming wires (the columns); a loop takes one slot on each side, and a
 vertex of three or more slots makes its component wild.  slots(d) is the
 one incidence convention: one pass over the wires gives every vertex's
 slots, and every layer (neighborhood and degree, splitting, classify, the
-shape walk, the tensor layout, flows) reads them from that table.
+shape walk, the tensor layout, flows) reads them from that table;
+slot_keys names them (wire id, "tail"/"head") in tensor index order.
 """
 
 from typing import NamedTuple, Optional
@@ -158,8 +159,9 @@ def reverse_wire(d, wire_id):
     return TensorDiagram(d.vertices, tuple(sorted(wires)))
 
 
-def _sides(nb):
-    """Slots as (wire id, "tail") when outgoing, (wire id, "head") when incoming."""
+def slot_keys(nb):
+    """A vertex's slots in tensor index order: (wire id, "tail") per
+    outgoing wire (the rows), then (wire id, "head") per incoming one."""
     return [(w, "tail") for w in nb.outgoing] + [(w, "head") for w in nb.incoming]
 
 
@@ -197,7 +199,7 @@ def _fresh_wire(taken):
 
 def _split(d, v, part1, part2):
     """Core splitting; parts are slot sets.  Returns (d', wire id, v1, v2)."""
-    all_slots = _sides(neighborhood(d, v))
+    all_slots = slot_keys(neighborhood(d, v))
     s1 = _normalize_part(v, part1, all_slots)
     s2 = _normalize_part(v, part2, all_slots)
     if s1 & s2 or s1 | s2 != set(all_slots):
@@ -300,7 +302,7 @@ def isolate_subdiagram(d, s):
     carrier1 = {}    # original vertex -> (pass-1 carrier, its fresh wire or None)
     inside = set(u_set)
     for v in sorted(u_set):
-        at = set(_sides(slots(cur)[v]))
+        at = set(slot_keys(slots(cur)[v]))
         wires = {w.id: w for w in cur.wires}
         w1 = set()
         for wid, side in at:
@@ -322,7 +324,7 @@ def isolate_subdiagram(d, s):
     copy_vertices = []
     for v in sorted(u_set):
         c1, fresh1 = carrier1[v]
-        at = set(_sides(slots(cur)[c1]))
+        at = set(slot_keys(slots(cur)[c1]))
         w1 = {(wid, side) for wid, side in at if wid in f_set or wid == fresh1}
         w2 = at - w1
         if fresh1 is not None or w2:

@@ -366,7 +366,7 @@ _ENTRY = st.one_of(st.sampled_from(["0", "1", "-2/3", " 5 ", 2]), _JUNK)
 
 @st.composite
 def _rep_records(draw):
-    """Rep records for contract, well formed or with one part broken."""
+    """Rep records, well formed or with one part broken."""
     vs = draw(st.lists(st.sampled_from("abcd"), max_size=4, unique=True))
     end = st.sampled_from(vs or [None])
     wires = [{"id": f"e{i}", "tail": draw(end), "head": draw(end)}
@@ -423,6 +423,32 @@ def test_contract_fuzzed_records_never_trace_back(tmp_path, capsys):
             assert set(json.loads(out)) == {"value"} and not err
         else:
             assert code in (1, 2), code
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    check()
+
+
+@pytest.mark.parametrize("command", ["decompose", "isotest", "fmt"])
+def test_rep_commands_fuzzed_records_end_cleanly(tmp_path, capsys, command):
+    """Any rep record, given twice to isotest: exit 0 with empty stderr (a
+    rep is isomorphic to itself), exit 2 with {"error": "wild"} on stdout,
+    or exit 1 with one stderr line."""
+    path = tmp_path / "rep.json"
+    files = [str(path)] * (2 if command == "isotest" else 1)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_rep_records())
+    def check(rec):
+        path.write_text(json.dumps(rec))
+        code = run([command, *files]).exit_code
+        out, err = capsys.readouterr()
+        if code == 0:
+            got = json.loads(out)
+            assert not err and (command != "isotest" or got == {"isomorphic": True})
+        elif code == 2:
+            assert command != "fmt" and json.loads(out) == {"error": "wild"} and not err
+        else:
+            assert code == 1 and not out, code
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
     check()

@@ -38,11 +38,13 @@ from tdr.exactalg import (
     inverse,
     kernel_filtration,
     rank,
+    rational_canonical,
 )
 from tdr.rational import Q
 from tdr.representation import (
     apply_group_element,
     direct_sum,
+    monodromy,
     reverse_wire_rep,
     validate_representation,
 )
@@ -172,8 +174,19 @@ def test_realize_rejects_bad_descriptors():
         realize("Q", 2, Interval(1, 1))
 
 
+def test_realize_refuses_descriptor_fields_of_the_wrong_type():
+    """A poly that is no Poly, and a float, str or bool where an int
+    belongs, are InvalidDescriptor before any arithmetic runs."""
+    for family, desc in (("J", Band("x", 1)), ("J", Band(x_minus(2), 1.5)),
+                         ("J", Band(x_minus(2), True)), ("P", StringBlock(1.0, 2)),
+                         ("J", StringBlock(1, False)), ("A0", Interval("1", 2)),
+                         ("A1", Interval(1, 2.0)), ("A0", Interval(True, 1))):
+        with pytest.raises(InvalidDescriptor):
+            realize(family, 2, desc)
+
+
 def test_canonical_diagram_rejects_bad_sizes():
-    for n in (0, -1, "3", 2.0, None):
+    for n in (0, -1, "3", 2.0, None, True):
         with pytest.raises(InvalidDescriptor):
             canonical_diagram("J", n)
 
@@ -518,6 +531,44 @@ def test_cycle_decompose_makes_no_preimage(monkeypatch):
     assert calls == []
     emod.graded_jordan_chains([Matrix.zeros(1, 1)])
     assert calls == [1]
+
+
+_BAND_POLYS = (x_minus(2), x_minus(-1), Poly((Q(1), Q(1), Q(1))),
+               Poly((Q(-2), Q(0), Q(1))))
+
+
+def test_bands_are_the_invertible_divisors_of_the_monodromy(monkeypatch):
+    """Fitting's split by a route with no stable image: on base-changed
+    Band and String sums on J_1..J_5 the Bands are the elementary divisors
+    p^s of the monodromy at e1 with p(0) != 0.  decompose itself takes
+    one stable image per cycle, of that d1 x d1 monodromy."""
+    dmod = sys.modules["tdr.decompose"]
+    real, calls = dmod.stable_image, []
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(dmod, "stable_image", counted)
+    rng = random.Random(1230)
+    for case in range(30):
+        n = case % 5 + 1
+        descs = [Band(rng.choice(_BAND_POLYS), rng.randint(1, 2))
+                 for _ in range(rng.randint(1, 2))]
+        descs += [StringBlock(rng.randint(1, n), rng.randint(1, 2 * n))
+                  for _ in range(rng.randint(0, 2))]
+        r = realize("J", n, descs[0])
+        for desc in descs[1:]:
+            r = direct_sum(r, realize("J", n, desc))
+        r = conjugate(rng, r)
+        calls.clear()
+        got = sorted((d.poly.coeffs, d.power) for d, k in decompose(r).blocks
+                     for _ in range(k) if isinstance(d, Band))
+        want = sorted((p.coeffs, s) for p, s in rational_canonical(monodromy(r, "e1"))
+                      if p.coeffs[0])
+        assert got == want == sorted((d.poly.coeffs, d.power) for d in descs
+                                     if isinstance(d, Band)), case
+        assert calls == [(r.dims["e1"], r.dims["e1"])], case
 
 
 def test_long_string_decomposes_within_its_time_bound():

@@ -32,7 +32,7 @@ from tdr.exactalg import (
     rank,
     rational_canonical,
     rref,
-    stable_images,
+    stable_image,
 )
 from tdr.rational import Q
 
@@ -185,9 +185,9 @@ def _planted_fitting(rng, n):
 
 
 def _eventual(m):
-    """The stable image and stable kernel of one square matrix: the
-    one-grade case of stable_images and kernel_filtration."""
-    return stable_images([m])[0], kernel_filtration([m])[1][0]
+    """The stable image and stable kernel of one square matrix, the
+    kernel as the one-grade case of kernel_filtration."""
+    return stable_image(m), kernel_filtration([m])[1][0]
 
 
 def test_eventual_image_and_kernel():
@@ -198,6 +198,8 @@ def test_eventual_image_and_kernel():
     assert [x.cols for x in _eventual(m)] == [1, 1]
     n = Matrix.from_rows([[0, 1], [0, 0]])
     assert [x.cols for x in _eventual(n)] == [0, 2]
+    with pytest.raises(NotSquare):
+        stable_image(Matrix.from_rows([[1, 0], [0, 1], [0, 0]]))
     rng = random.Random(611)
     for case in range(70):
         n = case % 7
@@ -213,19 +215,27 @@ def test_eventual_image_and_kernel():
         assert (power * _sym(sympy, kernel)).is_zero_matrix, case
 
 
-def test_stable_images_and_kernels_split_every_grade():
-    """Fitting per grade: the stable image and the stable kernel of a
-    planted graded tuple are complements."""
+def _monodromy_at(blocks, a):
+    """The composite of a graded tuple's blocks once around from grade a."""
+    mono = blocks[a]
+    for k in range(1, len(blocks)):
+        mono = blocks[(a + k) % len(blocks)] @ mono
+    return mono
+
+
+def test_stable_image_and_kernel_split_every_grade():
+    """Fitting per grade: the stable image of a planted graded tuple's
+    monodromy at a grade and that grade's stable kernel are complements."""
     rng = random.Random(612)
     for case in range(30):
         grades, band = rng.randint(1, 3), rng.randint(0, 2)
         blocks = _planted_graded(rng, grades, band)
         dims = [b.cols for b in blocks]
-        images = stable_images(blocks)
         _, kernels = kernel_filtration(blocks)
         for a in range(grades):
-            split = images[a].hstack(kernels[a])
-            assert (images[a].cols, split.cols, rank(split)) == (band, dims[a], dims[a]), case
+            image = stable_image(_monodromy_at(blocks, a))
+            split = image.hstack(kernels[a])
+            assert (image.cols, split.cols, rank(split)) == (band, dims[a], dims[a]), case
 
 
 def test_block_diag():
@@ -756,7 +766,7 @@ def test_chains_agree_with_graded_jordan_chains():
                       for a in range(grades)]
             if kind == "path":
                 blocks[-1] = Matrix.zeros(dims[0], dims[-1])
-        stable = stable_images(blocks)[0].cols
+        stable = stable_image(_monodromy_at(blocks, 0)).cols
         got = chains(blocks, stable)
         want = [(c.start, c.length) for c in graded_jordan_chains(_nilpotent_part(blocks))]
         assert got == sorted(got) == sorted(want), case

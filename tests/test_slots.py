@@ -191,11 +191,12 @@ def test_traverse_matches_a_walk_by_scans(family):
                      for w in wires]
             rng.shuffle(wires)
             d = TensorDiagram(tuple(sorted(vname.values())), tuple(wires))
-            got_wires, got_verts, wanted = traverse(d, family)
-            assert (got_wires, got_verts) == plain_traverse(d, family)
+            shape = traverse(d, family)
+            assert (shape.family, shape.n) == (family, n)
+            assert (shape.wires, shape.verts) == plain_traverse(d, family)
             # the wanted orientations make the walk co-oriented
-            heads = [h for _, _, h in wanted]
-            tails = [t for _, t, _ in wanted]
+            heads = [h for _, _, h in shape.wanted]
+            tails = [t for _, t, _ in shape.wanted]
             assert heads[:-1] == tails[1:]
-            assert [{t, h} for _, t, h in wanted] == [
-                {w.tail, w.head} for w in got_wires]
+            assert [{t, h} for _, t, h in shape.wanted] == [
+                {w.tail, w.head} for w in shape.wires]
