@@ -23,6 +23,7 @@ from .errors import (
     NotDecidableWild,
     NotDecomposable,
     ParseError,
+    ShapeMismatch,
     TdrError,
     UnknownCommand,
 )
@@ -67,14 +68,17 @@ def _load_diagram(path):
     return validate_diagram(obj)
 
 
-def _matrix_from_grid(grid, what):
+def _matrix_from_grid(grid, what, rows=None, cols=None):
+    """The matrix of a grid of rationals, of the declared rows and cols or
+    else of the grid's own."""
     if not isinstance(grid, list) or any(not isinstance(r, list) for r in grid):
         raise ParseError(f"{what}: expected a list of rows")
-    rows = len(grid)
-    cols = len(grid[0]) if rows else 0
-    if any(len(r) != cols for r in grid):
-        raise ParseError(f"{what}: ragged rows")
-    return Matrix(rows, cols, [[parse_rational(x) for x in row] for row in grid])
+    if rows is None:
+        rows, cols = len(grid), len(grid[0]) if grid else 0
+    try:
+        return Matrix(rows, cols, [[parse_rational(x) for x in row] for row in grid])
+    except ShapeMismatch as exc:
+        raise ParseError(f"{what}: {exc}") from None
 
 
 def _load_rep(path):
@@ -103,16 +107,7 @@ def _rep_from_record(obj, base_dir):
         rows, cols, entries = cell["rows"], cell["cols"], cell["entries"]
         if any(type(n) is not int or n < 0 for n in (rows, cols)):
             raise ParseError(f"vertex {v}: rows and cols must be non-negative integers")
-        m = _matrix_from_grid(entries, f"vertex {v}")
-        if (m.rows, m.cols) != (rows, cols):
-            # an empty grid [] carries no column count; trust the declared
-            # cols as long as the declared rows really are zero
-            if not (m.rows == 0 and rows == 0):
-                raise ParseError(
-                    f"vertex {v}: entries are {m.rows}x{m.cols}, "
-                    f"declared {rows}x{cols}")
-            m = Matrix.zeros(0, cols)
-        tensors[v] = m
+        tensors[v] = _matrix_from_grid(entries, f"vertex {v}", rows, cols)
     return validate_representation(diag, obj["dims"], tensors)
 
 

@@ -7,11 +7,10 @@ Every kernel computes on those integers: rank, determinant and the RREF
 by fraction-free (Bareiss) elimination, the characteristic polynomial by
 Berkowitz's division-free algorithm, products over the product of the
 denominators.  Entries are rationals only at the boundary: the Matrix
-constructor, from_rows, column and entries().  Everything that returns a
-basis goes through the RREF, so outputs are canonical.  A preimage (and a
-kernel, the preimage of the zero space) takes one elimination: the RREF of
-[space | m with its columns reversed] already holds the preimage's
-reduced column echelon basis, as preimage's docstring explains.
+constructor (which refuses data of another shape), from_rows, column and
+entries().  Everything that returns a basis goes through the RREF, so
+outputs are canonical: nullspace and column_space read it off, and
+preimage is the column space of the x-parts of a nullspace.
 stable_image shrinks a square matrix's image to the invertible part of
 Fitting's lemma.  On a cycle of maps, chains counts the chains of basis
 vectors along the maps (intervals, strings, and the Jordan chains behind
@@ -44,12 +43,14 @@ class Matrix:
     __slots__ = ("rows", "cols", "nums", "den")
 
     def __init__(self, rows, cols, data):
-        # data: rows of rationals (anything Q takes), cleared to one
-        # denominator; ints and Qs are read without conversion
+        # data: rows rows of cols rationals (anything Q takes), cleared to
+        # one denominator; ints and Qs are read without conversion
         try:
             pairs = [[x.as_integer_ratio() for x in row] for row in data]
         except AttributeError:
             pairs = [[Q(x).as_integer_ratio() for x in row] for row in data]
+        if len(pairs) != rows or any(len(row) != cols for row in pairs):
+            raise ShapeMismatch(f"data is not {rows} rows of {cols} entries")
         den = lcm(*[d for row in pairs for _, d in row])
         self.rows, self.cols, self.den = rows, cols, den
         self.nums = tuple(tuple(n * (den // d) for n, d in row) for row in pairs)
@@ -75,10 +76,7 @@ class Matrix:
     @classmethod
     def from_rows(cls, rows_list):
         rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        if any(len(row) != cols for row in rows_list):
-            raise ShapeMismatch("ragged rows")
-        return cls(rows, cols, rows_list)
+        return cls(rows, len(rows_list[0]) if rows else 0, rows_list)
 
     @classmethod
     def identity(cls, n):
@@ -350,40 +348,13 @@ def coords_in_basis(basis, vecs):
 
 
 def preimage(m, space):
-    """Canonical basis of {x : m x in span(space columns)}.
-
-    One fraction-free Gauss-Jordan pass over a = [space | m with its columns
-    reversed]: the preimage is the x-part of a's nullspace, x_j sitting in
-    column q = space.cols + m.cols - 1 - j.  The nullspace vector of a free
-    column f of a is 1 at f, 0 at the other free columns, and otherwise
-    nonzero only at pivot columns before f.  For a free x column its x-part
-    is therefore 1 at x_j, 0 at the other free x positions and nonzero only
-    at positions after j: taken in ascending j these are the rows of the
-    RREF of the preimage's transpose, the basis column_space gives.  A free
-    space column lies left of every x column, so its vector has x-part 0 and
-    is dropped; this is what keeps the result right when space has
-    dependent columns.  Dropping the space rows can leave a common factor,
-    so the result is reduced through from_ints.  Scaling space or m leaves
-    the preimage alone, so their numerators are eliminated as they stand.
-    """
+    """Canonical basis of {x : m x in span(space columns)}, in column_space's
+    form: the x-parts of the nullspace of [space | m]."""
     if m.rows != space.rows:
         raise ShapeMismatch(f"{m.rows} rows vs {space.rows} rows")
-    k, width = space.cols, space.cols + m.cols
-    a = [s + x[::-1] for s, x in zip(space.nums, m.nums)]
-    pivots, _ = _eliminate(a, width, reduce_above=True)
-    den = a[0][pivots[0]] if pivots else 1
-    row_of = {p: r for r, p in enumerate(pivots)}
-    xcols = range(width - 1, k - 1, -1)
-    free = [q for q in xcols if q not in row_of]
-    out = []
-    for q in xcols:
-        r = row_of.get(q)
-        if r is None:
-            out.append([den if f == q else 0 for f in free])
-        else:
-            row = a[r]
-            out.append([-row[f] for f in free])
-    return Matrix.from_ints(m.cols, len(free), out, den)
+    null = nullspace(space.hstack(m))
+    return column_space(null.submatrix(range(space.cols, null.rows),
+                                       range(null.cols)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,12 @@ Rational entries have numerators in [-9, 9] and denominators in [1, 9].
 
 Generic mode fills every vertex tensor entry from the stream, row-major
 over vertices in canonical order.  Sum mode treats the requested dims as
-per-wire caps: it draws indecomposable descriptors while they fit under
-the caps (at most one block may cover the pinned position of a closed or
-half-open path), lays each block out along the input diagram's own shape
-(decompose.block_arcs and on_shape), takes their direct sum, conjugates
-by a random exact-invertible group element per wire and turns the wires
-back to the input's orientations.  The drawn multiset is returned as the
-answer key, so decompose(rep) == key.
+per-wire caps: it draws indecomposable descriptors, keeps each one that
+fits under the caps and that decompose.block_arcs accepts, lays each block
+out along the input diagram's own shape (on_shape), takes their direct
+sum, conjugates by a random exact-invertible group element per wire and
+turns the wires back to the input's orientations.  The kept multiset is
+returned as the answer key, so decompose(rep) == key.
 """
 
 from collections.abc import Mapping
@@ -30,7 +29,7 @@ from .decompose import (
     reorient,
     shape_of,
 )
-from .errors import InvalidDims
+from .errors import InvalidDescriptor, InvalidDims
 from .exactalg import Matrix, Poly, det, factor_poly
 from .rational import ONE, Q
 from .representation import (
@@ -139,19 +138,11 @@ def _generic(d, dims, rng):
 def _draw_desc(family, n, m, rng):
     if family in ("A0", "A1"):
         a = 1 + rng.below(m)
-        b = a + rng.below(m - a + 1)
-        if family == "A1" and (a, b) == (m, m):
-            return None
-        return Interval(a, b)
+        return Interval(a, a + rng.below(m - a + 1))
     if family == "P":
         if rng.below(2):
             return Band(Poly((-_nonzero_rational(rng), ONE)), 1)
-        desc = StringBlock(1 + rng.below(n), 1 + rng.below(max(2 * n - 1, 1)))
-        if desc == StringBlock(n, 1):
-            return None
-        if desc.dims(n)[n - 1] > 1:
-            return None
-        return desc
+        return StringBlock(1 + rng.below(n), 1 + rng.below(max(2 * n - 1, 1)))
     if rng.below(2):
         deg = 1 + rng.below(3)
         power = 1 + rng.below(3)
@@ -164,20 +155,22 @@ def _sum_mode(d, dims, rng):
     family, n = shape.family, shape.n
     remaining = position_dims(dims, shape)
     m = len(remaining)
-    blocks = []
+    blocks, reps = [], []
     misses = 0
     while misses < 24:
         desc = _draw_desc(family, n, m, rng)
-        need = desc.dims(m) if desc is not None else None
-        if desc is not None and all(x <= r for x, r in zip(need, remaining)):
+        need = desc.dims(m)
+        misses += 1   # unless the block fits and block_arcs accepts it
+        if all(x <= r for x, r in zip(need, remaining)):
+            try:
+                arcs = block_arcs(family, n, desc)
+            except InvalidDescriptor:
+                continue
+            # each block is laid out along the input diagram's own traversal
+            reps.append(on_shape(d, shape, *arcs))
             blocks.append(desc)
             remaining = [r - x for r, x in zip(remaining, need)]
             misses = 0
-        else:
-            misses += 1
-
-    # each block is laid out along the input diagram's own traversal
-    reps = [on_shape(d, shape, *block_arcs(family, n, desc)) for desc in blocks]
     if reps:
         rep = reduce(direct_sum, reps)
     else:

@@ -2,11 +2,12 @@
 
 A representation assigns a dimension to every wire and one exact rational
 matrix to every vertex, of at most TENSOR_CAP entries, rows and columns
-(checked on dims, before allocating; contraction nodes too).  Rows are
-indexed by the multi-index over the vertex's outgoing slots and columns
-over its incoming slots, as semigraph.slots lists them (canonical wire
-order), the first wire varying slowest; an empty side indexes a single
-scalar slot.  A loop has a slot on each side.
+(checked on dims, before allocating; contraction nodes, merged tensors and
+the Kronecker products of a base change too).  Rows are indexed by the
+multi-index over the vertex's outgoing slots and columns over its incoming
+slots, as semigraph.slots lists them (canonical wire order), the first
+wire varying slowest; an empty side indexes a single scalar slot.  A loop
+has a slot on each side.
 
 Everything downstream (direct sums, tensor products, wire reversal, the
 splitting functor, contraction) re-indexes a vertex's flat tensor through
@@ -16,9 +17,10 @@ strides.  Each operation is a choice of strides.
 
 from collections.abc import Mapping
 from functools import reduce
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
+from .classify import classify_diagram
 from .errors import (
     ContractionTooLarge,
     DiagramMismatch,
@@ -26,6 +28,7 @@ from .errors import (
     NotAMorphism,
     NotClosed,
     NotMonic,
+    NotNormalized,
     NotQuiverLike,
     RestrictedDimViolation,
     ShapeMismatch,
@@ -38,7 +41,7 @@ from .rational import ZERO, Q
 from .semigraph import (
     TensorDiagram,
     Wire,
-    connected_components,
+    reverse_wire,
     slot_keys,
     slots,
     validate_diagram,
@@ -61,13 +64,6 @@ class Representation:
 
     def __repr__(self):
         return f"Representation({self.diagram!r}, dims={self.dims!r})"
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def _strides(dims):
@@ -110,8 +106,8 @@ def _flat(m):
 
 def _as_matrix(nums, den, keys, dims):
     """The matrix nums / den of a flat tensor over the slot keys of a vertex."""
-    rows = _prod(dims[w] for w, side in keys if side == "tail")
-    cols = _prod(dims[w] for w, side in keys if side == "head")
+    rows = prod(dims[w] for w, side in keys if side == "tail")
+    cols = prod(dims[w] for w, side in keys if side == "head")
     return Matrix.from_ints(rows, cols, [
         nums[i * cols:(i + 1) * cols] for i in range(rows)], den)
 
@@ -129,8 +125,8 @@ def vertex_shape(nb, dims, v):
     """(rows, cols) of the matrix of v, whose slots are nb, refused when it
     has more than TENSOR_CAP entries, rows or columns (a side of dimension
     0 leaves the entries at 0 however long the other side is)."""
-    rows = _prod(dims[w] for w in nb.outgoing)
-    cols = _prod(dims[w] for w in nb.incoming)
+    rows = prod(dims[w] for w in nb.outgoing)
+    cols = prod(dims[w] for w in nb.incoming)
     check_size(v, rows * cols)
     for count, side in ((rows, "rows"), (cols, "columns")):
         if count > TENSOR_CAP:
@@ -178,7 +174,9 @@ def validate_representation(diagram, dims, tensors):
     return Representation(d, dv, out)
 
 
-def _kron_all(mats):
+def _kron_all(v, mats):
+    """The Kronecker product of mats at vertex v, its size checked first."""
+    check_size(v, prod(m.rows * m.cols for m in mats))
     return reduce(lambda a, b: a.kron(b), mats, Matrix.identity(1))
 
 
@@ -194,8 +192,8 @@ def apply_group_element(g, r):
     inv = {wid: inverse(g[wid]) for wid in r.dims}
     tensors = {}
     for v, nb in slots(r.diagram).items():
-        left = _kron_all([g[w] for w in nb.outgoing])
-        right = _kron_all([inv[w] for w in nb.incoming])
+        left = _kron_all(v, [g[w] for w in nb.outgoing])
+        right = _kron_all(v, [inv[w] for w in nb.incoming])
         tensors[v] = left @ r.tensors[v] @ right
     return Representation(r.diagram, dict(r.dims), tensors)
 
@@ -217,7 +215,7 @@ def direct_sum(r1, r2):
         # r2's block starts past r1's on every slot; with no slots both
         # blocks sit at offset 0 and the scalars add
         base2 = sum(r1.dims[w] * s for (w, _), s in zip(keys, strides))
-        size = _prod(dims[w] for w, _ in keys)
+        size = prod(dims[w] for w, _ in keys)
         check_size(v, size)
         out = [0] * size
         den = lcm(r1.tensors[v].den, r2.tensors[v].den)
@@ -242,7 +240,7 @@ def tensor_product(r1, r2):
         strides = _strides([dims[w] for w, _ in keys])
         d2 = [r2.dims[w] for w, _ in keys]
         outer_strides = [b * s for b, s in zip(d2, strides)]
-        size = _prod(dims[w] for w, _ in keys)
+        size = prod(dims[w] for w, _ in keys)
         check_size(v, size)
         m1, m2 = r1.tensors[v], r2.tensors[v]
         out = _outer(size,
@@ -285,8 +283,8 @@ def _phi_checked(phi, r1, r2):
 def is_morphism(phi, r1, r2):
     d = _phi_checked(phi, r1, r2)
     for v, nb in slots(d).items():
-        left = _kron_all([phi[w] for w in nb.outgoing])
-        right = _kron_all([phi[w] for w in nb.incoming])
+        left = _kron_all(v, [phi[w] for w in nb.outgoing])
+        right = _kron_all(v, [phi[w] for w in nb.incoming])
         if left @ r1.tensors[v] != r2.tensors[v] @ right:
             return False
     return True
@@ -424,7 +422,7 @@ def _contract_wires(na, nb, dims, wids):
     return [sum(map(mul, x, y)) for x in fa for y in fb], wires + rest
 
 
-def _plan(dims, held, order):
+def _plan(dims, held):
     """Steps (a, b, wires) chosen on dims alone from the wires held at each
     vertex, and the largest node they build: trace wires at node a (b is
     None), or merge node b into a over every wire the two share."""
@@ -435,7 +433,7 @@ def _plan(dims, held, order):
         nonlocal largest
         held[a] = [w for w in held[a] + held.pop(b, []) if w not in wids]
         steps.append((a, b, wids))
-        largest = max(largest, _prod(dims[w] for w in held[a]))
+        largest = max(largest, prod(dims[w] for w in held[a]))
 
     def shared(a, b):
         return [w for w in held[a] if w in held[b]]
@@ -447,26 +445,19 @@ def _plan(dims, held, order):
                 at.setdefault(w, []).append(k)
         return at
 
-    # a forced order contracts every wire, so nothing is left for the rest
-    for wid in order or ():
-        ends = holders().get(wid)
-        if ends and ends[0] == ends[1]:
-            step(ends[0], None, [wid])
-        elif ends:
-            step(*ends, shared(*ends))
     for v, ws in list(held.items()):
         loops = [w for w in dict.fromkeys(ws) if ws.count(w) == 2]
         if loops:
             step(v, None, loops)
     while pairs := {tuple(sorted(ks)) for ks in holders().values()}:
         a, b = min(pairs, key=lambda p: (
-            _prod(dims[w] for w in held[p[0]] + held[p[1]])
-            // _prod(dims[w] for w in shared(*p)) ** 2, p))
+            prod(dims[w] for w in held[p[0]] + held[p[1]])
+            // prod(dims[w] for w in shared(*p)) ** 2, p))
         step(a, b, shared(a, b))
     return steps, largest
 
 
-def contract(r, _order=None):
+def contract(r):
     """Contract a closed diagram to its exact scalar value.
 
     A wire of dimension 0 sums over nothing, so the value is 0.  Otherwise
@@ -475,19 +466,15 @@ def contract(r, _order=None):
     is made on dims first and raises ContractionTooLarge if it needs a node
     of more than TENSOR_CAP entries.  The steps run on the tensors' integer
     numerators, so the value is an integer total over the product of their
-    denominators.  _order forces a wire order instead: each wire merges
-    the two nodes holding its ends, or is traced if both sit in one node
-    (any order yields the same scalar; tests exercise that).
+    denominators.
     """
     if not r.diagram.is_closed():
         raise NotClosed("diagram has dangling or endpointless wires")
-    if _order is not None and sorted(_order) != sorted(r.dims):
-        raise UnknownWire("order must list every wire exactly once")
     if 0 in r.dims.values():
         return ZERO
     held = {v: list(nb.outgoing + nb.incoming)
             for v, nb in slots(r.diagram).items()}
-    steps, largest = _plan(r.dims, held, _order)
+    steps, largest = _plan(r.dims, held)
     if largest > TENSOR_CAP:
         raise ContractionTooLarge(f"contraction needs a node of {largest} "
                                   f"entries, over the cap of {TENSOR_CAP}")
@@ -514,17 +501,17 @@ def monodromy(r, base):
     known = {w.id: w for w in d.wires}
     if base not in known:
         raise UnknownWire(base)
-    if not d.vertices or len(d.wires) != len(d.vertices):
+    try:
+        comps = classify_diagram(d)
+    except NotNormalized:   # an endpointless wire
+        comps = ()
+    if len(comps) != 1 or comps[0][1].family != "J":
         raise NotALoop("shape is not a single co-oriented cycle")
-    if not d.is_closed():
-        raise NotALoop("cycle must be closed")
     out_of = {}
     for v, nb in slots(d).items():
         if len(nb.incoming) != 1 or len(nb.outgoing) != 1:
             raise NotALoop(f"vertex {v} is not on a co-oriented cycle")
         out_of[v] = nb.outgoing[0]
-    if len(connected_components(d)) != 1:
-        raise NotALoop("cycle must be connected")
     v = known[base].head
     acc = r.tensors[v]
     wid = out_of[v]
@@ -546,10 +533,8 @@ def reverse_wire_rep(r, wid):
     and column indices at its vertex (a partial transpose).
     """
     d = r.diagram
-    w = d.wire(wid)
-    wires = tuple(sorted(
-        Wire(x.id, x.head, x.tail) if x.id == wid else x for x in d.wires))
-    dd = TensorDiagram(d.vertices, wires)
+    dd = reverse_wire(d, wid)
+    w = dd.wire(wid)
     tensors = dict(r.tensors)
     flip = {"tail": "head", "head": "tail"}
     before, after = slots(d), slots(dd)
@@ -613,6 +598,8 @@ def split_functor(r, fresh_wire, merged_id=None):
     dims = {x.id: r.dims[x.id] for x in wires}
 
     keys = slot_keys(slots(dd)[merged])
+    size = prod(dims[x] for x, _ in keys)
+    check_size(merged, size)
     strides = dict(zip(keys, _strides([dims[x] for x, _ in keys])))
     views, den = [], 1
     before = slots(d)
@@ -623,7 +610,7 @@ def split_functor(r, fresh_wire, merged_id=None):
                            [strides.get(k, 0) for k in old]),
                   _flat(r.tensors[v])]
         den *= r.tensors[v].den
-    out = _outer(_prod(dims[x] for x, _ in keys), *views)
+    out = _outer(size, *views)
     tensors = {merged: _as_matrix(out, den, keys, dims)}
     for v in dd.vertices:
         if v != merged:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .errors import NotASimilarity, ShapeMismatch
 from .exactalg import Matrix, det, inverse, nullspace
 from .rational import Q, ZERO
-from .representation import Representation, intertwining_system
+from .representation import Representation, check_size, intertwining_system
 from .semigraph import TensorDiagram, Wire
 
 
@@ -74,24 +74,26 @@ def eight_diagram():
                                    Wire("e2", "v1", "v1")))
 
 
+def _packed(p, d, u1, u2):
+    """The rep of d, dims (6n, 2), whose one tensor Y1 (x) u1 + Y2 (x) u2
+    is checked against the cap before it is built."""
+    n = _check_pair(p)
+    check_size("v1", 36 * n * n * u1.rows * u1.cols)
+    y1, y2 = build_Y_pair(p)
+    return Representation(d, {"e1": 6 * n, "e2": 2},
+                          {"v1": y1.kron(u1) + y2.kron(u2)})
+
+
 def needle_rep_from_pair(p):
     """Needle representation Y1 (x) u1 + Y2 (x) u2, dims (6n, 2)."""
-    y1, y2 = build_Y_pair(p)
-    u1 = Matrix.column([1, 0])
-    u2 = Matrix.column([0, 1])
-    tensor = y1.kron(u1) + y2.kron(u2)
-    d = needle_diagram()
-    return Representation(d, {"e1": y1.rows, "e2": 2}, {"v1": tensor})
+    return _packed(p, needle_diagram(), Matrix.column([1, 0]),
+                   Matrix.column([0, 1]))
 
 
 def eight_rep_from_pair(p):
     """Figure-eight representation Y1 (x) E11 + Y2 (x) E12, dims (6n, 2)."""
-    y1, y2 = build_Y_pair(p)
-    e11 = Matrix.from_rows([[1, 0], [0, 0]])
-    e12 = Matrix.from_rows([[0, 1], [0, 0]])
-    tensor = y1.kron(e11) + y2.kron(e12)
-    d = eight_diagram()
-    return Representation(d, {"e1": y1.rows, "e2": 2}, {"v1": tensor})
+    return _packed(p, eight_diagram(), Matrix.from_rows([[1, 0], [0, 0]]),
+                   Matrix.from_rows([[0, 1], [0, 0]]))
 
 
 def eight_tuple(rep):

@@ -313,6 +313,28 @@ def test_wild_embed_no_witness(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["witness"] is None
 
 
+def test_wild_embed_over_the_cap_is_a_one_line_error(tmp_path, capsys):
+    # 72 * 242^2 entries in the needle's tensor, over the cap of 2^22
+    big = [["0"] * 242] * 242
+    pairs = {"A1": big, "B1": big, "A2": [["0"]], "B2": [["0"]]}
+    pp = write(tmp_path, "pairs.json", pairs)
+    assert run(["wild-embed", pp, "--out", str(tmp_path)]).exit_code == 1
+    out, err = capsys.readouterr()
+    assert not out and "over the cap" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rows, cols, entries", [
+    (1, 1, [["1", "2"]]), (2, 2, [["1", "2"]]), (1, 2, [["1", "2"], ["3"]]),
+    (0, 1, [["1"]])])
+def test_entries_of_another_shape_are_a_one_line_error(tmp_path, capsys,
+                                                       rows, cols, entries):
+    rep = {"diagram": {"vertices": ["v1"], "wires": []}, "dims": {},
+           "vertices": {"v1": {"rows": rows, "cols": cols, "entries": entries}}}
+    assert run(["decompose", write(tmp_path, "bad.json", rep)]).exit_code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: vertex v1: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("diagram", [
     {"vertices": 5, "wires": []},
     {"vertices": ["a"], "wires": ["x"]},
@@ -552,5 +574,154 @@ def test_flow_extend_fuzzed_records_never_trace_back(tmp_path, capsys):
         else:
             assert code == 1, code
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    check()
+
+
+def _ends_cleanly(code, out, err):
+    """Exit 0 with empty stderr, exit 2 with {"error": "wild"} on stdout,
+    or exit 1 with one stderr line."""
+    if code == 0:
+        assert not err, err
+    elif code == 2:
+        assert json.loads(out) == {"error": "wild"} and not err
+    else:
+        assert code == 1 and not out, code
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@st.composite
+def _diagram_records(draw):
+    """Diagram records with loops and dangling wires, well formed or with
+    one part broken."""
+    vs = draw(st.lists(st.sampled_from("abcd"), max_size=4, unique=True))
+    end = st.sampled_from(vs + [None])
+    wires = [{"id": f"e{i}", "tail": draw(end), "head": draw(end)}
+             for i in range(draw(st.integers(0, 4)))]
+    rec = {"vertices": vs, "wires": wires}
+    broken = draw(st.sampled_from(["none", "none", "none", "endpoint",
+                                   "vertex twice", "wire twice", "part", "key",
+                                   "whole"]))
+    if broken == "endpoint" and wires:
+        wires[0][draw(st.sampled_from(["id", "tail", "head"]))] = draw(_JUNK)
+    elif broken == "vertex twice" and vs:
+        vs.append(vs[0])
+    elif broken == "wire twice" and wires:
+        wires.append(dict(wires[0]))
+    elif broken == "part":
+        rec[draw(st.sampled_from(sorted(rec)))] = draw(_JUNK)
+    elif broken == "key":
+        del rec[draw(st.sampled_from(sorted(rec)))]
+    elif broken == "whole":
+        rec = draw(_JUNK)
+    return rec
+
+
+def test_classify_fuzzed_diagrams_end_cleanly(tmp_path, capsys):
+    path = tmp_path / "d.json"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_diagram_records())
+    def check(rec):
+        path.write_text(json.dumps(rec))
+        code = run(["classify", str(path)]).exit_code
+        out, err = capsys.readouterr()
+        _ends_cleanly(code, out, err)
+        if code == 0:
+            assert set(json.loads(out)) == {"components"}
+
+    check()
+
+
+@st.composite
+def _gen_random_cases(draw):
+    """A diagram record, --dims text, --seed, --mode and maybe --key-out."""
+    rec = draw(_diagram_records())
+    wires = rec.get("wires") if isinstance(rec, dict) else None
+    ids = [w.get("id") for w in wires if isinstance(w, dict)] if isinstance(
+        wires, list) else []
+    dims = {i: draw(st.integers(0, 2)) for i in ids if isinstance(i, str)}
+    broken = draw(st.sampled_from(
+        ["none", "none", "none", "value", "missing", "extra", "whole", "text"]))
+    if broken == "value" and dims:
+        dims[draw(st.sampled_from(sorted(dims)))] = draw(_JUNK)
+    elif broken == "missing" and dims:
+        del dims[draw(st.sampled_from(sorted(dims)))]
+    elif broken == "extra":
+        dims["zz"] = 1
+    elif broken == "whole":
+        dims = draw(_JUNK)
+    text = "{not json" if broken == "text" else json.dumps(dims)
+    seed = draw(st.sampled_from([0, 1, 7, -3, 2 ** 64 + 1, "x"]))
+    mode = draw(st.sampled_from(
+        ["generic", "generic", "sum", "sum", "sum-of-indecomposables", "x"]))
+    return rec, text, str(seed), mode, draw(st.booleans())
+
+
+def test_gen_random_fuzzed_requests_end_cleanly(tmp_path, capsys):
+    dp, kp = tmp_path / "d.json", tmp_path / "key.json"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_gen_random_cases())
+    def check(case):
+        rec, dims, seed, mode, key = case
+        dp.write_text(json.dumps(rec))
+        argv = ["gen-random", str(dp), "--dims", dims, "--seed", seed,
+                "--mode", mode] + (["--key-out", str(kp)] if key else [])
+        code = run(argv).exit_code
+        out, err = capsys.readouterr()
+        _ends_cleanly(code, out, err)
+        if code == 0:
+            assert set(json.loads(out)) == {"diagram", "dims", "vertices"}
+
+    check()
+
+
+@st.composite
+def _pairs_records(draw):
+    """Pairs files of n x n grids, n <= 3, well formed (sometimes the same
+    pair twice) or with one part broken."""
+    entry = st.sampled_from(["0", "1", "-2/3", "3/2", 2])
+
+    def grid(n):
+        return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+    n = draw(st.integers(0, 3))
+    rec = {"A1": grid(n), "B1": grid(n)}
+    if draw(st.booleans()):
+        rec.update(A2=rec["A1"], B2=rec["B1"])
+    else:
+        rec.update(A2=grid(n), B2=grid(n))
+    broken = draw(st.sampled_from(
+        ["none", "none", "none", "entry", "ragged", "size", "part", "key",
+         "whole"]))
+    key = draw(st.sampled_from(sorted(rec)))
+    if broken == "entry" and n:
+        rec[key] = [[draw(_ENTRY)] + row[1:] for row in rec[key]]
+    elif broken == "ragged" and n:
+        rec[key] = rec[key][:-1] + [rec[key][-1] + ["1"]]
+    elif broken == "size":
+        rec[key] = grid(draw(st.integers(0, 3)))
+    elif broken == "part":
+        rec[key] = draw(_JUNK)
+    elif broken == "key":
+        del rec[key]
+    elif broken == "whole":
+        rec = draw(_JUNK)
+    return rec
+
+
+def test_wild_embed_fuzzed_pairs_end_cleanly(tmp_path, capsys):
+    pp = tmp_path / "pairs.json"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_pairs_records())
+    def check(rec):
+        pp.write_text(json.dumps(rec))
+        code = run(["wild-embed", str(pp), "--out", str(tmp_path)]).exit_code
+        out, err = capsys.readouterr()
+        _ends_cleanly(code, out, err)
+        if code == 0 and json.loads(out)["witness"] is not None:
+            assert json.loads(out)["witness"]["verified"] is True
 
     check()

@@ -57,6 +57,16 @@ def test_from_rows_rejects_ragged():
         Matrix.from_rows([[1, 2], [3]])
 
 
+@pytest.mark.parametrize("rows, cols, data", [
+    (1, 1, [[1, 2]]), (2, 2, [[1, 2]]), (1, 2, [[1, 2], [3, 4]]),
+    (2, 2, [[1, 2], [3]]), (0, 3, [[1, 2, 3]]), (1, 0, [])])
+def test_matrix_checks_its_data_shape(rows, cols, data):
+    # a mis-shaped matrix would pass a shape check on rows and cols and
+    # then be read past its data, or not to its end
+    with pytest.raises(ShapeMismatch):
+        Matrix(rows, cols, data)
+
+
 def test_zeros_without_rows_allocates_no_row():
     # a declared 0 x cols tensor must not cost memory in cols
     tracemalloc.start()
@@ -635,7 +645,9 @@ def test_extend_basis_agrees_with_rank_growth():
     rng = random.Random(707)
     for _ in range(80):
         n = rng.randint(1, 6)
-        base = column_space(_tdr(n, rng.randint(0, n), _rand_grid(rng, n, rng.randint(0, n))))
+        rng.randint(0, n)   # a column count no longer used, kept for the stream
+        k = rng.randint(0, n)
+        base = column_space(_tdr(n, k, _rand_grid(rng, n, k)))
         cols = []
         for _ in range(rng.randint(0, 8)):
             kind = rng.choice(("zero", "repeat", "base", "combo", "fresh"))

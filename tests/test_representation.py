@@ -289,8 +289,9 @@ def _largest_tensor(d, dims):
 def test_reindexing_functors_on_wild_diagrams():
     """Seeded wild diagrams with vertices of three or more slots, loops,
     dangling wires and dimensions 0 and 1: wire reversal is an involution
-    commuting with direct sums, and reversing every wire is the dual; on connected closed networks contraction
-    ignores wire orientation and wire order, adds over direct sums,
+    commuting with direct sums, and reversing every wire is the dual; on
+    connected closed networks contraction ignores wire orientation, adds
+    over direct sums,
     multiplies over tensor products and survives merging a split vertex
     back along its dimension-1 wire."""
     rng = random.Random(20261018)
@@ -336,8 +337,6 @@ def test_reindexing_functors_on_wild_diagrams():
         value = contract(r1)
         for w in d.wires:
             assert contract(reverse_wire_rep(r1, w.id)) == value, (case, w.id)
-        for order in itertools.permutations(w.id for w in d.wires):
-            assert contract(r1, _order=order) == value, (case, order)
         assert contract(summed) == value + contract(r2), case
         assert contract(tensor_product(r1, r2)) == value * contract(r2), case
         for v in d.vertices:
@@ -387,15 +386,19 @@ def _complete_rep(n, dim):
 
 def test_tensor_cap_is_checked_before_allocation():
     # one vertex with 12 dangling wires: dims 2 give 4096 entries, while
-    # dims 4 (a direct sum or tensor product of two) give 4^12 > TENSOR_CAP
+    # dims 4 (a direct sum or tensor product of two) give 4^12 > TENSOR_CAP,
+    # as does the 4096 x 4096 Kronecker product of a base change at v
     d = validate_diagram({"vertices": ["v"], "wires": [
         {"id": f"e{i:02}", "tail": "v", "head": None} for i in range(12)]})
     dims = {w.id: 2 for w in d.wires}
     r = validate_representation(d, dims, {"v": Matrix(4096, 1, ((ONE,),) * 4096)})
+    eye = {w: Matrix.identity(2) for w in dims}
     assert 4 ** 12 > TENSOR_CAP
     for build in (lambda: direct_sum(r, r), lambda: tensor_product(r, r),
                   lambda: validate_representation(
-                      d, {w: 4 for w in dims}, {"v": Matrix.zeros(1, 1)})):
+                      d, {w: 4 for w in dims}, {"v": Matrix.zeros(1, 1)}),
+                  lambda: apply_group_element(eye, r),
+                  lambda: is_morphism(eye, r, r)):
         tracemalloc.start()
         try:
             with pytest.raises(TensorTooLarge):
@@ -404,6 +407,24 @@ def test_tensor_cap_is_checked_before_allocation():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_split_functor_caps_the_merged_tensor():
+    # endpoint tensors of 4096 and 2048 entries merge into 2^23 entries
+    d = validate_diagram({"vertices": ["a", "b"], "wires": [
+        {"id": "f", "tail": "a", "head": "b"},
+        {"id": "x", "tail": "a", "head": None},
+        {"id": "y", "tail": "b", "head": None}]})
+    r = validate_representation(d, {"f": 1, "x": 4096, "y": 2048}, {
+        "a": Matrix.zeros(4096, 1), "b": Matrix.zeros(2048, 1)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(TensorTooLarge):
+            split_functor(r, "f")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("dims, side", [
@@ -458,8 +479,7 @@ def _brute_contract(d, dims, tensors):
 def test_contract_agrees_with_brute_force():
     """Seeded closed networks on 1-4 vertices with loops, multi-wires,
     dimensions 0-3, several components and slot-less scalar vertices:
-    contract equals the plain sum over index assignments, in the greedy
-    order and in every forced wire order."""
+    contract equals the plain sum over index assignments."""
     rng = random.Random(5150)
     seen = set()
     for case in range(120):
@@ -472,8 +492,6 @@ def test_contract_agrees_with_brute_force():
         want = _brute_contract(d, dims, r.tensors)
         value = contract(r)
         assert value == want and type(value) is type(ZERO), case
-        for order in itertools.permutations(dims):
-            assert contract(r, _order=order) == want, (case, order)
         ends = [(w.tail, w.head) for w in d.wires]
         seen |= {"loop" for t, h in ends if t == h}
         seen |= {"multi-wire" for i, e in enumerate(ends)

@@ -1,12 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
 
 from tdr.classify import classify_diagram
-from tdr.errors import NotASimilarity, ShapeMismatch
+from tdr.errors import NotASimilarity, ShapeMismatch, TensorTooLarge
 from tdr.exactalg import Matrix, det, inverse, rank
 from tdr.rational import Q
-from tdr.representation import apply_group_element
+from tdr.representation import TENSOR_CAP, apply_group_element
 from tdr.wildness import (
     MatrixPair,
     build_Y_pair,
@@ -95,6 +96,22 @@ def test_needle_rep_shape():
         for j in range(6):
             assert t[2 * i][j] == e1[i][j]
             assert t[2 * i + 1][j] == e2[i][j]
+
+
+@pytest.mark.parametrize("build, entries", [
+    (needle_rep_from_pair, 72), (eight_rep_from_pair, 144)])
+def test_packed_tensor_is_capped_before_allocation(build, entries):
+    # the smallest n whose tensor of entries * n^2 is over the cap
+    n = next(n for n in range(1, 1000) if entries * n * n > TENSOR_CAP)
+    pair = MatrixPair(Matrix.zeros(n, n), Matrix.zeros(n, n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TensorTooLarge):
+            build(pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_iso_from_similarity_intertwines():
