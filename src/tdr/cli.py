@@ -62,19 +62,15 @@ def _load_json(path):
 
 
 def _load_diagram(path):
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: diagram must be a JSON object")
-    return validate_diagram(obj)
+    return validate_diagram(_load_json(path))
 
 
-def _matrix_from_grid(grid, what, rows=None, cols=None):
-    """The matrix of a grid of rationals, of the declared rows and cols or
+def _matrix_from_grid(grid, what, shape=None):
+    """The matrix of a grid of rationals, of the declared (rows, cols) or
     else of the grid's own."""
     if not isinstance(grid, list) or any(not isinstance(r, list) for r in grid):
         raise ParseError(f"{what}: expected a list of rows")
-    if rows is None:
-        rows, cols = len(grid), len(grid[0]) if grid else 0
+    rows, cols = shape or (len(grid), len(grid[0]) if grid else 0)
     try:
         return Matrix(rows, cols, [[parse_rational(x) for x in row] for row in grid])
     except ShapeMismatch as exc:
@@ -96,18 +92,14 @@ def _rep_from_record(obj, base_dir):
     if isinstance(diag, str):
         path = diag if os.path.isabs(diag) else os.path.join(base_dir, diag)
         diag = _load_json(path)
-    if not isinstance(diag, dict):
-        raise ParseError("diagram must be an object or a file path")
-    if not isinstance(obj["dims"], dict) or not isinstance(obj["vertices"], dict):
-        raise ParseError("dims and vertices must be objects")
+    if not isinstance(obj["vertices"], dict):
+        raise ParseError("vertices must be an object")
     tensors = {}
     for v, cell in obj["vertices"].items():
         if not isinstance(cell, dict) or not {"rows", "cols", "entries"} <= set(cell):
             raise ParseError(f"vertex {v}: need rows, cols, entries")
-        rows, cols, entries = cell["rows"], cell["cols"], cell["entries"]
-        if any(type(n) is not int or n < 0 for n in (rows, cols)):
-            raise ParseError(f"vertex {v}: rows and cols must be non-negative integers")
-        tensors[v] = _matrix_from_grid(entries, f"vertex {v}", rows, cols)
+        tensors[v] = _matrix_from_grid(cell["entries"], f"vertex {v}",
+                                       (cell["rows"], cell["cols"]))
     return validate_representation(diag, obj["dims"], tensors)
 
 
@@ -235,8 +227,6 @@ def _cmd_gen_random(ns):
         dims = json.loads(ns.dims)
     except json.JSONDecodeError as exc:
         raise ParseError(f"--dims: invalid JSON: {exc}") from None
-    if not isinstance(dims, dict):
-        raise ParseError("--dims must be a JSON object")
     res = gen_random(d, dims, ns.seed, ns.mode)
     if ns.key_out and res.key is not None:
         with open(ns.key_out, "w", encoding="utf-8") as fh:

@@ -59,7 +59,11 @@ class ShapeMismatch(TdrError):
     pass
 
 
-class SizeMismatch(TdrError):
+class SizeMismatch(ShapeMismatch):
+    pass
+
+
+class InvalidDims(ShapeMismatch):
     pass
 
 
@@ -138,8 +142,4 @@ class ParseError(TdrError):
 
 
 class UnknownCommand(TdrError):
-    pass
-
-
-class InvalidDims(TdrError):
     pass

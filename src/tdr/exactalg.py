@@ -7,10 +7,12 @@ Every kernel computes on those integers: rank, determinant and the RREF
 by fraction-free (Bareiss) elimination, the characteristic polynomial by
 Berkowitz's division-free algorithm, products over the product of the
 denominators.  Entries are rationals only at the boundary: the Matrix
-constructor (which refuses data of another shape), from_rows, column and
-entries().  Everything that returns a basis goes through the RREF, so
-outputs are canonical: nullspace and column_space read it off, and
-preimage is the column space of the x-parts of a nullspace.
+constructor, from_rows, column and entries().  The constructor refuses a
+side that is not an int >= 0 and data that is not rows x cols finite
+rationals, as ShapeMismatch; Poly refuses its coefficients alike.
+Everything that returns a basis goes through the RREF, so outputs are
+canonical: nullspace and column_space read it off, and preimage is the
+column space of the x-parts of a nullspace.
 stable_image shrinks a square matrix's image to the invertible part of
 Fitting's lemma.  On a cycle of maps, chains counts the chains of basis
 vectors along the maps (intervals, strings, and the Jordan chains behind
@@ -43,12 +45,18 @@ class Matrix:
     __slots__ = ("rows", "cols", "nums", "den")
 
     def __init__(self, rows, cols, data):
-        # data: rows rows of cols rationals (anything Q takes), cleared to
+        # data: rows x cols finite rationals (anything Q takes), cleared to
         # one denominator; ints and Qs are read without conversion
+        for n in (rows, cols):
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                raise ShapeMismatch(f"a matrix side must be an int >= 0, got {n!r}")
         try:
-            pairs = [[x.as_integer_ratio() for x in row] for row in data]
-        except AttributeError:
-            pairs = [[Q(x).as_integer_ratio() for x in row] for row in data]
+            try:
+                pairs = [[x.as_integer_ratio() for x in row] for row in data]
+            except AttributeError:
+                pairs = [[Q(x).as_integer_ratio() for x in row] for row in data]
+        except (TypeError, ValueError, ArithmeticError):
+            raise ShapeMismatch("data is not rows of rationals") from None
         if len(pairs) != rows or any(len(row) != cols for row in pairs):
             raise ShapeMismatch(f"data is not {rows} rows of {cols} entries")
         den = lcm(*[d for row in pairs for _, d in row])
@@ -373,7 +381,10 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = _trim(Q(x) for x in coeffs)
+        try:
+            self.coeffs = _trim(Q(x) for x in coeffs)
+        except (TypeError, ValueError, ArithmeticError):
+            raise ShapeMismatch("coefficients are not rationals") from None
 
     @classmethod
     def x(cls):

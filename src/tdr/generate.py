@@ -4,17 +4,18 @@ The stream is the standard splitmix64 step, fixed so that fixtures and
 answer keys reproduce bit-for-bit across runs and implementations.
 Rational entries have numerators in [-9, 9] and denominators in [1, 9].
 
-Generic mode fills every vertex tensor entry from the stream, row-major
-over vertices in canonical order.  Sum mode treats the requested dims as
-per-wire caps: it draws indecomposable descriptors, keeps each one that
-fits under the caps and that decompose.block_arcs accepts, lays each block
-out along the input diagram's own shape (on_shape), takes their direct
-sum, conjugates by a random exact-invertible group element per wire and
-turns the wires back to the input's orientations.  The kept multiset is
-returned as the answer key, so decompose(rep) == key.
+Dims are checked by representation.vertex_shapes, as for
+validate_representation.  Generic mode fills every vertex tensor entry
+from the stream, row-major over vertices in canonical order.  Sum mode
+treats the requested dims as per-wire caps: it draws indecomposable
+descriptors, keeps each one that fits under the caps and that
+decompose.block_arcs accepts, lays each block out along the input
+diagram's own shape (on_shape), takes their direct sum, conjugates by a
+random exact-invertible group element per wire and turns the wires back
+to the input's orientations.  The kept multiset is returned as the answer
+key, so decompose(rep) == key.
 """
 
-from collections.abc import Mapping
 from functools import reduce
 from typing import NamedTuple
 
@@ -36,9 +37,9 @@ from .representation import (
     Representation,
     apply_group_element,
     direct_sum,
-    vertex_shape,
+    vertex_shapes,
 )
-from .semigraph import slots, validate_diagram
+from .semigraph import validate_diagram
 
 
 class SplitMix64:
@@ -110,31 +111,6 @@ class GenResult(NamedTuple):
     key: object   # Decomposition in sum mode, None in generic mode
 
 
-def _check_dims(d, dims):
-    if not isinstance(dims, Mapping):
-        raise InvalidDims("dims must be a mapping of wire ids to dims")
-    ids = {w.id for w in d.wires}
-    for wid in ids:
-        if wid not in dims:
-            raise InvalidDims(f"missing dim for wire {wid}")
-        v = dims[wid]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise InvalidDims(f"bad dim for wire {wid}: {v!r}")
-    for wid in dims:
-        if wid not in ids:
-            raise InvalidDims(f"dim for unknown wire {wid}")
-    for v, nb in slots(d).items():
-        vertex_shape(nb, dims, v)
-
-
-def _generic(d, dims, rng):
-    tensors = {}
-    for v, nb in slots(d).items():
-        rows, cols = vertex_shape(nb, dims, v)
-        tensors[v] = _rand_matrix(rng, rows, cols)
-    return Representation(d, dict(dims), tensors)
-
-
 def _draw_desc(family, n, m, rng):
     if family in ("A0", "A1"):
         a = 1 + rng.below(m)
@@ -187,13 +163,13 @@ def _sum_mode(d, dims, rng):
 def gen_random(diagram, dims, seed, mode="generic"):
     """Deterministic random representation; (rep, key) with key in sum mode."""
     d = validate_diagram(diagram)
-    _check_dims(d, dims)
-    if not isinstance(seed, int):
+    shapes = vertex_shapes(d, dims)
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise InvalidDims(f"seed must be an integer, got {seed!r}")
     rng = SplitMix64(seed)
     if mode == "generic":
-        return GenResult(_generic(d, dims, rng), None)
+        tensors = {v: _rand_matrix(rng, *shape) for v, shape in shapes.items()}
+        return GenResult(Representation(d, dict(dims), tensors), None)
     if mode in ("sum", "sum-of-indecomposables"):
-        rep, key = _sum_mode(d, dims, rng)
-        return GenResult(rep, key)
+        return GenResult(*_sum_mode(d, dims, rng))
     raise InvalidDims(f"unknown mode {mode!r}")

@@ -9,6 +9,11 @@ slots, as semigraph.slots lists them (canonical wire order), the first
 wire varying slowest; an empty side indexes a single scalar slot.  A loop
 has a slot on each side.
 
+Each input rule is checked once: vertex_shapes checks dims and gives the
+vertex shapes (InvalidDims), and _phi_checked checks a map of one Matrix
+per wire, a base change or a morphism (SizeMismatch).  Both errors are
+ShapeMismatch, as is a tensor of the wrong shape.
+
 Everything downstream (direct sums, tensor products, wire reversal, the
 splitting functor, contraction) re-indexes a vertex's flat tensor through
 one primitive, _offsets: the flat offsets of an axis view with chosen
@@ -19,11 +24,13 @@ from collections.abc import Mapping
 from functools import reduce
 from math import lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .classify import classify_diagram
 from .errors import (
     ContractionTooLarge,
     DiagramMismatch,
+    InvalidDims,
     NotALoop,
     NotAMorphism,
     NotClosed,
@@ -48,19 +55,10 @@ from .semigraph import (
 )
 
 
-class Representation:
-    __slots__ = ("diagram", "dims", "tensors")
-
-    def __init__(self, diagram, dims, tensors):
-        self.diagram = diagram
-        self.dims = dims
-        self.tensors = tensors
-
-    def __eq__(self, other):
-        return (isinstance(other, Representation)
-                and self.diagram == other.diagram
-                and self.dims == other.dims
-                and self.tensors == other.tensors)
+class Representation(NamedTuple):
+    diagram: TensorDiagram
+    dims: dict      # wire id -> dimension
+    tensors: dict   # vertex id -> Matrix
 
     def __repr__(self):
         return f"Representation({self.diagram!r}, dims={self.dims!r})"
@@ -135,33 +133,37 @@ def vertex_shape(nb, dims, v):
     return rows, cols
 
 
+def vertex_shapes(d, dims):
+    """{v: (rows, cols)} of every vertex of d under dims, once dims gives
+    every wire of d, and no other wire, an int >= 0 (not a bool), and each
+    vertex is within the cap (vertex_shape)."""
+    if not isinstance(dims, Mapping):
+        raise InvalidDims("dims must be a mapping of wire ids to dims")
+    ids = {w.id for w in d.wires}
+    for w in d.wires:
+        val = dims.get(w.id)
+        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
+            raise InvalidDims(f"wire {w.id} needs a dim >= 0, got {val!r}")
+    for wid in dims:
+        if wid not in ids:
+            raise InvalidDims(f"dim for unknown wire {wid!r}")
+    return {v: vertex_shape(nb, dims, v) for v, nb in slots(d).items()}
+
+
 def validate_representation(diagram, dims, tensors):
     d = validate_diagram(diagram)
-    if not isinstance(dims, Mapping) or not isinstance(tensors, Mapping):
-        raise ShapeMismatch("dims and tensors must be mappings")
-    wire_ids = [w.id for w in d.wires]
-    dv = {}
-    for wid in wire_ids:
-        if wid not in dims:
-            raise ShapeMismatch(f"missing dimension for wire {wid}")
-        val = dims[wid]
-        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
-            raise ShapeMismatch(f"bad dimension for wire {wid}: {val!r}")
-        dv[wid] = val
-    for wid in dims:
-        if wid not in dv:
-            raise ShapeMismatch(f"dimension for unknown wire {wid}")
+    shapes = vertex_shapes(d, dims)
+    if not isinstance(tensors, Mapping):
+        raise ShapeMismatch("tensors must be a mapping of vertex ids to matrices")
     out = {}
-    table = slots(d)
-    for v in d.vertices:
-        rows, cols = vertex_shape(table[v], dv, v)
+    for v, (rows, cols) in shapes.items():
         if v not in tensors:
             raise ShapeMismatch(f"missing tensor for vertex {v}")
         m = tensors[v]
         if not isinstance(m, Matrix):
             try:
                 m = Matrix.from_rows(m)
-            except (TypeError, ValueError, LookupError, ArithmeticError):
+            except (TypeError, LookupError, ShapeMismatch):
                 raise ShapeMismatch(
                     f"vertex {v}: not a grid of rationals") from None
         if (m.rows, m.cols) != (rows, cols):
@@ -171,7 +173,7 @@ def validate_representation(diagram, dims, tensors):
     for v in tensors:
         if v not in out:
             raise ShapeMismatch(f"tensor for unknown vertex {v}")
-    return Representation(d, dv, out)
+    return Representation(d, {w.id: dims[w.id] for w in d.wires}, out)
 
 
 def _kron_all(v, mats):
@@ -182,13 +184,7 @@ def _kron_all(v, mats):
 
 def apply_group_element(g, r):
     """Change of basis: each tensor becomes (kron g_out) M (kron inv g_in)."""
-    for wid, dim in r.dims.items():
-        if wid not in g:
-            raise SizeMismatch(f"missing group entry for wire {wid}")
-        m = g[wid]
-        if m.rows != dim or m.cols != dim:
-            raise SizeMismatch(
-                f"wire {wid}: group entry {m.rows}x{m.cols}, dim {dim}")
+    _phi_checked(g, r, r)
     inv = {wid: inverse(g[wid]) for wid in r.dims}
     tensors = {}
     for v, nb in slots(r.diagram).items():
@@ -267,16 +263,16 @@ def dual_rep(r):
 
 
 def _phi_checked(phi, r1, r2):
+    """The common diagram of r1 and r2, once phi maps every wire to a Matrix
+    of shape r2.dims x r1.dims."""
     if r1.diagram != r2.diagram:
         raise DiagramMismatch("morphism endpoints live on different diagrams")
+    if not isinstance(phi, Mapping):
+        raise SizeMismatch("a map must be a mapping of wire ids to matrices")
     for wid in r1.dims:
-        if wid not in phi:
-            raise ShapeMismatch(f"missing morphism component for wire {wid}")
-        m = phi[wid]
-        if (m.rows, m.cols) != (r2.dims[wid], r1.dims[wid]):
-            raise ShapeMismatch(
-                f"wire {wid}: component {m.rows}x{m.cols}, "
-                f"want {r2.dims[wid]}x{r1.dims[wid]}")
+        m, want = phi.get(wid), (r2.dims[wid], r1.dims[wid])
+        if not isinstance(m, Matrix) or (m.rows, m.cols) != want:
+            raise SizeMismatch(f"wire {wid} needs a {want[0]}x{want[1]} Matrix")
     return r1.diagram
 
 
@@ -388,7 +384,7 @@ def kernel(phi, r1, r2):
     """Kernel of a morphism, via the cokernel of the transposed morphism."""
     _phi_checked(phi, r1, r2)
     d1, d2 = dual_rep(r1), dual_rep(r2)
-    phit = {wid: phi[wid].transpose() for wid in phi}
+    phit = {wid: phi[wid].transpose() for wid in r1.dims}
     c, psi = _coker_data(phit, d2, d1)
     ker = dual_rep(c)
     incl = {wid: psi[wid].transpose() for wid in psi}

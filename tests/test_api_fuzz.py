@@ -5,9 +5,15 @@ from math import prod
 from hypothesis import given, settings, strategies as st
 
 from tdr.errors import TdrError
-from tdr.exactalg import Matrix
+from tdr.exactalg import Matrix, Poly
 from tdr.generate import gen_random
-from tdr.representation import validate_representation
+from tdr.representation import (
+    apply_group_element,
+    cokernel,
+    is_morphism,
+    kernel,
+    validate_representation,
+)
 
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=3),
@@ -115,5 +121,77 @@ def test_gen_random_fuzzed_inputs_never_trace_back():
             gen_random(*args)
         except TdrError:
             pass
+
+    check()
+
+
+_SIDE = st.one_of(st.integers(-1, 3), _JUNK)
+
+
+@st.composite
+def _grids(draw):
+    """Mostly a rows x cols grid of entries, sometimes junk whole."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(_JUNK)
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return [[draw(_ENTRY) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_matrix_and_poly_fuzzed_inputs_never_trace_back():
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_SIDE, _SIDE, _grids(), st.one_of(
+        st.lists(_ENTRY, max_size=4), _JUNK))
+    def check(rows, cols, data, coeffs):
+        for build, args in ((Matrix, (rows, cols, data)), (Poly, (coeffs,))):
+            try:
+                build(*args)
+            except TdrError:
+                pass
+
+    check()
+
+
+_R = validate_representation(
+    {"vertices": ["a", "b"], "wires": [
+        {"id": "e1", "tail": "a", "head": "b"},
+        {"id": "e2", "tail": "b", "head": "a"}]},
+    {"e1": 2, "e2": 1}, {"a": [[1], [2]], "b": [[1, 0]]})
+
+
+@st.composite
+def _maps(draw):
+    """A map on _R's wires: matrices, mostly of the right shape, or junk."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(_JUNK)
+    phi = {}
+    for wid, dim in _R.dims.items():
+        rows, cols = dim, dim
+        if draw(st.integers(0, 3)) == 3:
+            rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        phi[wid] = Matrix(rows, cols, [[draw(st.integers(-2, 2))
+                                         for _ in range(cols)]
+                                        for _ in range(rows)])
+    broken = draw(st.sampled_from(["none", "none", "value", "extra",
+                                   "missing"]))
+    if broken == "value":
+        phi[draw(st.sampled_from(sorted(phi)))] = draw(_JUNK)
+    elif broken == "extra":
+        phi["zz"] = draw(st.one_of(_JUNK, st.just(Matrix.identity(1))))
+    elif broken == "missing":
+        del phi[draw(st.sampled_from(sorted(phi)))]
+    return phi
+
+
+def test_wire_maps_fuzzed_never_trace_back():
+    """Base changes and morphisms: apply_group_element, is_morphism,
+    kernel and cokernel."""
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_maps())
+    def check(phi):
+        for act in (apply_group_element, is_morphism, kernel, cokernel):
+            try:
+                act(phi, _R) if act is apply_group_element else act(phi, _R, _R)
+            except TdrError:
+                pass
 
     check()

@@ -67,6 +67,23 @@ def test_matrix_checks_its_data_shape(rows, cols, data):
         Matrix(rows, cols, data)
 
 
+@pytest.mark.parametrize("rows, cols, data", [
+    (1.0, 1, [[2]]), (1, 1.0, [[2]]), (True, 1, [[2]]), (1, True, [[2]]),
+    (1, 1, [["x"]]), (1, 1, [[float("nan")]]), (1, 1, [[float("inf")]]),
+    (1, 1, [[None]])])
+def test_matrix_refuses_a_non_int_side_and_non_rational_data(rows, cols, data):
+    # a float side equals its int, so it would pass every later shape check
+    # and break the kernels; every bad input is one error, as for a bad shape
+    with pytest.raises(ShapeMismatch):
+        Matrix(rows, cols, data)
+
+
+@pytest.mark.parametrize("coeffs", [("x",), (1, None), (float("nan"),), 5])
+def test_poly_refuses_coefficients_that_are_not_rationals(coeffs):
+    with pytest.raises(ShapeMismatch):
+        Poly(coeffs)
+
+
 def test_zeros_without_rows_allocates_no_row():
     # a declared 0 x cols tensor must not cost memory in cols
     tracemalloc.start()

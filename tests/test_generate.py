@@ -94,6 +94,13 @@ def test_dims_validation():
         gen_random(d, {"e1": 1}, 0, mode="nope")
 
 
+def test_bool_seed_is_refused_like_a_bool_dim():
+    d = canonical_diagram("J", 1)
+    for mode in ("generic", "sum"):
+        with pytest.raises(InvalidDims):
+            gen_random(d, {"e1": 1}, True, mode)
+
+
 def test_sum_mode_key_matches_decompose():
     for family, n, dims in [("A0", 2, {"e1": 3, "e2": 3, "e3": 3}),
                             ("A1", 2, {"e1": 2, "e2": 4}),

@@ -8,6 +8,7 @@ import pytest
 from tdr.errors import (
     ContractionTooLarge,
     DiagramMismatch,
+    InvalidDims,
     NotAMorphism,
     NotALoop,
     NotClosed,
@@ -18,6 +19,7 @@ from tdr.errors import (
     TensorTooLarge,
 )
 from tdr.exactalg import Matrix, det, inverse, nullspace, rank
+from tdr.generate import gen_random
 from tdr.rational import ONE, ZERO, Q
 from tdr.representation import (
     TENSOR_CAP,
@@ -110,6 +112,43 @@ def test_apply_group_element_is_left_action():
         apply_group_element({"e1": Matrix.identity(3)}, r)
     with pytest.raises(SizeMismatch):
         apply_group_element({}, r)
+
+
+@pytest.mark.parametrize("dims", [
+    {}, {"e1": 1, "e9": 1}, {"e1": -1}, {"e1": True}, {"e1": 1.5},
+    {"e1": "2"}, [("e1", 1)]])
+def test_bad_dims_are_refused_alike(dims):
+    """vertex_shapes is the one dims check, for reps and generated ones."""
+    assert issubclass(InvalidDims, ShapeMismatch)
+    assert issubclass(SizeMismatch, ShapeMismatch)
+    with pytest.raises(InvalidDims):
+        validate_representation(J1, dims, {"v1": Matrix.identity(1)})
+    for mode in ("generic", "sum"):
+        with pytest.raises(InvalidDims):
+            gen_random(J1, dims, 0, mode)
+
+
+@pytest.mark.parametrize("phi", [
+    {}, {"e1": Matrix.identity(3)}, {"e1": [[1, 0], [0, 1]]}, {"e1": 1},
+    [Matrix.identity(2)]])
+def test_bad_maps_are_refused_alike(phi):
+    """_phi_checked is the one check of a map, for base changes and
+    morphisms: a one-line SizeMismatch, never an AttributeError."""
+    r = j1_rep(Matrix.from_rows([[1, 2], [3, 4]]))
+    with pytest.raises(SizeMismatch, match="e1 needs a 2x2 Matrix|mapping"):
+        apply_group_element(phi, r)
+    for morphism_op in (is_morphism, kernel, cokernel):
+        with pytest.raises(SizeMismatch,
+                           match="e1 needs a 2x2 Matrix|mapping"):
+            morphism_op(phi, r, r)
+
+
+def test_float_shaped_tensor_is_refused():
+    # a 1.0 x 1.0 tensor equals its int shape, so it would pass
+    # validate_representation and end decompose in a TypeError
+    with pytest.raises(ShapeMismatch):
+        validate_representation(J1, {"e1": 1},
+                                {"v1": Matrix(1.0, 1.0, [[2]])})
 
 
 def test_direct_sum_blocks():
