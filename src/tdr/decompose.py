@@ -1,13 +1,15 @@
 """Decomposition of path- and cycle-shaped representations.
 
-Shapes are re-oriented internally (reverse_wire_rep) along a deterministic
-traversal keyed to lexicographic ids, so the output never depends on wire
-orientations.  Positions are wires along the traversal; arcs are the
-vertex matrices between consecutive positions.  _oriented_arcs reads a
-representation as (position dims, arcs); on_shape is its inverse, writing
-position dims and arcs onto a diagram's traversal, and block_arcs gives
-every indecomposable block in that form, so realize and the generator
-build blocks the way decompose reads them.
+Shapes are re-oriented internally along a deterministic traversal keyed
+to lexicographic ids, so the output never depends on wire orientations:
+a Shape's wires point along the traversal, and reorient turns every wire
+that points against it in one reverse_wire_rep pass.  Positions are wires
+along the traversal; arcs are the vertex matrices between consecutive
+positions.  _oriented_arcs reads a representation as (position dims,
+arcs); on_shape is its inverse, writing position dims and arcs onto a
+diagram's traversal, and block_arcs gives every indecomposable block in
+that form, so realize and the generator build blocks the way decompose
+reads them.
 
 Intervals and strings are chains of basis vectors along the arcs, which
 exactalg.chains counts from the ranks of composites.  Open paths (one or
@@ -110,37 +112,31 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 # shapes
 
-def _other_end(w, v):
-    return w.head if w.tail == v else w.tail
-
-
-def reorient(r, wanted):
-    """Reverse wires until each (wire, tail, head) in wanted holds."""
-    for wid, tail, head in wanted:
-        w = r.diagram.wire(wid)
-        if (w.tail, w.head) != (tail, head):
-            r = reverse_wire_rep(r, wid)
-    return r
+def reorient(r, wires):
+    """r with every wire that points against its copy in wires reversed, in
+    one reverse_wire_rep pass; r itself when none does."""
+    have = set(r.diagram.wires)
+    flip = [w.id for w in wires if w not in have]
+    return reverse_wire_rep(r, *flip) if flip else r
 
 
 class Shape(NamedTuple):
     family: str     # "A0" | "A1" | "P" | "J"
     n: int
-    wires: list     # position order
+    wires: list     # position order, each Wire pointing along the traversal
     verts: list     # arc order
-    wanted: list    # (wire, tail, head) of a co-oriented traversal
 
 
 def traverse(d, family):
     """Deterministic traversal of a path or cycle shape, as a Shape of
     size len(d.vertices).
 
-    Its wires are in position order, its vertices in arc order, and wanted
-    lists the (wire, tail, head) orientations a co-oriented traversal
-    wants.  Open paths start at their (smallest) dangling wire; closed
-    paths at their smallest end vertex and cycles at their smallest
-    vertex, leaving along its smallest wire, and that start vertex becomes
-    the last arc vertex.
+    Its wires are in position order, each pointing along the traversal
+    (from the vertex the walk leaves to the one it reaches), and its
+    vertices in arc order.  Open paths start at their (smallest) dangling
+    wire; closed paths at their smallest end vertex and cycles at their
+    smallest vertex, leaving along its smallest wire, and that start
+    vertex becomes the last arc vertex.
     """
     incident = {v: nb.outgoing + nb.incoming   # a loop is listed twice
                 for v, nb in slots(d).items()}
@@ -154,18 +150,16 @@ def traverse(d, family):
         nxt = sorted(incident[start])[:1]
     wires, verts, v = [], [], start
     while nxt:
-        wires.append(wire[nxt[0]])
-        v = _other_end(wires[-1], v)
+        w = wire[nxt[0]]
+        tail, v = v, (w.head if w.tail == v else w.tail)
+        wires.append(Wire(w.id, tail, v))
         if v is None or v == start:
             break
         verts.append(v)
-        nxt = [x for x in incident[v] if x != nxt[0]]
+        nxt = [x for x in incident[v] if x != w.id]
     if start is not None:
         verts.append(start)
-    wanted = [(w.id, verts[i - 1] if i else start,
-               verts[i] if i < len(verts) else None)
-              for i, w in enumerate(wires)]
-    return Shape(family, len(d.vertices), wires, verts, wanted)
+    return Shape(family, len(d.vertices), wires, verts)
 
 
 def shape_of(d):
@@ -190,7 +184,7 @@ def _oriented_arcs(r, shape):
     Positions are 1-based; arcs[i] maps position i+1 to position i+2
     (cyclically for J/P, where the last position of P is the scalar slot).
     """
-    r = reorient(r, shape.wanted)
+    r = reorient(r, shape.wires)
     return position_dims(r.dims, shape), [r.tensors[v] for v in shape.verts]
 
 
@@ -374,11 +368,10 @@ def on_shape(d, shape, dims, arcs):
 
     The inverse of _oriented_arcs: the i-th wire of the traversal carries
     position i+1, the i-th arc vertex holds arcs[i], and every wire points
-    along the traversal (shape.wanted).  The pinned position of A1 and P
-    is no wire, so its dimension (1) is not stored.
+    along the traversal, as in shape.wires.  The pinned position of A1 and
+    P is no wire, so its dimension (1) is not stored.
     """
-    wires = tuple(sorted(Wire(*w) for w in shape.wanted))
-    return Representation(TensorDiagram(d.vertices, wires),
+    return Representation(TensorDiagram(d.vertices, tuple(sorted(shape.wires))),
                           {w.id: k for w, k in zip(shape.wires, dims)},
                           dict(zip(shape.verts, arcs)))
 

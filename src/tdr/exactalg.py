@@ -7,9 +7,10 @@ Every kernel computes on those integers: rank, determinant and the RREF
 by fraction-free (Bareiss) elimination, the characteristic polynomial by
 Berkowitz's division-free algorithm, products over the product of the
 denominators.  Entries are rationals only at the boundary: the Matrix
-constructor, from_rows, column and entries().  The constructor refuses a
-side that is not an int >= 0 and data that is not rows x cols finite
-rationals, as ShapeMismatch; Poly refuses its coefficients alike.
+constructor, from_rows, column and entries().  The constructor, identity
+and zeros refuse a side that is not an int >= 0, and the constructor and
+scale refuse data that is not finite rationals (or not rows x cols of
+them), as ShapeMismatch; Poly refuses its coefficients alike.
 Everything that returns a basis goes through the RREF, so outputs are
 canonical: nullspace and column_space read it off, and preimage is the
 column space of the x-parts of a nullspace.
@@ -39,6 +40,13 @@ from .errors import (
 from .rational import ONE, ZERO, Q
 
 
+def _sides(*sides):
+    """Refuse a matrix side that is not an int >= 0 (a bool is not one)."""
+    for n in sides:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ShapeMismatch(f"a matrix side must be an int >= 0, got {n!r}")
+
+
 class Matrix:
     """Immutable rows x cols matrix over Q: integer rows nums over den > 0."""
 
@@ -47,9 +55,7 @@ class Matrix:
     def __init__(self, rows, cols, data):
         # data: rows x cols finite rationals (anything Q takes), cleared to
         # one denominator; ints and Qs are read without conversion
-        for n in (rows, cols):
-            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                raise ShapeMismatch(f"a matrix side must be an int >= 0, got {n!r}")
+        _sides(rows, cols)
         try:
             try:
                 pairs = [[x.as_integer_ratio() for x in row] for row in data]
@@ -88,11 +94,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
+        _sides(n)
         return cls._new(n, n, tuple(
             tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows, cols):
+        _sides(rows, cols)
         return cls._new(rows, cols, ((0,) * cols if rows else (),) * rows)
 
     @classmethod
@@ -132,10 +140,7 @@ class Matrix:
             tuple(-x for x in row) for row in self.nums), self.den)
 
     def scale(self, c):
-        c = Q(c)
-        return Matrix.from_ints(self.rows, self.cols, [
-            [c.numerator * x for x in row] for row in self.nums],
-            self.den * c.denominator)
+        return self.kron(Matrix(1, 1, [[c]]))   # c is read as an entry is
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -527,8 +532,8 @@ def factor_poly(p):
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    if p.degree() == 0:
-        return []
+    if p.degree() < 2:   # a constant has no factors, a linear p is irreducible
+        return [(p.monic(), 1)] * p.degree()
     import sympy
 
     x = sympy.Symbol("x")

@@ -10,13 +10,13 @@ from the stream, row-major over vertices in canonical order.  Sum mode
 treats the requested dims as per-wire caps: it draws indecomposable
 descriptors, keeps each one that fits under the caps and that
 decompose.block_arcs accepts, lays each block out along the input
-diagram's own shape (on_shape), takes their direct sum, conjugates by a
-random exact-invertible group element per wire and turns the wires back
-to the input's orientations.  The kept multiset is returned as the answer
-key, so decompose(rep) == key.
+diagram's own shape (on_shape), takes their direct sum in one call
+(after a zero summand, the whole sum when no block fits), conjugates by
+a random exact-invertible group element per wire and turns the wires
+back to the input's orientations.  The kept multiset is the answer key,
+so decompose(rep) == key.
 """
 
-from functools import reduce
 from typing import NamedTuple
 
 from .decompose import (
@@ -147,12 +147,9 @@ def _sum_mode(d, dims, rng):
             blocks.append(desc)
             remaining = [r - x for r, x in zip(remaining, need)]
             misses = 0
-    if reps:
-        rep = reduce(direct_sum, reps)
-    else:
-        zero = position_dims(dict.fromkeys(dims, 0), shape)
-        rep = on_shape(d, shape, zero, [Matrix.zeros(zero[(i + 1) % m], zero[i])
-                                        for i in range(n)])
+    zero = position_dims(dict.fromkeys(dims, 0), shape)
+    rep = direct_sum(on_shape(d, shape, zero, [
+        Matrix.zeros(zero[(i + 1) % m], zero[i]) for i in range(n)]), *reps)
     gs = {wid: _rand_invertible(rng, rep.dims[wid])
           for wid in sorted(rep.dims)}
     rep = apply_group_element(gs, rep)

@@ -17,11 +17,12 @@ ShapeMismatch, as is a tensor of the wrong shape.
 Everything downstream (direct sums, tensor products, wire reversal, the
 splitting functor, contraction) re-indexes a vertex's flat tensor through
 one primitive, _offsets: the flat offsets of an axis view with chosen
-strides.  Each operation is a choice of strides.
+strides.  Each operation is a choice of strides, and takes one pass per
+vertex: reverse_wire_rep reverses any set of wires at once and direct_sum
+sums any number of summands at once.
 """
 
 from collections.abc import Mapping
-from functools import reduce
 from math import lcm, prod
 from operator import mul
 from typing import NamedTuple
@@ -48,6 +49,7 @@ from .rational import ZERO, Q
 from .semigraph import (
     TensorDiagram,
     Wire,
+    fresh_vertex,
     reverse_wire,
     slot_keys,
     slots,
@@ -179,7 +181,10 @@ def validate_representation(diagram, dims, tensors):
 def _kron_all(v, mats):
     """The Kronecker product of mats at vertex v, its size checked first."""
     check_size(v, prod(m.rows * m.cols for m in mats))
-    return reduce(lambda a, b: a.kron(b), mats, Matrix.identity(1))
+    out = Matrix.identity(1)
+    for m in mats:
+        out = out.kron(m)
+    return out
 
 
 def apply_group_element(g, r):
@@ -194,32 +199,33 @@ def apply_group_element(g, r):
     return Representation(r.diagram, dict(r.dims), tensors)
 
 
-def direct_sum(r1, r2):
-    """Tensor direct sum: pure blocks carry the summands, mixed blocks zero.
-
-    A vertex with no slots at all holds a bare scalar, and there the sum
-    adds the scalars (that is what makes contraction additive).
+def direct_sum(r1, *rest):
+    """Tensor direct sum of any number of summands, in one pass: pure blocks
+    carry the summands, mixed blocks zero, and each block starts past the
+    ones before it on every slot.  A vertex with no slots at all holds a
+    bare scalar, and there the scalars add (that is what makes contraction
+    additive).
     """
-    if r1.diagram != r2.diagram:
+    reps = (r1, *rest)
+    if any(r.diagram != r1.diagram for r in rest):
         raise DiagramMismatch("direct_sum needs a common diagram")
     d = r1.diagram
-    dims = {w: r1.dims[w] + r2.dims[w] for w in r1.dims}
+    dims = {w: sum(r.dims[w] for r in reps) for w in r1.dims}
     tensors = {}
     for v, nb in slots(d).items():
         keys = slot_keys(nb)
         strides = _strides([dims[w] for w, _ in keys])
-        # r2's block starts past r1's on every slot; with no slots both
-        # blocks sit at offset 0 and the scalars add
-        base2 = sum(r1.dims[w] * s for (w, _), s in zip(keys, strides))
         size = prod(dims[w] for w, _ in keys)
         check_size(v, size)
         out = [0] * size
-        den = lcm(r1.tensors[v].den, r2.tensors[v].den)
-        for r, base in ((r1, 0), (r2, base2)):
-            offs = _offsets([r.dims[w] for w, _ in keys], strides, base)
+        den = lcm(*(r.tensors[v].den for r in reps))
+        base = 0
+        for r in reps:
+            sub = [r.dims[w] for w, _ in keys]
             s = den // r.tensors[v].den
-            for o, x in zip(offs, _flat(r.tensors[v])):
+            for o, x in zip(_offsets(sub, strides, base), _flat(r.tensors[v])):
                 out[o] += s * x
+            base += sum(map(mul, sub, strides))
         tensors[v] = _as_matrix(out, den, keys, dims)
     return Representation(d, dims, tensors)
 
@@ -255,9 +261,7 @@ def unit(diagram):
 
 def dual_rep(r):
     """Reverse every wire and transpose every tensor; an exact involution."""
-    d = r.diagram
-    wires = tuple(sorted(Wire(w.id, w.head, w.tail) for w in d.wires))
-    dd = TensorDiagram(d.vertices, wires)
+    dd = reverse_wire(r.diagram, *(w.id for w in r.diagram.wires))
     tensors = {v: m.transpose() for v, m in r.tensors.items()}
     return Representation(dd, dict(r.dims), tensors)
 
@@ -521,26 +525,27 @@ def monodromy(r, base):
 # ---------------------------------------------------------------------------
 # reindexing functors
 
-def reverse_wire_rep(r, wid):
-    """Reverse one wire, reindexing its endpoint tensors; an involution.
+def reverse_wire_rep(r, *wids):
+    """Reverse every listed wire (a set, as for reverse_wire) in one pass,
+    re-indexing each endpoint tensor once; an involution.
 
-    The wire's space is identified with its dual in the standard basis, so
+    A wire's space is identified with its dual in the standard basis, so
     entries move but never change.  Reversing a loop swaps that wire's row
     and column indices at its vertex (a partial transpose).
     """
     d = r.diagram
-    dd = reverse_wire(d, wid)
-    w = dd.wire(wid)
+    dd = reverse_wire(d, *wids)
     tensors = dict(r.tensors)
     flip = {"tail": "head", "head": "tail"}
     before, after = slots(d), slots(dd)
-    for v in {v for v in (w.tail, w.head) if v is not None}:
+    for v in {e for w in dd.wires if w.id in wids
+              for e in (w.tail, w.head)} - {None}:
         old = slot_keys(before[v])
         strides = dict(zip(old, _strides([r.dims[x] for x, _ in old])))
         new = slot_keys(after[v])
-        # each slot of wid changes side and carries its index along
+        # each slot of a listed wire changes side and carries its index along
         offs = _offsets([r.dims[x] for x, _ in new],
-                        [strides[(x, flip[s]) if x == wid else (x, s)]
+                        [strides[(x, flip[s]) if x in wids else (x, s)]
                          for x, s in new])
         m = r.tensors[v]
         flat = _flat(m)
@@ -549,18 +554,9 @@ def reverse_wire_rep(r, wid):
 
 
 def _merged_name(v1, v2, taken):
-    sep = "·"
-    if v1.endswith(sep + "1") and v2 == v1[:-2] + sep + "2":
-        base = v1[:-2]
-        if base not in taken:
-            return base
-    base = f"{v1}+{v2}"
-    name = base
-    j = 1
-    while name in taken:
-        name = f"{base}{sep}{j}"
-        j += 1
-    return name
+    if v1.endswith("·1") and v2 == v1[:-2] + "·2" and v1[:-2] not in taken:
+        return v1[:-2]   # undo a split
+    return fresh_vertex(f"{v1}+{v2}", taken)
 
 
 def split_functor(r, fresh_wire, merged_id=None):

@@ -145,18 +145,15 @@ def normalize(d):
     return TensorDiagram(d.vertices, kept), removed
 
 
-def reverse_wire(d, wire_id):
-    found = False
-    wires = []
-    for w in d.wires:
-        if w.id == wire_id:
-            wires.append(Wire(w.id, w.head, w.tail))
-            found = True
-        else:
-            wires.append(w)
-    if not found:
-        raise UnknownWire(wire_id)
-    return TensorDiagram(d.vertices, tuple(sorted(wires)))
+def reverse_wire(d, *wire_ids):
+    """d with every listed wire reversed; the ids are a set, so a wire
+    listed twice is reversed once."""
+    ids = [w.id for w in d.wires]   # a list: an unhashable id is unknown too
+    for wid in wire_ids:
+        if wid not in ids:
+            raise UnknownWire(wid)
+    return TensorDiagram(d.vertices, tuple(sorted(
+        Wire(w.id, w.head, w.tail) if w.id in wire_ids else w for w in d.wires)))
 
 
 def slot_keys(nb):
@@ -181,7 +178,8 @@ def _normalize_part(v, part, all_slots):
     return out
 
 
-def _fresh_vertex(base, taken):
+def fresh_vertex(base, taken):
+    """base, or else the first base·j (j = 1, 2, ...) not in taken."""
     if base not in taken:
         return base
     j = 1
@@ -206,9 +204,9 @@ def _split(d, v, part1, part2):
         raise NotAPartition(f"parts do not partition the slots at {v}")
     taken = set(d.vertices)
     taken.discard(v)
-    v1 = _fresh_vertex(f"{v}·1", taken)
+    v1 = fresh_vertex(f"{v}·1", taken)
     taken.add(v1)
-    v2 = _fresh_vertex(f"{v}·2", taken)
+    v2 = fresh_vertex(f"{v}·2", taken)
     taken.add(v2)
 
     def carrier(slot):

@@ -151,6 +151,25 @@ def test_matrix_and_poly_fuzzed_inputs_never_trace_back():
     check()
 
 
+def test_matrix_builders_fuzzed_keep_the_constructors_rules():
+    """Matrix.identity, Matrix.zeros and scale: a TdrError, or a matrix
+    whose sides are ints >= 0 (and for scale, the constructor's c I)."""
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_SIDE, _SIDE, _ENTRY)
+    def check(rows, cols, c):
+        for build, args in (("identity", (rows,)), ("zeros", (rows, cols)),
+                            ("scale", (Matrix.identity(2), c))):
+            try:
+                m = getattr(Matrix, build)(*args)
+            except TdrError:
+                continue
+            assert all(type(n) is int and n >= 0 for n in (m.rows, m.cols))
+            if build == "scale":
+                assert m == Matrix(2, 2, [[c, 0], [0, c]])
+
+    check()
+
+
 _R = validate_representation(
     {"vertices": ["a", "b"], "wires": [
         {"id": "e1", "tail": "a", "head": "b"},

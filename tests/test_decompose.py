@@ -7,6 +7,7 @@ import pytest
 
 from tdr.decompose import (
     Band,
+    Decomposition,
     Interval,
     StringBlock,
     _oriented_arcs,
@@ -48,7 +49,8 @@ from tdr.representation import (
     reverse_wire_rep,
     validate_representation,
 )
-from tdr.semigraph import validate_diagram
+from tdr.generate import gen_random
+from tdr.semigraph import reverse_wire, validate_diagram
 
 
 def x_minus(c):
@@ -610,3 +612,35 @@ def test_isomorphic_classifies_once(monkeypatch):
         calls.clear()
         assert isomorphic(r, other) is same
         assert len(calls) == 1
+
+
+def test_reorientation_and_sum_mode_make_one_pass(monkeypatch):
+    """decompose reverses every wire that points against its traversal in
+    one reverse_wire_rep call, and none on a co-oriented rep; sum-mode
+    gen_random sums all its blocks in one direct_sum call.  The calls are
+    counted through the module attributes, as the benchmark's tracer
+    counts them, so its open-paths and cli-session workloads keep reaching
+    both functions."""
+    # tdr.decompose the attribute is the function, so take the modules
+    dmod, gmod = sys.modules["tdr.decompose"], sys.modules["tdr.generate"]
+    calls = []
+
+    def counted(real):
+        def wrapper(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(dmod, "reverse_wire_rep", counted(dmod.reverse_wire_rep))
+    monkeypatch.setattr(gmod, "direct_sum", counted(gmod.direct_sum))
+    d = reverse_wire(canonical_diagram("A0", 4), "e1", "e3", "e4")
+    rep, key = gen_random(d, {w.id: 2 for w in d.wires}, 3, "sum")
+    assert sum(k for _, k in key.blocks) >= 3
+    assert calls.count("direct_sum") == 1
+    calls.clear()
+    assert decompose(rep) == key
+    assert calls == ["reverse_wire_rep"]
+    calls.clear()
+    assert decompose(realize("A0", 4, Interval(2, 4))) == \
+        Decomposition.of([Interval(2, 4)])
+    assert calls == []

@@ -308,6 +308,32 @@ def test_factor_poly():
         factor_poly(Poly(()))
 
 
+def test_linear_factor_poly_agrees_with_sympy_without_calling_it(monkeypatch):
+    """A linear polynomial is irreducible: its factorization is its monic
+    self, as sympy's factor_list (the oracle) says, without a sympy call."""
+    import sympy
+
+    rng = random.Random(15)
+    x = sympy.Symbol("x")
+    polys, oracle = [], []
+    for _ in range(300):
+        a = Q(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 30))
+        p = Poly((Q(rng.randint(-60, 60), rng.randint(1, 30)), a))
+        _, facs = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                              for c in reversed(p.coeffs)], x,
+                             domain="QQ").factor_list()
+        polys.append(p)
+        oracle.append([(Poly([Q(int(c.p), int(c.q)) for c in
+                              reversed(f.all_coeffs())]).monic(), int(k))
+                       for f, k in facs])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy was called on a linear polynomial")
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
+    assert [factor_poly(p) for p in polys] == oracle
+
+
 def test_factor_poly_multiplies_back():
     rng = random.Random(13)
     for _ in range(15):

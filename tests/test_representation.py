@@ -17,6 +17,7 @@ from tdr.errors import (
     ShapeMismatch,
     SizeMismatch,
     TensorTooLarge,
+    UnknownWire,
 )
 from tdr.exactalg import Matrix, det, inverse, nullspace, rank
 from tdr.generate import gen_random
@@ -43,6 +44,7 @@ from tdr.representation import (
 from tdr.semigraph import (
     connected_components,
     neighborhood,
+    reverse_wire,
     slots,
     split_vertex,
     validate_diagram,
@@ -389,6 +391,77 @@ def test_reindexing_functors_on_wild_diagrams():
             rs = _rand_rep(rng, ds, {**dims1, fresh: 1})
             assert contract(split_functor(rs, fresh)) == contract(rs), (case, v)
     assert seen >= {"loop", "dangling", "3 slots", "dim 0", "dim 1"}
+
+
+def test_reversing_a_set_of_wires_is_the_single_reversals_in_one_pass():
+    """On seeded reps of wild diagrams with loops and dangling wires,
+    reversing any set of wires at once equals reversing its wires one at a
+    time: a repeated id is reversed once, every wire at once is the dual,
+    and no ids leave r as it is."""
+    rng = random.Random(20261019)
+    seen = set()
+    for case in range(40):
+        vs = [f"v{i}" for i in range(rng.randint(1, 3))]
+        wires = []
+        for i in range(rng.randint(3, 5)):
+            tail = rng.choice(vs + [None])
+            head = rng.choice(vs if tail is None else vs + [None])
+            wires.append({"id": f"e{i}", "tail": tail, "head": head})
+        d = validate_diagram({"vertices": vs, "wires": wires})
+        while True:
+            dims = {w.id: rng.choice([0, 1, 2, 3]) for w in d.wires}
+            if _largest_tensor(d, dims) <= 400:
+                break
+        r = _rand_rep(rng, d, dims)
+        seen |= {"loop" for w in d.wires if w.is_loop()}
+        seen |= {"dangling" for w in d.wires if w.is_dangling()}
+        seen |= {"3 slots" for v in d.vertices
+                 if sum((w.tail == v) + (w.head == v) for w in d.wires) >= 3}
+        ids = [w.id for w in d.wires]
+        for _ in range(4):
+            subset = rng.sample(ids, rng.randint(1, len(ids)))
+            one_by_one = r
+            for wid in subset:
+                one_by_one = reverse_wire_rep(one_by_one, wid)
+            assert reverse_wire_rep(r, *subset) == one_by_one, (case, subset)
+            assert reverse_wire_rep(r, *subset, subset[0]) == one_by_one, case
+        assert reverse_wire_rep(r, *ids) == dual_rep(r), case
+        assert reverse_wire_rep(r) == r, case
+    assert seen >= {"loop", "dangling", "3 slots"}
+
+
+@pytest.mark.parametrize("bad", [("e1", "zz"), ("zz", "e2"), (["e1"],),
+                                 ("e2", {"e1": 1})])
+def test_reversal_refuses_an_unknown_or_unhashable_id(bad):
+    r = validate_representation(
+        A01, {"e1": 2, "e2": 1}, {"v1": Matrix.from_rows([[1, 2]])})
+    with pytest.raises(UnknownWire):
+        reverse_wire(A01, *bad)
+    with pytest.raises(UnknownWire):
+        reverse_wire_rep(r, *bad)
+
+
+def test_direct_sum_of_many_summands_is_the_binary_fold():
+    """A loop, a dangling wire and a vertex with no slots, where the
+    scalars add; one summand is its own sum, and a summand on another
+    diagram is refused wherever it comes."""
+    d = validate_diagram({"vertices": ["a", "b", "c"], "wires": [
+        {"id": "l", "tail": "a", "head": "a"},
+        {"id": "x", "tail": "a", "head": "b"},
+        {"id": "o", "tail": "b", "head": None}]})
+    rng = random.Random(15)
+    for case in range(8):
+        r1, r2, r3 = (_rand_rep(rng, d, {w.id: rng.randint(0, 2)
+                                         for w in d.wires}) for _ in range(3))
+        summed = direct_sum(r1, r2, r3)
+        assert summed == direct_sum(direct_sum(r1, r2), r3), case
+        assert summed.tensors["c"].entries() == ((sum(
+            r.tensors["c"].entries()[0][0] for r in (r1, r2, r3)),),), case
+        assert direct_sum(r1) == r1, case
+    other = j1_rep(Matrix.identity(1))
+    for reps in ((r1, other), (r1, r2, other), (r1, other, r3)):
+        with pytest.raises(DiagramMismatch):
+            direct_sum(*reps)
 
 
 def test_dimension_zero_wire_contracts_to_zero_without_allocating():

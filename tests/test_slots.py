@@ -193,10 +193,12 @@ def test_traverse_matches_a_walk_by_scans(family):
             d = TensorDiagram(tuple(sorted(vname.values())), tuple(wires))
             shape = traverse(d, family)
             assert (shape.family, shape.n) == (family, n)
-            assert (shape.wires, shape.verts) == plain_traverse(d, family)
-            # the wanted orientations make the walk co-oriented
-            heads = [h for _, _, h in shape.wanted]
-            tails = [t for _, t, _ in shape.wanted]
+            wires, verts = plain_traverse(d, family)
+            assert [w.id for w in shape.wires] == [w.id for w in wires]
+            assert shape.verts == verts
+            assert [{w.tail, w.head} for w in shape.wires] == [
+                {w.tail, w.head} for w in wires]
+            # the shape's wires point along the walk: it is co-oriented
+            heads = [w.head for w in shape.wires]
+            tails = [w.tail for w in shape.wires]
             assert heads[:-1] == tails[1:]
-            assert [{t, h} for _, t, h in shape.wanted] == [
-                {w.tail, w.head} for w in shape.wires]
