@@ -19,16 +19,19 @@ Fitting's lemma.  On a cycle of maps, chains counts the chains of basis
 vectors along the maps (intervals, strings, and the Jordan chains behind
 elementary divisors) from the ranks of composites alone;
 kernel_filtration and chain_tops pick the chains' top vectors.
-Polynomial factorization is delegated to sympy behind a thin monic
-wrapper; the rest is authored here because the decomposition algorithms
-need the intermediate data (stable image, chains), not just final
-answers.
+factor_poly factors over Q on integer coefficient lists: the primitive
+part is split by Yun's squarefree decomposition, and each squarefree part
+by Zassenhaus's algorithm (factors mod a small prime by distinct-degree
+and Cantor–Zassenhaus splitting, Hensel lifting past a Mignotte bound,
+recombination by exact trial division).  The module needs nothing outside
+the standard library.
 """
 
 from dataclasses import dataclass
-from itertools import chain
-from math import gcd, lcm
+from itertools import chain, combinations, zip_longest
+from math import gcd, isqrt, lcm
 from operator import mul
+from random import Random
 
 from .errors import (
     NotNilpotent,
@@ -525,26 +528,306 @@ def charpoly(m):
     return Poly(tuple(Q(c[k], m.den ** k) for k in range(n, -1, -1)))
 
 
+# ---------------------------------------------------------------------------
+# factoring over Z: integer coefficient lists, lowest degree first
+
+def _primitive(f):
+    """f over the gcd of its coefficients, leading coefficient positive."""
+    g = gcd(*f)
+    if f[-1] < 0:
+        g = -g
+    return [c // g for c in f]
+
+
+def _derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _zgcd(a, b):
+    """Primitive gcd of two integer polynomials, by the primitive
+    remainder sequence: each pseudo-remainder is cut to its primitive part."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = list(a)
+        lb, db = b[-1], len(b) - 1
+        while len(r) > db:   # r times a scalar, minus a multiple of b
+            g = gcd(r[-1], lb)
+            u, v = lb // g, r[-1] // g
+            k = len(r) - 1 - db
+            r = [u * x for x in r]
+            for i, y in enumerate(b):
+                r[k + i] -= v * y
+            r = _trim(r)
+        if not r:
+            return _primitive(b)
+        a, b = b, _primitive(r)
+    return [1] if b else _primitive(a)
+
+
+def _divexact(a, b):
+    """a / b over Z, or None when b does not divide a."""
+    a, db, lb = list(a), len(b) - 1, b[-1]
+    if len(a) <= db:
+        return None if a else []
+    q = [0] * (len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c, r = divmod(a[k + db], lb)
+        if r:
+            return None
+        q[k] = c
+        if c:
+            for i in range(db):
+                a[k + i] -= c * b[i]
+    return None if any(a[:db]) else q
+
+
+def _squarefree(f):
+    """Yun's decomposition of a primitive f: [(a_i, i)] with f the product
+    of the a_i ** i, each a_i squarefree and primitive, pairwise coprime."""
+    df = _derivative(f)
+    a = _zgcd(f, df)
+    b, c = _divexact(f, a), _divexact(df, a)
+    out, i = [], 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
+        a = _zgcd(b, d) if d else b
+        if len(a) > 1:
+            out.append((a, i))
+        b, c, i = _divexact(b, a), _divexact(d, a), i + 1
+    return out
+
+
+# arithmetic mod m on lists of residues; a divisor's leading coefficient
+# must be a unit mod m
+
+def _mulmod(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim([x % m for x in out])
+
+
+def _addmod(a, b, m):
+    return _trim([(x + y) % m for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _submod(a, b, m):
+    return _trim([(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _divmod_mod(a, b, m):
+    r, db = list(a), len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(0, len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):   # reduced only at the end
+        c = q[k] = r[k + db] * inv % m
+        if c:
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return _trim(q), _trim([x % m for x in r[:db]])
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd mod a prime p."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _xgcd_mod(a, b, p):
+    """s, t with s a + t b = 1 mod p, for a and b coprime mod p."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _submod(s0, _mulmod(q, s1, p), p)
+        t0, t1 = t1, _submod(t0, _mulmod(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [x * inv % p for x in s0], [x * inv % p for x in t0]
+
+
+def _powmod(a, e, g, p):
+    """a ** e mod (g, p)."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _divmod_mod(_mulmod(out, a, p), g, p)[1]
+        e >>= 1
+        if e:
+            a = _divmod_mod(_mulmod(a, a, p), g, p)[1]
+    return out
+
+
+def _distinct_degree(f, p):
+    """[(g, d)]: g the product of the degree-d factors of the monic
+    squarefree f mod p."""
+    out, h, d = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd_mod(f, _submod(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod_mod(f, g, p)[0]
+            h = _divmod_mod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(g, d, p, rng):
+    """Cantor–Zassenhaus: the monic degree-d factors of g mod an odd p."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    e = (p ** d - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        u = _gcd_mod(g, _submod(_powmod(a, e, g, p), [1], p), p)
+        if 1 < len(u) <= n:
+            v = _divmod_mod(g, u, p)[0]
+            return _equal_degree(u, d, p, rng) + _equal_degree(v, d, p, rng)
+
+
+def _primes():
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _factor_mod_p(f):
+    """An odd prime p not dividing lc(f) with f squarefree mod p, and the
+    monic irreducible factors of f mod p; of the first two such primes,
+    the one with fewer factors."""
+    best = None
+    tried = 0
+    for p in _primes():
+        if not f[-1] % p:
+            continue
+        inv = pow(f[-1], -1, p)
+        g = [c * inv % p for c in f]
+        if len(_gcd_mod(g, _trim([c % p for c in _derivative(g)]), p)) > 1:
+            continue
+        ddf = _distinct_degree(g, p)
+        count = sum((len(h) - 1) // d for h, d in ddf)
+        if best is None or count < best[0]:
+            best = (count, p, ddf)
+        tried += 1
+        if count == 1 or tried == 2:
+            break
+    _, p, ddf = best
+    rng = Random(p)   # local: the factors do not depend on call order
+    return p, [h for g, d in ddf for h in _equal_degree(g, d, p, rng)]
+
+
+def _hensel(f, facs, p, m):
+    """Lift the monic factors facs of f mod p, f = lc(f) * prod(facs) mod p,
+    to monic factors mod m, a power of p: split the list in two halves and
+    lift the two products quadratically (von zur Gathen and Gerhard,
+    algorithm 15.10), then each half alone."""
+    if len(facs) == 1:
+        inv = pow(f[-1], -1, m)
+        return [[c * inv % m for c in f]]
+    half = len(facs) // 2
+    g = [f[-1] % p]
+    for h in facs[:half]:
+        g = _mulmod(g, h, p)
+    h = [1]
+    for k in facs[half:]:
+        h = _mulmod(h, k, p)
+    s, t = _xgcd_mod(g, h, p)
+    q = p
+    while q < m:
+        q = min(q * q, m)
+        e = _submod(f, _mulmod(g, h, q), q)
+        u, r = _divmod_mod(_mulmod(s, e, q), h, q)
+        g = _addmod(g, _addmod(_mulmod(t, e, q), _mulmod(u, g, q), q), q)
+        h = _addmod(h, r, q)
+        b = _submod(_addmod(_mulmod(s, g, q), _mulmod(t, h, q), q), [1], q)
+        c, d = _divmod_mod(_mulmod(s, b, q), h, q)
+        s = _submod(s, d, q)
+        t = _submod(t, _addmod(_mulmod(t, b, q), _mulmod(c, g, q), q), q)
+    return _hensel(g, facs[:half], p, m) + _hensel(h, facs[half:], p, m)
+
+
+def _zassenhaus(f):
+    """Irreducible factors over Z of a squarefree primitive f with
+    f(0) != 0 (Zassenhaus 1969): factor mod a prime p, lift the factors to
+    mod p**l past twice the bound on lc(f) times a factor's coefficients
+    (|lc(f)| 2**n ||f||_2, after Mignotte), then try products of subsets of
+    growing size by exact trial division."""
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    if n == 2:   # a quadratic splits exactly when its discriminant is a square
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        s = isqrt(disc) if disc > 0 else 0
+        if s * s != disc:
+            return [f]
+        return [_primitive([b - s, 2 * a]), _primitive([b + s, 2 * a])]
+    p, facs = _factor_mod_p(f)
+    if len(facs) == 1:
+        return [f]
+    bound = 2 * abs(f[-1]) * 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
+    m = p
+    while m <= bound:
+        m *= p
+    facs = _hensel(f, facs, p, m)
+    out, left, s, half = [], list(range(len(facs))), 1, m // 2
+    while 2 * s <= len(left):
+        lc = f[-1]
+        for subset in combinations(left, s):
+            c0 = lc
+            for i in subset:   # the constant term first: it must divide lc f(0)
+                c0 = c0 * facs[i][0] % m
+            c0 = c0 - m if c0 > half else c0
+            if not c0 or (lc * f[0]) % c0:
+                continue
+            g = [lc]
+            for i in subset:
+                g = _mulmod(g, facs[i], m)
+            g = _primitive([c - m if c > half else c for c in g])
+            quo = _divexact(f, g)
+            if quo is not None:
+                out.append(g)
+                f = quo
+                left = [i for i in left if i not in subset]
+                break
+        else:
+            s += 1
+    out.append(f)
+    return out
+
+
 def factor_poly(p):
     """Monic irreducible factors over Q with multiplicities.
 
     product(factor^mult) * leading(p) == p exactly; constants factor to [].
+    Over Z: the primitive part, split by Yun's squarefree decomposition
+    (Yun 1976), each part factored by Zassenhaus's algorithm.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if p.degree() < 2:   # a constant has no factors, a linear p is irreducible
         return [(p.monic(), 1)] * p.degree()
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
-        x, domain="QQ")
-    _, factors = expr.factor_list()
-    out = []
-    for f, mult in factors:
-        coeffs = [Q(int(r.p), int(r.q)) for r in reversed(f.all_coeffs())]
-        out.append((Poly(coeffs).monic(), int(mult)))
+    den = lcm(*(c.denominator for c in p.coeffs))
+    f = _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    zeros = next(i for i, c in enumerate(f) if c)
+    out = [(Poly.x(), zeros)] if zeros else []
+    for part, mult in _squarefree(f[zeros:]):
+        out.extend((Poly([Q(c, g[-1]) for c in g]), mult)
+                   for g in _zassenhaus(part))
     out.sort(key=lambda fm: (fm[0].degree(), fm[0].coeffs, fm[1]))
     return out
 

@@ -346,6 +346,54 @@ def test_factor_poly_multiplies_back():
         assert prod == p
 
 
+def _sympy_factors(sympy, p):
+    """sympy's factor_list of p as monic (Poly, multiplicity) pairs in
+    factor_poly's order."""
+    _, facs = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                          for c in reversed(p.coeffs)], sympy.Symbol("x"),
+                         domain="QQ").factor_list()
+    out = [(Poly([Q(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]).monic(),
+            int(k)) for f, k in facs]
+    return sorted(out, key=lambda fm: (fm[0].degree(), fm[0].coeffs, fm[1]))
+
+
+def test_factor_poly_agrees_with_sympy():
+    """factor_poly against sympy's factor_list: products and powers of
+    criterion 3's irreducibles, random rational factors, scaled by rationals
+    of either sign (degree <= 12), Swinnerton-Dyer polynomials of degree 4
+    and 8 (irreducible, but split into linear and quadratic factors mod
+    every prime), and coefficients of 40 digits and more."""
+    import sympy
+    from test_acceptance import IRREDUCIBLE
+
+    rng = random.Random(16)
+
+    def scale():
+        return Q(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 50))
+
+    def rand_factor(digits):
+        top = 10 ** digits
+        return Poly([Q(rng.randint(-top, top), rng.randint(1, top))
+                     for _ in range(rng.randint(1, 4))] + [scale()])
+
+    polys = [Poly((1, 0, -10, 0, 1)), Poly((576, 0, -960, 0, 352, 0, -40, 0, 1)),
+             Poly((1, 0, -10, 0, 1)) * Poly((-2, 0, 0, 1)) ** 2]
+    while len(polys) < 160:
+        p = Poly.constant(scale())
+        for _ in range(rng.randint(1, 4)):
+            f = rng.choice(IRREDUCIBLE) if rng.random() < 0.6 else rand_factor(1)
+            p = p * f ** rng.randint(1, 3)
+        if p.degree() <= 12:
+            polys.append(p)
+    for _ in range(20):
+        p = rand_factor(40) * rand_factor(40) * rng.choice(IRREDUCIBLE)
+        assert max(abs(c.numerator) for c in p.coeffs) >= 10 ** 39
+        polys.append(p * Poly.constant(Q(-(10 ** 45), 7)))
+    for p in polys:
+        assert factor_poly(p) == _sympy_factors(sympy, p), p
+    assert factor_poly(polys[1]) == [(polys[1], 1)]
+
+
 def test_rational_canonical_oracles():
     two = Matrix.from_rows([[2, 0], [0, 2]])
     xm2 = Poly((Q(-2), Q(1)))

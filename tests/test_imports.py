@@ -37,3 +37,37 @@ def test_benchmark_tracer_targets_resolve():
         if not callable(target):
             missing.append(f"{mod}.{name}")
     assert tracer.TARGETS and missing == []
+
+
+def test_cycle_commands_never_import_sympy(tmp_path):
+    """sympy is only the tests' oracle: gen-random in sum mode on J, and
+    decompose of its rep with a degree-2 Band, run without importing it.
+    The check runs in a fresh process, since pytest's own process has
+    already imported sympy for the oracles."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    from tdr import canonical_diagram, diagram_to_record
+    from tdr.cli import canonical_json
+
+    diagram = tmp_path / "j2.json"
+    diagram.write_text(canonical_json(diagram_to_record(canonical_diagram("J", 2))))
+    rep, key, dec = (tmp_path / name for name in ("rep.json", "key.json", "dec.json"))
+    script = f"""
+import json, sys
+from tdr.cli import run
+codes = [run(["gen-random", {str(diagram)!r}, "--dims", '{{"e1": 6, "e2": 6}}',
+              "--seed", "1", "--mode", "sum", "--key-out", {str(key)!r},
+              "--out", {str(rep)!r}]).exit_code,
+         run(["decompose", {str(rep)!r}, "--out", {str(dec)!r}]).exit_code]
+print(json.dumps({{"codes": codes, "sympy": "sympy" in sys.modules}}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == {"codes": [0, 0], "sympy": False}
+    blocks = json.loads(dec.read_text())
+    assert blocks == json.loads(key.read_text())
+    assert any(b["type"] == "band" and len(b["poly"]) > 2 for b in blocks)
