@@ -383,6 +383,17 @@ def _trim(coeffs):
     return tuple(c)
 
 
+def _convolve(a, b):
+    """Coefficients, lowest degree first, of the product of two polynomials
+    over any ring, untrimmed: all zeros when either is zero ([])."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 class Poly:
     """Univariate polynomial over Q, coefficients lowest degree first."""
 
@@ -439,14 +450,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly(())
-            out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return Poly(tuple(out))
+            return Poly(_convolve(self.coeffs, other.coeffs))
         return Poly(tuple(Q(other) * c for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -456,39 +460,6 @@ class Poly:
         for _ in range(k):
             out = out * self
         return out
-
-    def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroPolynomial("division by the zero polynomial")
-        rem = list(self.coeffs)
-        d = other.degree()
-        lc = other.leading()
-        quo = [ZERO] * max(0, len(rem) - d)
-        while len(rem) > d and any(rem):
-            if not rem[-1]:
-                rem.pop()
-                continue
-            k = len(rem) - 1 - d
-            f = rem[-1] / lc
-            quo[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return Poly(tuple(quo)), Poly(tuple(rem))
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, divmod(a, b)[1]
-        if a.is_zero():
-            return a
-        return a.monic()
-
-    def eval(self, x):
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * Q(x) + c
-        return acc
 
     def eval_matrix(self, m):
         if m.rows != m.cols:
@@ -602,14 +573,7 @@ def _squarefree(f):
 # must be a unit mod m
 
 def _mulmod(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim([x % m for x in out])
+    return _trim([x % m for x in _convolve(a, b)])
 
 
 def _addmod(a, b, m):

@@ -70,7 +70,11 @@ def _condition(nb, f):
 
 def verify_partial_flow(d, f, u, tol=1e-9):
     """Check the flow condition at every vertex outside u."""
-    u_set, _ = _check_input(d, f, u, tol)
+    return _holds(d, f, _check_input(d, f, u, tol)[0], tol)
+
+
+def _holds(d, f, u_set, tol):
+    """The flow condition at every vertex outside u_set, on checked input."""
     if any(abs(val) <= _MIN_ABS for val in f.values()):
         return False
     for v, nb in slots(d).items():
@@ -93,7 +97,7 @@ def extend_flow(d, f, u, tol=1e-9):
     if not d.is_closed():
         raise NotClosed("flow extension needs a closed diagram")
     u_set, ref = _check_input(d, f, u, tol)
-    if not verify_partial_flow(d, f, u, tol):
+    if not _holds(d, f, u_set, tol):
         raise InvalidPartialFlow("input violates the partial flow condition")
     total = dict(f)
     wires = {w.id: w for w in d.wires}

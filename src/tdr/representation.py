@@ -260,10 +260,8 @@ def unit(diagram):
 
 
 def dual_rep(r):
-    """Reverse every wire and transpose every tensor; an exact involution."""
-    dd = reverse_wire(r.diagram, *(w.id for w in r.diagram.wires))
-    tensors = {v: m.transpose() for v, m in r.tensors.items()}
-    return Representation(dd, dict(r.dims), tensors)
+    """Reverse every wire, which transposes every tensor; an involution."""
+    return reverse_wire_rep(r, *(w.id for w in r.diagram.wires))
 
 
 def _phi_checked(phi, r1, r2):
@@ -425,35 +423,35 @@ def _contract_wires(na, nb, dims, wids):
 def _plan(dims, held):
     """Steps (a, b, wires) chosen on dims alone from the wires held at each
     vertex, and the largest node they build: trace wires at node a (b is
-    None), or merge node b into a over every wire the two share."""
+    None), or merge node b into a over every wire the two share.  Past the
+    loops each wire has two holders, kept in at; the pair whose merged node
+    (the wires of one, not both) is least merges first, ties by (a, b)."""
     held = dict(held)
+    at = {}
+    for k, ws in held.items():
+        for w in ws:
+            at.setdefault(w, []).append(k)
     steps, largest = [], 0
 
     def step(a, b, wids):
         nonlocal largest
-        held[a] = [w for w in held[a] + held.pop(b, []) if w not in wids]
+        moved = held.pop(b, [])
+        for w in moved:
+            at[w] = [a if k == b else k for k in at[w]]
+        for w in wids:
+            del at[w]
+        held[a] = [w for w in held[a] + moved if w not in wids]
         steps.append((a, b, wids))
         largest = max(largest, prod(dims[w] for w in held[a]))
-
-    def shared(a, b):
-        return [w for w in held[a] if w in held[b]]
-
-    def holders():
-        at = {}
-        for k, ws in held.items():
-            for w in ws:
-                at.setdefault(w, []).append(k)
-        return at
 
     for v, ws in list(held.items()):
         loops = [w for w in dict.fromkeys(ws) if ws.count(w) == 2]
         if loops:
             step(v, None, loops)
-    while pairs := {tuple(sorted(ks)) for ks in holders().values()}:
-        a, b = min(pairs, key=lambda p: (
-            prod(dims[w] for w in held[p[0]] + held[p[1]])
-            // prod(dims[w] for w in shared(*p)) ** 2, p))
-        step(a, b, shared(a, b))
+    while at:
+        a, b = min({tuple(sorted(ks)) for ks in at.values()}, key=lambda p: (
+            prod(dims[w] for w in set(held[p[0]]) ^ set(held[p[1]])), p))
+        step(a, b, [w for w in held[a] if w in held[b]])
     return steps, largest
 
 

@@ -13,11 +13,10 @@ the loop factor acts by I_6 (x) P, the dimension-2 wire by the identity.
 """
 
 import random
-from math import lcm
 from typing import NamedTuple
 
 from .errors import NotASimilarity, ShapeMismatch
-from .exactalg import Matrix, det, inverse, nullspace
+from .exactalg import Matrix, block_diag, det, inverse, nullspace
 from .rational import Q, ZERO
 from .representation import Representation, check_size, intertwining_system
 from .semigraph import TensorDiagram, Wire
@@ -34,34 +33,24 @@ def _check_pair(p):
     return p.a.rows
 
 
-def _place(grid, den, r0, c0, m):
-    """Write m into an integer grid over den, a multiple of m.den."""
-    s = den // m.den
-    for i, row in enumerate(m.nums):
-        grid[r0 + i][c0:c0 + m.cols] = [s * x for x in row]
+# the 4 x 4 0/1 patterns S, E_31 and E_42 of build_Y_pair's last 4n
+_SHIFT, _AT_31, _AT_42 = (
+    Matrix(4, 4, [[int((i, j) in cells) for j in range(4)] for i in range(4)])
+    for cells in (((1, 0), (2, 1), (3, 2)), ((2, 0),), ((3, 1),)))
 
 
 def build_Y_pair(p):
-    """(Y1, Y2) = (X1 + C1, X2 + C2(A, B)) as 6n x 6n direct sums.
+    """(Y1, Y2) = (X1 + C1, X2 + C2(A, B)), 6n x 6n, as block diagonals.
 
-    X1 = diag(I_n, 0), X2 = diag(0, I_n); C1 carries identity blocks on
-    the first block subdiagonal; C2 carries A at block (3,1) and B at
-    block (4,2).  rank(Y1) = 4n always.
+    X1 = diag(I_n, 0, 0), X2 = diag(0, I_n, 0); on the last 4n, C1 is
+    S (x) I_n, identity blocks on the first block subdiagonal, and C2 is
+    E_31 (x) A + E_42 (x) B, A at block (3,1) and B at block (4,2).
+    rank(Y1) = 4n always.
     """
     n = _check_pair(p)
-    size = 6 * n
-    den = lcm(p.a.den, p.b.den)
-    y1 = [[0] * size for _ in range(size)]
-    y2 = [[0] * size for _ in range(size)]
-    eye = Matrix.identity(n)
-    _place(y1, 1, 0, 0, eye)                    # X1
-    _place(y2, den, n, n, eye)                  # X2
-    for k in range(3):                     # C1 subdiagonal, blocks (k+2, k+1)
-        _place(y1, 1, 2 * n + (k + 1) * n, 2 * n + k * n, eye)
-    _place(y2, den, 2 * n + 2 * n, 2 * n, p.a)  # C2 block (3,1)
-    _place(y2, den, 2 * n + 3 * n, 2 * n + n, p.b)   # C2 block (4,2)
-    return (Matrix.from_ints(size, size, y1),
-            Matrix.from_ints(size, size, y2, den))
+    eye, zero = Matrix.identity(n), Matrix.zeros(n, n)
+    return (block_diag([eye, zero, _SHIFT.kron(eye)]),
+            block_diag([zero, eye, _AT_31.kron(p.a) + _AT_42.kron(p.b)]))
 
 
 def needle_diagram():

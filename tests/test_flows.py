@@ -163,3 +163,26 @@ def test_values_past_float_range_fail_the_conditions():
     assert not verify_partial_flow(d, f, ["v1", "v2"])
     with pytest.raises(InvalidPartialFlow):
         extend_flow(d, f, ["v1", "v2"])
+
+
+def test_extend_flow_checks_its_input_once(monkeypatch):
+    """extend_flow builds T[u] once: the vertex conditions are checked on
+    the input it has already validated, not by a second validation."""
+    import tdr.flows as flows
+
+    calls = []
+
+    def counted(d, u):
+        calls.append(u)
+        return ref(d, u)
+
+    ref = flows.subdiagram_ref
+    monkeypatch.setattr(flows, "subdiagram_ref", counted)
+    extend_flow(SQUARE, {"e2": 5 + 0j, "e3": 5 + 0j, "e4": 5 + 0j}, ["v1", "v2"])
+    assert len(calls) == 1
+    with pytest.raises(InvalidPartialFlow):
+        extend_flow(SQUARE, {"e2": 5 + 0j, "e3": 3 + 0j, "e4": 5 + 0j}, ["v1", "v2"])
+    assert len(calls) == 2
+    assert verify_partial_flow(SQUARE, {"e2": 5 + 0j, "e3": 5 + 0j, "e4": 5 + 0j},
+                               ["v1", "v2"])
+    assert len(calls) == 3

@@ -39,6 +39,36 @@ def test_benchmark_tracer_targets_resolve():
     assert tracer.TARGETS and missing == []
 
 
+def test_every_top_level_definition_has_a_use():
+    """Every top-level function and class in src/tdr is referenced by src
+    code outside its own definition (a Name, an Attribute or an imported
+    name), or is a function the benchmark's tracer wraps; otherwise it is
+    dead code and goes."""
+    import importlib.util
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "tdrbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tdrbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                owner = top.name
+                defined.append((path.stem, owner))
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                if name is not None:
+                    used.add((name, path.stem, owner))
+    unused = [f"{mod}.{name}" for mod, name in defined
+              if (mod, name) not in tracer.TARGETS
+              and not any(n == name and (m, o) != (mod, name) for n, m, o in used)]
+    assert defined and unused == []
+
+
 def test_cycle_commands_never_import_sympy(tmp_path):
     """sympy is only the tests' oracle: gen-random in sum mode on J, and
     decompose of its rep with a degree-2 Band, run without importing it.

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -24,6 +25,8 @@ from tdr.generate import gen_random
 from tdr.rational import ONE, ZERO, Q
 from tdr.representation import (
     TENSOR_CAP,
+    Representation,
+    _plan,
     apply_group_element,
     cokernel,
     contract,
@@ -430,6 +433,33 @@ def test_reversing_a_set_of_wires_is_the_single_reversals_in_one_pass():
     assert seen >= {"loop", "dangling", "3 slots"}
 
 
+def test_dual_rep_transposes_every_tensor():
+    """dual_rep, the reversal of every wire, is the dual by its definition:
+    the diagram with every wire reversed and every tensor transposed; on
+    seeded reps with loops, dangling and endpointless wires and dim 0."""
+    rng = random.Random(8128)
+    seen = set()
+    for case in range(300):
+        vs = [f"v{i}" for i in range(rng.randint(1, 3))]
+        wires = [{"id": f"e{i}", "tail": rng.choice(vs + [None]),
+                  "head": rng.choice(vs + [None])} for i in range(rng.randint(0, 4))]
+        d = validate_diagram({"vertices": vs, "wires": wires})
+        while True:
+            dims = {w.id: rng.choice([0, 1, 2, 3]) for w in d.wires}
+            if _largest_tensor(d, dims) <= 400:
+                break
+        r = _rand_rep(rng, d, dims)
+        dual = dual_rep(r)
+        assert dual.diagram == reverse_wire(d, *dims), case
+        assert dual.dims == r.dims, case
+        assert dual.tensors == {v: m.transpose() for v, m in r.tensors.items()}, case
+        seen |= {"loop" for w in d.wires if w.is_loop()}
+        seen |= {"dangling" for w in d.wires if w.is_dangling()}
+        seen |= {"endpointless" for w in d.wires if w.tail is None and w.head is None}
+        seen |= {"dim 0" for x in dims.values() if x == 0}
+    assert seen >= {"loop", "dangling", "endpointless", "dim 0"}
+
+
 @pytest.mark.parametrize("bad", [("e1", "zz"), ("zz", "e2"), (["e1"],),
                                  ("e2", {"e1": 1})])
 def test_reversal_refuses_an_unknown_or_unhashable_id(bad):
@@ -616,3 +646,81 @@ def test_contract_agrees_with_brute_force():
             seen.add("nonzero")
     assert seen >= {"loop", "multi-wire", "dim 0", "dim 1", "dim 2", "dim 3",
                     "components", "scalar vertex", "nonzero"}
+
+
+def _plain_greedy(dims, held):
+    """contract's plan by a plain greedy over every pair of nodes: trace
+    each vertex's loops, then merge, of the nodes that share a wire, the two
+    whose merged node has fewest entries, ties to the least sorted ids.
+    Also tells whether some merge broke a tie."""
+    held = {v: list(ws) for v, ws in held.items()}
+    steps, largest, tied = [], 0, False
+
+    def merge(a, b, wids):
+        nonlocal largest
+        held[a] = [w for w in held[a] + held.pop(b, []) if w not in wids]
+        steps.append((a, b, wids))
+        largest = max(largest, math.prod(dims[w] for w in held[a]))
+
+    for v in list(held):
+        loops = [w for i, w in enumerate(held[v]) if w in held[v][i + 1:]]
+        if loops:
+            merge(v, None, loops)
+    while True:
+        sizes = {}
+        for a, b in itertools.combinations(sorted(held), 2):
+            shared = [w for w in held[a] if w in held[b]]
+            if shared:
+                sizes[a, b] = math.prod(dims[w] for w in held[a] + held[b]
+                                        if w not in shared)
+        if not sizes:
+            return steps, largest, tied
+        best = min(sizes.values())
+        tied |= list(sizes.values()).count(best) > 1
+        a, b = min(p for p, size in sizes.items() if size == best)
+        merge(a, b, [w for w in held[a] if w in held[b]])
+
+
+def test_contract_plan_is_the_plain_greedy():
+    """Seeded closed networks on 1-8 vertices, with loops, parallel wires,
+    several components and equal-size ties, and complete graphs: contract's
+    plan merges the same pairs over the same wires as a plain greedy over
+    all node pairs, and refuses (ContractionTooLarge) exactly when that
+    greedy's largest node is over the cap."""
+    rng = random.Random(4711)
+    seen = set()
+    for case in range(300):
+        vs = [f"v{i}" for i in range(rng.randint(1, 8))]
+        ends = [(rng.choice(vs), rng.choice(vs))
+                for _ in range(rng.randint(0, 14))]
+        pick = rng.choice([[2], [1, 2, 3, 4], [8, 16], [16, 32, 64]])
+        if case % 4 == 0:   # complete graphs: dense enough to pass the cap
+            ends, pick = list(itertools.combinations(vs, 2)), [3, 4]
+        d = validate_diagram({"vertices": vs, "wires": [
+            {"id": f"e{i}", "tail": t, "head": h} for i, (t, h) in enumerate(ends)]})
+        dims = {w.id: rng.choice(pick) for w in d.wires}
+        held = {v: list(nb.outgoing + nb.incoming) for v, nb in slots(d).items()}
+        steps, largest, tied = _plain_greedy(dims, held)
+        assert _plan(dims, held) == (steps, largest), case
+        seen |= {"tie"} if tied else set()
+        seen |= {"loop" for t, h in ends if t == h}
+        seen |= {"parallel" for i, e in enumerate(ends)
+                 if e in ends[:i] or e[::-1] in ends[:i]}
+        if len(connected_components(d)) > 1:
+            seen.add("components")
+        try:
+            shapes = {v: vertex_shape(nb, dims, v) for v, nb in slots(d).items()}
+        except TensorTooLarge:
+            continue
+        if largest > TENSOR_CAP or largest <= 1 << 12:
+            r = Representation(d, dims, {v: Matrix.zeros(*shape)
+                                         for v, shape in shapes.items()})
+            if largest > TENSOR_CAP:
+                with pytest.raises(ContractionTooLarge):
+                    contract(r)
+                seen.add("too large")
+            else:
+                assert contract(r) == 0, case
+                seen.add("contracted")
+    assert seen >= {"tie", "loop", "parallel", "components", "too large",
+                    "contracted"}
