@@ -96,9 +96,6 @@ class Decomposition:
     # the Shape the blocks live on, when known; not part of equality
     shape: object = field(default=None, compare=False, repr=False)
 
-    def as_multiset(self):
-        return dict(self.blocks)
-
     @classmethod
     def of(cls, descs, shape=None):
         """The decomposition with these descriptors, repeats counted."""

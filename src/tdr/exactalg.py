@@ -13,7 +13,9 @@ scale refuse data that is not finite rationals (or not rows x cols of
 them), as ShapeMismatch; Poly refuses its coefficients alike.
 Everything that returns a basis goes through the RREF, so outputs are
 canonical: nullspace and column_space read it off, and preimage is the
-column space of the x-parts of a nullspace.
+column space of the x-parts of a nullspace.  coords_in_basis reads
+coordinates off one RREF, and inverse is the coordinates of the identity;
+new_columns picks the candidate columns that grow a span.
 stable_image shrinks a square matrix's image to the invertible part of
 Fitting's lemma.  On a cycle of maps, chains counts the chains of basis
 vectors along the maps (intervals, strings, and the Jordan chains behind
@@ -175,12 +177,6 @@ class Matrix:
         return Matrix._new(self.rows, self.cols + other.cols, tuple(
             ra + rb for ra, rb in zip(a, b)), den)
 
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ShapeMismatch("vstack col mismatch")
-        den, (a, b) = _over((self, other))
-        return Matrix._new(self.rows + other.rows, self.cols, a + b, den)
-
     def submatrix(self, row_idx, col_idx):
         return Matrix.from_ints(len(row_idx), len(col_idx), [
             tuple(self.nums[i][j] for j in col_idx) for i in row_idx], self.den)
@@ -287,13 +283,13 @@ def rref(m):
 
 
 def inverse(m):
+    """The coordinates of I in m's columns; SingularMatrix if m is singular."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    n = m.rows
-    red, pivots = rref(m.hstack(Matrix.identity(n)))
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise SingularMatrix("matrix has no inverse")
-    return red.submatrix(range(n), range(n, 2 * n))
+    try:
+        return coords_in_basis(m, Matrix.identity(m.rows))
+    except ShapeMismatch:
+        raise SingularMatrix("matrix has no inverse") from None
 
 
 def nullspace(m):
@@ -325,26 +321,11 @@ def column_space(m):
     return Matrix._new(m.rows, r, tuple(zip(*red.nums[:r])), red.den)
 
 
-def _new_columns(span, candidates):
+def new_columns(span, candidates):
     """Indices of the candidate columns that grow the span of span's columns
     and the candidates before them: the pivot columns of their hstack."""
     return [p - span.cols for p in _pivots(span.hstack(candidates))
             if p >= span.cols]
-
-
-def extend_basis(base, candidates):
-    """Complete base's columns with candidate columns; returns (full, added).
-
-    base columns must be independent; candidates are scanned left to right
-    and a candidate is kept iff it grows the span.  added lists the kept
-    candidate column indices.
-    """
-    if base.rows != candidates.rows:
-        raise ShapeMismatch("extend_basis row mismatch")
-    if rank(base) < base.cols:
-        raise ShapeMismatch("base columns are dependent")
-    added = _new_columns(base, candidates)
-    return base.hstack(candidates.submatrix(range(base.rows), added)), added
 
 
 def coords_in_basis(basis, vecs):
@@ -408,10 +389,6 @@ class Poly:
     @classmethod
     def x(cls):
         return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c):
-        return cls((c,))
 
     def degree(self):
         return len(self.coeffs) - 1   # -1 for the zero polynomial
@@ -963,6 +940,6 @@ def chain_tops(blocks, filt):
                 blocks[prev_grade] @ level(prev_grade, ell + 1))
             cand = level(a, ell)
             tops.extend((a + 1, ell, cand.submatrix(range(cand.rows), (j,)))
-                        for j in _new_columns(span, cand))
+                        for j in new_columns(span, cand))
     tops.sort(key=lambda t: (t[0], -t[1]))
     return tops

@@ -44,7 +44,7 @@ from .errors import (
     TensorTooLarge,
     UnknownWire,
 )
-from .exactalg import Matrix, column_space, extend_basis, inverse, rank
+from .exactalg import Matrix, column_space, inverse, new_columns, rank
 from .rational import ZERO, Q
 from .semigraph import (
     TensorDiagram,
@@ -340,12 +340,9 @@ def hom_dim(r1, r2):
 
 
 def _coker_data(phi, r1, r2):
-    """Per-wire cokernel pieces for an arbitrary morphism.
-
-    For each wire: projection psi_e onto a complement of im(phi_e), and a
-    section s_e embedding that complement back, with psi_e s_e = I and
-    psi_e phi_e = 0 exactly.
-    """
+    """Per-wire cokernel pieces for an arbitrary morphism: the section s_e
+    takes the unit vectors that grow im(phi_e)'s span, left to right, and psi_e
+    is inverse([im | s_e]) past im's rows: psi_e s_e = I, psi_e phi_e = 0."""
     d = r1.diagram
     quiver = _quiver_slots(d)
     if not is_morphism(phi, r1, r2):
@@ -355,17 +352,11 @@ def _coker_data(phi, r1, r2):
     dims = {}
     for wid in r1.dims:
         im = column_space(phi[wid])
-        full, _ = extend_basis(im, Matrix.identity(r2.dims[wid]))
-        k = r2.dims[wid] - im.cols
-        dims[wid] = k
-        if r2.dims[wid] == 0:
-            psi[wid] = sec[wid] = Matrix.zeros(0, 0)
-            continue
-        uinv = inverse(full)
-        psi[wid] = uinv.submatrix(range(im.cols, r2.dims[wid]),
-                                  range(r2.dims[wid]))
-        sec[wid] = full.submatrix(range(r2.dims[wid]),
-                                  range(im.cols, r2.dims[wid]))
+        eye = Matrix.identity(r2.dims[wid])
+        sec[wid] = eye.submatrix(range(eye.rows), new_columns(im, eye))
+        dims[wid] = sec[wid].cols
+        psi[wid] = inverse(im.hstack(sec[wid])).submatrix(
+            range(im.cols, eye.rows), range(eye.rows))
     tensors = {}
     for v, ((a,), (b,)) in quiver.items():
         tensors[v] = psi[b] @ r2.tensors[v] @ sec[a]
@@ -497,7 +488,7 @@ def monodromy(r, base):
     """
     d = r.diagram
     known = {w.id: w for w in d.wires}
-    if base not in known:
+    if base not in list(known):   # a list: an unhashable id is unknown too
         raise UnknownWire(base)
     try:
         comps = classify_diagram(d)
@@ -557,12 +548,13 @@ def _merged_name(v1, v2, taken):
     return fresh_vertex(f"{v1}+{v2}", taken)
 
 
-def split_functor(r, fresh_wire, merged_id=None):
+def split_functor(r, fresh_wire):
     """Undo a vertex splitting on representations.
 
     The fresh wire must carry dimension 1; its two endpoint tensors merge
     into the tensor product with the unit index collapsed, all other data
-    untouched.  Inverse (up to scale) of splitting a representation.
+    untouched.  Inverse (up to scale) of splitting a representation.  The
+    merged vertex is v where v·1 and v·2 undo a split of v, else fresh v1+v2.
     """
     d = r.diagram
     w = d.wire(fresh_wire)
@@ -574,9 +566,7 @@ def split_functor(r, fresh_wire, merged_id=None):
         raise RestrictedDimViolation(
             f"wire {fresh_wire} must join two distinct vertices")
     taken = set(d.vertices) - {v1, v2}
-    merged = merged_id if merged_id is not None else _merged_name(v1, v2, taken)
-    if merged in taken:
-        raise RestrictedDimViolation(f"merged vertex id {merged} taken")
+    merged = _merged_name(v1, v2, taken)
     wires = []
     for x in d.wires:
         if x.id == fresh_wire:

@@ -64,7 +64,6 @@ class VertexNeighborhood(NamedTuple):
 class SubdiagramRef(NamedTuple):
     vertices: tuple
     wires: tuple
-    induced: bool
 
 
 def validate_diagram(raw):
@@ -238,26 +237,24 @@ def split_vertex(d, v, part1, part2):
 
 
 def subdiagram_ref(d, vertices, wires=None):
-    """Reference to a subdiagram of d; wires=None takes the induced wire set."""
-    vset = set(vertices)
-    for v in vset:
+    """Reference to a subdiagram of d, its vertices and wires; wires=None
+    takes each wire with named ends all among the vertices.  Ids are checked
+    against d's tuples and a list, so an unhashable id is unknown too."""
+    vertices = list(vertices)
+    for v in vertices:
         if v not in d.vertices:
             raise NotASubdiagram(f"unknown vertex {v}")
-    induced_wires = set()
-    for w in d.wires:
-        ends = [e for e in (w.tail, w.head) if e is not None]
-        if ends and all(e in vset for e in ends):
-            induced_wires.add(w.id)
+    vset = set(vertices)
     if wires is None:
-        wset = induced_wires
+        wset = {w.id for w in d.wires if (w.tail, w.head) != (None, None)
+                and {w.tail, w.head} - {None} <= vset}
     else:
-        wset = set(wires)
-        known = {w.id for w in d.wires}
-        for wid in wset:
-            if wid not in known:
+        wires, ids = list(wires), [w.id for w in d.wires]
+        for wid in wires:
+            if wid not in ids:
                 raise NotASubdiagram(f"unknown wire {wid}")
-    induced = induced_wires <= wset
-    return SubdiagramRef(tuple(sorted(vset)), tuple(sorted(wset)), induced)
+        wset = set(wires)
+    return SubdiagramRef(tuple(sorted(vset)), tuple(sorted(wset)))
 
 
 def _check_subdiagram(d, s):
@@ -352,10 +349,10 @@ def connected_components(d):
     for w in d.wires:
         end = w.tail if w.tail is not None else w.head
         if end is None:
-            comps.append(SubdiagramRef((), (w.id,), True))
+            comps.append(SubdiagramRef((), (w.id,)))
         else:
             groups[comp[end][0]][1].append(w.id)
-    comps += [SubdiagramRef(tuple(sorted(vs)), tuple(sorted(ws)), True)
+    comps += [SubdiagramRef(tuple(sorted(vs)), tuple(sorted(ws)))
               for vs, ws in groups.values()]
     comps.sort(key=lambda c: (c.vertices + c.wires))
     return comps

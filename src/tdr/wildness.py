@@ -129,13 +129,13 @@ def iso_from_similarity(p, pair1, pair2):
     return {"e1": Matrix.identity(6).kron(p), "e2": Matrix.identity(2)}
 
 
-def sim_similarity_solve(pair1, pair2, tries=40):
+def sim_similarity_solve(pair1, pair2):
     """Search for invertible P with P A1 = A2 P and P B1 = B2 P.
 
     Solves the linear intertwining system exactly, then looks for an
-    invertible point: each basis element first, then seeded random
-    small-integer combinations.  Returns None when the space holds no
-    invertible element after the bounded search.
+    invertible point: each basis element first, then 40 seeded random
+    small-integer combinations.  Returns None when none of those is
+    invertible; that does not prove the pairs are not similar.
     """
     n = _check_pair(pair1)
     if _check_pair(pair2) != n:
@@ -149,7 +149,7 @@ def sim_similarity_solve(pair1, pair2, tries=40):
         if det(p) != ZERO:
             return p
     rng = random.Random(0x5EED)
-    for _ in range(tries):
+    for _ in range(40):
         coeffs = [Q(rng.randrange(-4, 5)) for _ in cands]
         p = Matrix.zeros(n, n)
         for c, m in zip(coeffs, cands):

@@ -2,9 +2,10 @@
 
 from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdr.errors import TdrError
+from tdr.errors import NotASubdiagram, TdrError, UnknownWire
 from tdr.exactalg import Matrix, Poly
 from tdr.generate import gen_random
 from tdr.representation import (
@@ -12,8 +13,10 @@ from tdr.representation import (
     cokernel,
     is_morphism,
     kernel,
+    monodromy,
     validate_representation,
 )
+from tdr.semigraph import subdiagram_ref
 
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=3),
@@ -214,3 +217,14 @@ def test_wire_maps_fuzzed_never_trace_back():
                 pass
 
     check()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: subdiagram_ref(_R.diagram, [["a"]]), NotASubdiagram),
+    (lambda: subdiagram_ref(_R.diagram, ["a"], wires=[["e1"]]), NotASubdiagram),
+    (lambda: monodromy(_R, ["e1"]), UnknownWire),
+], ids=["vertex", "wire", "monodromy-base"])
+def test_unhashable_ids_are_unknown(call, error):
+    with pytest.raises(error):
+        call()
+

@@ -45,6 +45,7 @@ from tdr.rational import Q
 from tdr.representation import (
     apply_group_element,
     direct_sum,
+    hom_dim,
     monodromy,
     reverse_wire_rep,
     validate_representation,
@@ -256,6 +257,40 @@ def test_interval_counts_by_inclusion_exclusion():
         {"v1": Matrix.from_rows([[1, 0], [0, 0]])})
     assert blocks_of(r) == {Interval(1, 1): 1, Interval(2, 2): 1,
                             Interval(1, 2): 1}
+
+
+def _intervals(n):
+    """Every Interval on A0 with n vertices, whose n + 1 wires are the
+    positions."""
+    return [Interval(a, b) for a in range(1, n + 2) for b in range(a, n + 2)]
+
+
+def _interval_hom(i, j):
+    """dim Hom(I[a, b], I[c, d]) on A0: 1 when c <= a <= d <= b, else 0."""
+    return int(j.a <= i.a <= j.b <= i.b)
+
+
+def test_interval_hom_rule_on_a0():
+    """hom_dim between realized Intervals on A0 follows the rule, on every
+    pair for n = 1..4; and on seeded sum-mode reps r, dim Hom(I, r) for
+    every Interval I is the sum of mult(J) * dim Hom(I, J) over
+    decompose(r).  Ordered by (a, b), that matrix is unitriangular, so the
+    Hom dimensions determine the multiplicities."""
+    for n in range(1, 5):
+        reps = {i: realize("A0", n, i) for i in _intervals(n)}
+        for i in reps:
+            for j in reps:
+                assert hom_dim(reps[i], reps[j]) == _interval_hom(i, j), (n, i, j)
+    rng = random.Random(1805)
+    for seed in range(40):
+        n = rng.randint(1, 4)
+        d = canonical_diagram("A0", n)
+        caps = {w.id: rng.randrange(0, 4) for w in d.wires}
+        r, _ = gen_random(d, caps, seed=seed, mode="sum")
+        blocks = decompose(r).blocks
+        for i in _intervals(n):
+            assert hom_dim(realize("A0", n, i), r) == sum(
+                mult * _interval_hom(i, j) for j, mult in blocks), (seed, i)
 
 
 def test_a1_drops_pinned_interval():

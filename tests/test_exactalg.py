@@ -22,11 +22,11 @@ from tdr.exactalg import (
     companion,
     coords_in_basis,
     det,
-    extend_basis,
     factor_poly,
     graded_jordan_chains,
     inverse,
     kernel_filtration,
+    new_columns,
     nullspace,
     preimage,
     rank,
@@ -183,11 +183,9 @@ def test_column_space_and_coords():
     assert cs @ coords == v
 
 
-def test_extend_basis():
+def test_new_columns():
     base = Matrix.from_rows([[1], [1]])
-    full, added = extend_basis(base, Matrix.identity(2))
-    assert full.cols == 2 and rank(full) == 2
-    assert added == [0]
+    assert new_columns(base, Matrix.identity(2)) == [0]
 
 
 def test_preimage():
@@ -276,7 +274,7 @@ def test_block_diag():
 
 def test_poly_arithmetic():
     x = Poly.x()
-    p = (x - Poly.constant(1)) * (x + Poly.constant(1))
+    p = (x - Poly((1,))) * (x + Poly((1,)))
     assert p == Poly((Q(-1), Q(0), Q(1)))
     assert (x ** 3).degree() == 3
 
@@ -297,7 +295,7 @@ def test_factor_poly():
     x = Poly.x()
     p = Poly((Q(-1), Q(0), Q(1)))  # x^2 - 1
     fac = factor_poly(p)
-    assert fac == [(x - Poly.constant(1), 1), (x + Poly.constant(1), 1)]
+    assert fac == [(x - Poly((1,)), 1), (x + Poly((1,)), 1)]
     # irreducible stays whole
     assert factor_poly(Poly((Q(1), Q(0), Q(1)))) == [(Poly((Q(1), Q(0), Q(1))), 1)]
     with pytest.raises(ZeroPolynomial):
@@ -375,7 +373,7 @@ def test_factor_poly_agrees_with_sympy():
     polys = [Poly((1, 0, -10, 0, 1)), Poly((576, 0, -960, 0, 352, 0, -40, 0, 1)),
              Poly((1, 0, -10, 0, 1)) * Poly((-2, 0, 0, 1)) ** 2]
     while len(polys) < 160:
-        p = Poly.constant(scale())
+        p = Poly((scale(),))
         for _ in range(rng.randint(1, 4)):
             f = rng.choice(IRREDUCIBLE) if rng.random() < 0.6 else rand_factor(1)
             p = p * f ** rng.randint(1, 3)
@@ -384,7 +382,7 @@ def test_factor_poly_agrees_with_sympy():
     for _ in range(20):
         p = rand_factor(40) * rand_factor(40) * rng.choice(IRREDUCIBLE)
         assert max(abs(c.numerator) for c in p.coeffs) >= 10 ** 39
-        polys.append(p * Poly.constant(Q(-(10 ** 45), 7)))
+        polys.append(p * Poly((Q(-(10 ** 45), 7),)))
     for p in polys:
         assert factor_poly(p) == _sympy_factors(sympy, p), p
     assert factor_poly(polys[1]) == [(polys[1], 1)]
@@ -690,9 +688,8 @@ def test_matrix_form_is_canonical():
         c = _tdr(rows, cols, _rand_grid(rng, rows, cols))
         outs = [rref(m)[0], m @ b, nullspace(m), column_space(m), m + c, m - c,
                 -m, m.scale(Q(rng.randint(-9, 9), rng.randint(1, 9))),
-                m.transpose(), m.kron(b), m.hstack(c), m.vstack(c),
-                block_diag([m, b, c]), extend_basis(column_space(m), c)[0],
-                preimage(m, column_space(c)),
+                m.transpose(), m.kron(b), m.hstack(c),
+                block_diag([m, b, c]), preimage(m, column_space(c)),
                 m.submatrix(range(0, rows, 2), range(1, cols, 2))]
         if rank(m.hstack(c)) == rank(m):
             outs.append(coords_in_basis(m, c))
@@ -706,7 +703,7 @@ def test_matrix_form_is_canonical():
 
 
 # ---------------------------------------------------------------------------
-# independence: extend_basis and graded chains against rank growth
+# independence: new_columns and graded chains against rank growth
 
 def _kept_by_rank(sympy, span, cands):
     """Candidate columns kept left to right by the rank-growth rule, with
@@ -727,7 +724,7 @@ def _kept_by_rank(sympy, span, cands):
     return kept
 
 
-def test_extend_basis_agrees_with_rank_growth():
+def test_new_columns_agrees_with_rank_growth():
     import sympy
     rng = random.Random(707)
     for _ in range(80):
@@ -753,12 +750,7 @@ def test_extend_basis_agrees_with_rank_growth():
         cands = Matrix.zeros(n, 0)
         for c in cols:
             cands = cands.hstack(c)
-        full, added = extend_basis(base, cands)
-        assert added == _kept_by_rank(sympy, base, cands)
-        assert full == base.hstack(cands.submatrix(range(n), added))
-        _exact(full)
-    with pytest.raises(ShapeMismatch):
-        extend_basis(Matrix.from_rows([[1, 2], [2, 4]]), Matrix.identity(2))
+        assert new_columns(base, cands) == _kept_by_rank(sympy, base, cands)
 
 
 def _planted_graded(rng, grades, band=0):

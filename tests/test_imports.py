@@ -69,6 +69,35 @@ def test_every_top_level_definition_has_a_use():
     assert defined and unused == []
 
 
+def test_every_class_member_has_a_reader():
+    """Every non-dunder method and annotated field of a top-level class in
+    src/tdr is read as an attribute somewhere in src (an AST Attribute of
+    that name), unless a base class defines it too, as argparse does for
+    cli._Parser.error; otherwise it is dead code and goes."""
+    import importlib
+
+    members, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        for top in tree.body:
+            if not isinstance(top, ast.ClassDef):
+                continue
+            for item in top.body:
+                name = (item.name if isinstance(item, ast.FunctionDef) else
+                        item.target.id if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name) else None)
+                if name and not (name.startswith("__") and name.endswith("__")):
+                    members.append((path.stem, top.name, name))
+    unread = []
+    for mod, cls, name in members:
+        bases = getattr(importlib.import_module(f"tdr.{mod}"), cls).__mro__[1:]
+        if name not in read and not any(hasattr(b, name) for b in bases):
+            unread.append(f"{mod}.{cls}.{name}")
+    assert members and unread == []
+
+
 def test_cycle_commands_never_import_sympy(tmp_path):
     """sympy is only the tests' oracle: gen-random in sum mode on J, and
     decompose of its rep with a degree-2 Band, run without importing it.

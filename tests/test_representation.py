@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -16,10 +17,12 @@ from tdr.errors import (
     NotMonic,
     RestrictedDimViolation,
     ShapeMismatch,
+    SingularMatrix,
     SizeMismatch,
     TensorTooLarge,
     UnknownWire,
 )
+from tdr.decompose import canonical_diagram
 from tdr.exactalg import Matrix, det, inverse, nullspace, rank
 from tdr.generate import gen_random
 from tdr.rational import ONE, ZERO, Q
@@ -296,6 +299,60 @@ def test_kernel_matches_direct_nullspace():
     assert (psi["e1"] @ incl["e1"]).is_zero()
 
 
+def _digest(items):
+    """sha256 of matrices as (rows, cols, den, nums), other items as repr."""
+    return hashlib.sha256(repr([
+        (x.rows, x.cols, x.den, x.nums) if isinstance(x, Matrix) else x
+        for x in items]).encode()).hexdigest()
+
+
+def _rep_items(r):
+    return [sorted(r.dims.items())] + [r.tensors[v] for v in sorted(r.tensors)]
+
+
+def test_inverse_and_kernel_bases_are_pinned():
+    """The bases inverse, kernel and cokernel return, hashed.  inverse runs
+    on 400 seeded square matrices (n = 0..5, singular ones included, where
+    the error type is hashed); kernel and cokernel run on 120 base-changed
+    block inclusions r1 -> r1 + r2 and projections r1 + r2 -> r2 on A0 and J,
+    dims 0 included, hashing the rep tensors, psi and the inclusions."""
+    rng = random.Random(1818)
+    inv = []
+    for _ in range(400):
+        n = rng.randrange(6)
+        m = Matrix(n, n, [[Q(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                           for _ in range(n)] for _ in range(n)])
+        if n > 1 and rng.random() < 0.3:   # a repeated row: singular
+            i, j = rng.sample(range(n), 2)
+            m = m.submatrix([j if k == i else k for k in range(n)], range(n))
+        try:
+            inv.append(inverse(m))
+        except SingularMatrix as exc:
+            inv.append(type(exc).__name__)
+    ker = []
+    for k in range(120):
+        family = ("A0", "J")[k % 2]
+        d = canonical_diagram(family, rng.randint(1, 3))
+        parts = [gen_random(d, {w.id: rng.randrange(3) for w in d.wires},
+                             seed=rng.randrange(10 ** 6))[0] for _ in range(2)]
+        dims = {wid: parts[0].dims[wid] + parts[1].dims[wid] for wid in parts[0].dims}
+        g = {wid: rand_invertible(rng, n) for wid, n in dims.items()}
+        total = apply_group_element(g, direct_sum(*parts))
+        inc, proj = {}, {}
+        for wid, n in dims.items():
+            a = parts[0].dims[wid]
+            inc[wid] = g[wid] @ Matrix.identity(n).submatrix(range(n), range(a))
+            proj[wid] = Matrix.identity(n).submatrix(range(a, n), range(n)) @ inverse(g[wid])
+        coker, psi = cokernel(inc, parts[0], total)
+        kr, incl = kernel(proj, total, parts[1])
+        kpsi, kincl = kernel(psi, total, coker)
+        for r, maps in ((coker, psi), (kr, incl), (kpsi, kincl)):
+            ker += _rep_items(r) + [maps[wid] for wid in sorted(maps)]
+    assert (_digest(inv), _digest(ker)) == (
+        "9c0d890a11822999d6dc905520559aa291c6a352681316b59b7320bb8329bf03",
+        "b244e24af12eea06eebf9a506272e4e58e8b4cc5114d6c49dc6741008d21c463")
+
+
 def test_split_functor_merges_dim1_wire():
     d = validate_diagram({"vertices": ["v1", "v2"], "wires": [
         {"id": "e1", "tail": None, "head": "v1"},
@@ -305,9 +362,9 @@ def test_split_functor_merges_dim1_wire():
         d, {"e1": 2, "e2": 1, "e3": 2},
         {"v1": Matrix.from_rows([[1, 2]]),
          "v2": Matrix.from_rows([[3], [4]])})
-    merged = split_functor(r, "e2", merged_id="w")
+    merged = split_functor(r, "e2")
     assert set(merged.dims) == {"e1", "e3"}
-    assert merged.tensors["w"] == Matrix.from_rows([[3, 6], [4, 8]])
+    assert merged.tensors["v1+v2"] == Matrix.from_rows([[3, 6], [4, 8]])
     with pytest.raises(RestrictedDimViolation):
         split_functor(validate_representation(
             d, {"e1": 1, "e2": 2, "e3": 1},
