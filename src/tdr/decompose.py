@@ -46,7 +46,7 @@ from .exactalg import (
     rational_canonical,
     stable_image,
 )
-from .representation import Representation, check_size, reverse_wire_rep
+from .representation import Representation, check_size, checked_rep, reverse_wire_rep
 from .semigraph import TensorDiagram, Wire, restrict, slots
 
 
@@ -205,7 +205,7 @@ def _cycle_blocks(arcs):
 
 def decompose(r):
     """Indecomposable block multiset of a connected finite/tame shape."""
-    return _decompose_on(r, shape_of(r.diagram))
+    return _decompose_on(checked_rep(r), shape_of(r.diagram))
 
 
 def _decompose_on(r, shape):
@@ -247,6 +247,7 @@ def isomorphic(r1, r2):
     """Orbit equality through decomposition, componentwise."""
     if r1.diagram != r2.diagram:
         raise DiagramMismatch("isomorphism test needs a common diagram")
+    r1, r2 = checked_rep(r1), checked_rep(r2)
     comps = classify_diagram(r1.diagram)
     for _, cls in comps:
         if cls.kind == "wild":

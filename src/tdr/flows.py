@@ -13,9 +13,10 @@ classification inputs).  Default tolerance 1e-9.
 
 import cmath
 from collections import deque
+from collections.abc import Mapping
 
 from .errors import DomainMismatch, InvalidPartialFlow, NotClosed
-from .semigraph import connected_components, restrict, slots, subdiagram_ref
+from .semigraph import connected_components, known_ids, restrict, slots, subdiagram_ref
 
 _MIN_ABS = 1e-12
 
@@ -32,22 +33,20 @@ def flow_value(wid, re, im=0):
 
 
 def _check_input(d, f, u, tol):
-    """(u as a set, T[u]); refuses a tolerance not finite and >= 0, a u not
-    of vertex ids, a domain other than the wires outside T[u], a bad value."""
+    """(u as a set, T[u]); refuses a tolerance not finite and >= 0, a u
+    that known_ids does not find among d's vertex ids, a flow that is not a
+    mapping over exactly the wires outside T[u], a bad value."""
     if not isinstance(tol, (int, float)) or not 0 <= tol < float("inf"):
         raise InvalidPartialFlow(f"tolerance must be finite and >= 0, got {tol!r}")
-    for v in u:
-        if not isinstance(v, str):
-            raise DomainMismatch(f"u must hold vertex ids, got {v!r}")
-        if v not in d.vertices:
-            raise DomainMismatch(f"unknown vertex {v}")
-    u_set = set(u)
+    u_set = set(known_ids(d.vertices, u, DomainMismatch, "vertex ids"))
     ref = subdiagram_ref(d, u_set)
+    if not isinstance(f, Mapping):
+        raise DomainMismatch("a flow must be a mapping of wire ids to values")
     expected = {w.id for w in d.wires} - set(ref.wires)
     got = set(f)
     if got != expected:
         missing = sorted(expected - got)
-        extra = sorted(got - expected)
+        extra = sorted(got - expected, key=str)
         raise DomainMismatch(
             f"flow domain mismatch (missing {missing}, extra {extra})")
     for wid, val in f.items():

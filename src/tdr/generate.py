@@ -83,27 +83,22 @@ def _rand_matrix(rng, rows, cols):
 
 
 def _rand_invertible(rng, d):
-    for _ in range(20):
+    """A random d x d matrix, drawn again until it is invertible."""
+    while True:
         m = _rand_matrix(rng, d, d)
         if det(m) != 0:
             return m
-    # unit upper-triangular fallback, invertible by construction
-    rows = []
-    for i in range(d):
-        rows.append([ONE if i == j else
-                     (_rand_rational(rng) if j > i else Q(0))
-                     for j in range(d)])
-    return Matrix(d, d, tuple(tuple(r) for r in rows))
 
 
 def _rand_irreducible(rng, deg):
-    for _ in range(8):
+    """A random monic degree-deg polynomial with a nonzero constant term,
+    drawn again until it is irreducible."""
+    while True:
         coeffs = ([_nonzero_rational(rng)]
                   + [_rand_rational(rng) for _ in range(deg - 1)] + [ONE])
         p = Poly(tuple(coeffs))
         if factor_poly(p) == [(p, 1)]:
             return p
-    return Poly((_nonzero_rational(rng), ONE))
 
 
 class GenResult(NamedTuple):

@@ -10,9 +10,10 @@ wire varying slowest; an empty side indexes a single scalar slot.  A loop
 has a slot on each side.
 
 Each input rule is checked once: vertex_shapes checks dims and gives the
-vertex shapes (InvalidDims), and _phi_checked checks a map of one Matrix
-per wire, a base change or a morphism (SizeMismatch).  Both errors are
-ShapeMismatch, as is a tensor of the wrong shape.
+vertex shapes (InvalidDims), checked_rep checks the tensors against them,
+and _phi_checked checks a map of one Matrix per wire, a base change or a
+morphism (SizeMismatch).  Both errors are ShapeMismatch, as is a tensor
+of the wrong shape.
 
 Everything downstream (direct sums, tensor products, wire reversal, the
 splitting functor, contraction) re-indexes a vertex's flat tensor through
@@ -50,6 +51,7 @@ from .semigraph import (
     TensorDiagram,
     Wire,
     fresh_vertex,
+    known_ids,
     reverse_wire,
     slot_keys,
     slots,
@@ -152,8 +154,13 @@ def vertex_shapes(d, dims):
     return {v: vertex_shape(nb, dims, v) for v, nb in slots(d).items()}
 
 
-def validate_representation(diagram, dims, tensors):
-    d = validate_diagram(diagram)
+def checked_rep(r):
+    """r with a Matrix at every vertex, once vertex_shapes accepts its dims
+    and its tensors map each vertex of its diagram, and no other id, to a
+    grid of that vertex's shape (ShapeMismatch).  validate_representation
+    reads outside data through it, and decompose, isomorphic and hom_dim
+    read a representation built by hand through it."""
+    d, dims, tensors = r
     shapes = vertex_shapes(d, dims)
     if not isinstance(tensors, Mapping):
         raise ShapeMismatch("tensors must be a mapping of vertex ids to matrices")
@@ -176,6 +183,10 @@ def validate_representation(diagram, dims, tensors):
         if v not in out:
             raise ShapeMismatch(f"tensor for unknown vertex {v}")
     return Representation(d, {w.id: dims[w.id] for w in d.wires}, out)
+
+
+def validate_representation(diagram, dims, tensors):
+    return checked_rep(Representation(validate_diagram(diagram), dims, tensors))
 
 
 def _kron_all(v, mats):
@@ -326,6 +337,7 @@ def hom_dim(r1, r2):
     """Dimension of the space of morphisms r1 -> r2."""
     if r1.diagram != r2.diagram:
         raise DiagramMismatch("hom_dim needs a common diagram")
+    r1, r2 = checked_rep(r1), checked_rep(r2)
     d = r1.diagram
     quiver = _quiver_slots(d)
     offs, total = {}, 0
@@ -487,9 +499,8 @@ def monodromy(r, base):
     space to itself.
     """
     d = r.diagram
+    known_ids([w.id for w in d.wires], [base], UnknownWire, "wire ids")
     known = {w.id: w for w in d.wires}
-    if base not in list(known):   # a list: an unhashable id is unknown too
-        raise UnknownWire(base)
     try:
         comps = classify_diagram(d)
     except NotNormalized:   # an endpointless wire

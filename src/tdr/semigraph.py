@@ -13,6 +13,9 @@ one incidence convention: one pass over the wires gives every vertex's
 slots, and every layer (neighborhood and degree, splitting, classify, the
 shape walk, the tensor layout, flows) reads them from that table;
 slot_keys names them (wire id, "tail"/"head") in tensor index order.
+
+known_ids looks up every vertex, wire or slot id a caller passes, by
+equality against the diagram's own, so an unhashable id is unknown too.
 """
 
 from typing import NamedTuple, Optional
@@ -47,10 +50,9 @@ class TensorDiagram(NamedTuple):
     wires: tuple
 
     def wire(self, wire_id):
-        for w in self.wires:
-            if w.id == wire_id:
-                return w
-        raise UnknownWire(wire_id)
+        ids = [w.id for w in self.wires]
+        known_ids(ids, [wire_id], UnknownWire, "wire ids")
+        return self.wires[ids.index(wire_id)]
 
     def is_closed(self):
         return all(w.tail is not None and w.head is not None for w in self.wires)
@@ -64,6 +66,21 @@ class VertexNeighborhood(NamedTuple):
 class SubdiagramRef(NamedTuple):
     vertices: tuple
     wires: tuple
+
+
+def known_ids(pool, ids, error, what):
+    """ids as a list, once each one equals an id in pool, a tuple or a list
+    of what (a plural such as "vertex ids"); otherwise error, also when ids
+    is not iterable.  pool is searched, never hashed, so an unhashable id
+    is unknown too."""
+    try:
+        ids = list(ids)
+    except TypeError:
+        raise error(f"{ids!r} is not a collection of {what}") from None
+    for i in ids:
+        if i not in pool:
+            raise error(f"{i!r} is not among the {what}")
+    return ids
 
 
 def validate_diagram(raw):
@@ -126,8 +143,7 @@ def slots(d):
 
 
 def neighborhood(d, v):
-    if v not in d.vertices:
-        raise UnknownVertexRef(v)
+    known_ids(d.vertices, [v], UnknownVertexRef, "vertex ids")
     return slots(d)[v]
 
 
@@ -145,14 +161,12 @@ def normalize(d):
 
 
 def reverse_wire(d, *wire_ids):
-    """d with every listed wire reversed; the ids are a set, so a wire
-    listed twice is reversed once."""
-    ids = [w.id for w in d.wires]   # a list: an unhashable id is unknown too
-    for wid in wire_ids:
-        if wid not in ids:
-            raise UnknownWire(wid)
+    """d with every listed wire reversed, once known_ids finds each among
+    d's wires (UnknownWire); the ids are a set, so a wire listed twice is
+    reversed once."""
+    ids = known_ids([w.id for w in d.wires], wire_ids, UnknownWire, "wire ids")
     return TensorDiagram(d.vertices, tuple(sorted(
-        Wire(w.id, w.head, w.tail) if w.id in wire_ids else w for w in d.wires)))
+        Wire(w.id, w.head, w.tail) if w.id in ids else w for w in d.wires)))
 
 
 def slot_keys(nb):
@@ -162,19 +176,11 @@ def slot_keys(nb):
 
 
 def _normalize_part(v, part, all_slots):
-    """Expand a mixed wire-id / (wire-id, side) collection into a slot set."""
-    out = set()
-    for item in part:
-        if isinstance(item, tuple):
-            if item not in all_slots:
-                raise NotAPartition(f"slot {item} not incident to {v}")
-            out.add(item)
-        else:
-            hits = [s for s in all_slots if s[0] == item]
-            if not hits:
-                raise NotAPartition(f"wire {item} not incident to {v}")
-            out.update(hits)
-    return out
+    """The slot set of a collection of v's slots and wire ids (a wire id
+    meaning each of its slots at v), read through known_ids."""
+    part = known_ids(all_slots + [w for w, _ in all_slots], part,
+                     NotAPartition, f"slots and wire ids at {v}")
+    return {s for s in all_slots if s in part or s[0] in part}
 
 
 def fresh_vertex(base, taken):
@@ -236,43 +242,27 @@ def split_vertex(d, v, part1, part2):
     return d2, fresh
 
 
-def subdiagram_ref(d, vertices, wires=None):
-    """Reference to a subdiagram of d, its vertices and wires; wires=None
-    takes each wire with named ends all among the vertices.  Ids are checked
-    against d's tuples and a list, so an unhashable id is unknown too."""
-    vertices = list(vertices)
-    for v in vertices:
-        if v not in d.vertices:
-            raise NotASubdiagram(f"unknown vertex {v}")
-    vset = set(vertices)
-    if wires is None:
-        wset = {w.id for w in d.wires if (w.tail, w.head) != (None, None)
-                and {w.tail, w.head} - {None} <= vset}
-    else:
-        wires, ids = list(wires), [w.id for w in d.wires]
-        for wid in wires:
-            if wid not in ids:
-                raise NotASubdiagram(f"unknown wire {wid}")
-        wset = set(wires)
-    return SubdiagramRef(tuple(sorted(vset)), tuple(sorted(wset)))
+def subdiagram_ref(d, vertices):
+    """Reference to the subdiagram of d on these vertices (known_ids, else
+    NotASubdiagram), with each wire whose named ends all lie among them."""
+    vset = set(known_ids(d.vertices, vertices, NotASubdiagram, "vertex ids"))
+    return SubdiagramRef(tuple(sorted(vset)), tuple(sorted(
+        w.id for w in d.wires if (w.tail, w.head) != (None, None)
+        and {w.tail, w.head} - {None} <= vset)))
 
 
 def _check_subdiagram(d, s):
-    """s must live inside d with every named endpoint among its vertices."""
-    vset = set(s.vertices)
-    for v in vset:
-        if v not in d.vertices:
-            raise NotASubdiagram(f"unknown vertex {v}")
-    known = {w.id: w for w in d.wires}
-    for wid in s.wires:
-        w = known.get(wid)
-        if w is None:
-            raise NotASubdiagram(f"unknown wire {wid}")
+    """(vertex set, wire set) of s, once known_ids finds its ids in d and no
+    wire of s leaves its vertices (NotASubdiagram)."""
+    vset = set(known_ids(d.vertices, s.vertices, NotASubdiagram, "vertex ids"))
+    wset = set(known_ids([w.id for w in d.wires], s.wires, NotASubdiagram,
+                         "wire ids"))
+    for w in d.wires:
         for end in (w.tail, w.head):
-            if end is not None and end not in vset:
+            if w.id in wset and end is not None and end not in vset:
                 raise NotASubdiagram(
-                    f"wire {wid} leaves the vertex set at {end}")
-    return vset, set(s.wires)
+                    f"wire {w.id} leaves the vertex set at {end}")
+    return vset, wset
 
 
 def restrict(d, ref):

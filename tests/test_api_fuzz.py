@@ -5,18 +5,42 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdr.errors import NotASubdiagram, TdrError, UnknownWire
+from tdr.decompose import (
+    Band,
+    Interval,
+    StringBlock,
+    decompose,
+    isomorphic,
+    realize,
+)
+from tdr.errors import (
+    DomainMismatch,
+    NotAPartition,
+    NotASubdiagram,
+    TdrError,
+    UnknownWire,
+)
 from tdr.exactalg import Matrix, Poly
+from tdr.flows import extend_flow, verify_partial_flow
 from tdr.generate import gen_random
 from tdr.representation import (
+    Representation,
     apply_group_element,
     cokernel,
+    direct_sum,
+    hom_dim,
     is_morphism,
     kernel,
     monodromy,
     validate_representation,
 )
-from tdr.semigraph import subdiagram_ref
+from tdr.semigraph import (
+    SubdiagramRef,
+    isolate_subdiagram,
+    restrict,
+    split_vertex,
+    subdiagram_ref,
+)
 
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=3),
@@ -219,12 +243,94 @@ def test_wire_maps_fuzzed_never_trace_back():
     check()
 
 
+_D = _R.diagram
+
+
 @pytest.mark.parametrize("call, error", [
-    (lambda: subdiagram_ref(_R.diagram, [["a"]]), NotASubdiagram),
-    (lambda: subdiagram_ref(_R.diagram, ["a"], wires=[["e1"]]), NotASubdiagram),
+    (lambda: subdiagram_ref(_D, [["a"]]), NotASubdiagram),
+    (lambda: restrict(_D, SubdiagramRef(("a", "b"), (["e1"],))),
+     NotASubdiagram),
     (lambda: monodromy(_R, ["e1"]), UnknownWire),
-], ids=["vertex", "wire", "monodromy-base"])
+    (lambda: subdiagram_ref(_D, 5), NotASubdiagram),
+    (lambda: restrict(_D, SubdiagramRef((["a"],), ())), NotASubdiagram),
+    (lambda: isolate_subdiagram(_D, SubdiagramRef((["a"],), ())),
+     NotASubdiagram),
+    (lambda: isolate_subdiagram(_D, SubdiagramRef(("a", "b"), (["e1"],))),
+     NotASubdiagram),
+    (lambda: extend_flow(_D, {}, 5), DomainMismatch),
+    (lambda: verify_partial_flow(_D, 5, []), DomainMismatch),
+    (lambda: extend_flow(_D, 5, []), DomainMismatch),
+    (lambda: verify_partial_flow(_D, {1: 1, "x": 1}, []), DomainMismatch),
+    (lambda: split_vertex(_D, "a", 5, ["e2"]), NotAPartition),
+], ids=["vertex", "wire", "monodromy-base", "vertices-not-iterable",
+        "restrict-vertex", "isolate-vertex", "isolate-wire",
+        "u-not-iterable", "verify-flow-not-mapping", "extend-flow-not-mapping",
+        "flow-keys-of-mixed-types", "split-part-not-iterable"])
 def test_unhashable_ids_are_unknown(call, error):
+    """An id that is unhashable, or a collection of ids or a flow that is
+    not one, is refused with the function's own TdrError."""
     with pytest.raises(error):
         call()
 
+
+_HAND_BUILT = [
+    direct_sum(realize("J", 2, StringBlock(1, 3)),
+               realize("J", 2, Band(Poly((-2, 1)), 1))),
+    direct_sum(realize("A0", 2, Interval(1, 2)),
+               realize("A0", 2, Interval(2, 3))),
+]
+
+
+@st.composite
+def _perturbed(draw):
+    """A valid rep and its dims and tensors with one key or value changed."""
+    base = draw(st.sampled_from(_HAND_BUILT))
+    dims, tensors = dict(base.dims), dict(base.tensors)
+    target = draw(st.sampled_from(["dims", "tensors"]))
+    held = dims if target == "dims" else tensors
+    key = draw(st.sampled_from(sorted(held)))
+    how = draw(st.sampled_from(["value", "junk", "missing", "extra"]))
+    if how == "missing":
+        del held[key]
+    elif how == "extra":
+        held["zz"] = 1 if target == "dims" else Matrix.identity(1)
+    elif how == "junk":
+        held[key] = draw(_JUNK)
+    elif target == "dims":
+        held[key] = draw(st.integers(0, 5))
+    else:
+        held[key] = draw(st.one_of(
+            st.builds(Matrix.identity, st.integers(0, 5)),
+            st.builds(Matrix.zeros, st.integers(0, 5), st.integers(0, 5))))
+    return base, Representation(base.diagram, dims, tensors)
+
+
+def test_hand_built_reps_give_the_validated_answer_or_an_error():
+    """decompose, isomorphic and hom_dim on a Representation built by hand:
+    a TdrError, or the answer on the same data through
+    validate_representation."""
+    calls = [
+        lambda base, r: decompose(r),
+        lambda base, r: isomorphic(r, base),
+        lambda base, r: isomorphic(base, r),
+        lambda base, r: hom_dim(r, base),
+        lambda base, r: hom_dim(base, r),
+    ]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_perturbed())
+    def check(pair):
+        base, r = pair
+        try:
+            valid = validate_representation(*r)
+        except TdrError:
+            valid = None
+        for call in calls:
+            try:
+                got = call(base, r)
+            except TdrError:
+                continue
+            assert valid is not None
+            assert got == call(base, valid)
+
+    check()

@@ -9,6 +9,7 @@ from tdr.errors import (
     UnknownWire,
 )
 from tdr.semigraph import (
+    SubdiagramRef,
     TensorDiagram,
     Wire,
     connected_components,
@@ -134,7 +135,7 @@ def test_subdiagram_ref_induced():
         subdiagram_ref(d, ["v9"])
     # a ref may name any existing wires, but using one that leaves the
     # vertex set is rejected
-    leaky = subdiagram_ref(d, ["v1"], wires=["e2"])
+    leaky = SubdiagramRef(("v1",), ("e2",))
     with pytest.raises(NotASubdiagram):
         isolate_subdiagram(d, leaky)
 
