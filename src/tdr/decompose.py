@@ -205,7 +205,8 @@ def _cycle_blocks(arcs):
 
 def decompose(r):
     """Indecomposable block multiset of a connected finite/tame shape."""
-    return _decompose_on(checked_rep(r), shape_of(r.diagram))
+    r = checked_rep(r)
+    return _decompose_on(r, shape_of(r.diagram))
 
 
 def _decompose_on(r, shape):

@@ -23,10 +23,11 @@ elementary divisors) from the ranks of composites alone;
 kernel_filtration and chain_tops pick the chains' top vectors.
 factor_poly factors over Q on integer coefficient lists: the primitive
 part is split by Yun's squarefree decomposition, and each squarefree part
-by Zassenhaus's algorithm (factors mod a small prime by distinct-degree
-and Cantor–Zassenhaus splitting, Hensel lifting past a Mignotte bound,
-recombination by exact trial division).  The module needs nothing outside
-the standard library.
+by Zassenhaus's algorithm (factors mod the first good prime, an odd prime
+not dividing the leading coefficient that keeps the part squarefree, by
+distinct-degree and Cantor–Zassenhaus splitting; Hensel lifting past a
+Mignotte bound; recombination by exact trial division).  The module needs
+nothing outside the standard library.
 """
 
 from dataclasses import dataclass
@@ -647,28 +648,18 @@ def _primes():
 
 
 def _factor_mod_p(f):
-    """An odd prime p not dividing lc(f) with f squarefree mod p, and the
-    monic irreducible factors of f mod p; of the first two such primes,
-    the one with fewer factors."""
-    best = None
-    tried = 0
+    """The first odd prime p not dividing lc(f) with f squarefree mod p,
+    and the monic irreducible factors of f mod p."""
     for p in _primes():
         if not f[-1] % p:
             continue
         inv = pow(f[-1], -1, p)
         g = [c * inv % p for c in f]
-        if len(_gcd_mod(g, _trim([c % p for c in _derivative(g)]), p)) > 1:
-            continue
-        ddf = _distinct_degree(g, p)
-        count = sum((len(h) - 1) // d for h, d in ddf)
-        if best is None or count < best[0]:
-            best = (count, p, ddf)
-        tried += 1
-        if count == 1 or tried == 2:
+        if len(_gcd_mod(g, _trim([c % p for c in _derivative(g)]), p)) == 1:
             break
-    _, p, ddf = best
     rng = Random(p)   # local: the factors do not depend on call order
-    return p, [h for g, d in ddf for h in _equal_degree(g, d, p, rng)]
+    return p, [h for k, d in _distinct_degree(g, p)
+               for h in _equal_degree(k, d, p, rng)]
 
 
 def _hensel(f, facs, p, m):

@@ -22,9 +22,10 @@ _MIN_ABS = 1e-12
 
 
 def flow_value(wid, re, im=0):
-    """The value re + i*im at wire wid, refused unless it is a finite number."""
+    """The value re + i*im at wire wid, refused unless it is a finite number
+    (a bool is not one)."""
     try:
-        z = complex(re, im)
+        z = None if bool in (type(re), type(im)) else complex(re, im)
     except (TypeError, OverflowError):
         z = None
     if z is None or not cmath.isfinite(z):

@@ -10,9 +10,10 @@ wire varying slowest; an empty side indexes a single scalar slot.  A loop
 has a slot on each side.
 
 Each input rule is checked once: vertex_shapes checks dims and gives the
-vertex shapes (InvalidDims), checked_rep checks the tensors against them,
-and _phi_checked checks a map of one Matrix per wire, a base change or a
-morphism (SizeMismatch).  Both errors are ShapeMismatch, as is a tensor
+vertex shapes (InvalidDims), checked_rep checks the diagram through
+validate_diagram and the tensors against the shapes, and _phi_checked
+checks a map of one Matrix per wire, a base change or a morphism
+(SizeMismatch).  Both errors are ShapeMismatch, as is a tensor
 of the wrong shape.
 
 Everything downstream (direct sums, tensor products, wire reversal, the
@@ -155,12 +156,14 @@ def vertex_shapes(d, dims):
 
 
 def checked_rep(r):
-    """r with a Matrix at every vertex, once vertex_shapes accepts its dims
-    and its tensors map each vertex of its diagram, and no other id, to a
-    grid of that vertex's shape (ShapeMismatch).  validate_representation
-    reads outside data through it, and decompose, isomorphic and hom_dim
-    read a representation built by hand through it."""
+    """r on its diagram as validate_diagram builds it, with a Matrix at
+    every vertex, once vertex_shapes accepts its dims and its tensors map
+    each vertex of the diagram, and no other id, to a grid of that
+    vertex's shape (ShapeMismatch).  validate_representation is this check
+    on outside data, and decompose, isomorphic and hom_dim read a
+    representation built by hand through it."""
     d, dims, tensors = r
+    d = validate_diagram(d)
     shapes = vertex_shapes(d, dims)
     if not isinstance(tensors, Mapping):
         raise ShapeMismatch("tensors must be a mapping of vertex ids to matrices")
@@ -186,7 +189,7 @@ def checked_rep(r):
 
 
 def validate_representation(diagram, dims, tensors):
-    return checked_rep(Representation(validate_diagram(diagram), dims, tensors))
+    return checked_rep(Representation(diagram, dims, tensors))
 
 
 def _kron_all(v, mats):

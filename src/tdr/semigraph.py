@@ -86,16 +86,16 @@ def known_ids(pool, ids, error, what):
 def validate_diagram(raw):
     """Build a canonical TensorDiagram from a record or another diagram."""
     if isinstance(raw, TensorDiagram):
-        vs = list(raw.vertices)
-        ws = [(w.id, w.tail, w.head) for w in raw.wires]
+        vs, ws, kind = raw.vertices, raw.wires, Wire
+    elif isinstance(raw, dict):
+        vs, ws, kind = raw.get("vertices", []), raw.get("wires", []), dict
     else:
-        if not isinstance(raw, dict):
-            raise ParseError("a diagram must be an object")
-        vs, ws = raw.get("vertices", []), raw.get("wires", [])
-        if not isinstance(vs, (list, tuple)) or not isinstance(ws, (list, tuple)):
-            raise ParseError("diagram vertices and wires must be lists")
-        if not all(isinstance(w, dict) for w in ws):
-            raise ParseError("every wire must be an object")
+        raise ParseError("a diagram must be an object")
+    if not isinstance(vs, (list, tuple)) or not isinstance(ws, (list, tuple)):
+        raise ParseError("diagram vertices and wires must be lists")
+    if not all(isinstance(w, kind) for w in ws):
+        raise ParseError("every wire must be an object")
+    if kind is dict:
         ws = [(w.get("id"), w.get("tail"), w.get("head")) for w in ws]
     seen = set()
     for v in vs:

@@ -36,6 +36,8 @@ from tdr.representation import (
 )
 from tdr.semigraph import (
     SubdiagramRef,
+    TensorDiagram,
+    Wire,
     isolate_subdiagram,
     restrict,
     split_vertex,
@@ -271,6 +273,30 @@ def test_unhashable_ids_are_unknown(call, error):
     not one, is refused with the function's own TdrError."""
     with pytest.raises(error):
         call()
+
+
+_ONE = Matrix.identity(1)
+
+
+@pytest.mark.parametrize("r", [
+    Representation(TensorDiagram(("a",), (Wire("e1", "a", "zz"),)),
+                   {"e1": 1}, {"a": _ONE}),
+    Representation(TensorDiagram(("a", "b"), (Wire("e1", "a", "b"),
+                                              Wire("e1", "b", "a"))),
+                   {"e1": 1}, {"a": _ONE, "b": _ONE}),
+    Representation(TensorDiagram((1,), (Wire("e1", 1, 1),)),
+                   {"e1": 1}, {1: _ONE}),
+    Representation(TensorDiagram(("a",), (("e1", "a", "a", "x"),)),
+                   {"e1": 1}, {"a": _ONE}),
+], ids=["unknown-endpoint", "duplicate-wire", "vertex-not-a-string",
+        "wire-not-a-wire"])
+def test_hand_built_diagrams_are_validated(r):
+    """decompose, isomorphic and hom_dim check a hand-built diagram by the
+    rules of validate_diagram: a diagram it refuses is a TdrError, never a
+    KeyError or an answer."""
+    for call in (decompose, lambda r: isomorphic(r, r), lambda r: hom_dim(r, r)):
+        with pytest.raises(TdrError):
+            call(r)
 
 
 _HAND_BUILT = [

@@ -49,7 +49,6 @@ def test_classify_command(tmp_path, capsys):
     path = write(tmp_path, "d.json", DIAGRAM)
     report = run(["classify", path])
     assert report.exit_code == 0
-    assert report.command == "classify"
     out = json.loads(capsys.readouterr().out)
     assert out["components"][0]["class"] == "finite"
     assert out["components"][0]["family"] == "A0"

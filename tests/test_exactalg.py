@@ -388,6 +388,46 @@ def test_factor_poly_agrees_with_sympy():
     assert factor_poly(polys[1]) == [(polys[1], 1)]
 
 
+def test_factor_poly_splits_each_part_mod_one_prime(monkeypatch):
+    """Every squarefree part that reaches the mod-p path (degree 3 and up)
+    gets one distinct-degree factorization, over the first good prime:
+    products of criterion 3's irreducibles of degree 3 to 7, and the
+    degree-8 Swinnerton-Dyer polynomial, which splits mod every prime."""
+    from test_acceptance import IRREDUCIBLE
+
+    import tdr.exactalg as ea
+
+    rng = random.Random(20)
+    polys = [Poly((576, 0, -960, 0, 352, 0, -40, 0, 1))]
+    while len(polys) < 40:
+        p = Poly((1,))
+        for _ in range(rng.randint(2, 4)):
+            p = p * rng.choice(IRREDUCIBLE)
+        if 3 <= p.degree() <= 7:
+            polys.append(p)
+    parts, ddf = [], []
+    zassenhaus, distinct_degree = ea._zassenhaus, ea._distinct_degree
+
+    def counted_zassenhaus(f):
+        parts.append(len(f) - 1)
+        return zassenhaus(f)
+
+    def counted_distinct_degree(f, p):
+        ddf.append(p)
+        return distinct_degree(f, p)
+
+    monkeypatch.setattr(ea, "_zassenhaus", counted_zassenhaus)
+    monkeypatch.setattr(ea, "_distinct_degree", counted_distinct_degree)
+    reached = 0
+    for p in polys:
+        parts.clear()
+        ddf.clear()
+        factor_poly(p)
+        assert len(ddf) == sum(n >= 3 for n in parts), p
+        reached += len(ddf)
+    assert reached >= len(polys) // 2
+
+
 def test_rational_canonical_oracles():
     two = Matrix.from_rows([[2, 0], [0, 2]])
     xm2 = Poly((Q(-2), Q(1)))

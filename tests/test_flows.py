@@ -135,9 +135,9 @@ def test_tolerance_must_be_finite_and_non_negative(tol):
 
 
 @pytest.mark.parametrize("bad", [NAN, complex(NAN, 0), float("inf"),
-                                 10 ** 400, "5", None],
+                                 10 ** 400, "5", None, True],
                          ids=["nan", "complex-nan", "inf", "huge-int", "text",
-                              "none"])
+                              "none", "bool"])
 def test_flow_values_must_be_finite_numbers(bad):
     f = {"e2": bad, "e3": 5 + 0j}
     for check in (verify_partial_flow, extend_flow):
