@@ -31,7 +31,7 @@ from .exactalg import Matrix
 from .flows import extend_flow, flow_value
 from .generate import gen_random
 from .rational import format_rational, parse_rational
-from .representation import apply_group_element, contract, validate_representation
+from .representation import Representation, apply_group_element, checked_rep, contract
 from .semigraph import diagram_to_record, validate_diagram
 from .wildness import (
     MatrixPair,
@@ -84,6 +84,7 @@ def _load_rep(path):
 
 
 def _rep_from_record(obj, base_dir):
+    """The record's Representation, unchecked: its reader checks it once."""
     for key in ("diagram", "dims", "vertices"):
         if key not in obj:
             raise ParseError(f"representation is missing {key!r}")
@@ -99,7 +100,7 @@ def _rep_from_record(obj, base_dir):
             raise ParseError(f"vertex {v}: need rows, cols, entries")
         tensors[v] = _matrix_from_grid(cell["entries"], f"vertex {v}",
                                        (cell["rows"], cell["cols"]))
-    return validate_representation(diag, obj["dims"], tensors)
+    return Representation(diag, obj["dims"], tensors)
 
 
 def _rep_record(r):
@@ -165,8 +166,7 @@ def _cmd_isotest(ns):
 
 
 def _cmd_contract(ns):
-    r = _load_rep(ns.rep)
-    return {"value": format_rational(contract(r))}
+    return {"value": format_rational(contract(checked_rep(_load_rep(ns.rep))))}
 
 
 def _cmd_flow_extend(ns):
@@ -237,7 +237,7 @@ def _cmd_fmt(ns):
         raise ParseError(f"{ns.file}: expected a JSON object")
     if "dims" in obj:
         rep = _rep_from_record(obj, os.path.dirname(os.path.abspath(ns.file)))
-        return _rep_record(rep)
+        return _rep_record(checked_rep(rep))
     return diagram_to_record(validate_diagram(obj))
 
 

@@ -246,9 +246,9 @@ def block_alias(family, n, desc):
 
 def isomorphic(r1, r2):
     """Orbit equality through decomposition, componentwise."""
+    r1, r2 = checked_rep(r1), checked_rep(r2)
     if r1.diagram != r2.diagram:
         raise DiagramMismatch("isomorphism test needs a common diagram")
-    r1, r2 = checked_rep(r1), checked_rep(r2)
     comps = classify_diagram(r1.diagram)
     for _, cls in comps:
         if cls.kind == "wild":

@@ -5,13 +5,14 @@ matrix to every vertex, of at most TENSOR_CAP entries, rows and columns
 (checked on dims, before allocating; contraction nodes, merged tensors and
 the Kronecker products of a base change too).  Rows are indexed by the
 multi-index over the vertex's outgoing slots and columns over its incoming
-slots, as semigraph.slots lists them (canonical wire order), the first
-wire varying slowest; an empty side indexes a single scalar slot.  A loop
-has a slot on each side.
+slots, as semigraph.slots lists them (in the diagram's wire order,
+canonical for a diagram validate_diagram built), the first wire varying
+slowest; an empty side indexes a single scalar slot.  A loop has a slot
+on each side.
 
 Each input rule is checked once: vertex_shapes checks dims and gives the
-vertex shapes (InvalidDims), checked_rep checks the diagram through
-validate_diagram and the tensors against the shapes, and _phi_checked
+vertex shapes (InvalidDims), checked_rep checks the diagram by the rules
+of validate_diagram and the tensors against the shapes, and _phi_checked
 checks a map of one Matrix per wire, a base change or a morphism
 (SizeMismatch).  Both errors are ShapeMismatch, as is a tensor
 of the wrong shape.
@@ -156,14 +157,16 @@ def vertex_shapes(d, dims):
 
 
 def checked_rep(r):
-    """r on its diagram as validate_diagram builds it, with a Matrix at
-    every vertex, once vertex_shapes accepts its dims and its tensors map
-    each vertex of the diagram, and no other id, to a grid of that
-    vertex's shape (ShapeMismatch).  validate_representation is this check
-    on outside data, and decompose, isomorphic and hom_dim read a
+    """r with a Matrix at every vertex, once validate_diagram accepts its
+    diagram, vertex_shapes its dims, and its tensors map each vertex of
+    the diagram, and no other id, to a grid of that vertex's shape
+    (ShapeMismatch).  A TensorDiagram is kept, its wire order being its
+    tensors' index order; a record is built in canonical order.  It is
+    validate_representation, and decompose, isomorphic and hom_dim read a
     representation built by hand through it."""
     d, dims, tensors = r
-    d = validate_diagram(d)
+    canonical = validate_diagram(d)
+    d = d if isinstance(d, TensorDiagram) else canonical
     shapes = vertex_shapes(d, dims)
     if not isinstance(tensors, Mapping):
         raise ShapeMismatch("tensors must be a mapping of vertex ids to matrices")
@@ -338,9 +341,9 @@ def intertwining_system(squares, unknowns):
 
 def hom_dim(r1, r2):
     """Dimension of the space of morphisms r1 -> r2."""
+    r1, r2 = checked_rep(r1), checked_rep(r2)
     if r1.diagram != r2.diagram:
         raise DiagramMismatch("hom_dim needs a common diagram")
-    r1, r2 = checked_rep(r1), checked_rep(r2)
     d = r1.diagram
     quiver = _quiver_slots(d)
     offs, total = {}, 0

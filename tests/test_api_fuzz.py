@@ -299,6 +299,29 @@ def test_hand_built_diagrams_are_validated(r):
             call(r)
 
 
+@pytest.mark.parametrize("side", ["outgoing", "incoming"])
+def test_hand_built_wire_order_is_the_tensor_index_order(side):
+    """A hand-built diagram keeps its own wire order, the order its tensors
+    are indexed in.  Vertex a has wires e2 (dim 2) and e10 (dim 3) on one
+    side, out of canonical order; its vector of C^2 (x) C^3, read as a
+    2 x 3 grid, has rank 2, and read the other way round rank 1."""
+    def rep(wires, flat):
+        if side == "outgoing":
+            wires = tuple(Wire(w, "a", None) for w in wires)
+            m = Matrix.from_rows([[x] for x in flat])
+        else:
+            wires = tuple(Wire(w, None, "a") for w in wires)
+            m = Matrix.from_rows([flat])
+        return Representation(TensorDiagram(("a",), wires),
+                              {"e2": 2, "e10": 3}, {"a": m})
+
+    r = rep(("e2", "e10"), (1, 0, 0, 0, 1, 0))
+    same = rep(("e2", "e10"), (1, 0, 0, 0, 0, 1))
+    canonical = rep(("e10", "e2"), (1, 0, 0, 1, 0, 0))
+    assert decompose(r).blocks == decompose(canonical).blocks
+    assert isomorphic(r, same)
+
+
 _HAND_BUILT = [
     direct_sum(realize("J", 2, StringBlock(1, 3)),
                realize("J", 2, Band(Poly((-2, 1)), 1))),
