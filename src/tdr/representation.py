@@ -15,19 +15,27 @@ vertex shapes (InvalidDims), checked_rep checks the diagram by the rules
 of validate_diagram and the tensors against the shapes, and _phi_checked
 checks a map of one Matrix per wire, a base change or a morphism
 (SizeMismatch).  Both errors are ShapeMismatch, as is a tensor
-of the wrong shape.
+of the wrong shape.  contract checks a hand-built representation too: its
+diagram and dims once per (diagram, dims), when the contraction program is
+compiled, and on every call each tensor against its vertex's shape.
 
 Everything downstream (direct sums, tensor products, wire reversal, the
 splitting functor, contraction) re-indexes a vertex's flat tensor through
 one primitive, _offsets: the flat offsets of an axis view with chosen
 strides.  Each operation is a choice of strides, and takes one pass per
 vertex: reverse_wire_rep reverses any set of wires at once and direct_sum
-sums any number of summands at once.
+sums any number of summands at once.  Contraction depends on the tensors
+only through its steps' products: its plan and every step's gather offsets
+are compiled once per (diagram, dims) and kept in a cache of 256 programs
+(about 0.5 MB for the 120 networks of a closed-contract round, at most
+about 40 MB), and each call runs the gathers and products alone.
 """
 
 from collections.abc import Mapping
+from functools import lru_cache
+from itertools import chain
 from math import lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .classify import classify_diagram
@@ -89,7 +97,8 @@ def _offsets(dims, strides, base=0):
     """
     offs = [base]
     for d, s in zip(dims, strides):
-        offs = [o + i * s for o in offs for i in range(d)]
+        steps = [i * s for i in range(d)]
+        offs = [o + t for o in offs for t in steps]
     return offs
 
 
@@ -156,6 +165,14 @@ def vertex_shapes(d, dims):
     return {v: vertex_shape(nb, dims, v) for v, nb in slots(d).items()}
 
 
+def _diagram(d):
+    """d once validate_diagram accepts it: a TensorDiagram as given, its
+    wire order being its tensors' index order, and a record in canonical
+    order."""
+    canonical = validate_diagram(d)
+    return d if isinstance(d, TensorDiagram) else canonical
+
+
 def checked_rep(r):
     """r with a Matrix at every vertex, once validate_diagram accepts its
     diagram, vertex_shapes its dims, and its tensors map each vertex of
@@ -165,8 +182,7 @@ def checked_rep(r):
     validate_representation, and decompose, isomorphic and hom_dim read a
     representation built by hand through it."""
     d, dims, tensors = r
-    canonical = validate_diagram(d)
-    d = d if isinstance(d, TensorDiagram) else canonical
+    d = _diagram(d)
     shapes = vertex_shapes(d, dims)
     if not isinstance(tensors, Mapping):
         raise ShapeMismatch("tensors must be a mapping of vertex ids to matrices")
@@ -405,63 +421,128 @@ def kernel(phi, r1, r2):
 # ---------------------------------------------------------------------------
 # contraction
 
-def _fibres(node, dims, wids):
-    """Wires of the slots kept besides wids, and at each index of those the
-    entries of a node (entries, wires) over every joint index of wids; both
-    slots of a loop share one index, so the view walks their diagonal."""
-    entries, wires = node
-    keep = [i for i, w in enumerate(wires) if w not in wids]
-    strides = _strides([dims[w] for w in wires])
-    inner = _offsets([dims[w] for w in wids], [
-        sum(s for x, s in zip(wires, strides) if x == w) for w in wids])
-    outer = _offsets([dims[wires[i]] for i in keep], [strides[i] for i in keep])
-    return [wires[i] for i in keep], [[entries[o + t] for t in inner]
-                                      for o in outer]
-
-
-def _contract_wires(na, nb, dims, wids):
-    """Trace wids within node na (nb is None), or contract every wire in
-    wids between nodes na and nb in one pass."""
-    wires, fa = _fibres(na, dims, wids)
-    if nb is None:
-        return [sum(f) for f in fa], wires
-    rest, fb = _fibres(nb, dims, wids)
-    return [sum(map(mul, x, y)) for x in fa for y in fb], wires + rest
+def _view(wires, wids, dims):
+    """A node's entries, whose axes are wires, in fibres over every joint
+    index of wids, fibre after fibre at each index of the other wires: the
+    view that lists them (an itemgetter, or None when wids are the last
+    axes), the fibre length and the wires kept.  Both slots of a loop share
+    one index, so a fibre walks their diagonal."""
+    keep = [w for w in wires if w not in wids]
+    k = prod(dims[w] for w in wids)
+    if keep + wids == wires:
+        return None, k, keep
+    stride, step = {}, 1   # a loop's stride is the sum of its two slots'
+    for w in reversed(wires):
+        stride[w] = stride.get(w, 0) + step
+        step *= dims[w]
+    axes = keep + wids
+    flat = _offsets([dims[w] for w in axes], [stride[w] for w in axes])
+    # a lone entry is the whole node: each of its dims is 1
+    return (itemgetter(*flat) if len(flat) > 1 else None), k, keep
 
 
 def _plan(dims, held):
     """Steps (a, b, wires) chosen on dims alone from the wires held at each
     vertex, and the largest node they build: trace wires at node a (b is
     None), or merge node b into a over every wire the two share.  Past the
-    loops each wire has two holders, kept in at; the pair whose merged node
-    (the wires of one, not both) is least merges first, ties by (a, b)."""
+    loops, of the pairs of nodes that share a wire, the one whose merged
+    node (the wires of one, not both) is least merges first, ties by (a, b).
+    The dims are positive, so that node is the product of the two nodes'
+    sizes over the square of the dims they share; each pair's share is kept
+    up to date as nodes merge, so a merge only sizes its neighbours anew."""
     held = dict(held)
-    at = {}
-    for k, ws in held.items():
-        for w in ws:
-            at.setdefault(w, []).append(k)
     steps, largest = [], 0
-
-    def step(a, b, wids):
-        nonlocal largest
-        moved = held.pop(b, [])
-        for w in moved:
-            at[w] = [a if k == b else k for k in at[w]]
-        for w in wids:
-            del at[w]
-        held[a] = [w for w in held[a] + moved if w not in wids]
-        steps.append((a, b, wids))
-        largest = max(largest, prod(dims[w] for w in held[a]))
-
     for v, ws in list(held.items()):
         loops = [w for w in dict.fromkeys(ws) if ws.count(w) == 2]
         if loops:
-            step(v, None, loops)
-    while at:
-        a, b = min({tuple(sorted(ks)) for ks in at.values()}, key=lambda p: (
-            prod(dims[w] for w in set(held[p[0]]) ^ set(held[p[1]])), p))
-        step(a, b, [w for w in held[a] if w in held[b]])
+            held[v] = [w for w in ws if w not in loops]
+            steps.append((v, None, loops))
+            largest = max(largest, prod(dims[w] for w in held[v]))
+    size = {k: prod(dims[w] for w in ws) for k, ws in held.items()}
+    share = {}   # (a, b), a < b -> product of the dims of the wires they share
+    at = {}
+    for k, ws in held.items():
+        for w in ws:
+            if w in at:
+                pair = (at[w], k) if at[w] < k else (k, at[w])
+                share[pair] = share.get(pair, 1) * dims[w]
+            else:
+                at[w] = k
+    sizes = {(a, b): size[a] * size[b] // s ** 2 for (a, b), s in share.items()}
+    while sizes:
+        merged, (a, b) = min((s, p) for p, s in sizes.items())
+        inner = set(held[a]).intersection(held[b])
+        steps.append((a, b, [w for w in held[a] if w in inner]))
+        held[a] = [w for w in held[a] + held.pop(b) if w not in inner]
+        size[a] = merged
+        largest = max(largest, merged)
+        del share[a, b], sizes[a, b]
+        for p in [p for p in share if b in p]:   # b's wires move to a
+            c = p[p[0] == b]
+            pa = (a, c) if a < c else (c, a)
+            share[pa] = share.get(pa, 1) * share.pop(p)
+            del sizes[p]
+        for (c, e), s in share.items():
+            if a in (c, e):
+                sizes[c, e] = merged * size[e if c == a else c] // s ** 2
     return steps, largest
+
+
+_KEPT = 1 << 12   # gather offsets a program keeps, about 150 KB
+
+
+# The bound is set by memory: a program keeps at most _KEPT offsets and
+# gathers any node past them afresh on each call, so 256 programs hold at
+# most about 40 MB, however large their networks.  The 120 networks of a
+# closed-contract round (4-8 vertices, dims 2-4) keep at most 645 offsets
+# each and hold about 0.5 MB in all (tracemalloc).  typed, so that a bare
+# tuple equal to a TensorDiagram does not find its program.
+@lru_cache(maxsize=256, typed=True)
+def _compile(d, dims):
+    """The contraction program of a closed diagram d under dims, a tuple of
+    (wire id, int) pairs: each vertex with its tensor's (rows, cols), in
+    vertex order, and the steps of _plan as (a, b, fibre length, view of a,
+    view of b) over vertex positions, b and its view None for a trace;
+    steps is None when a wire has dimension 0.  It checks the diagram
+    (validate_diagram's errors, then NotClosed), the dims (vertex_shapes)
+    and the plan (ContractionTooLarge past TENSOR_CAP), so a cache hit
+    repeats none of them."""
+    d = _diagram(d)
+    if not d.is_closed():
+        raise NotClosed("diagram has dangling or endpointless wires")
+    dims = dict(dims)
+    shapes = tuple(vertex_shapes(d, dims).items())
+    if 0 in dims.values():
+        return shapes, None
+    held = {v: list(nb.outgoing + nb.incoming) for v, nb in slots(d).items()}
+    plan, largest = _plan(dims, held)
+    if largest > TENSOR_CAP:
+        raise ContractionTooLarge(f"contraction needs a node of {largest} "
+                                  f"entries, over the cap of {TENSOR_CAP}")
+    at = {v: i for i, v in enumerate(d.vertices)}
+    kept, steps = 0, []
+    for a, b, wids in plan:
+        views, keep = [None, None], []
+        for i, v in enumerate((a,) if b is None else (a, b)):
+            wires = held.pop(v)
+            views[i], k, rest = _view(wires, wids, dims)
+            if views[i] is not None:
+                kept += prod(dims[w] for w in wires)
+                if kept > _KEPT:
+                    views[i] = (wires, wids)   # made again on each call
+            keep += rest
+        held[a] = keep
+        steps.append((at[a], at.get(b), k, *views))
+    return shapes, tuple(steps)
+
+
+def _fibres(entries, view, k, dims):
+    """A node's entries in runs of k under a step's view of it: None (as
+    they are), an itemgetter, or the (wires, wids) of a view not kept."""
+    if type(view) is tuple:
+        view = _view(*view, dims)[0]
+    xs = entries if view is None else view(entries)
+    return [xs[i:i + k] for i in range(0, len(xs), k)]
 
 
 def contract(r):
@@ -469,31 +550,55 @@ def contract(r):
 
     A wire of dimension 0 sums over nothing, so the value is 0.  Otherwise
     self-loops are traced, then the two nodes whose merge leaves the
-    smallest node merge over every wire they share, in one pass; the plan
-    is made on dims first and raises ContractionTooLarge if it needs a node
-    of more than TENSOR_CAP entries.  The steps run on the tensors' integer
-    numerators, so the value is an integer total over the product of their
-    denominators.
+    smallest node merge over every wire they share, in one pass.  The plan
+    and every step's gather offsets depend on the diagram and dims alone,
+    so _compile makes them once per (diagram, dims) and keeps the last 256
+    programs; it checks the diagram and dims, and raises
+    ContractionTooLarge for a plan with a node of more than TENSOR_CAP
+    entries, before any entry is read.  Each call checks only that the
+    tensors give each vertex a Matrix of its shape (ShapeMismatch), and
+    that every dim is an int (InvalidDims; True or 1.0 would find 1's
+    program).  The steps run on the tensors' integer numerators, so the
+    value is an integer total over the product of their denominators.
     """
-    if not r.diagram.is_closed():
-        raise NotClosed("diagram has dangling or endpointless wires")
-    if 0 in r.dims.values():
+    d, dims, tensors = r
+    if not isinstance(dims, Mapping):
+        raise InvalidDims("dims must be a mapping of wire ids to dims")
+    key = tuple(dims.items())
+    for w, x in key:
+        if type(x) is not int:
+            raise InvalidDims(f"wire {w} needs a dim >= 0, got {x!r}")
+    try:
+        shapes, steps = _compile(d, key)
+    except TypeError:   # an unhashable id: compiled afresh, to its error
+        shapes, steps = _compile.__wrapped__(d, key)
+    if not isinstance(tensors, Mapping):
+        raise ShapeMismatch("tensors must be a mapping of vertex ids to matrices")
+    nodes, scale = [], 1
+    for v, shape in shapes:
+        m = tensors.get(v)
+        if not isinstance(m, Matrix) or (m.rows, m.cols) != shape:
+            got = f"{m.rows}x{m.cols}" if isinstance(m, Matrix) else f"{m!r:.40}"
+            raise ShapeMismatch(
+                f"vertex {v} needs a {shape[0]}x{shape[1]} Matrix, got {got}")
+        nodes.append(list(chain.from_iterable(m.nums)))
+        scale *= m.den
+    if len(tensors) != len(shapes):
+        raise ShapeMismatch("tensors for ids that are not vertices")
+    if steps is None:
         return ZERO
-    held = {v: list(nb.outgoing + nb.incoming)
-            for v, nb in slots(r.diagram).items()}
-    steps, largest = _plan(r.dims, held)
-    if largest > TENSOR_CAP:
-        raise ContractionTooLarge(f"contraction needs a node of {largest} "
-                                  f"entries, over the cap of {TENSOR_CAP}")
-    nodes, scale = {}, 1
-    for v in r.diagram.vertices:
-        nodes[v] = (_flat(r.tensors[v]), held[v])
-        scale *= r.tensors[v].den
-    for a, b, wids in steps:
-        nodes[a] = _contract_wires(nodes[a], nodes.pop(b, None), r.dims, wids)
+    for a, b, k, view_a, view_b in steps:
+        fa = _fibres(nodes[a], view_a, k, dims)
+        if b is None:
+            nodes[a] = list(map(sum, fa))
+        else:
+            fb = _fibres(nodes[b], view_b, k, dims)
+            nodes[a] = [sum(map(mul, x, y)) for x in fa for y in fb]
+            nodes[b] = None
     total = 1
-    for entries, _ in nodes.values():
-        total *= entries[0]
+    for entries in nodes:
+        if entries is not None:
+            total *= entries[0]
     return Q(total, scale)
 
 

@@ -19,16 +19,19 @@ from tdr.errors import (
     ShapeMismatch,
     SingularMatrix,
     SizeMismatch,
+    TdrError,
     TensorTooLarge,
+    UnknownVertexRef,
     UnknownWire,
 )
-from tdr.decompose import canonical_diagram
+from tdr.decompose import StringBlock, canonical_diagram, realize
 from tdr.exactalg import Matrix, det, inverse, nullspace, rank
 from tdr.generate import gen_random
 from tdr.rational import ONE, ZERO, Q
 from tdr.representation import (
     TENSOR_CAP,
     Representation,
+    _compile,
     _plan,
     apply_group_element,
     cokernel,
@@ -48,6 +51,8 @@ from tdr.representation import (
     vertex_shape,
 )
 from tdr.semigraph import (
+    TensorDiagram,
+    Wire,
     connected_components,
     neighborhood,
     reverse_wire,
@@ -781,3 +786,178 @@ def test_contract_plan_is_the_plain_greedy():
                 seen.add("contracted")
     assert seen >= {"tie", "loop", "parallel", "components", "too large",
                     "contracted"}
+
+
+def _closed_diagram(rng, names):
+    """A seeded closed diagram on 1-4 vertices whose wires have these ids,
+    in canonical order, with loops and parallel wires likely."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 4))]
+    return validate_diagram({"vertices": vs, "wires": [
+        {"id": w, "tail": rng.choice(vs), "head": rng.choice(vs)}
+        for w in names]})
+
+
+def test_contract_cache_serves_each_network_its_own_program():
+    """Seeded closed networks, each contracted cold (its program compiled)
+    and then warm (a cache hit), both equal to the brute-force sum: one
+    diagram under two dims maps, the same wires with one reversed, and a
+    hand-built TensorDiagram listing its wires e2 before e10, out of
+    canonical order, with tensors indexed in that order."""
+    rng = random.Random(2121)
+    seen = set()
+    for case in range(40):
+        d = _closed_diagram(rng, ["e2", "e10", "e3", "e11"][:rng.randint(2, 4)])
+        dims1 = {w.id: rng.randint(1, 3) for w in d.wires}
+        dims2 = dict(dims1, e2=dims1["e2"] % 3 + 1)
+        hand = TensorDiagram(d.vertices, tuple(sorted(
+            d.wires, key=lambda w: int(w.id[1:]))))
+        assert hand.wires != d.wires
+        # reversing a loop leaves the diagram as it is
+        flips = [reverse_wire(d, w.id) for w in d.wires if not w.is_loop()]
+        _compile.cache_clear()
+        for net, dims in [(d, dims1), (d, dims2), (hand, dims1)] + [
+                (net, dims1) for net in flips[:1]]:
+            r = _rand_rep(rng, net, dims)
+            assert r.diagram is net
+            want = _brute_contract(net, dims, r.tensors)
+            for warm in (False, True):
+                hits = _compile.cache_info().hits
+                assert contract(r) == want, (case, net, dims, warm)
+                assert _compile.cache_info().hits == hits + warm, (case, warm)
+            seen |= {"loop" for w in net.wires if w.is_loop()}
+            seen |= {"nonzero"} if want else set()
+        seen |= {"reversed"} if flips else set()
+        ends = [(w.tail, w.head) for w in d.wires]
+        seen |= {"parallel" for i, e in enumerate(ends)
+                 if e in ends[:i] or e[::-1] in ends[:i]}
+    assert seen == {"loop", "parallel", "nonzero", "reversed"}
+
+
+def test_contract_cap_is_checked_on_every_call():
+    """A plan over the cap raises ContractionTooLarge on the first and the
+    second call alike: the cache keeps no program for it, and neither call
+    allocates a node."""
+    r = _complete_rep(8, 4)
+    _compile.cache_clear()
+    for call in range(2):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractionTooLarge):
+                contract(r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, call
+    assert _compile.cache_info().currsize == 0
+
+
+_J2_STRING = realize("J", 2, StringBlock(1, 3))   # dims e1: 2, e2: 1
+
+
+def _with(r, dims=None, tensors=None, diagram=None):
+    return Representation(diagram or r.diagram,
+                          r.dims if dims is None else dims,
+                          r.tensors if tensors is None else tensors)
+
+
+_EYE5 = {v: Matrix.identity(5) for v in _J2_STRING.tensors}
+_BAD_REPS = {
+    "identities-5x5": (_with(_J2_STRING, tensors=_EYE5), ShapeMismatch),
+    "missing-tensor": (_with(_J2_STRING, tensors={
+        "v2": _J2_STRING.tensors["v2"]}), ShapeMismatch),
+    "extra-tensor": (_with(_J2_STRING, tensors={
+        **_J2_STRING.tensors, "zz": Matrix.identity(1)}), ShapeMismatch),
+    "tensor-not-a-matrix": (_with(_J2_STRING, tensors={
+        **_J2_STRING.tensors, "v1": [[1], [0]]}), ShapeMismatch),
+    "tensors-not-a-mapping": (_with(_J2_STRING, tensors=[]), ShapeMismatch),
+    "bool-dim": (_with(_J2_STRING, dims={"e1": 2, "e2": True}), InvalidDims),
+    "negative-dim": (_with(_J2_STRING, dims={"e1": 2, "e2": -1}), InvalidDims),
+    "float-dim": (_with(_J2_STRING, dims={"e1": 2, "e2": 1.0}), InvalidDims),
+    "missing-dim": (_with(_J2_STRING, dims={"e1": 2}), InvalidDims),
+    "unknown-dim": (_with(_J2_STRING, dims={"e1": 2, "e2": 1, "e3": 1}),
+                    InvalidDims),
+    "unhashable-dim": (_with(_J2_STRING, dims={"e1": 2, "e2": [1]}),
+                       InvalidDims),
+    "unknown-endpoint": (_with(_J2_STRING, diagram=TensorDiagram(
+        ("v1", "v2"), (Wire("e1", "v1", "v2"), Wire("e2", "v2", "zz")))),
+        UnknownVertexRef),
+    "unhashable-vertex-id": (_with(_J2_STRING, diagram=TensorDiagram(
+        ("v1", ["v2"]), (Wire("e1", "v1", "v2"), Wire("e2", "v2", "v1")))),
+        UnknownVertexRef),
+    "unhashable-wire-id": (_with(_J2_STRING, diagram=TensorDiagram(
+        ("v1", "v2"), (Wire("e1", "v1", "v2"), Wire(["e2"], "v2", "v1")))),
+        UnknownWire),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("case", sorted(_BAD_REPS))
+def test_contract_refuses_a_bad_rep_cold_and_warm(case, warm):
+    """contract on a hand-built J_2 rep whose tensors, dims or diagram do
+    not fit raises its TdrError, never a value or a KeyError, whether or
+    not the valid rep's program is cached: True and 1.0 equal 1, and must
+    not find the program built for it."""
+    r, error = _BAD_REPS[case]
+    _compile.cache_clear()
+    if warm:
+        assert contract(_J2_STRING) == 0
+        assert contract(_with(_J2_STRING, dims={"e1": 2, "e2": 1})) == 0
+    with pytest.raises(error):
+        contract(r)
+    assert issubclass(error, TdrError)
+
+
+def test_contract_of_an_unhashable_valid_diagram_is_its_value():
+    """A hand-built diagram that validate_diagram accepts but that cannot
+    key the cache (its vertices are a list) is contracted afresh."""
+    r = _rand_rep(random.Random(7), J2, {"e1": 2, "e2": 3})
+    listed = _with(r, diagram=TensorDiagram(list(J2.vertices), J2.wires))
+    assert contract(listed) == contract(r) == _brute_contract(J2, r.dims, r.tensors)
+
+
+def test_contract_is_invariant_under_base_change():
+    """README property 5 on seeded closed networks with loops and parallel
+    wires: a change of basis on every wire leaves the value unchanged, and
+    the base-changed twin, having the same diagram and dims, is a cache
+    hit."""
+    rng = random.Random(1705)
+    seen = set()
+    for case in range(60):
+        d = _closed_diagram(rng, [f"e{i}" for i in range(rng.randint(1, 5))])
+        dims = {w.id: rng.randint(1, 3) for w in d.wires}
+        r = _rand_rep(rng, d, dims)
+        g = {w: rand_invertible(rng, n) for w, n in dims.items()}
+        twin = apply_group_element(g, r)
+        _compile.cache_clear()
+        value = contract(r)
+        hits = _compile.cache_info().hits
+        assert contract(twin) == value, case
+        assert _compile.cache_info().hits == hits + 1, case
+        ends = [(w.tail, w.head) for w in d.wires]
+        seen |= {"loop" for t, h in ends if t == h}
+        seen |= {"parallel" for i, e in enumerate(ends)
+                 if e in ends[:i] or e[::-1] in ends[:i]}
+        seen |= {"nonzero"} if value else set()
+    assert seen == {"loop", "parallel", "nonzero"}
+
+
+def test_contract_gathers_afresh_what_a_program_does_not_keep(monkeypatch):
+    """A program keeps at most _KEPT gather offsets and makes the rest on
+    each call; with none kept, seeded closed networks still contract, cold
+    and warm, to the brute-force sum."""
+    import tdr.representation as representation
+
+    monkeypatch.setattr(representation, "_KEPT", 0)
+    rng = random.Random(1212)
+    afresh = 0
+    for case in range(30):
+        d = _closed_diagram(rng, [f"e{i}" for i in range(rng.randint(2, 5))])
+        dims = {w.id: rng.randint(1, 3) for w in d.wires}
+        r = _rand_rep(rng, d, dims)
+        want = _brute_contract(d, dims, r.tensors)
+        _compile.cache_clear()
+        assert contract(r) == want == contract(r), case
+        _, steps = _compile(d, tuple(dims.items()))
+        afresh += sum(type(v) is tuple for step in steps for v in step[3:])
+    _compile.cache_clear()
+    assert afresh > 0
