@@ -431,10 +431,9 @@ def _view(wires, wids, dims):
     k = prod(dims[w] for w in wids)
     if keep + wids == wires:
         return None, k, keep
-    stride, step = {}, 1   # a loop's stride is the sum of its two slots'
-    for w in reversed(wires):
-        stride[w] = stride.get(w, 0) + step
-        step *= dims[w]
+    stride = {}   # a loop's stride is the sum of its two slots'
+    for w, s in zip(wires, _strides([dims[w] for w in wires])):
+        stride[w] = stride.get(w, 0) + s
     axes = keep + wids
     flat = _offsets([dims[w] for w in axes], [stride[w] for w in axes])
     # a lone entry is the whole node: each of its dims is 1
