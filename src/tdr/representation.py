@@ -97,8 +97,7 @@ def _offsets(dims, strides, base=0):
     """
     offs = [base]
     for d, s in zip(dims, strides):
-        steps = [i * s for i in range(d)]
-        offs = [o + t for o in offs for t in steps]
+        offs = [o + i * s for o in offs for i in range(d)]
     return offs
 
 
