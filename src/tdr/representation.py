@@ -551,7 +551,8 @@ def contract(r):
     smallest node merge over every wire they share, in one pass.  The plan
     and every step's gather offsets depend on the diagram and dims alone,
     so _compile makes them once per (diagram, dims) and keeps the last 256
-    programs; it checks the diagram and dims, and raises
+    programs (at most about 40 MB; the 120 networks of a closed-contract
+    round hold about 0.5 MB); it checks the diagram and dims, and raises
     ContractionTooLarge for a plan with a node of more than TENSOR_CAP
     entries, before any entry is read.  Each call checks only that the
     tensors give each vertex a Matrix of its shape (ShapeMismatch), and
