@@ -12,7 +12,8 @@ that form, so realize and the generator build blocks the way decompose
 reads them.
 
 Intervals and strings are chains of basis vectors along the arcs, which
-exactalg.chains counts from the ranks of composites.  Open paths (one or
+exactalg.chains counts from the ranks of composites, computing only the
+ranks it cannot infer from those it has.  Open paths (one or
 two dangling ends) are cycles closed by a zero arc, whose chains are the
 Interval blocks; the closed end of a one-dangling path behaves as an
 extra pinned position of dimension 1.  A cycle splits into the stable

@@ -19,8 +19,10 @@ new_columns picks the candidate columns that grow a span.
 stable_image shrinks a square matrix's image to the invertible part of
 Fitting's lemma.  On a cycle of maps, chains counts the chains of basis
 vectors along the maps (intervals, strings, and the Jordan chains behind
-elementary divisors) from the ranks of composites alone;
-kernel_filtration and chain_tops pick the chains' top vectors.
+elementary divisors) from the ranks of composites alone, computing only
+the ranks that Frobenius's rank inequality does not pin and forming each
+composite only when its rank is computed; kernel_filtration and
+chain_tops pick the chains' top vectors.
 factor_poly factors over Q on integer coefficient lists: the primitive
 part is split by Yun's squarefree decomposition, and each squarefree part
 by Zassenhaus's algorithm (factors mod the first good prime, an odd prime
@@ -782,12 +784,16 @@ def rational_canonical(m):
     p-primary part, of dimension e * deg p, and invertible on the rest; a
     divisor p^s is deg p Jordan chains of p(m) of length s.  chains counts
     them from the ranks of the powers of p(m), the invertible rest giving
-    the stable rank.
+    the stable rank.  A factor of multiplicity 1 is the one divisor p^1, so
+    p(m) is neither formed nor counted.
     """
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
     out = []
     for p, e in factor_poly(charpoly(m)):
+        if e == 1:
+            out.append((p, 1))
+            continue
         d = p.degree()
         lengths = [s for _, s in chains([p.eval_matrix(m)], m.rows - e * d)]
         # sorted lengths come in runs of d chains per divisor
@@ -838,21 +844,33 @@ def chains(blocks, stable=0):
     the rank of the invertible (Fitting) part, which every composite keeps,
     so it cancels: each start stops at its first composite of rank stable,
     and every r past it reads as stable.  An open path is the cycle closed
-    by a zero block.
+    by a zero block.  Rows are built from the last start down, and r(a, k)
+    for k >= 2 is computed only when Frobenius's rank inequality leaves it
+    open: it lies between r(a, k-1) + r(a+1, k-1) - r(a+1, k-2) and
+    min(r(a, k-1), r(a+1, k-1)).  Blocks are multiplied onto the last
+    composite made only when a rank has to be computed.
     """
     n = len(blocks)
-    ranks = []
-    for a in range(n):
-        row, x = [blocks[a].cols], None
-        while row[-1] > stable:
-            b = blocks[(a + len(row) - 1) % n]
-            x = b if x is None else b @ x
-            row.append(rank(x))
-        ranks.append(row)
+    ranks = [None] * n
 
     def r(a, k):
         row = ranks[a % n]
         return row[k] if k < len(row) else stable
+
+    for a in reversed(range(n)):
+        row, x, made = [blocks[a].cols], blocks[a], 1
+        while row[-1] > stable:
+            k = len(row)
+            if a < n - 1 and k >= 2:   # the last start has no row below
+                hi = min(row[-1], r(a + 1, k - 1))
+                if hi == row[-1] + r(a + 1, k - 1) - r(a + 1, k - 2):
+                    row.append(hi)
+                    continue
+            for j in range(made, k):
+                x = blocks[(a + j) % n] @ x
+            made = k
+            row.append(rank(x))
+        ranks[a] = row
 
     return [(a + 1, k + 1) for a in range(n) for k in range(len(ranks[a]) - 1)
             for _ in range(r(a, k) - r(a - 1, k + 1) - r(a, k + 1) + r(a - 1, k + 2))]

@@ -679,3 +679,46 @@ def test_reorientation_and_sum_mode_make_one_pass(monkeypatch):
     assert decompose(realize("A0", 4, Interval(2, 4))) == \
         Decomposition.of([Interval(2, 4)])
     assert calls == []
+
+
+def test_open_paths_reach_rank_and_products_only(monkeypatch):
+    """decompose of base-changed, partly reversed A0 and A1 interval sums
+    calls exactalg.rank and Matrix.__matmul__, and never rref, factor_poly
+    or contract: the layers the benchmark's open-paths workload must and
+    must not reach.  Each function is counted in every tdr module that
+    holds it, and the product on the Matrix class, as the benchmark's
+    tracer counts them."""
+    emod, rmod = sys.modules["tdr.exactalg"], sys.modules["tdr.representation"]
+    calls = dict.fromkeys(("rank", "matmul", "rref", "factor_poly", "contract"), 0)
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    rng = random.Random(2212)
+    reps = []
+    for family, n, descs in [
+            ("A0", 6, [Interval(1, 3), Interval(2, 7), Interval(4, 4), Interval(2, 5)]),
+            ("A1", 5, [Interval(1, 6), Interval(2, 4), Interval(3, 5), Interval(5, 5)])]:
+        r = realize(family, n, descs[0])
+        for desc in descs[1:]:
+            r = direct_sum(r, realize(family, n, desc))
+        r = conjugate(rng, r)
+        for wid in ("e2", "e3", "e5"):
+            r = reverse_wire_rep(r, wid)
+        reps.append((r, Decomposition.of(descs, shape_of(r.diagram))))
+    for name, real in (("rank", emod.rank), ("rref", emod.rref),
+                       ("factor_poly", emod.factor_poly), ("contract", rmod.contract)):
+        wrapper = counted(name, real)
+        for modname, mod in list(sys.modules.items()):
+            if mod is not None and (modname == "tdr" or modname.startswith("tdr.")):
+                for attr, val in list(vars(mod).items()):
+                    if val is real:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    monkeypatch.setattr(Matrix, "__matmul__", counted("matmul", Matrix.__matmul__))
+    for r, want in reps:
+        assert decompose(r) == want
+    assert calls["rank"] and calls["matmul"], calls
+    assert calls["rref"] == calls["factor_poly"] == calls["contract"] == 0, calls

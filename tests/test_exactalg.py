@@ -793,13 +793,15 @@ def test_new_columns_agrees_with_rank_growth():
         assert new_columns(base, cands) == _kept_by_rank(sympy, base, cands)
 
 
-def _planted_graded(rng, grades, band=0):
-    """Graded shifts along random strings, plus an invertible band x band
-    part on every grade, hidden by a base change per grade; nilpotent
-    when band is 0."""
+def _planted_graded(rng, grades, band=0, path=False, strings=4):
+    """Graded shifts along 1 to strings random strings, plus an invertible
+    band x band part on every grade, hidden by a base change per grade;
+    nilpotent when band is 0.  On a path no string wraps past the last
+    grade, so the last block is 0: an open path closed by a zero block."""
     dims, links = [0] * grades, []
-    for _ in range(rng.randint(1, 4)):
-        start, length = rng.randrange(grades), rng.randint(1, 2 * grades)
+    for _ in range(rng.randint(1, strings)):
+        start = rng.randrange(grades)
+        length = rng.randint(1, grades - start if path else 2 * grades)
         prev = None
         for k in range(length):
             g = (start + k) % grades
@@ -910,6 +912,99 @@ def test_chains_agree_with_graded_jordan_chains():
                     "chain passing a grade twice"}
 
 
+def _plain_chains(blocks, stable=0):
+    """chains with the plain rank table: every composite formed and its
+    rank computed, no rank inferred.  The oracle of the pruned table."""
+    n = len(blocks)
+    ranks = []
+    for a in range(n):
+        row, x = [blocks[a].cols], None
+        while row[-1] > stable:
+            b = blocks[(a + len(row) - 1) % n]
+            x = b if x is None else b @ x
+            row.append(sys.modules["tdr.exactalg"].rank(x))
+        ranks.append(row)
+
+    def r(a, k):
+        row = ranks[a % n]
+        return row[k] if k < len(row) else stable
+
+    return [(a + 1, k + 1) for a in range(n) for k in range(len(ranks[a]) - 1)
+            for _ in range(r(a, k) - r(a - 1, k + 1) - r(a, k + 1) + r(a - 1, k + 2))]
+
+
+def test_chains_agree_with_the_plain_rank_table():
+    """Inferred ranks are exact: chains against the plain rank table on
+    240 seeded tuples of 1-6 grades: cycles with a planted invertible part,
+    random cycles, planted and random open paths closed by a zero block,
+    some with grades of dimension 0."""
+    rng = random.Random(2222)
+    seen = set()
+    for case in range(240):
+        grades = case % 6 + 1
+        kind = ("band", "random", "planted path", "random path")[case // 6 % 4]
+        if kind == "band":
+            blocks = _planted_graded(rng, grades, rng.randint(1, 2))
+        elif kind == "planted path":
+            blocks = _planted_graded(rng, grades, path=True)
+        else:
+            dims = [rng.randint(0, 4) for _ in range(grades)]
+            blocks = [_tdr(dims[(a + 1) % grades], dims[a],
+                           _rand_grid(rng, dims[(a + 1) % grades], dims[a]))
+                      for a in range(grades)]
+            if kind == "random path":
+                blocks[-1] = Matrix.zeros(dims[0], dims[-1])
+        stable = stable_image(_monodromy_at(blocks, 0)).cols
+        got = chains(blocks, stable)
+        assert got == _plain_chains(blocks, stable), case
+        seen.add(kind)
+        if stable and got:
+            seen.add("invertible part and chains")
+        if any(b.cols == 0 for b in blocks):
+            seen.add("grade of dimension 0")
+        if grades <= 2 and got:
+            seen.add(f"{grades} grades")
+    assert seen == {"band", "random", "planted path", "random path",
+                    "invertible part and chains", "grade of dimension 0",
+                    "1 grades", "2 grades"}
+
+
+def test_chains_infer_ranks_on_an_a0_12_interval_sum(monkeypatch):
+    """On planted interval sums on A0_12 (13 positions, closed by a zero
+    block) chains computes at most 60% of the plain table's ranks and
+    makes at most 60% of its products."""
+    emod = sys.modules["tdr.exactalg"]
+    real_rank, real_matmul = emod.rank, Matrix.__matmul__
+    calls = {"rank": 0, "matmul": 0}
+
+    def rank_counted(m):
+        calls["rank"] += 1
+        return real_rank(m)
+
+    def matmul_counted(a, b):
+        calls["matmul"] += 1
+        return real_matmul(a, b)
+
+    rng = random.Random(1213)
+    tally = {count: {"rank": 0, "matmul": 0} for count in (chains, _plain_chains)}
+    for case in range(6):
+        blocks = _planted_graded(rng, 13, path=True, strings=10)
+        monkeypatch.setattr(emod, "rank", rank_counted)
+        monkeypatch.setattr(Matrix, "__matmul__", matmul_counted)
+        got = []
+        for count, spent in tally.items():
+            calls.update(rank=0, matmul=0)
+            got.append(count(blocks))
+            for key in calls:
+                spent[key] += calls[key]
+        monkeypatch.undo()
+        assert got[0] == got[1], case
+    pruned, plain = tally[chains], tally[_plain_chains]
+    assert plain["rank"] > 0 and plain["matmul"] > 0
+    assert pruned["rank"] <= 0.6 * plain["rank"], tally
+    assert pruned["matmul"] <= 0.6 * plain["matmul"], tally
+
+
 _IRREDUCIBLE = ((0, 1), (-2, 1), (1, 1), (1, 0, 1), (-2, 0, 1), (1, 1, 1))
 
 
@@ -950,3 +1045,23 @@ def test_rational_canonical_agrees_with_sympy():
                     want.append((tuple(_q(c) for c in reversed(p.monic().all_coeffs())), e))
         got = [(p.coeffs, s) for p, s in rational_canonical(m)]
         assert sorted(got) == sorted(want), (case, m)
+
+
+def test_rational_canonical_skips_factors_of_multiplicity_one(monkeypatch):
+    """x - 1 and x^2 + 1 divide the characteristic polynomial once, so each
+    is its own divisor and is never evaluated at the matrix; x - 2 divides
+    it three times, as the divisors (x - 2)^2 and x - 2."""
+    xm1, xm2, x2p1 = Poly((Q(-1), Q(1))), Poly((Q(-2), Q(1))), Poly((Q(1), Q(0), Q(1)))
+    rng = random.Random(3131)
+    g = rand_invertible(rng, 6)
+    m = g @ block_diag([companion(xm1), companion(xm2 ** 2), companion(x2p1),
+                        companion(xm2)]) @ inverse(g)
+    real, evaluated = Poly.eval_matrix, []
+
+    def counted(p, a):
+        evaluated.append(p)
+        return real(p, a)
+
+    monkeypatch.setattr(Poly, "eval_matrix", counted)
+    assert rational_canonical(m) == [(xm2, 1), (xm2, 2), (xm1, 1), (x2p1, 1)]
+    assert evaluated == [xm2]
