@@ -31,7 +31,7 @@ from .exactalg import Matrix
 from .flows import extend_flow, flow_value
 from .generate import gen_random
 from .rational import format_rational, parse_rational
-from .representation import Representation, apply_group_element, checked_rep, contract
+from .representation import Representation, apply_group_element, contract
 from .semigraph import diagram_to_record, validate_diagram
 from .wildness import (
     MatrixPair,
@@ -84,7 +84,7 @@ def _load_rep(path):
 
 
 def _rep_from_record(obj, base_dir):
-    """The record's Representation, unchecked: its reader checks it once."""
+    """The record's Representation, checked by its constructor."""
     for key in ("diagram", "dims", "vertices"):
         if key not in obj:
             raise ParseError(f"representation is missing {key!r}")
@@ -166,7 +166,7 @@ def _cmd_isotest(ns):
 
 
 def _cmd_contract(ns):
-    return {"value": format_rational(contract(checked_rep(_load_rep(ns.rep))))}
+    return {"value": format_rational(contract(_load_rep(ns.rep)))}
 
 
 def _cmd_flow_extend(ns):
@@ -236,8 +236,8 @@ def _cmd_fmt(ns):
     if not isinstance(obj, dict):
         raise ParseError(f"{ns.file}: expected a JSON object")
     if "dims" in obj:
-        rep = _rep_from_record(obj, os.path.dirname(os.path.abspath(ns.file)))
-        return _rep_record(checked_rep(rep))
+        return _rep_record(
+            _rep_from_record(obj, os.path.dirname(os.path.abspath(ns.file))))
     return diagram_to_record(validate_diagram(obj))
 
 

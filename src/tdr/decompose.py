@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 from .classify import classify_diagram
 from .errors import (
-    DiagramMismatch,
     InvalidDescriptor,
     NotConnected,
     NotDecidableWild,
@@ -47,7 +46,7 @@ from .exactalg import (
     rational_canonical,
     stable_image,
 )
-from .representation import Representation, check_size, checked_rep, reverse_wire_rep
+from .representation import Representation, check_size, rep_diagram, reverse_wire_rep
 from .semigraph import TensorDiagram, Wire, restrict, slots
 
 
@@ -206,8 +205,7 @@ def _cycle_blocks(arcs):
 
 def decompose(r):
     """Indecomposable block multiset of a connected finite/tame shape."""
-    r = checked_rep(r)
-    return _decompose_on(r, shape_of(r.diagram))
+    return _decompose_on(r, shape_of(rep_diagram(r)))
 
 
 def _decompose_on(r, shape):
@@ -246,21 +244,18 @@ def block_alias(family, n, desc):
 
 
 def isomorphic(r1, r2):
-    """Orbit equality through decomposition, componentwise."""
-    r1, r2 = checked_rep(r1), checked_rep(r2)
-    if r1.diagram != r2.diagram:
-        raise DiagramMismatch("isomorphism test needs a common diagram")
-    comps = classify_diagram(r1.diagram)
+    """Orbit equality through decomposition, componentwise: each component
+    is decomposed along its own traversal on the whole representation."""
+    d = rep_diagram(r1, r2)
+    comps = classify_diagram(d)
     for _, cls in comps:
         if cls.kind == "wild":
             raise NotDecidableWild(f"wild component ({cls.witness.kind})")
+    if r1.dims != r2.dims:
+        return False
     for comp, cls in comps:
-        d = restrict(r1.diagram, comp)
-        shape = traverse(d, cls.family)
-        s1, s2 = (Representation(d, {w: r.dims[w] for w in comp.wires},
-                                 {v: r.tensors[v] for v in comp.vertices})
-                  for r in (r1, r2))
-        if s1.dims != s2.dims or _decompose_on(s1, shape) != _decompose_on(s2, shape):
+        shape = traverse(restrict(d, comp), cls.family)
+        if _decompose_on(r1, shape) != _decompose_on(r2, shape):
             return False
     return True
 

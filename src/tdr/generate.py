@@ -4,8 +4,8 @@ The stream is the standard splitmix64 step, fixed so that fixtures and
 answer keys reproduce bit-for-bit across runs and implementations.
 Rational entries have numerators in [-9, 9] and denominators in [1, 9].
 
-Dims are checked by representation.vertex_shapes, as for
-validate_representation.  Generic mode fills every vertex tensor entry
+Dims are checked by representation.vertex_shapes, as for the
+Representation constructor.  Generic mode fills every vertex tensor entry
 from the stream, row-major over vertices in canonical order.  Sum mode
 treats the requested dims as per-wire caps: it draws indecomposable
 descriptors, keeps each one that fits under the caps and that

@@ -10,14 +10,16 @@ canonical for a diagram validate_diagram built), the first wire varying
 slowest; an empty side indexes a single scalar slot.  A loop has a slot
 on each side.
 
-Each input rule is checked once: vertex_shapes checks dims and gives the
-vertex shapes (InvalidDims), checked_rep checks the diagram by the rules
-of validate_diagram and the tensors against the shapes, and _phi_checked
-checks a map of one Matrix per wire, a base change or a morphism
-(SizeMismatch).  Both errors are ShapeMismatch, as is a tensor
-of the wrong shape.  contract checks a hand-built representation too: its
-diagram and dims once per (diagram, dims), when the contraction program is
-compiled, and on every call each tensor against its vertex's shape.
+A Representation is valid by construction, and its constructor is the one
+check: the diagram by the rules of validate_diagram, the dims through
+vertex_shapes (InvalidDims), which gives the vertex shapes, and a Matrix of
+its shape at each vertex.  validate_representation is the record parser in
+front of it.  The functors build their outputs, valid by construction,
+through _rep, unchecked, so no operation checks its input again: each
+refuses a non-Representation and reps on different diagrams (rep_diagram),
+and _phi_checked checks a map of one Matrix per wire, a base change or a
+morphism (SizeMismatch).  Both errors are ShapeMismatch, as is a tensor of
+the wrong shape.
 
 Everything downstream (direct sums, tensor products, wire reversal, the
 splitting functor, contraction) re-indexes a vertex's flat tensor through
@@ -36,6 +38,7 @@ from functools import lru_cache
 from itertools import chain
 from math import lcm, prod
 from operator import itemgetter, mul
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .classify import classify_diagram
@@ -69,13 +72,62 @@ from .semigraph import (
 )
 
 
-class Representation(NamedTuple):
+class _Fields(NamedTuple):
     diagram: TensorDiagram
-    dims: dict      # wire id -> dimension
-    tensors: dict   # vertex id -> Matrix
+    dims: Mapping      # wire id -> dimension, read-only
+    tensors: Mapping   # vertex id -> Matrix, read-only
+
+
+class Representation(_Fields):
+    """A representation, valid by construction (see the module docstring);
+    _make, and so _replace, go through the constructor."""
+    __slots__ = ()
+
+    def __new__(cls, diagram, dims, tensors):
+        d = validate_diagram(diagram)
+        if isinstance(diagram, TensorDiagram):
+            # its own wire order, in tuples so that it keys _compile's cache
+            d = (diagram if all(type(f) is tuple for f in diagram)
+                 else TensorDiagram(*map(tuple, diagram)))
+        shapes = vertex_shapes(d, dims)
+        if not isinstance(tensors, Mapping):
+            raise ShapeMismatch("tensors must be a mapping of vertex ids to matrices")
+        for v, shape in shapes.items():
+            m = tensors.get(v)
+            if not isinstance(m, Matrix) or (m.rows, m.cols) != shape:
+                got = f"{m.rows}x{m.cols}" if isinstance(m, Matrix) else f"{m!r:.40}"
+                raise ShapeMismatch(
+                    f"vertex {v} needs a {shape[0]}x{shape[1]} Matrix, got {got}")
+        if len(tensors) != len(shapes):
+            known_ids(d.vertices, tensors, ShapeMismatch, "vertex ids")
+        return _rep(d, {w.id: dims[w.id] for w in d.wires},
+                    {v: tensors[v] for v in shapes})
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __repr__(self):
-        return f"Representation({self.diagram!r}, dims={self.dims!r})"
+        return f"Representation({self.diagram!r}, dims={dict(self.dims)!r})"
+
+
+def _rep(d, dims, tensors):
+    """The Representation of a functor's output, valid by construction and
+    not checked again; dims and tensors are fresh dicts."""
+    return tuple.__new__(Representation,
+                         (d, MappingProxyType(dims), MappingProxyType(tensors)))
+
+
+def rep_diagram(*reps):
+    """The diagram of reps, once each is a Representation (ShapeMismatch)
+    and all of them share it (DiagramMismatch)."""
+    for r in reps:
+        if not isinstance(r, Representation):
+            raise ShapeMismatch(f"expected a Representation, got {r!r:.40}")
+    d = reps[0].diagram
+    if any(r.diagram != d for r in reps):
+        raise DiagramMismatch("the representations live on different diagrams")
+    return d
 
 
 def _strides(dims):
@@ -164,50 +216,20 @@ def vertex_shapes(d, dims):
     return {v: vertex_shape(nb, dims, v) for v, nb in slots(d).items()}
 
 
-def _diagram(d):
-    """d once validate_diagram accepts it: a TensorDiagram as given, its
-    wire order being its tensors' index order, and a record in canonical
-    order."""
-    canonical = validate_diagram(d)
-    return d if isinstance(d, TensorDiagram) else canonical
-
-
-def checked_rep(r):
-    """r with a Matrix at every vertex, once validate_diagram accepts its
-    diagram, vertex_shapes its dims, and its tensors map each vertex of
-    the diagram, and no other id, to a grid of that vertex's shape
-    (ShapeMismatch).  A TensorDiagram is kept, its wire order being its
-    tensors' index order; a record is built in canonical order.  It is
-    validate_representation, and decompose, isomorphic and hom_dim read a
-    representation built by hand through it."""
-    d, dims, tensors = r
-    d = _diagram(d)
-    shapes = vertex_shapes(d, dims)
-    if not isinstance(tensors, Mapping):
-        raise ShapeMismatch("tensors must be a mapping of vertex ids to matrices")
-    out = {}
-    for v, (rows, cols) in shapes.items():
-        if v not in tensors:
-            raise ShapeMismatch(f"missing tensor for vertex {v}")
-        m = tensors[v]
-        if not isinstance(m, Matrix):
-            try:
-                m = Matrix.from_rows(m)
-            except (TypeError, LookupError, ShapeMismatch):
-                raise ShapeMismatch(
-                    f"vertex {v}: not a grid of rationals") from None
-        if (m.rows, m.cols) != (rows, cols):
-            raise ShapeMismatch(
-                f"vertex {v}: expected {rows}x{cols}, got {m.rows}x{m.cols}")
-        out[v] = m
-    for v in tensors:
-        if v not in out:
-            raise ShapeMismatch(f"tensor for unknown vertex {v}")
-    return Representation(d, {w.id: dims[w.id] for w in d.wires}, out)
-
-
 def validate_representation(diagram, dims, tensors):
-    return checked_rep(Representation(diagram, dims, tensors))
+    """The record parser: the Representation of a diagram (a record or a
+    TensorDiagram), dims and tensors whose values are Matrices or grids of
+    rationals, each grid made a Matrix (ShapeMismatch when it is none)."""
+    if isinstance(tensors, Mapping):
+        tensors = {v: _grid(v, m) for v, m in tensors.items()}
+    return Representation(diagram, dims, tensors)
+
+
+def _grid(v, m):
+    try:
+        return m if isinstance(m, Matrix) else Matrix.from_rows(m)
+    except (TypeError, LookupError, ShapeMismatch):
+        raise ShapeMismatch(f"vertex {v}: not a grid of rationals") from None
 
 
 def _kron_all(v, mats):
@@ -228,7 +250,7 @@ def apply_group_element(g, r):
         left = _kron_all(v, [g[w] for w in nb.outgoing])
         right = _kron_all(v, [inv[w] for w in nb.incoming])
         tensors[v] = left @ r.tensors[v] @ right
-    return Representation(r.diagram, dict(r.dims), tensors)
+    return _rep(r.diagram, dict(r.dims), tensors)
 
 
 def direct_sum(r1, *rest):
@@ -239,9 +261,7 @@ def direct_sum(r1, *rest):
     additive).
     """
     reps = (r1, *rest)
-    if any(r.diagram != r1.diagram for r in rest):
-        raise DiagramMismatch("direct_sum needs a common diagram")
-    d = r1.diagram
+    d = rep_diagram(*reps)
     dims = {w: sum(r.dims[w] for r in reps) for w in r1.dims}
     tensors = {}
     for v, nb in slots(d).items():
@@ -259,14 +279,12 @@ def direct_sum(r1, *rest):
                 out[o] += s * x
             base += sum(map(mul, sub, strides))
         tensors[v] = _as_matrix(out, den, keys, dims)
-    return Representation(d, dims, tensors)
+    return _rep(d, dims, tensors)
 
 
 def tensor_product(r1, r2):
     """Monoidal product: dims multiply, per-wire indices nest r1-major."""
-    if r1.diagram != r2.diagram:
-        raise DiagramMismatch("tensor_product needs a common diagram")
-    d = r1.diagram
+    d = rep_diagram(r1, r2)
     dims = {w: r1.dims[w] * r2.dims[w] for w in r1.dims}
     tensors = {}
     for v, nb in slots(d).items():
@@ -281,33 +299,32 @@ def tensor_product(r1, r2):
                      _offsets([r1.dims[w] for w, _ in keys], outer_strides),
                      _flat(m1), _offsets(d2, strides), _flat(m2))
         tensors[v] = _as_matrix(out, m1.den * m2.den, keys, dims)
-    return Representation(d, dims, tensors)
+    return _rep(d, dims, tensors)
 
 
 def unit(diagram):
     d = validate_diagram(diagram)
     dims = {w.id: 1 for w in d.wires}
     tensors = {v: Matrix.from_rows([[1]]) for v in d.vertices}
-    return Representation(d, dims, tensors)
+    return _rep(d, dims, tensors)
 
 
 def dual_rep(r):
     """Reverse every wire, which transposes every tensor; an involution."""
-    return reverse_wire_rep(r, *(w.id for w in r.diagram.wires))
+    return reverse_wire_rep(r, *(w.id for w in rep_diagram(r).wires))
 
 
 def _phi_checked(phi, r1, r2):
     """The common diagram of r1 and r2, once phi maps every wire to a Matrix
     of shape r2.dims x r1.dims."""
-    if r1.diagram != r2.diagram:
-        raise DiagramMismatch("morphism endpoints live on different diagrams")
+    d = rep_diagram(r1, r2)
     if not isinstance(phi, Mapping):
         raise SizeMismatch("a map must be a mapping of wire ids to matrices")
     for wid in r1.dims:
         m, want = phi.get(wid), (r2.dims[wid], r1.dims[wid])
         if not isinstance(m, Matrix) or (m.rows, m.cols) != want:
             raise SizeMismatch(f"wire {wid} needs a {want[0]}x{want[1]} Matrix")
-    return r1.diagram
+    return d
 
 
 def is_morphism(phi, r1, r2):
@@ -356,10 +373,7 @@ def intertwining_system(squares, unknowns):
 
 def hom_dim(r1, r2):
     """Dimension of the space of morphisms r1 -> r2."""
-    r1, r2 = checked_rep(r1), checked_rep(r2)
-    if r1.diagram != r2.diagram:
-        raise DiagramMismatch("hom_dim needs a common diagram")
-    d = r1.diagram
+    d = rep_diagram(r1, r2)
     quiver = _quiver_slots(d)
     offs, total = {}, 0
     for w in d.wires:
@@ -393,8 +407,7 @@ def _coker_data(phi, r1, r2):
     tensors = {}
     for v, ((a,), (b,)) in quiver.items():
         tensors[v] = psi[b] @ r2.tensors[v] @ sec[a]
-    r3 = Representation(d, dims, tensors)
-    return r3, psi
+    return _rep(d, dims, tensors), psi
 
 
 def cokernel(phi, r1, r2):
@@ -493,25 +506,22 @@ _KEPT = 1 << 12   # gather offsets a program keeps, about 150 KB
 # gathers any node past them afresh on each call, so 256 programs hold at
 # most about 40 MB, however large their networks.  The 120 networks of a
 # closed-contract round (4-8 vertices, dims 2-4) keep at most 645 offsets
-# each and hold about 0.5 MB in all (tracemalloc).  typed, so that a bare
-# tuple equal to a TensorDiagram does not find its program.
-@lru_cache(maxsize=256, typed=True)
+# each and hold about 0.5 MB in all (tracemalloc).  A Representation's
+# diagram has tuple fields and its dims are ints, so both key the cache.
+@lru_cache(maxsize=256)
 def _compile(d, dims):
-    """The contraction program of a closed diagram d under dims, a tuple of
-    (wire id, int) pairs: each vertex with its tensor's (rows, cols), in
-    vertex order, and the steps of _plan as (a, b, fibre length, view of a,
-    view of b) over vertex positions, b and its view None for a trace;
-    steps is None when a wire has dimension 0.  It checks the diagram
-    (validate_diagram's errors, then NotClosed), the dims (vertex_shapes)
-    and the plan (ContractionTooLarge past TENSOR_CAP), so a cache hit
-    repeats none of them."""
-    d = _diagram(d)
+    """The contraction program of a representation's diagram d under its
+    dims, a tuple of (wire id, int) pairs: the steps of _plan as (a, b,
+    fibre length, view of a, view of b) over vertex positions, b and its
+    view None for a trace; None when a wire has dimension 0.  It refuses
+    an open diagram (NotClosed) and a plan with a node of more than
+    TENSOR_CAP entries (ContractionTooLarge), so a cache hit repeats
+    neither check."""
     if not d.is_closed():
         raise NotClosed("diagram has dangling or endpointless wires")
     dims = dict(dims)
-    shapes = tuple(vertex_shapes(d, dims).items())
     if 0 in dims.values():
-        return shapes, None
+        return None
     held = {v: list(nb.outgoing + nb.incoming) for v, nb in slots(d).items()}
     plan, largest = _plan(dims, held)
     if largest > TENSOR_CAP:
@@ -531,7 +541,7 @@ def _compile(d, dims):
             keep += rest
         held[a] = keep
         steps.append((at[a], at.get(b), k, *views))
-    return shapes, tuple(steps)
+    return tuple(steps)
 
 
 def _fibres(entries, view, k, dims):
@@ -552,40 +562,22 @@ def contract(r):
     and every step's gather offsets depend on the diagram and dims alone,
     so _compile makes them once per (diagram, dims) and keeps the last 256
     programs (at most about 40 MB; the 120 networks of a closed-contract
-    round hold about 0.5 MB); it checks the diagram and dims, and raises
+    round hold about 0.5 MB); it raises NotClosed for an open diagram and
     ContractionTooLarge for a plan with a node of more than TENSOR_CAP
-    entries, before any entry is read.  Each call checks only that the
-    tensors give each vertex a Matrix of its shape (ShapeMismatch), and
-    that every dim is an int (InvalidDims; True or 1.0 would find 1's
-    program).  The steps run on the tensors' integer numerators, so the
-    value is an integer total over the product of their denominators.
+    entries, before any entry is read.  r was checked when it was built,
+    so a call checks nothing else.  The steps run on the tensors' integer
+    numerators, so the value is an integer total over the product of their
+    denominators.
     """
-    d, dims, tensors = r
-    if not isinstance(dims, Mapping):
-        raise InvalidDims("dims must be a mapping of wire ids to dims")
-    key = tuple(dims.items())
-    for w, x in key:
-        if type(x) is not int:
-            raise InvalidDims(f"wire {w} needs a dim >= 0, got {x!r}")
-    try:
-        shapes, steps = _compile(d, key)
-    except TypeError:   # an unhashable id: compiled afresh, to its error
-        shapes, steps = _compile.__wrapped__(d, key)
-    if not isinstance(tensors, Mapping):
-        raise ShapeMismatch("tensors must be a mapping of vertex ids to matrices")
-    nodes, scale = [], 1
-    for v, shape in shapes:
-        m = tensors.get(v)
-        if not isinstance(m, Matrix) or (m.rows, m.cols) != shape:
-            got = f"{m.rows}x{m.cols}" if isinstance(m, Matrix) else f"{m!r:.40}"
-            raise ShapeMismatch(
-                f"vertex {v} needs a {shape[0]}x{shape[1]} Matrix, got {got}")
-        nodes.append(list(chain.from_iterable(m.nums)))
-        scale *= m.den
-    if len(tensors) != len(shapes):
-        raise ShapeMismatch("tensors for ids that are not vertices")
+    d, dims, tensors = rep_diagram(r), r.dims, r.tensors
+    steps = _compile(d, tuple(dims.items()))
     if steps is None:
         return ZERO
+    nodes, scale = [], 1
+    for v in d.vertices:
+        m = tensors[v]
+        nodes.append(list(chain.from_iterable(m.nums)))
+        scale *= m.den
     for a, b, k, view_a, view_b in steps:
         fa = _fibres(nodes[a], view_a, k, dims)
         if b is None:
@@ -608,7 +600,7 @@ def monodromy(r, base):
     accumulate along the orientation, so the result maps the base wire's
     space to itself.
     """
-    d = r.diagram
+    d = rep_diagram(r)
     known_ids([w.id for w in d.wires], [base], UnknownWire, "wire ids")
     known = {w.id: w for w in d.wires}
     try:
@@ -643,7 +635,7 @@ def reverse_wire_rep(r, *wids):
     entries move but never change.  Reversing a loop swaps that wire's row
     and column indices at its vertex (a partial transpose).
     """
-    d = r.diagram
+    d = rep_diagram(r)
     dd = reverse_wire(d, *wids)
     tensors = dict(r.tensors)
     flip = {"tail": "head", "head": "tail"}
@@ -660,7 +652,7 @@ def reverse_wire_rep(r, *wids):
         m = r.tensors[v]
         flat = _flat(m)
         tensors[v] = _as_matrix([flat[o] for o in offs], m.den, new, r.dims)
-    return Representation(dd, dict(r.dims), tensors)
+    return _rep(dd, dict(r.dims), tensors)
 
 
 def _merged_name(v1, v2, taken):
@@ -677,7 +669,7 @@ def split_functor(r, fresh_wire):
     untouched.  Inverse (up to scale) of splitting a representation.  The
     merged vertex is v where v·1 and v·2 undo a split of v, else fresh v1+v2.
     """
-    d = r.diagram
+    d = rep_diagram(r)
     w = d.wire(fresh_wire)
     if r.dims[fresh_wire] != 1:
         raise RestrictedDimViolation(
@@ -716,4 +708,4 @@ def split_functor(r, fresh_wire):
     for v in dd.vertices:
         if v != merged:
             tensors[v] = r.tensors[v]
-    return Representation(dd, dims, tensors)
+    return _rep(dd, dims, tensors)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .errors import NotASimilarity, ShapeMismatch
 from .exactalg import Matrix, block_diag, det, inverse, nullspace
 from .rational import Q, ZERO
-from .representation import Representation, check_size, intertwining_system
+from .representation import Representation, check_size, intertwining_system, rep_diagram
 from .semigraph import TensorDiagram, Wire
 
 
@@ -91,6 +91,7 @@ def eight_tuple(rep):
     The vertex tensor is sum_k M_k (x) E_k over the four elementary
     matrices of the dimension-2 loop, enumerated row-major.
     """
+    rep_diagram(rep)
     m = rep.tensors["v1"]
     d1 = rep.dims["e1"]
     return tuple(m.submatrix(range(i, 2 * d1, 2), range(j, 2 * d1, 2))

@@ -9,3 +9,29 @@ SESSION_T0 = time.monotonic()
 @pytest.fixture(scope="session")
 def session_t0():
     return SESSION_T0
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(*functions) counts calls to each function, by name, in every tdr
+    module that holds it, as the benchmark's tracer counts them, and
+    returns the live {name: calls}."""
+    import sys
+
+    def install(*functions):
+        calls = {}
+        for real in functions:
+            calls[real.__name__] = 0
+
+            def counted(*args, _real=real, **kwargs):
+                calls[_real.__name__] += 1
+                return _real(*args, **kwargs)
+
+            for name, mod in list(sys.modules.items()):
+                if mod is not None and (name == "tdr" or name.startswith("tdr.")):
+                    for attr, val in list(vars(mod).items()):
+                        if val is real:
+                            monkeypatch.setattr(mod, attr, counted)
+        return calls
+
+    return install

@@ -27,11 +27,13 @@ from tdr.representation import (
     Representation,
     apply_group_element,
     cokernel,
+    contract,
     direct_sum,
     hom_dim,
     is_morphism,
     kernel,
     monodromy,
+    reverse_wire_rep,
     validate_representation,
 )
 from tdr.semigraph import (
@@ -278,25 +280,25 @@ def test_unhashable_ids_are_unknown(call, error):
 _ONE = Matrix.identity(1)
 
 
-@pytest.mark.parametrize("r", [
-    Representation(TensorDiagram(("a",), (Wire("e1", "a", "zz"),)),
-                   {"e1": 1}, {"a": _ONE}),
-    Representation(TensorDiagram(("a", "b"), (Wire("e1", "a", "b"),
-                                              Wire("e1", "b", "a"))),
-                   {"e1": 1}, {"a": _ONE, "b": _ONE}),
-    Representation(TensorDiagram((1,), (Wire("e1", 1, 1),)),
-                   {"e1": 1}, {1: _ONE}),
-    Representation(TensorDiagram(("a",), (("e1", "a", "a", "x"),)),
-                   {"e1": 1}, {"a": _ONE}),
+@pytest.mark.parametrize("build", [
+    lambda: Representation(TensorDiagram(("a",), (Wire("e1", "a", "zz"),)),
+                           {"e1": 1}, {"a": _ONE}),
+    lambda: Representation(TensorDiagram(("a", "b"), (Wire("e1", "a", "b"),
+                                                      Wire("e1", "b", "a"))),
+                           {"e1": 1}, {"a": _ONE, "b": _ONE}),
+    lambda: Representation(TensorDiagram((1,), (Wire("e1", 1, 1),)),
+                           {"e1": 1}, {1: _ONE}),
+    lambda: Representation(TensorDiagram(("a",), (("e1", "a", "a", "x"),)),
+                           {"e1": 1}, {"a": _ONE}),
 ], ids=["unknown-endpoint", "duplicate-wire", "vertex-not-a-string",
         "wire-not-a-wire"])
-def test_hand_built_diagrams_are_validated(r):
+def test_hand_built_diagrams_are_validated(build):
     """decompose, isomorphic and hom_dim check a hand-built diagram by the
     rules of validate_diagram: a diagram it refuses is a TdrError, never a
     KeyError or an answer."""
     for call in (decompose, lambda r: isomorphic(r, r), lambda r: hom_dim(r, r)):
         with pytest.raises(TdrError):
-            call(r)
+            call(build())
 
 
 @pytest.mark.parametrize("side", ["outgoing", "incoming"])
@@ -332,7 +334,7 @@ _HAND_BUILT = [
 
 @st.composite
 def _perturbed(draw):
-    """A valid rep and its dims and tensors with one key or value changed."""
+    """A valid rep, and its dims and tensors with one key or value changed."""
     base = draw(st.sampled_from(_HAND_BUILT))
     dims, tensors = dict(base.dims), dict(base.tensors)
     target = draw(st.sampled_from(["dims", "tensors"]))
@@ -351,29 +353,38 @@ def _perturbed(draw):
         held[key] = draw(st.one_of(
             st.builds(Matrix.identity, st.integers(0, 5)),
             st.builds(Matrix.zeros, st.integers(0, 5), st.integers(0, 5))))
-    return base, Representation(base.diagram, dims, tensors)
+    return base, dims, tensors
 
 
 def test_hand_built_reps_give_the_validated_answer_or_an_error():
-    """decompose, isomorphic and hom_dim on a Representation built by hand:
-    a TdrError, or the answer on the same data through
-    validate_representation."""
+    """A Representation built by hand is refused at construction, or
+    decompose, isomorphic, hom_dim, contract, direct_sum and
+    reverse_wire_rep on it give a TdrError or the answer on the same data
+    through validate_representation."""
     calls = [
         lambda base, r: decompose(r),
         lambda base, r: isomorphic(r, base),
         lambda base, r: isomorphic(base, r),
         lambda base, r: hom_dim(r, base),
         lambda base, r: hom_dim(base, r),
+        lambda base, r: contract(r),
+        lambda base, r: direct_sum(r, base),
+        lambda base, r: direct_sum(base, r),
+        lambda base, r: reverse_wire_rep(r, "e1"),
     ]
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(_perturbed())
-    def check(pair):
-        base, r = pair
+    def check(triple):
+        base, dims, tensors = triple
         try:
-            valid = validate_representation(*r)
+            valid = validate_representation(base.diagram, dims, tensors)
         except TdrError:
             valid = None
+        try:
+            r = Representation(base.diagram, dims, tensors)
+        except TdrError:
+            return
         for call in calls:
             try:
                 got = call(base, r)

@@ -135,6 +135,20 @@ def test_contract_command(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"value": "5"}
 
 
+def test_contract_command_validates_its_diagram_once(tmp_path, capsys, spy):
+    """On a cold cache, tdr contract checks the rep's diagram once, when
+    the rep is built, and the compile of its program does not repeat it."""
+    from tdr.representation import _compile
+    from tdr.semigraph import validate_diagram
+
+    path = write(tmp_path, "j1.json", J1_REP)
+    _compile.cache_clear()
+    calls = spy(validate_diagram)
+    assert run(["contract", path]).exit_code == 0
+    assert json.loads(capsys.readouterr().out) == {"value": "5"}
+    assert calls == {"validate_diagram": 1}
+
+
 def test_contract_over_the_cap_is_a_one_line_error(tmp_path, capsys):
     # K_8 with dimension-4 wires needs a node of at least 4^15 entries
     vs = [f"v{i}" for i in range(8)]

@@ -862,29 +862,35 @@ def _with(r, dims=None, tensors=None, diagram=None):
 
 _EYE5 = {v: Matrix.identity(5) for v in _J2_STRING.tensors}
 _BAD_REPS = {
-    "identities-5x5": (_with(_J2_STRING, tensors=_EYE5), ShapeMismatch),
-    "missing-tensor": (_with(_J2_STRING, tensors={
+    "identities-5x5": (lambda: _with(_J2_STRING, tensors=_EYE5),
+                       ShapeMismatch),
+    "missing-tensor": (lambda: _with(_J2_STRING, tensors={
         "v2": _J2_STRING.tensors["v2"]}), ShapeMismatch),
-    "extra-tensor": (_with(_J2_STRING, tensors={
+    "extra-tensor": (lambda: _with(_J2_STRING, tensors={
         **_J2_STRING.tensors, "zz": Matrix.identity(1)}), ShapeMismatch),
-    "tensor-not-a-matrix": (_with(_J2_STRING, tensors={
+    "tensor-not-a-matrix": (lambda: _with(_J2_STRING, tensors={
         **_J2_STRING.tensors, "v1": [[1], [0]]}), ShapeMismatch),
-    "tensors-not-a-mapping": (_with(_J2_STRING, tensors=[]), ShapeMismatch),
-    "bool-dim": (_with(_J2_STRING, dims={"e1": 2, "e2": True}), InvalidDims),
-    "negative-dim": (_with(_J2_STRING, dims={"e1": 2, "e2": -1}), InvalidDims),
-    "float-dim": (_with(_J2_STRING, dims={"e1": 2, "e2": 1.0}), InvalidDims),
-    "missing-dim": (_with(_J2_STRING, dims={"e1": 2}), InvalidDims),
-    "unknown-dim": (_with(_J2_STRING, dims={"e1": 2, "e2": 1, "e3": 1}),
+    "tensors-not-a-mapping": (lambda: _with(_J2_STRING, tensors=[]),
+                              ShapeMismatch),
+    "bool-dim": (lambda: _with(_J2_STRING, dims={"e1": 2, "e2": True}),
+                 InvalidDims),
+    "negative-dim": (lambda: _with(_J2_STRING, dims={"e1": 2, "e2": -1}),
+                     InvalidDims),
+    "float-dim": (lambda: _with(_J2_STRING, dims={"e1": 2, "e2": 1.0}),
+                  InvalidDims),
+    "missing-dim": (lambda: _with(_J2_STRING, dims={"e1": 2}), InvalidDims),
+    "unknown-dim": (lambda: _with(_J2_STRING, dims={"e1": 2, "e2": 1,
+                                                    "e3": 1}),
                     InvalidDims),
-    "unhashable-dim": (_with(_J2_STRING, dims={"e1": 2, "e2": [1]}),
+    "unhashable-dim": (lambda: _with(_J2_STRING, dims={"e1": 2, "e2": [1]}),
                        InvalidDims),
-    "unknown-endpoint": (_with(_J2_STRING, diagram=TensorDiagram(
+    "unknown-endpoint": (lambda: _with(_J2_STRING, diagram=TensorDiagram(
         ("v1", "v2"), (Wire("e1", "v1", "v2"), Wire("e2", "v2", "zz")))),
         UnknownVertexRef),
-    "unhashable-vertex-id": (_with(_J2_STRING, diagram=TensorDiagram(
+    "unhashable-vertex-id": (lambda: _with(_J2_STRING, diagram=TensorDiagram(
         ("v1", ["v2"]), (Wire("e1", "v1", "v2"), Wire("e2", "v2", "v1")))),
         UnknownVertexRef),
-    "unhashable-wire-id": (_with(_J2_STRING, diagram=TensorDiagram(
+    "unhashable-wire-id": (lambda: _with(_J2_STRING, diagram=TensorDiagram(
         ("v1", "v2"), (Wire("e1", "v1", "v2"), Wire(["e2"], "v2", "v1")))),
         UnknownWire),
 }
@@ -897,13 +903,13 @@ def test_contract_refuses_a_bad_rep_cold_and_warm(case, warm):
     not fit raises its TdrError, never a value or a KeyError, whether or
     not the valid rep's program is cached: True and 1.0 equal 1, and must
     not find the program built for it."""
-    r, error = _BAD_REPS[case]
+    build, error = _BAD_REPS[case]
     _compile.cache_clear()
     if warm:
         assert contract(_J2_STRING) == 0
         assert contract(_with(_J2_STRING, dims={"e1": 2, "e2": 1})) == 0
     with pytest.raises(error):
-        contract(r)
+        contract(build())
     assert issubclass(error, TdrError)
 
 
@@ -957,7 +963,7 @@ def test_contract_gathers_afresh_what_a_program_does_not_keep(monkeypatch):
         want = _brute_contract(d, dims, r.tensors)
         _compile.cache_clear()
         assert contract(r) == want == contract(r), case
-        _, steps = _compile(d, tuple(dims.items()))
+        steps = _compile(d, tuple(dims.items()))
         afresh += sum(type(v) is tuple for step in steps for v in step[3:])
     _compile.cache_clear()
     assert afresh > 0
