@@ -14,8 +14,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .classify import classify_diagram
 from .decompose import Band, Interval, block_alias, decompose, isomorphic
@@ -27,7 +27,7 @@ from .errors import (
     TdrError,
     UnknownCommand,
 )
-from .exactalg import Matrix
+from .exactalg import Matrix, typed_record
 from .flows import extend_flow, flow_value
 from .generate import gen_random
 from .rational import format_rational, parse_rational
@@ -41,8 +41,8 @@ from .wildness import (
 )
 
 
-@dataclass(frozen=True)
-class CommandReport:
+@typed_record
+class CommandReport(NamedTuple):
     exit_code: int
 
 

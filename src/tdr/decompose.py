@@ -26,7 +26,7 @@ through their associated cycle, whose last position is the pinned
 scalar slot.
 """
 
-from dataclasses import dataclass, field, fields
+from collections import Counter
 from typing import NamedTuple
 
 from .classify import classify_diagram
@@ -45,13 +45,14 @@ from .exactalg import (
     factor_poly,
     rational_canonical,
     stable_image,
+    typed_record,
 )
 from .representation import Representation, check_size, rep_diagram, reverse_wire_rep
 from .semigraph import TensorDiagram, Wire, restrict, slots
 
 
-@dataclass(frozen=True)
-class Interval:
+@typed_record
+class Interval(NamedTuple):
     a: int
     b: int
 
@@ -63,8 +64,8 @@ class Interval:
         return [1 if self.a <= p <= self.b else 0 for p in range(1, m + 1)]
 
 
-@dataclass(frozen=True)
-class Band:
+@typed_record
+class Band(NamedTuple):
     poly: Poly    # monic irreducible, nonzero constant term
     power: int
 
@@ -75,8 +76,8 @@ class Band:
         return [self.poly.degree() * self.power] * m
 
 
-@dataclass(frozen=True)
-class StringBlock:
+@typed_record
+class StringBlock(NamedTuple):
     start: int
     length: int
 
@@ -90,20 +91,27 @@ class StringBlock:
         return [q + ((i - self.start + 1) % m < r) for i in range(m)]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     blocks: tuple   # ((descriptor, multiplicity), ...) canonically sorted
-    # the Shape the blocks live on, when known; not part of equality
-    shape: object = field(default=None, compare=False, repr=False)
+    shape: object = None   # the blocks' Shape, if known; not compared or shown
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.blocks == other.blocks
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+    def __repr__(self):
+        return f"Decomposition(blocks={self.blocks!r})"
 
     @classmethod
     def of(cls, descs, shape=None):
         """The decomposition with these descriptors, repeats counted."""
-        counts = {}
-        for desc in descs:
-            counts[desc] = counts.get(desc, 0) + 1
-        return cls(tuple(sorted(counts.items(), key=lambda dm: dm[0]._key())),
-                   shape)
+        counts = sorted(Counter(descs).items(), key=lambda dm: dm[0]._key())
+        return cls(tuple(counts), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +326,7 @@ def block_arcs(family, n, desc):
     if not isinstance(desc, (Interval,) if open_path else (Band, StringBlock)):
         raise InvalidDescriptor(f"descriptor {desc!r} not valid for {family}")
     # poly must be a Poly and every other field an int (no bool)
-    if any(type(getattr(desc, f.name)) is not f.type for f in fields(desc)):
+    if any(type(x) is not t for x, t in zip(desc, desc.__annotations__.values())):
         raise InvalidDescriptor(f"descriptor {desc!r} has a field of the wrong type")
     if open_path:
         if not (1 <= desc.a <= desc.b <= m):

@@ -32,11 +32,11 @@ Mignotte bound; recombination by exact trial division).  The module needs
 nothing outside the standard library.
 """
 
-from dataclasses import dataclass
 from itertools import chain, combinations, zip_longest
 from math import gcd, isqrt, lcm
 from operator import mul
 from random import Random
+from typing import NamedTuple
 
 from .errors import (
     NotNilpotent,
@@ -46,6 +46,13 @@ from .errors import (
     ZeroPolynomial,
 )
 from .rational import ONE, ZERO, Q
+
+
+def typed_record(cls):
+    """The NamedTuple cls, equal only to values of its own type (no tuple)."""
+    cls.__eq__ = lambda s, o: type(o) is type(s) and tuple.__eq__(s, o)
+    cls.__ne__ = lambda s, o: not cls.__eq__(s, o)
+    return cls
 
 
 def _sides(*sides):
@@ -448,8 +455,11 @@ class Poly:
         acc = Matrix.zeros(n, n)
         for c in reversed(self.coeffs):
             acc = acc @ m
-            if c:
-                acc = acc + Matrix.identity(n).scale(c)
+            if c:   # c on the diagonal, over the common denominator
+                den = lcm(acc.den, c.denominator)
+                s, t = den // acc.den, c.numerator * (den // c.denominator)
+                acc = Matrix.from_ints(n, n, [[x * s + t * (i == j) for j, x in enumerate(r)]
+                                              for i, r in enumerate(acc.nums)], den)
         return acc
 
 
@@ -749,7 +759,8 @@ def factor_poly(p):
 
     product(factor^mult) * leading(p) == p exactly; constants factor to [].
     Over Z: the primitive part, split by Yun's squarefree decomposition
-    (Yun 1976), each part factored by Zassenhaus's algorithm.
+    (Yun 1976), each part factored by Zassenhaus's algorithm.  An f of degree
+    2 or 3 with no root mod a small prime not dividing lc(f) is irreducible.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -757,6 +768,10 @@ def factor_poly(p):
         return [(p.monic(), 1)] * p.degree()
     den = lcm(*(c.denominator for c in p.coeffs))
     f = _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    if len(f) < 5 and any(f[-1] % q and all(
+            sum(c * x ** i for i, c in enumerate(f)) % q for x in range(q))
+            for q in (2, 3, 5, 7, 11, 13)):
+        return [(p.monic(), 1)]
     zeros = next(i for i, c in enumerate(f) if c)
     out = [(Poly.x(), zeros)] if zeros else []
     for part, mult in _squarefree(f[zeros:]):
@@ -817,8 +832,8 @@ def stable_image(m):
 # ---------------------------------------------------------------------------
 # graded Jordan chains
 
-@dataclass(frozen=True)
-class JordanChain:
+@typed_record
+class JordanChain(NamedTuple):
     """A homogeneous chain x, Nx, ..., of a cyclically graded nilpotent N.
 
     start is the 1-based grade of the top vector; vectors[k] lives in grade
@@ -852,18 +867,14 @@ def chains(blocks, stable=0):
     """
     n = len(blocks)
     ranks = [None] * n
-
-    def r(a, k):
-        row = ranks[a % n]
-        return row[k] if k < len(row) else stable
-
     for a in reversed(range(n)):
         row, x, made = [blocks[a].cols], blocks[a], 1
         while row[-1] > stable:
             k = len(row)
-            if a < n - 1 and k >= 2:   # the last start has no row below
-                hi = min(row[-1], r(a + 1, k - 1))
-                if hi == row[-1] + r(a + 1, k - 1) - r(a + 1, k - 2):
+            # the row below reaches k - 1: r(a+1, k-2) >= r(a, k-1) > stable
+            if a < n - 1 and k >= 2:
+                hi = min(row[-1], ranks[a + 1][k - 1])
+                if hi == row[-1] + ranks[a + 1][k - 1] - ranks[a + 1][k - 2]:
                     row.append(hi)
                     continue
             for j in range(made, k):
@@ -872,8 +883,13 @@ def chains(blocks, stable=0):
             row.append(rank(x))
         ranks[a] = row
 
-    return [(a + 1, k + 1) for a in range(n) for k in range(len(ranks[a]) - 1)
-            for _ in range(r(a, k) - r(a - 1, k + 1) - r(a, k + 1) + r(a - 1, k + 2))]
+    # past its end a row reads stable: ranks stop falling, so counts are <= 0
+    width = max(map(len, ranks)) + 1
+    for row in ranks:
+        row += [stable] * (width - len(row))
+    return [(a + 1, k + 1) for a in range(n) for k in range(width - 2)
+            for _ in range(ranks[a][k] - ranks[a - 1][k + 1]
+                           - ranks[a][k + 1] + ranks[a - 1][k + 2])]
 
 
 def kernel_filtration(blocks):

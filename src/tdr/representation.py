@@ -63,6 +63,7 @@ from .rational import ZERO, Q
 from .semigraph import (
     TensorDiagram,
     Wire,
+    check_diagram,
     fresh_vertex,
     known_ids,
     reverse_wire,
@@ -84,11 +85,13 @@ class Representation(_Fields):
     __slots__ = ()
 
     def __new__(cls, diagram, dims, tensors):
-        d = validate_diagram(diagram)
         if isinstance(diagram, TensorDiagram):
+            check_diagram(diagram)
             # its own wire order, in tuples so that it keys _compile's cache
             d = (diagram if all(type(f) is tuple for f in diagram)
                  else TensorDiagram(*map(tuple, diagram)))
+        else:
+            d = validate_diagram(diagram)
         shapes = vertex_shapes(d, dims)
         if not isinstance(tensors, Mapping):
             raise ShapeMismatch("tensors must be a mapping of vertex ids to matrices")

@@ -83,8 +83,8 @@ def known_ids(pool, ids, error, what):
     return ids
 
 
-def validate_diagram(raw):
-    """Build a canonical TensorDiagram from a record or another diagram."""
+def check_diagram(raw):
+    """validate_diagram's checks, building nothing: the vertices and wires."""
     if isinstance(raw, TensorDiagram):
         vs, ws, kind = raw.vertices, raw.wires, Wire
     elif isinstance(raw, dict):
@@ -104,9 +104,7 @@ def validate_diagram(raw):
         if v in seen:
             raise DuplicateId(f"vertex {v}")
         seen.add(v)
-    vset = seen
     wseen = set()
-    wires = []
     for wid, tail, head in ws:
         if not isinstance(wid, str) or not wid:
             raise UnknownWire(f"bad wire id {wid!r}")
@@ -114,10 +112,15 @@ def validate_diagram(raw):
             raise DuplicateId(f"wire {wid}")
         wseen.add(wid)
         for end in (tail, head):
-            if end is not None and (not isinstance(end, str) or end not in vset):
+            if end is not None and (not isinstance(end, str) or end not in seen):
                 raise UnknownVertexRef(f"wire {wid} endpoint {end}")
-        wires.append(Wire(wid, tail, head))
-    return TensorDiagram(tuple(sorted(vs)), tuple(sorted(wires)))
+    return vs, ws
+
+
+def validate_diagram(raw):
+    """Build a canonical TensorDiagram from a record or another diagram."""
+    vs, ws = check_diagram(raw)
+    return TensorDiagram(tuple(sorted(vs)), tuple(sorted(Wire(*w) for w in ws)))
 
 
 def diagram_to_record(d):

@@ -6,9 +6,18 @@ import random
 
 import pytest
 
-from tdr.decompose import Band, Interval, StringBlock, decompose, isomorphic, realize
+from tdr.decompose import (
+    Band,
+    Interval,
+    StringBlock,
+    canonical_diagram,
+    decompose,
+    isomorphic,
+    realize,
+)
 from tdr.errors import ShapeMismatch, UnknownVertexRef
 from tdr.exactalg import Matrix, Poly
+from tdr.generate import gen_random
 from tdr.representation import (
     Representation,
     _compile,
@@ -27,7 +36,14 @@ from tdr.representation import (
     validate_representation,
     vertex_shapes,
 )
-from tdr.semigraph import TensorDiagram, Wire, slots, validate_diagram
+from tdr.semigraph import (
+    TensorDiagram,
+    Wire,
+    check_diagram,
+    diagram_to_record,
+    slots,
+    validate_diagram,
+)
 from tdr.wildness import eight_tuple
 
 _J2 = realize("J", 2, StringBlock(1, 3))   # dims e1: 2, e2: 1
@@ -122,6 +138,21 @@ def test_the_constructor_keeps_or_canonicalizes_the_diagram():
     assert Representation(record, dims, tensors).diagram == validate_diagram(record)
     dims["e1"] = 3
     assert listed.dims["e1"] == 2
+
+
+def test_a_tensor_diagram_is_checked_in_place(spy):
+    """The constructor checks a TensorDiagram by check_diagram and builds no
+    canonical copy through validate_diagram; a record still goes through
+    validate_diagram.  gen_random in sum mode builds each block on its
+    input's diagram, so it validates that diagram once, not once a block."""
+    calls = spy(validate_diagram, check_diagram)
+    Representation(_J2.diagram, _J2.dims, _J2.tensors)
+    assert calls == {"validate_diagram": 0, "check_diagram": 1}
+    Representation(diagram_to_record(_J2.diagram), _J2.dims, _J2.tensors)
+    assert calls == {"validate_diagram": 1, "check_diagram": 2}
+    _, key = gen_random(diagram_to_record(canonical_diagram("J", 2)),
+                        {"e1": 6, "e2": 6}, 1, mode="sum")
+    assert len(key.blocks) >= 2 and calls["validate_diagram"] == 2
 
 
 def test_a_grid_is_a_matrix_only_through_the_record_parser():

@@ -188,6 +188,46 @@ def test_realize_refuses_descriptor_fields_of_the_wrong_type():
             realize(family, 2, desc)
 
 
+def test_descriptors_are_records_equal_only_to_their_own_type():
+    """Interval, Band, StringBlock, JordanChain and CommandReport: a value
+    equals a value of its own type with equal fields, and never a plain
+    tuple or a record of another type, with ==, != and hash agreeing; a
+    field cannot be set; the repr names the fields.  A Decomposition's
+    equality, hash and repr ignore its shape."""
+    from tdr.cli import CommandReport
+    from tdr.exactalg import JordanChain
+
+    p = x_minus(2)
+    cases = [(Interval(1, 2), Interval(1, 2), (1, 2), "Interval(a=1, b=2)"),
+             (StringBlock(1, 2), StringBlock(1, 2), (1, 2),
+              "StringBlock(start=1, length=2)"),
+             (Band(p, 2), Band(x_minus(2), 2), (p, 2), f"Band(poly={p!r}, power=2)"),
+             (JordanChain(1, ()), JordanChain(1, ()), (1, ()),
+              "JordanChain(start=1, vectors=())"),
+             (CommandReport(0), CommandReport(0), (0,), "CommandReport(exit_code=0)")]
+    for value, twin, plain, shown in cases:
+        assert value == twin and not value != twin and hash(value) == hash(twin)
+        assert value != plain and plain != value
+        assert not value == plain and not plain == value
+        assert repr(value) == shown
+        with pytest.raises(AttributeError):
+            value.__setattr__(type(value)._fields[0], 5)
+        for other, _, _, _ in cases:
+            if type(other) is not type(value):
+                assert value != other and not value == other
+    assert Interval(1, 2) != Interval(1, 3) and not Interval(1, 2) == Interval(2, 1)
+    assert len({Interval(1, 2), StringBlock(1, 2), Interval(1, 2)}) == 2
+    blocks = ((Interval(1, 2), 1),)
+    shaped = Decomposition(blocks, shape_of(canonical_diagram("A0", 2)))
+    bare = Decomposition(blocks)
+    assert shaped == bare and not shaped != bare and hash(shaped) == hash(bare)
+    assert repr(shaped) == repr(bare) == "Decomposition(blocks=((Interval(a=1, b=2), 1),))"
+    assert shaped != Decomposition(((Interval(1, 2), 2),), shaped.shape)
+    assert shaped != (blocks, shaped.shape) and not bare == (blocks, None)
+    with pytest.raises(AttributeError):
+        shaped.shape = None
+
+
 def test_canonical_diagram_rejects_bad_sizes():
     for n in (0, -1, "3", 2.0, None, True):
         with pytest.raises(InvalidDescriptor):

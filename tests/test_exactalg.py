@@ -1,7 +1,7 @@
 import random
 import sys
 import tracemalloc
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -426,6 +426,65 @@ def test_factor_poly_splits_each_part_mod_one_prime(monkeypatch):
         assert len(ddf) == sum(n >= 3 for n in parts), p
         reached += len(ddf)
     assert reached >= len(polys) // 2
+
+
+def _factor_without_shortcut(p):
+    """factor_poly's path for any degree >= 2, without the root test for
+    degree 2 and 3: the primitive part, Yun's split, Zassenhaus per part."""
+    import tdr.exactalg as ea
+
+    den = lcm(*(c.denominator for c in p.coeffs))
+    f = ea._primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    zeros = next(i for i, c in enumerate(f) if c)
+    out = [(Poly.x(), zeros)] if zeros else []
+    for part, mult in ea._squarefree(f[zeros:]):
+        out.extend((Poly([Q(c, g[-1]) for c in g]), mult) for g in ea._zassenhaus(part))
+    return sorted(out, key=lambda fm: (fm[0].degree(), fm[0].coeffs, fm[1]))
+
+
+def test_degree_2_and_3_root_test_agrees_with_the_full_path(monkeypatch):
+    """factor_poly returns a degree-2 or 3 polynomial whole when it has no
+    root mod a small prime not dividing its leading coefficient.  On seeded
+    draws it equals the path without that test: random polynomials,
+    reducible ones, squares and cubes, multiples of x, and linear factors
+    whose leading coefficient 3 divides times x^2 + 1, which has no root mod
+    3 while the product is reducible.  The test must skip some draws."""
+    import tdr.exactalg as ea
+
+    rng = random.Random(24)
+    x = Poly.x()
+
+    def q(lo=-9):
+        return Q(rng.randint(lo, 9), rng.randint(1, 9))
+
+    def lin(lead=None):
+        return Poly((q(), lead or q(1) * rng.choice([-1, 1])))
+
+    kinds = {
+        "random": lambda: Poly([q() for _ in range(rng.randint(2, 3))] + [q(1)]),
+        "reducible": lambda: lin() * (lin() if rng.random() < 0.5 else lin() * lin()),
+        "not squarefree": lambda: lin() ** rng.randint(2, 3) * (
+            lin() ** rng.randint(0, 1) if rng.random() < 0.5 else Poly((q(1),))),
+        "x | f": lambda: x ** rng.randint(1, 3) * Poly(
+            [q() for _ in range(rng.randint(0, 2))] + [q(1)]),
+        "3 | lc": lambda: lin(Q(3 * rng.randint(1, 3))) * Poly((1, 0, 1)),
+        "3 | lc, random": lambda: Poly([rng.randint(-9, 9) for _ in range(rng.randint(2, 3))]
+                                       + [3 * rng.choice([-2, -1, 1, 2])]),
+    }
+    polys = []
+    for name, draw in kinds.items():
+        for _ in range(60):
+            p = draw()
+            while p.degree() not in (2, 3) or not p.coeffs[0] and name != "x | f":
+                p = draw()
+            polys.append(p)
+    want = [_factor_without_shortcut(p) for p in polys]
+    full = []
+    squarefree = ea._squarefree
+    monkeypatch.setattr(ea, "_squarefree", lambda f: full.append(f) or squarefree(f))
+    assert [factor_poly(p) for p in polys] == want
+    assert sum(len(w) > 1 or w[0][1] > 1 for w in want) >= 200
+    assert 60 <= len(polys) - len(full) < len(polys) - 200
 
 
 def test_rational_canonical_oracles():

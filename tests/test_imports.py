@@ -19,6 +19,35 @@ def test_no_module_imports_another_modules_private_names():
     assert found == []
 
 
+def test_no_module_imports_dataclasses_or_inspect():
+    """Every tdr command is a fresh process, and dataclasses loads inspect,
+    ast, dis and tokenize, which no tdr code needs."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}: {name}" for name in names
+                      if name.partition(".")[0] in ("dataclasses", "inspect")]
+    assert found == []
+
+
+def test_importing_tdr_and_its_cli_loads_no_dataclasses_or_inspect():
+    """In a fresh interpreter without site, import tdr, tdr.cli leaves
+    dataclasses and inspect unloaded, whatever imports them."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    script = ("import json, sys, tdr, tdr.cli; print(json.dumps(sorted("
+              "m for m in ('dataclasses', 'inspect') if m in sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == []
+
+
 def test_benchmark_tracer_targets_resolve():
     """Every function the benchmark's tracer wraps exists in tdr, so a
     deletion that would stop a traced benchmark run fails here first;
