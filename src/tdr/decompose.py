@@ -91,15 +91,13 @@ class StringBlock(NamedTuple):
         return [q + ((i - self.start + 1) % m < r) for i in range(m)]
 
 
+@typed_record
 class Decomposition(NamedTuple):
     blocks: tuple   # ((descriptor, multiplicity), ...) canonically sorted
     shape: object = None   # the blocks' Shape, if known; not compared or shown
 
     def __eq__(self, other):
         return type(other) is type(self) and self.blocks == other.blocks
-
-    def __ne__(self, other):
-        return not self == other
 
     def __hash__(self):
         return hash(self.blocks)

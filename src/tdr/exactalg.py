@@ -49,9 +49,14 @@ from .rational import ONE, ZERO, Q
 
 
 def typed_record(cls):
-    """The NamedTuple cls, equal only to values of its own type (no tuple)."""
-    cls.__eq__ = lambda s, o: type(o) is type(s) and tuple.__eq__(s, o)
-    cls.__ne__ = lambda s, o: not cls.__eq__(s, o)
+    """The NamedTuple cls unordered and, unless it defines its own __eq__,
+    equal only to values of its own type (never to a plain tuple)."""
+    def unordered(s, o):
+        raise TypeError(f"{type(s).__name__} values are not ordered")
+    cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = unordered
+    if "__eq__" not in vars(cls):
+        cls.__eq__ = lambda s, o: type(o) is type(s) and tuple.__eq__(s, o)
+    cls.__ne__ = lambda s, o: not s == o
     return cls
 
 
@@ -455,11 +460,8 @@ class Poly:
         acc = Matrix.zeros(n, n)
         for c in reversed(self.coeffs):
             acc = acc @ m
-            if c:   # c on the diagonal, over the common denominator
-                den = lcm(acc.den, c.denominator)
-                s, t = den // acc.den, c.numerator * (den // c.denominator)
-                acc = Matrix.from_ints(n, n, [[x * s + t * (i == j) for j, x in enumerate(r)]
-                                              for i, r in enumerate(acc.nums)], den)
+            if c:
+                acc = acc + Matrix.identity(n).scale(c)
         return acc
 
 
@@ -867,14 +869,18 @@ def chains(blocks, stable=0):
     """
     n = len(blocks)
     ranks = [None] * n
+
+    def r(a, k):
+        row = ranks[a % n]
+        return row[k] if k < len(row) else stable
+
     for a in reversed(range(n)):
         row, x, made = [blocks[a].cols], blocks[a], 1
         while row[-1] > stable:
             k = len(row)
-            # the row below reaches k - 1: r(a+1, k-2) >= r(a, k-1) > stable
-            if a < n - 1 and k >= 2:
-                hi = min(row[-1], ranks[a + 1][k - 1])
-                if hi == row[-1] + ranks[a + 1][k - 1] - ranks[a + 1][k - 2]:
+            if a < n - 1 and k >= 2:   # the last start has no row below
+                hi = min(row[-1], r(a + 1, k - 1))
+                if hi == row[-1] + r(a + 1, k - 1) - r(a + 1, k - 2):
                     row.append(hi)
                     continue
             for j in range(made, k):
@@ -883,13 +889,8 @@ def chains(blocks, stable=0):
             row.append(rank(x))
         ranks[a] = row
 
-    # past its end a row reads stable: ranks stop falling, so counts are <= 0
-    width = max(map(len, ranks)) + 1
-    for row in ranks:
-        row += [stable] * (width - len(row))
-    return [(a + 1, k + 1) for a in range(n) for k in range(width - 2)
-            for _ in range(ranks[a][k] - ranks[a - 1][k + 1]
-                           - ranks[a][k + 1] + ranks[a - 1][k + 2])]
+    return [(a + 1, k + 1) for a in range(n) for k in range(len(ranks[a]) - 1)
+            for _ in range(r(a, k) - r(a - 1, k + 1) - r(a, k + 1) + r(a - 1, k + 2))]
 
 
 def kernel_filtration(blocks):

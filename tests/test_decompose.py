@@ -1,3 +1,4 @@
+import operator
 import random
 import sys
 import time
@@ -193,7 +194,8 @@ def test_descriptors_are_records_equal_only_to_their_own_type():
     equals a value of its own type with equal fields, and never a plain
     tuple or a record of another type, with ==, != and hash agreeing; a
     field cannot be set; the repr names the fields.  A Decomposition's
-    equality, hash and repr ignore its shape."""
+    equality, hash and repr ignore its shape.  No record is ordered, not
+    even against a tuple or a record of another type."""
     from tdr.cli import CommandReport
     from tdr.exactalg import JordanChain
 
@@ -212,9 +214,14 @@ def test_descriptors_are_records_equal_only_to_their_own_type():
         assert repr(value) == shown
         with pytest.raises(AttributeError):
             value.__setattr__(type(value)._fields[0], 5)
-        for other, _, _, _ in cases:
+        for other in (twin, plain) + tuple(case[0] for case in cases):
             if type(other) is not type(value):
                 assert value != other and not value == other
+            for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    compare(value, other)
+                with pytest.raises(TypeError):
+                    compare(other, value)
     assert Interval(1, 2) != Interval(1, 3) and not Interval(1, 2) == Interval(2, 1)
     assert len({Interval(1, 2), StringBlock(1, 2), Interval(1, 2)}) == 2
     blocks = ((Interval(1, 2), 1),)
@@ -226,6 +233,12 @@ def test_descriptors_are_records_equal_only_to_their_own_type():
     assert shaped != (blocks, shaped.shape) and not bare == (blocks, None)
     with pytest.raises(AttributeError):
         shaped.shape = None
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        for other in (bare, (blocks, None)):
+            with pytest.raises(TypeError):
+                compare(shaped, other)
+            with pytest.raises(TypeError):
+                compare(other, shaped)
 
 
 def test_canonical_diagram_rejects_bad_sizes():

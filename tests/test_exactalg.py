@@ -1,7 +1,7 @@
 import random
 import sys
 import tracemalloc
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -428,27 +428,33 @@ def test_factor_poly_splits_each_part_mod_one_prime(monkeypatch):
     assert reached >= len(polys) // 2
 
 
-def _factor_without_shortcut(p):
-    """factor_poly's path for any degree >= 2, without the root test for
-    degree 2 and 3: the primitive part, Yun's split, Zassenhaus per part."""
-    import tdr.exactalg as ea
-
+def _has_rational_root(p):
+    """Whether p has a root in Q, by the rational root theorem: a root u/v
+    in lowest terms of an integer multiple f of p has u | f0 and v | lc."""
     den = lcm(*(c.denominator for c in p.coeffs))
-    f = ea._primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
-    zeros = next(i for i, c in enumerate(f) if c)
-    out = [(Poly.x(), zeros)] if zeros else []
-    for part, mult in ea._squarefree(f[zeros:]):
-        out.extend((Poly([Q(c, g[-1]) for c in g]), mult) for g in ea._zassenhaus(part))
-    return sorted(out, key=lambda fm: (fm[0].degree(), fm[0].coeffs, fm[1]))
+    f = [int(c * den) for c in p.coeffs]
+    if not f[0]:
+        return True
+
+    def divisors(n):
+        n = abs(n)
+        return {d for k in range(1, isqrt(n) + 1) if n % k == 0 for d in (k, n // k)}
+
+    return any(sum(c * r ** i for i, c in enumerate(f)) == 0
+               for u in divisors(f[0]) for v in divisors(f[-1])
+               for r in (Q(u, v), Q(-u, v)))
 
 
-def test_degree_2_and_3_root_test_agrees_with_the_full_path(monkeypatch):
+def test_degree_2_and_3_root_test_agrees_with_the_rational_root_theorem(monkeypatch):
     """factor_poly returns a degree-2 or 3 polynomial whole when it has no
-    root mod a small prime not dividing its leading coefficient.  On seeded
-    draws it equals the path without that test: random polynomials,
-    reducible ones, squares and cubes, multiples of x, and linear factors
-    whose leading coefficient 3 divides times x^2 + 1, which has no root mod
-    3 while the product is reducible.  The test must skip some draws."""
+    root mod a small prime not dividing its leading coefficient.  Seeded
+    draws: random polynomials, reducible ones, squares and cubes, multiples
+    of x, and linear factors whose leading coefficient 3 divides times
+    x^2 + 1, which has no root mod 3 while the product is reducible.  Each
+    result is checked without factor_poly's helpers: its distinct monic
+    factors, in canonical order, multiply back to p; a factor of degree 2 or
+    3 has no rational root, so is irreducible; and p splits exactly when it
+    has one.  The root test must skip some draws and pass others on."""
     import tdr.exactalg as ea
 
     rng = random.Random(24)
@@ -478,12 +484,24 @@ def test_degree_2_and_3_root_test_agrees_with_the_full_path(monkeypatch):
             while p.degree() not in (2, 3) or not p.coeffs[0] and name != "x | f":
                 p = draw()
             polys.append(p)
-    want = [_factor_without_shortcut(p) for p in polys]
     full = []
     squarefree = ea._squarefree
     monkeypatch.setattr(ea, "_squarefree", lambda f: full.append(f) or squarefree(f))
-    assert [factor_poly(p) for p in polys] == want
-    assert sum(len(w) > 1 or w[0][1] > 1 for w in want) >= 200
+    reducible = 0
+    for p in polys:
+        got = factor_poly(p)
+        assert got == sorted(got, key=lambda fm: (fm[0].degree(), fm[0].coeffs, fm[1]))
+        assert len({g for g, _ in got}) == len(got)
+        product = Poly((p.leading(),))
+        for g, mult in got:
+            assert g.leading() == 1 and g.degree() >= 1 and mult >= 1
+            assert g.degree() == 1 or not _has_rational_root(g)
+            product = product * g ** mult
+        assert product == p
+        split = _has_rational_root(p)
+        assert split == (len(got) > 1 or got[0][1] > 1)
+        reducible += split
+    assert reducible >= 200
     assert 60 <= len(polys) - len(full) < len(polys) - 200
 
 
