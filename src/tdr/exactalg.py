@@ -869,18 +869,14 @@ def chains(blocks, stable=0):
     """
     n = len(blocks)
     ranks = [None] * n
-
-    def r(a, k):
-        row = ranks[a % n]
-        return row[k] if k < len(row) else stable
-
     for a in reversed(range(n)):
         row, x, made = [blocks[a].cols], blocks[a], 1
         while row[-1] > stable:
             k = len(row)
-            if a < n - 1 and k >= 2:   # the last start has no row below
-                hi = min(row[-1], r(a + 1, k - 1))
-                if hi == row[-1] + r(a + 1, k - 1) - r(a + 1, k - 2):
+            # the row below reaches k - 1: r(a+1, k-2) >= r(a, k-1) > stable
+            if a < n - 1 and k >= 2:
+                hi = min(row[-1], ranks[a + 1][k - 1])
+                if hi == row[-1] + ranks[a + 1][k - 1] - ranks[a + 1][k - 2]:
                     row.append(hi)
                     continue
             for j in range(made, k):
@@ -889,8 +885,13 @@ def chains(blocks, stable=0):
             row.append(rank(x))
         ranks[a] = row
 
-    return [(a + 1, k + 1) for a in range(n) for k in range(len(ranks[a]) - 1)
-            for _ in range(r(a, k) - r(a - 1, k + 1) - r(a, k + 1) + r(a - 1, k + 2))]
+    # past its end a row reads stable: ranks stop falling, so counts are <= 0
+    width = max(map(len, ranks)) + 1
+    for row in ranks:
+        row += [stable] * (width - len(row))
+    return [(a + 1, k + 1) for a in range(n) for k in range(width - 2)
+            for _ in range(ranks[a][k] - ranks[a - 1][k + 1]
+                           - ranks[a][k + 1] + ranks[a - 1][k + 2])]
 
 
 def kernel_filtration(blocks):
