@@ -5,7 +5,9 @@ either end.  The package classifies their connected components
 (finite / tame / wild), decomposes representations of the non-wild
 shapes into canonical indecomposable blocks over Q, evaluates closed
 diagrams exactly, extends partial edge flows, and embeds arbitrary
-matrix-pair problems into the two smallest wild shapes.
+matrix-pair problems into the two smallest wild shapes.  The name
+tdr.decompose is the function decompose, so import tdr.decompose as m gives
+the function; the module is sys.modules["tdr.decompose"].
 """
 
 from .classify import ComponentClass, WildWitness, classify_diagram, find_forbidden_witness

@@ -1,9 +1,11 @@
 """Representations of tensor diagrams and their structure maps.
 
 A representation assigns a dimension to every wire and one exact rational
-matrix to every vertex, of at most TENSOR_CAP entries, rows and columns
-(checked on dims, before allocating; contraction nodes, merged tensors and
-the Kronecker products of a base change too).  Rows are indexed by the
+matrix to every vertex.  vertex_shape is a vertex's one size rule, checked
+on dims before allocating: its slots' nonzero dims multiply to at most
+TENSOR_CAP, which bounds its entries, rows and columns in every layout, so
+moving slots between sides or shrinking dims cannot break it, and functors
+that grow dims size their vertices through it.  Rows are indexed by the
 multi-index over the vertex's outgoing slots and columns over its incoming
 slots, as semigraph.slots lists them (in the diagram's wire order,
 canonical for a diagram validate_diagram built), the first wire varying
@@ -156,11 +158,11 @@ def _offsets(dims, strides, base=0):
     return offs
 
 
-TENSOR_CAP = 1 << 22   # entries of the largest tensor or contraction node
+TENSOR_CAP = 1 << 22   # a vertex's nonzero dims' product, or another tensor's entries
 
 
 def check_size(v, size):
-    """Refuse a tensor of more than TENSOR_CAP entries at vertex v."""
+    """Refuse more than TENSOR_CAP entries at v, a matrix that is no vertex."""
     if size > TENSOR_CAP:
         raise TensorTooLarge(f"vertex {v} needs a tensor of {size} entries, "
                              f"over the cap of {TENSOR_CAP}")
@@ -171,10 +173,8 @@ def _flat(m):
     return [x for row in m.nums for x in row]
 
 
-def _as_matrix(nums, den, keys, dims):
-    """The matrix nums / den of a flat tensor over the slot keys of a vertex."""
-    rows = prod(dims[w] for w, side in keys if side == "tail")
-    cols = prod(dims[w] for w, side in keys if side == "head")
+def _as_matrix(nums, den, rows, cols):
+    """The rows x cols matrix nums / den of a flat tensor, row-major."""
     return Matrix.from_ints(rows, cols, [
         nums[i * cols:(i + 1) * cols] for i in range(rows)], den)
 
@@ -189,16 +189,16 @@ def _outer(size, offs1, xs1, offs2, xs2):
 
 
 def vertex_shape(nb, dims, v):
-    """(rows, cols) of the matrix of v, whose slots are nb, refused when it
-    has more than TENSOR_CAP entries, rows or columns (a side of dimension
-    0 leaves the entries at 0 however long the other side is)."""
-    rows = prod(dims[w] for w in nb.outgoing)
-    cols = prod(dims[w] for w in nb.incoming)
-    check_size(v, rows * cols)
-    for count, side in ((rows, "rows"), (cols, "columns")):
-        if count > TENSOR_CAP:
-            raise TensorTooLarge(f"vertex {v} needs a tensor of {count} {side}, "
-                                 f"over the cap of {TENSOR_CAP}")
+    """(rows, cols) of the matrix of v, whose slots are nb, refused when the
+    nonzero dims of its slots multiply past TENSOR_CAP: a bound on its
+    entries, rows and columns in every layout, so it refuses some empty ones."""
+    outs, ins = [dims[w] for w in nb.outgoing], [dims[w] for w in nb.incoming]
+    rows, cols = prod(outs), prod(ins)
+    size = rows * cols or prod(filter(None, outs + ins))
+    if size > TENSOR_CAP:
+        raise TensorTooLarge(f"vertex {v} needs {cols} columns and {rows} rows, "
+                             f"over the cap of {TENSOR_CAP} on the product "
+                             f"{size} of its nonzero dims")
     return rows, cols
 
 
@@ -270,9 +270,8 @@ def direct_sum(r1, *rest):
     for v, nb in slots(d).items():
         keys = slot_keys(nb)
         strides = _strides([dims[w] for w, _ in keys])
-        size = prod(dims[w] for w, _ in keys)
-        check_size(v, size)
-        out = [0] * size
+        shape = vertex_shape(nb, dims, v)
+        out = [0] * (shape[0] * shape[1])
         den = lcm(*(r.tensors[v].den for r in reps))
         base = 0
         for r in reps:
@@ -281,7 +280,7 @@ def direct_sum(r1, *rest):
             for o, x in zip(_offsets(sub, strides, base), _flat(r.tensors[v])):
                 out[o] += s * x
             base += sum(map(mul, sub, strides))
-        tensors[v] = _as_matrix(out, den, keys, dims)
+        tensors[v] = _as_matrix(out, den, *shape)
     return _rep(d, dims, tensors)
 
 
@@ -295,13 +294,12 @@ def tensor_product(r1, r2):
         strides = _strides([dims[w] for w, _ in keys])
         d2 = [r2.dims[w] for w, _ in keys]
         outer_strides = [b * s for b, s in zip(d2, strides)]
-        size = prod(dims[w] for w, _ in keys)
-        check_size(v, size)
+        rows, cols = vertex_shape(nb, dims, v)
         m1, m2 = r1.tensors[v], r2.tensors[v]
-        out = _outer(size,
+        out = _outer(rows * cols,
                      _offsets([r1.dims[w] for w, _ in keys], outer_strides),
                      _flat(m1), _offsets(d2, strides), _flat(m2))
-        tensors[v] = _as_matrix(out, m1.den * m2.den, keys, dims)
+        tensors[v] = _as_matrix(out, m1.den * m2.den, rows, cols)
     return _rep(d, dims, tensors)
 
 
@@ -652,9 +650,9 @@ def reverse_wire_rep(r, *wids):
         offs = _offsets([r.dims[x] for x, _ in new],
                         [strides[(x, flip[s]) if x in wids else (x, s)]
                          for x, s in new])
-        m = r.tensors[v]
-        flat = _flat(m)
-        tensors[v] = _as_matrix([flat[o] for o in offs], m.den, new, r.dims)
+        flat = _flat(r.tensors[v])
+        tensors[v] = _as_matrix([flat[o] for o in offs], r.tensors[v].den,
+                                *vertex_shape(after[v], r.dims, v))
     return _rep(dd, dict(r.dims), tensors)
 
 
@@ -693,9 +691,9 @@ def split_functor(r, fresh_wire):
     dd = TensorDiagram(tuple(sorted(taken | {merged})), tuple(sorted(wires)))
     dims = {x.id: r.dims[x.id] for x in wires}
 
-    keys = slot_keys(slots(dd)[merged])
-    size = prod(dims[x] for x, _ in keys)
-    check_size(merged, size)
+    nb = slots(dd)[merged]
+    keys = slot_keys(nb)
+    rows, cols = vertex_shape(nb, dims, merged)
     strides = dict(zip(keys, _strides([dims[x] for x, _ in keys])))
     views, den = [], 1
     before = slots(d)
@@ -706,8 +704,8 @@ def split_functor(r, fresh_wire):
                            [strides.get(k, 0) for k in old]),
                   _flat(r.tensors[v])]
         den *= r.tensors[v].den
-    out = _outer(size, *views)
-    tensors = {merged: _as_matrix(out, den, keys, dims)}
+    out = _outer(rows * cols, *views)
+    tensors = {merged: _as_matrix(out, den, rows, cols)}
     for v in dd.vertices:
         if v != merged:
             tensors[v] = r.tensors[v]

@@ -18,7 +18,8 @@ from typing import NamedTuple
 from .errors import NotASimilarity, ShapeMismatch
 from .exactalg import Matrix, block_diag, det, inverse, nullspace
 from .rational import Q, ZERO
-from .representation import Representation, check_size, intertwining_system, rep_diagram
+from .representation import (Representation, intertwining_system, rep_diagram,
+                             vertex_shapes)
 from .semigraph import TensorDiagram, Wire
 
 
@@ -64,13 +65,11 @@ def eight_diagram():
 
 
 def _packed(p, d, u1, u2):
-    """The rep of d, dims (6n, 2), whose one tensor Y1 (x) u1 + Y2 (x) u2
-    is checked against the cap before it is built."""
-    n = _check_pair(p)
-    check_size("v1", 36 * n * n * u1.rows * u1.cols)
+    """The rep Y1 (x) u1 + Y2 (x) u2 of d, dims (6n, 2), capped before it is built."""
+    dims = {"e1": 6 * _check_pair(p), "e2": 2}
+    vertex_shapes(d, dims)
     y1, y2 = build_Y_pair(p)
-    return Representation(d, {"e1": 6 * n, "e2": 2},
-                          {"v1": y1.kron(u1) + y2.kron(u2)})
+    return Representation(d, dims, {"v1": y1.kron(u1) + y2.kron(u2)})
 
 
 def needle_rep_from_pair(p):

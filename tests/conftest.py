@@ -35,3 +35,13 @@ def spy(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def small_cap(monkeypatch):
+    """TENSOR_CAP at 64 for one test: check_size and vertex_shape read the
+    cap at call time, so a test of the cap can stay tiny."""
+    import tdr.representation
+
+    monkeypatch.setattr(tdr.representation, "TENSOR_CAP", 64)
+    return 64

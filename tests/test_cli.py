@@ -220,6 +220,23 @@ def test_gen_random_side_over_the_cap_is_a_one_line_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["fmt", "decompose"])
+def test_vertex_over_the_cap_on_nonzero_dims_is_a_one_line_error(
+        tmp_path, capsys, command):
+    # a 1 x 0 tensor on incoming wires of dims 2^40 and 0: decompose would
+    # lay it out as a 2^40 x 0 arc
+    rp = write(tmp_path, "r.json", {
+        "diagram": {"vertices": ["v1"], "wires": [
+            {"id": "a", "tail": None, "head": "v1"},
+            {"id": "b", "tail": None, "head": "v1"}]},
+        "dims": {"a": 1 << 40, "b": 0},
+        "vertices": {"v1": {"rows": 1, "cols": 0, "entries": [[]]}}})
+    code = run([command, rp]).exit_code
+    out, err = capsys.readouterr()
+    assert code == 1 and not out and "over the cap" in err
+    assert err.count("\n") == 1
+
+
 def test_one_parser_serves_every_call(tmp_path, capsys):
     """run reuses one parser, and no option of a call reaches the next:
     every call gives the same bytes and files in either order."""

@@ -643,6 +643,125 @@ def test_tensor_cap_bounds_each_side(dims, side):
         validate_representation(d, dims, {})
 
 
+def test_a_vertex_without_entries_is_capped_on_its_nonzero_dims():
+    # incoming wires of dims 2^40 and 0 give a 1 x 0 tensor, but 2^40 rows
+    # once wire a is reversed, and a 2^40 x 0 arc in decompose
+    d = validate_diagram({"vertices": ["v1"], "wires": [
+        {"id": "a", "tail": None, "head": "v1"},
+        {"id": "b", "tail": None, "head": "v1"}]})
+    m = Matrix.zeros(1, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TensorTooLarge, match=f"product {1 << 40} of"):
+            validate_representation(d, {"a": 1 << 40, "b": 0}, {"v1": m})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_needle_with_a_dim_0_loop_is_refused_past_the_cap():
+    # the one over-refusal of the rule: a loop of dim 0 empties both sides
+    # in every layout, so the vertex holds nothing, yet the product of its
+    # nonzero dims is the dangling wire's, over the cap
+    d = validate_diagram({"vertices": ["v1"], "wires": [
+        {"id": "e1", "tail": "v1", "head": "v1"},
+        {"id": "e2", "tail": "v1", "head": None}]})
+    empty = {"v1": Matrix.zeros(0, 0)}
+    with pytest.raises(TensorTooLarge, match=f"product {TENSOR_CAP + 1} of"):
+        validate_representation(d, {"e1": 0, "e2": TENSOR_CAP + 1}, empty)
+    assert validate_representation(d, {"e1": 0, "e2": TENSOR_CAP}, empty)
+
+
+_QUIVER_LIKE = [J1, J2, A01, validate_diagram({"vertices": ["v1", "v2"], "wires": [
+    {"id": "e1", "tail": None, "head": "v1"},
+    {"id": "e2", "tail": "v1", "head": "v2"},
+    {"id": "e3", "tail": "v2", "head": None}]})]
+
+
+def _functor_outputs(rng, d, r, s):
+    """(name, build) of every functor output on r and s, reps of d; kernel
+    and cokernel of the summands' projection and inclusion when d is
+    quiver-like."""
+    ids = [w.id for w in d.wires]
+    g = {w: rand_invertible(rng, k) for w, k in r.dims.items()}
+    yield from [
+        ("direct_sum", lambda: direct_sum(r, s)),
+        ("direct_sum", lambda: direct_sum(r, r, r)),
+        ("tensor_product", lambda: tensor_product(r, s)),
+        ("tensor_product", lambda: tensor_product(r, r)),
+        ("reverse_wire_rep",
+         lambda: reverse_wire_rep(r, *rng.sample(ids, len(ids) // 2 + 1))),
+        ("dual_rep", lambda: dual_rep(r)),
+        ("apply_group_element", lambda: apply_group_element(g, r))]
+    for w in d.wires:
+        if w.tail is not None and w.head not in (None, w.tail) and r.dims[w.id] == 1:
+            yield "split_functor", lambda w=w.id: split_functor(r, w)
+    if d in _QUIVER_LIKE:
+        def coker():
+            incl, _, t = _summands(r, s)
+            return cokernel(incl, r, t)[0]
+
+        def ker():
+            _, proj, t = _summands(r, s)
+            return kernel(proj, t, s)[0]
+        yield from [("cokernel", coker), ("kernel", ker)]
+
+
+def _summands(r, s):
+    """The inclusion r -> t and the projection t -> s of t = r + s, and t."""
+    t = direct_sum(r, s)
+    eye = {w: Matrix.identity(k) for w, k in t.dims.items()}
+    return ({w: m.submatrix(range(m.rows), range(r.dims[w])) for w, m in eye.items()},
+            {w: m.submatrix(range(r.dims[w], m.rows), range(m.rows))
+             for w, m in eye.items()}, t)
+
+
+def test_functor_outputs_pass_the_constructor(small_cap):
+    """Under a cap of 64, on seeded reps with dimension-0 wires, loops and
+    three-slot vertices, each functor either refuses its output
+    (TensorTooLarge) or gives a rep that the constructor, which functors
+    skip, accepts: no layout a functor picks or dims it grows break the
+    size rule.  The tracemalloc tests above check, at the real cap, that
+    the refusals come before allocation."""
+    rng = random.Random(20261020)
+    seen = set()
+    for case in range(200):
+        if case % 4 == 0:
+            d = _QUIVER_LIKE[case // 4 % len(_QUIVER_LIKE)]
+        else:
+            vs = [f"v{i}" for i in range(rng.randint(1, 3))]
+            wires = []
+            for i in range(rng.randint(2, 4)):
+                tail = rng.choice(vs + [None])
+                head = rng.choice(vs if tail is None else vs + [None])
+                wires.append({"id": f"e{i}", "tail": tail, "head": head})
+            d = validate_diagram({"vertices": vs, "wires": wires})
+        try:
+            r, s = (_rand_rep(rng, d, {w.id: rng.choice(pick) for w in d.wires})
+                    for pick in ([0, 1, 1, 2, 3, 4], [0, 1, 2]))
+        except TensorTooLarge:
+            continue
+        seen |= {"loop" for w in d.wires if w.is_loop()}
+        seen |= {"dim 0" for k in r.dims.values() if k == 0}
+        seen |= {"3 slots" for nb in slots(d).values()
+                 if len(nb.outgoing) + len(nb.incoming) >= 3}
+        for name, build in _functor_outputs(rng, d, r, s):
+            try:
+                out = build()
+            except TensorTooLarge as e:
+                assert "over the cap" in str(e), (case, name)
+                seen.add(f"{name} refused")
+                continue
+            assert Representation(out.diagram, dict(out.dims),
+                                  dict(out.tensors)) == out, (case, name)
+            seen.add(name)
+    assert seen >= {"loop", "dim 0", "3 slots", "direct_sum", "tensor_product",
+                    "reverse_wire_rep", "dual_rep", "apply_group_element",
+                    "split_functor", "cokernel", "kernel", "direct_sum refused",
+                    "tensor_product refused", "split_functor refused"}
+
+
 def test_contract_cap_is_checked_before_allocation():
     # every merge order on K_8 with dimension-4 wires needs a node of at
     # least 4^15 entries, far over the cap; the plan alone must refuse it
