@@ -45,3 +45,25 @@ def small_cap(monkeypatch):
 
     monkeypatch.setattr(tdr.representation, "TENSOR_CAP", 64)
     return 64
+
+
+@pytest.fixture
+def cold():
+    """cold() empties every lru_cache of tdr (shapes, wire-reversal and
+    contraction programs, the CLI parser), so the next call takes its
+    path cold; it returns how many caches it emptied."""
+    import sys
+
+    def clear():
+        caches = {}
+        for name, mod in list(sys.modules.items()):
+            if mod is not None and (name == "tdr" or name.startswith("tdr.")):
+                for val in vars(mod).values():
+                    if callable(getattr(val, "cache_clear", None)):
+                        caches[id(val)] = val
+        for f in caches.values():
+            f.cache_clear()
+        return len(caches)
+
+    clear()
+    return clear

@@ -195,7 +195,7 @@ def test_traverse_matches_a_walk_by_scans(family):
             assert (shape.family, shape.n) == (family, n)
             wires, verts = plain_traverse(d, family)
             assert [w.id for w in shape.wires] == [w.id for w in wires]
-            assert shape.verts == verts
+            assert shape.verts == tuple(verts)   # a Shape holds tuples
             assert [{w.tail, w.head} for w in shape.wires] == [
                 {w.tail, w.head} for w in wires]
             # the shape's wires point along the walk: it is co-oriented
