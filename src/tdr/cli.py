@@ -16,7 +16,6 @@ import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from math import gcd
 from typing import NamedTuple
 
 from .classify import classify_diagram
@@ -32,7 +31,7 @@ from .errors import (
 from .exactalg import Matrix, typed_record
 from .flows import extend_flow, flow_value
 from .generate import gen_random
-from .rational import format_rational, parse_rational
+from .rational import format_ratio, format_rational, parse_rational
 from .representation import Representation, apply_group_element, contract
 from .semigraph import diagram_to_record, validate_diagram
 from .wildness import (
@@ -107,12 +106,7 @@ def _grid(m):
     den = m.den
     if den == 1:
         return [list(map(str, row)) for row in m.nums]
-    return [[_ratio(x, den) for x in row] for row in m.nums]
-
-
-def _ratio(x, den):
-    g = gcd(x, den)
-    return str(x // g) if g == den else f"{x // g}/{den // g}"
+    return [[format_ratio(x, den) for x in row] for row in m.nums]
 
 
 def _load_json(path):

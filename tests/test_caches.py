@@ -100,8 +100,12 @@ def _results(clear):
 def test_cold_and_warm_calls_agree(cold):
     first = _results(cold)
     again = _results(cold)
-    warm = _results(lambda: None)
-    assert first == again == warm
+    filling = _results(lambda: None)
+    hits = _reversal.cache_info().hits, shape_of.cache_info().hits
+    warm = _results(lambda: None)   # the same calls again: every one a hit
+    assert first == again == filling == warm
+    assert _reversal.cache_info().hits > hits[0]
+    assert shape_of.cache_info().hits > hits[1]
     assert len(first) > 6 * len(_CASES)   # some cases took a kernel
     # dims at 0 and a loop are among the cases
     assert any(0 in r.dims.values() for r, *_ in _cases())
