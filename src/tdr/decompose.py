@@ -6,10 +6,10 @@ a Shape's wires point along the traversal, and reorient turns every wire
 that points against it in one reverse_wire_rep pass.  Positions are wires
 along the traversal; arcs are the vertex matrices between consecutive
 positions.  _oriented_arcs reads a representation as (position dims,
-arcs); on_shape is its inverse, writing position dims and arcs (laid_out)
-onto a diagram turned along its traversal (along), and block_arcs gives
-every indecomposable block in that form, so realize and the generator
-build blocks the way decompose reads them.
+arcs); on_shape is its inverse, writing position dims and arcs onto a
+diagram's traversal, and block_arcs gives every indecomposable block in
+that form, so realize and the generator build blocks the way decompose
+reads them.
 
 Intervals and strings are chains of basis vectors along the arcs, which
 exactalg.chains counts from the ranks of composites, computing only the
@@ -25,14 +25,13 @@ String blocks of the nilpotent part.  Closed paths are decomposed
 through their associated cycle, whose last position is the pinned
 scalar slot.
 
-The front end depends on the diagram alone, and the traffic is many
-representations on a few diagrams, so shape_of and traverse keep their
-last 256 results each, keyed by the diagram: it is classified and walked
-once, and a Shape, shared by every call on an equal diagram, holds
-tuples.  Each cache holds at most 256 diagrams and their Shapes, a few KB
-apiece at the benchmark's 12-vertex paths; errors are not cached, and a
-diagram that cannot be hashed is walked afresh.  reorient's
-reverse_wire_rep keeps its own compiled programs (see representation).
+A shape depends on the diagram alone, so shape_of and traverse keep
+their last 256 results each, keyed by the diagram: a diagram that many
+representations share is classified and walked once.  A Shape is shared
+by every call on an equal diagram, so it holds tuples.  Each cache holds
+at most 256 diagrams and their Shapes, a few KB apiece for 12-vertex
+paths; errors are not cached, and a diagram that cannot be hashed is
+walked afresh.
 """
 
 from collections import Counter
@@ -395,25 +394,17 @@ def block_arcs(family, n, desc):
     return dims, arcs
 
 
-def along(d, shape):
-    """d with every wire pointing along shape's traversal, as in shape.wires."""
-    return TensorDiagram(d.vertices, tuple(sorted(shape.wires)))
-
-
-def laid_out(shape, dims, arcs):
-    """The wire dims and vertex tensors of position dims and arcs on a
-    shape: the i-th wire of the traversal carries position i+1 and the
-    i-th arc vertex holds arcs[i].  The pinned position of A1 and P is no
-    wire, so its dimension (1) is not stored."""
-    return ({w.id: k for w, k in zip(shape.wires, dims)},
-            dict(zip(shape.verts, arcs)))
-
-
 def on_shape(d, shape, dims, arcs):
-    """The representation with these position dims and arcs on d's shape,
-    every wire pointing along the traversal (along): the inverse of
-    _oriented_arcs."""
-    return Representation(along(d, shape), *laid_out(shape, dims, arcs))
+    """The representation with these position dims and arcs on d's shape.
+
+    The inverse of _oriented_arcs: the i-th wire of the traversal carries
+    position i+1, the i-th arc vertex holds arcs[i], and every wire points
+    along the traversal, as in shape.wires.  The pinned position of A1 and
+    P is no wire, so its dimension (1) is not stored.
+    """
+    return Representation(TensorDiagram(d.vertices, tuple(sorted(shape.wires))),
+                          {w.id: k for w, k in zip(shape.wires, dims)},
+                          dict(zip(shape.verts, arcs)))
 
 
 def realize(family, n, desc):

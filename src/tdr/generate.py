@@ -4,16 +4,13 @@ The stream is the standard splitmix64 step, fixed so that fixtures and
 answer keys reproduce bit-for-bit across runs and implementations.
 Rational entries have numerators in [-9, 9] and denominators in [1, 9].
 
-The diagram and dims are checked once, by validate_diagram and
-representation.vertex_shapes, as the Representation constructor checks
-them, and every representation built from them is valid by construction
-(representation.assemble), so no call checks them again, however many blocks
-it draws.  Generic mode fills every vertex tensor entry
+Dims are checked by representation.vertex_shapes, as for the
+Representation constructor.  Generic mode fills every vertex tensor entry
 from the stream, row-major over vertices in canonical order.  Sum mode
 treats the requested dims as per-wire caps: it draws indecomposable
 descriptors, keeps each one that fits under the caps and that
 decompose.block_arcs accepts, lays each block out along the input
-diagram's own shape (along and laid_out), takes their direct sum in one call
+diagram's own shape (on_shape), takes their direct sum in one call
 (after a zero summand, the whole sum when no block fits), conjugates by
 a random exact-invertible group element per wire and turns the wires
 back to the input's orientations.  The kept multiset is the answer key,
@@ -27,9 +24,8 @@ from .decompose import (
     Decomposition,
     Interval,
     StringBlock,
-    along,
     block_arcs,
-    laid_out,
+    on_shape,
     position_dims,
     reorient,
     shape_of,
@@ -40,7 +36,6 @@ from .rational import ONE, Q
 from .representation import (
     Representation,
     apply_group_element,
-    assemble,
     direct_sum,
     vertex_shapes,
 )
@@ -131,13 +126,6 @@ def _sum_mode(d, dims, rng):
     family, n = shape.family, shape.n
     remaining = position_dims(dims, shape)
     m = len(remaining)
-    laid = along(d, shape)   # every block's diagram: d along its traversal
-
-    def block_rep(dims, arcs):
-        # valid by construction: block_arcs sizes the arcs to the dims,
-        # which stay under the caps that gen_random checked
-        return assemble(laid, *laid_out(shape, dims, arcs))
-
     blocks, reps = [], []
     misses = 0
     while misses < 24:
@@ -150,12 +138,12 @@ def _sum_mode(d, dims, rng):
             except InvalidDescriptor:
                 continue
             # each block is laid out along the input diagram's own traversal
-            reps.append(block_rep(*arcs))
+            reps.append(on_shape(d, shape, *arcs))
             blocks.append(desc)
             remaining = [r - x for r, x in zip(remaining, need)]
             misses = 0
     zero = position_dims(dict.fromkeys(dims, 0), shape)
-    rep = direct_sum(block_rep(zero, [
+    rep = direct_sum(on_shape(d, shape, zero, [
         Matrix.zeros(zero[(i + 1) % m], zero[i]) for i in range(n)]), *reps)
     gs = {wid: _rand_invertible(rng, rep.dims[wid])
           for wid in sorted(rep.dims)}
@@ -172,11 +160,8 @@ def gen_random(diagram, dims, seed, mode="generic"):
         raise InvalidDims(f"seed must be an integer, got {seed!r}")
     rng = SplitMix64(seed)
     if mode == "generic":
-        # valid by construction: d and dims are checked, and the tensors
-        # take their shapes
         tensors = {v: _rand_matrix(rng, *shape) for v, shape in shapes.items()}
-        return GenResult(
-            assemble(d, {w.id: dims[w.id] for w in d.wires}, tensors), None)
+        return GenResult(Representation(d, dict(dims), tensors), None)
     if mode in ("sum", "sum-of-indecomposables"):
         return GenResult(*_sum_mode(d, dims, rng))
     raise InvalidDims(f"unknown mode {mode!r}")

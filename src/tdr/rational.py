@@ -7,7 +7,6 @@ fractions.Fraction, named Q here.
 """
 
 from fractions import Fraction as Q
-from math import gcd
 
 from .errors import ParseError
 
@@ -36,14 +35,7 @@ def parse_rational(value):
 
 
 def format_rational(x):
-    return format_ratio(x.numerator, x.denominator)
-
-
-def format_ratio(num, den):
-    """The rational num / den (den > 0) as "p/q" in lowest terms, or "p"
-    when it is an integer: a Matrix entry is written from its numerator
-    and the matrix's denominator, with no Fraction."""
-    g = gcd(num, den)
-    if g == den:
-        return str(num // g)
-    return f"{num // g}/{den // g}"
+    num, den = x.numerator, x.denominator
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"

@@ -17,7 +17,7 @@ check: the diagram by the rules of validate_diagram, the dims through
 vertex_shapes (InvalidDims), which gives the vertex shapes, and a Matrix of
 its shape at each vertex.  validate_representation is the record parser in
 front of it.  The functors build their outputs, valid by construction,
-through assemble, unchecked, so no operation checks its input again: each
+through _rep, unchecked, so no operation checks its input again: each
 refuses a non-Representation and reps on different diagrams (rep_diagram),
 and _phi_checked checks a map of one Matrix per wire, a base change or a
 morphism (SizeMismatch).  Both errors are ShapeMismatch, as is a tensor of
@@ -32,12 +32,7 @@ sums any number of summands at once.  Contraction depends on the tensors
 only through its steps' products: its plan and every step's gather offsets
 are compiled once per (diagram, dims) and kept in a cache of 256 programs
 (about 0.5 MB for the 120 networks of a closed-contract round, at most
-about 40 MB), and each call runs the gathers and products alone.  Wire
-reversal is compiled the same way, once per (diagram, dims, set of wires)
-into the reversed diagram and one gather per touched vertex, in a second
-cache of 256 programs (at most about 40 MB; the 60 of an open-paths round
-hold about 0.34 MB with decompose's shapes); a call runs the gathers, and
-since entries only move, it builds each Matrix without a gcd pass.
+about 40 MB), and each call runs the gathers and products alone.
 """
 
 from collections.abc import Mapping
@@ -110,8 +105,8 @@ class Representation(_Fields):
                     f"vertex {v} needs a {shape[0]}x{shape[1]} Matrix, got {got}")
         if len(tensors) != len(shapes):
             known_ids(d.vertices, tensors, ShapeMismatch, "vertex ids")
-        return assemble(d, {w.id: dims[w.id] for w in d.wires},
-                        {v: tensors[v] for v in shapes})
+        return _rep(d, {w.id: dims[w.id] for w in d.wires},
+                    {v: tensors[v] for v in shapes})
 
     @classmethod
     def _make(cls, iterable):
@@ -121,12 +116,9 @@ class Representation(_Fields):
         return f"Representation({self.diagram!r}, dims={dict(self.dims)!r})"
 
 
-def assemble(d, dims, tensors):
-    """The Representation of parts valid by construction, not checked
-    again: a functor's output, or parts whose diagram and dims the caller
-    has checked as the constructor does (gen_random).  d has tuple fields,
-    dims gives every wire of d, each tensor has its vertex's shape, and
-    dims and tensors are fresh dicts."""
+def _rep(d, dims, tensors):
+    """The Representation of a functor's output, valid by construction and
+    not checked again; dims and tensors are fresh dicts."""
     return tuple.__new__(Representation,
                          (d, MappingProxyType(dims), MappingProxyType(tensors)))
 
@@ -261,7 +253,7 @@ def apply_group_element(g, r):
         left = _kron_all(v, [g[w] for w in nb.outgoing])
         right = _kron_all(v, [inv[w] for w in nb.incoming])
         tensors[v] = left @ r.tensors[v] @ right
-    return assemble(r.diagram, dict(r.dims), tensors)
+    return _rep(r.diagram, dict(r.dims), tensors)
 
 
 def direct_sum(r1, *rest):
@@ -289,7 +281,7 @@ def direct_sum(r1, *rest):
                 out[o] += s * x
             base += sum(map(mul, sub, strides))
         tensors[v] = _as_matrix(out, den, *shape)
-    return assemble(d, dims, tensors)
+    return _rep(d, dims, tensors)
 
 
 def tensor_product(r1, r2):
@@ -308,14 +300,14 @@ def tensor_product(r1, r2):
                      _offsets([r1.dims[w] for w, _ in keys], outer_strides),
                      _flat(m1), _offsets(d2, strides), _flat(m2))
         tensors[v] = _as_matrix(out, m1.den * m2.den, rows, cols)
-    return assemble(d, dims, tensors)
+    return _rep(d, dims, tensors)
 
 
 def unit(diagram):
     d = validate_diagram(diagram)
     dims = {w.id: 1 for w in d.wires}
     tensors = {v: Matrix.from_rows([[1]]) for v in d.vertices}
-    return assemble(d, dims, tensors)
+    return _rep(d, dims, tensors)
 
 
 def dual_rep(r):
@@ -416,7 +408,7 @@ def _coker_data(phi, r1, r2):
     tensors = {}
     for v, ((a,), (b,)) in quiver.items():
         tensors[v] = psi[b] @ r2.tensors[v] @ sec[a]
-    return assemble(d, dims, tensors), psi
+    return _rep(d, dims, tensors), psi
 
 
 def cokernel(phi, r1, r2):
@@ -636,78 +628,41 @@ def monodromy(r, base):
 # ---------------------------------------------------------------------------
 # reindexing functors
 
-# Like _compile's: a program keeps at most _KEPT offsets and gathers any
-# vertex past them afresh on each call, so 256 programs hold at most about
-# 40 MB however large their vertices.  The 60 programs of an open-paths
-# round (paths of up to 12 vertices, dims at most 5), with the 60 shapes
-# that decompose caches beside them, hold about 0.34 MB (tracemalloc).
-@lru_cache(maxsize=256)
-def _reversal(d, dims, wids):
-    """The wire-reversal program of a representation's diagram d under its
-    dims, a tuple of (wire id, int) pairs, for the frozenset wids: the
-    reversed diagram and, for each vertex a listed wire touches, (v, rows,
-    cols, take), take being None when the entries keep their order, else
-    an itemgetter that lists them in the new order, or the (dims, strides)
-    of a view not kept.  reverse_wire refuses an unknown id (UnknownWire),
-    so a cache hit holds only known ids."""
-    dd = reverse_wire(d, *wids)
-    dims = dict(dims)
-    flip = {"tail": "head", "head": "tail"}
-    before, after = slots(d), slots(dd)
-    # a loop's ends are both touched, and its slots swap sides
-    touched = {e for w in dd.wires if w.id in wids for e in (w.tail, w.head)}
-    kept, steps = 0, []
-    for v in d.vertices:
-        if v not in touched:
-            continue
-        old = slot_keys(before[v])
-        strides = dict(zip(old, _strides([dims[x] for x, _ in old])))
-        new = slot_keys(after[v])
-        # each slot of a listed wire changes side and carries its index along
-        view = ([dims[x] for x, _ in new],
-                [strides[(x, flip[s]) if x in wids else (x, s)] for x, s in new])
-        offs = _offsets(*view)
-        if offs == list(range(len(offs))):
-            take = None
-        else:
-            kept += len(offs)
-            take = itemgetter(*offs) if kept <= _KEPT else view
-        steps.append((v, *vertex_shape(after[v], dims, v), take))
-    return dd, tuple(steps)
-
-
 def reverse_wire_rep(r, *wids):
     """Reverse every listed wire (a set, as for reverse_wire) in one pass,
     re-indexing each endpoint tensor once; an involution.
 
     A wire's space is identified with its dual in the standard basis, so
-    entries move but never change, and each result keeps its tensor's
-    denominator.  Reversing a loop swaps that wire's row and column
-    indices at its vertex (a partial transpose).  The re-indexing depends
-    on the diagram, dims and wires alone, so _reversal compiles it once per
-    (diagram, dims, set of wires) and keeps the last 256 programs, and a
-    call runs only the gathers.
+    entries move but never change.  Reversing a loop swaps that wire's row
+    and column indices at its vertex (a partial transpose).
     """
     d = rep_diagram(r)
-    try:
-        key = frozenset(wids)
-    except TypeError:   # an unhashable id is no wire's
-        reverse_wire(d, *wids)
-        raise
-    dd, steps = _reversal(d, tuple(r.dims.items()), key)
+    dd = reverse_wire(d, *wids)
     tensors = dict(r.tensors)
-    for v, rows, cols, take in steps:
-        m = tensors[v]
-        # a list first: a tuple built from chain.from_iterable, which has
-        # no length to size it by, raised the peak RSS of 100 in-process
-        # open-paths rounds from 20.9 to 22.0 MB
-        xs = _flat(m)
-        if type(take) is tuple:
-            take = itemgetter(*_offsets(*take))
-        xs = tuple(xs) if take is None else take(xs)
-        tensors[v] = Matrix._new(rows, cols, tuple(
-            xs[i * cols:(i + 1) * cols] for i in range(rows)), m.den)
-    return assemble(dd, dict(r.dims), tensors)
+    flip = {"tail": "head", "head": "tail"}
+    before, after = slots(d), slots(dd)
+    for v in {e for w in dd.wires if w.id in wids
+              for e in (w.tail, w.head)} - {None}:
+        old = slot_keys(before[v])
+        strides = dict(zip(old, _strides([r.dims[x] for x, _ in old])))
+        new = slot_keys(after[v])
+        # each slot of a listed wire changes side and carries its index along
+        offs = _offsets([r.dims[x] for x, _ in new],
+                        [strides[(x, flip[s]) if x in wids else (x, s)]
+                         for x, s in new])
+        tensors[v] = _moved(r.tensors[v], offs,
+                            *vertex_shape(after[v], r.dims, v))
+    return _rep(dd, dict(r.dims), tensors)
+
+
+def _moved(m, offs, rows, cols):
+    """The rows x cols matrix of m's entries at the flat offsets offs, over
+    m.den.  The entries only move, so it is in lowest terms as m is, and
+    it needs none of _as_matrix's gcd pass."""
+    xs = _flat(m)
+    xs = itemgetter(*offs)(xs) if len(offs) > 1 else tuple(xs[o] for o in offs)
+    return Matrix._new(rows, cols, tuple(
+        xs[i * cols:(i + 1) * cols] for i in range(rows)), m.den)
 
 
 def _merged_name(v1, v2, taken):
@@ -763,4 +718,4 @@ def split_functor(r, fresh_wire):
     for v in dd.vertices:
         if v != merged:
             tensors[v] = r.tensors[v]
-    return assemble(dd, dims, tensors)
+    return _rep(dd, dims, tensors)

@@ -49,9 +49,9 @@ def small_cap(monkeypatch):
 
 @pytest.fixture
 def cold():
-    """cold() empties every lru_cache of tdr (shapes, wire-reversal and
-    contraction programs, the CLI parser), so the next call takes its
-    path cold; it returns how many caches it emptied."""
+    """cold() empties every lru_cache of tdr (decompose's shapes,
+    contraction programs, the CLI parser), so the next call takes its path
+    cold."""
     import sys
 
     def clear():
@@ -63,7 +63,6 @@ def cold():
                         caches[id(val)] = val
         for f in caches.values():
             f.cache_clear()
-        return len(caches)
 
     clear()
     return clear

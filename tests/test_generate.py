@@ -8,8 +8,8 @@ from tdr.decompose import Band, Interval, StringBlock, canonical_diagram, decomp
 from tdr.errors import InvalidDims, NotConnected, NotDecomposable, TensorTooLarge
 from tdr.generate import SplitMix64, gen_random
 from tdr.rational import Q
-from tdr.representation import TENSOR_CAP, vertex_shapes
-from tdr.semigraph import check_diagram, diagram_to_record, validate_diagram
+from tdr.representation import TENSOR_CAP
+from tdr.semigraph import validate_diagram
 
 
 def test_splitmix64_reference_stream():
@@ -112,26 +112,6 @@ def test_sum_mode_key_matches_decompose():
             assert decompose(res.rep) == res.key, (family, seed)
             for wid, cap in dims.items():
                 assert res.rep.dims[wid] <= cap
-
-
-def test_input_is_checked_once_per_call(spy):
-    """gen_random checks the diagram and dims once and builds what it
-    returns through representation.assemble: one validate_diagram (which holds
-    the one check_diagram) and one vertex_shapes per call, in generic mode
-    and in sum mode however many blocks it draws."""
-    calls = spy(validate_diagram, check_diagram, vertex_shapes)
-    once = {"validate_diagram": 1, "check_diagram": 1, "vertex_shapes": 1}
-    gen_random(diagram_to_record(canonical_diagram("J", 3)),
-               {"e1": 2, "e2": 2, "e3": 2}, 5)
-    assert calls == once
-    blocks = []
-    for cap in (1, 3, 8):
-        calls.update(dict.fromkeys(calls, 0))
-        _, key = gen_random(diagram_to_record(canonical_diagram("J", 2)),
-                            {"e1": cap, "e2": cap}, 1, mode="sum")
-        blocks.append(sum(m for _, m in key.blocks))
-        assert calls == once, cap
-    assert blocks[0] < blocks[1] < blocks[2]
 
 
 def test_sum_mode_alias():
