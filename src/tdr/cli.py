@@ -3,7 +3,9 @@
 JSON is the single interchange format; rationals are strings ("p/q" or
 "p") so no value ever passes through floats.  Output is canonical JSON
 (sorted keys, two-space indent, trailing newline), so identical inputs
-and seeds produce byte-identical output.
+and seeds produce byte-identical output.  canonical_json writes it
+itself, byte for byte what json.dumps(obj, indent=2, sort_keys=True)
+writes, and matrix grids are written from a Matrix's integer rows.
 
 Exit codes: 0 ok; 1 invalid input (message on stderr); 2 for operations
 that are undecidable or unsupported on wild diagrams, with
@@ -15,6 +17,7 @@ import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .classify import classify_diagram
@@ -30,7 +33,7 @@ from .errors import (
 from .exactalg import Matrix, typed_record
 from .flows import extend_flow, flow_value
 from .generate import gen_random
-from .rational import format_rational, parse_rational
+from .rational import format_ratio, format_rational, parse_rational
 from .representation import Representation, apply_group_element, contract
 from .semigraph import diagram_to_record, validate_diagram
 from .wildness import (
@@ -47,7 +50,67 @@ class CommandReport(NamedTuple):
 
 
 def canonical_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) and a newline, byte for
+    byte.  json's indented encoder is pure Python, so _json writes the
+    values a command returns (dicts with str keys, lists, str, int, float,
+    bool and None) itself, each list of strings in one join over the C
+    string encoder; anything else, such as a tuple, a subclass, a key that
+    is no str or a value nested past 100 levels, goes to json.dumps whole,
+    which also refuses what JSON cannot hold (TypeError, or ValueError on a
+    circular value)."""
+    try:
+        return _json(obj, "\n") + "\n"
+    except _Unwritten:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class _Unwritten(Exception):
+    """A value that _json leaves to json.dumps."""
+
+
+def _json(x, nl):
+    """x as json.dumps(x, indent=2, sort_keys=True) writes it on a line
+    that nl (a newline and the line's indent) ends."""
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is list or t is dict:
+        if not x:
+            return "[]" if t is list else "{}"
+        if len(nl) > 200:   # deep, or circular: json.dumps decides
+            raise _Unwritten
+        inner = nl + "  "
+        if t is dict:
+            if not all(type(k) is str for k in x):
+                raise _Unwritten
+            items = [encode_basestring_ascii(k) + ": " + _json(x[k], inner)
+                     for k in sorted(x)]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        if all(type(v) is str for v in x):
+            items = map(encode_basestring_ascii, x)
+        else:
+            items = [_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is int:
+        return int.__repr__(x)
+    if t is float:
+        return json.dumps(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    raise _Unwritten
+
+
+def _grid(m):
+    """The entries of a Matrix as rational strings, read off its integer
+    rows over m.den without a Fraction per entry."""
+    den = m.den
+    if den == 1:
+        return [list(map(str, row)) for row in m.nums]
+    return [[format_ratio(x, den) for x in row] for row in m.nums]
 
 
 def _load_json(path):
@@ -108,9 +171,7 @@ def _rep_record(r):
         "diagram": diagram_to_record(r.diagram),
         "dims": dict(r.dims),
         "vertices": {
-            v: {"rows": m.rows, "cols": m.cols,
-                "entries": [[format_rational(x) for x in row]
-                            for row in m.entries()]}
+            v: {"rows": m.rows, "cols": m.cols, "entries": _grid(m)}
             for v, m in r.tensors.items()
         },
     }
@@ -212,8 +273,7 @@ def _cmd_wild_embed(ns):
     if p is not None:
         g = iso_from_similarity(p, pair1, pair2)
         verified = apply_group_element(g, r1) == r2
-        witness = {"P": [[format_rational(x) for x in row] for row in p.entries()],
-                   "verified": verified}
+        witness = {"P": _grid(p), "verified": verified}
     return {"needle1": paths["needle1"], "needle2": paths["needle2"],
             "witness": witness}
 

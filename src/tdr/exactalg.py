@@ -168,7 +168,7 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         bcols = tuple(zip(*other.nums)) if other.rows else ((),) * other.cols
         return Matrix.from_ints(self.rows, other.cols, [
-            tuple(sum(map(mul, arow, bcol)) for bcol in bcols)
+            [sum(map(mul, arow, bcol)) for bcol in bcols]
             for arow in self.nums], self.den * other.den)
 
     def transpose(self):
@@ -240,8 +240,10 @@ def _eliminate(a, cols, reduce_above=False):
         r = len(pivots)
         if r == rows:
             break
-        piv = next((i for i in range(r, rows) if a[i][col]), None)
-        if piv is None:
+        for piv in range(r, rows):
+            if a[piv][col]:
+                break
+        else:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
@@ -756,13 +758,33 @@ def _zassenhaus(f):
     return out
 
 
+def _no_root_mod_a_prime(f):
+    """Whether the integer polynomial f (constant first) has no root mod
+    some prime q up to 47 that does not divide lc(f).  Then f has no root
+    in Q: a root u/v in lowest terms has v | lc(f), so v is a unit mod q
+    and u/v mod q is a root there."""
+    rev = f[::-1]
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        if f[-1] % q:
+            for x in range(q):
+                v = 0
+                for c in rev:
+                    v = v * x + c
+                if not v % q:
+                    break
+            else:
+                return True
+    return False
+
+
 def factor_poly(p):
     """Monic irreducible factors over Q with multiplicities.
 
     product(factor^mult) * leading(p) == p exactly; constants factor to [].
     Over Z: the primitive part, split by Yun's squarefree decomposition
     (Yun 1976), each part factored by Zassenhaus's algorithm.  An f of degree
-    2 or 3 with no root mod a small prime not dividing lc(f) is irreducible.
+    2 or 3 with no root mod a prime up to 47 not dividing lc(f) is
+    irreducible.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -770,9 +792,7 @@ def factor_poly(p):
         return [(p.monic(), 1)] * p.degree()
     den = lcm(*(c.denominator for c in p.coeffs))
     f = _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
-    if len(f) < 5 and any(f[-1] % q and all(
-            sum(c * x ** i for i, c in enumerate(f)) % q for x in range(q))
-            for q in (2, 3, 5, 7, 11, 13)):
+    if len(f) < 5 and _no_root_mod_a_prime(f):
         return [(p.monic(), 1)]
     zeros = next(i for i, c in enumerate(f) if c)
     out = [(Poly.x(), zeros)] if zeros else []

@@ -3,10 +3,14 @@
 Everything in this package computes over Q.  Matrices hold integer rows
 over one common denominator (exactalg.Matrix); a single rational, such as
 an entry, a determinant or a polynomial coefficient, is the stdlib
-fractions.Fraction, named Q here.
+fractions.Fraction, named Q here.  format_ratio writes the "p/q" (or "p")
+form from a numerator and a denominator, so a Matrix entry is written
+from its integer row and the matrix's denominator without a Fraction;
+format_rational writes a Q through it.
 """
 
 from fractions import Fraction as Q
+from math import gcd
 
 from .errors import ParseError
 
@@ -35,7 +39,14 @@ def parse_rational(value):
 
 
 def format_rational(x):
-    num, den = x.numerator, x.denominator
-    if den == 1:
-        return str(num)
-    return f"{num}/{den}"
+    return format_ratio(x.numerator, x.denominator)
+
+
+def format_ratio(num, den):
+    """The rational num / den (den > 0) as "p/q" in lowest terms, or "p"
+    when it is an integer: a Matrix entry is written from its numerator
+    and the matrix's denominator, with no Fraction."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"

@@ -1,11 +1,14 @@
 import json
+import random
 import tracemalloc
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdr.cli import run
+from tdr.cli import _grid, canonical_json, run
+from tdr.exactalg import Matrix
+from tdr.rational import Q, format_rational
 
 DIAGRAM = {
     "vertices": ["v1", "v2"],
@@ -755,3 +758,160 @@ def test_wild_embed_fuzzed_pairs_end_cleanly(tmp_path, capsys):
             assert json.loads(out)["witness"]["verified"] is True
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON: the writer against json.dumps
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _outcome(write, obj):
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+_CHARS = "az09 -/\"\\\n\t\x00\x7f\u00e9\u00ff\u2603\ud800\U0001f600"
+
+
+def _json_value(rng, depth):
+    kinds = ["str", "int", "float", "bool", "none"]
+    if depth < 4:
+        kinds += ["list", "dict", "strings"] * 2
+    kind = rng.choice(kinds)
+    if kind == "str":
+        return _json_str(rng)
+    if kind == "int":
+        return rng.choice([0, -1, 7, 10 ** 30, -(2 ** 70), rng.randint(-999, 999)])
+    if kind == "float":
+        return rng.choice([0.0, -0.0, 5.0, 1e-9, 1e300, -2.5e-308, float("inf"),
+                           float("-inf"), float("nan"), rng.uniform(-1e6, 1e6)])
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "none":
+        return None
+    if kind == "strings":   # a grid row or a list of ids
+        return [_json_str(rng) for _ in range(rng.randrange(5))]
+    if kind == "list":
+        return [_json_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return {_json_str(rng): _json_value(rng, depth + 1)
+            for _ in range(rng.randrange(5))}
+
+
+def _json_str(rng):
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+
+
+def test_canonical_json_writes_what_json_dumps_writes():
+    rng = random.Random(26)
+    for _ in range(500):
+        obj = _json_value(rng, 0)
+        assert canonical_json(obj) == _dumps(obj)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+def _nested(k):
+    obj = []
+    for _ in range(k):
+        obj = {"a": [obj]}
+    return obj
+
+
+_WRITTEN = [
+    {}, [], "", [[]], [{}], {"a": {}}, {"a": []}, [[["x"]], ["y", 1]],
+    {"k": [True, False, None]}, "\u00e9\u2603", 1.5, float("nan"), True, None,
+    _nested(40),
+]
+_LEFT = [
+    ("a", 1), {"a": ("b", [2])}, {1: "x", 2: "y"}, {"a": 1, 2: "b"},
+    [_Str("s")], {"k": _Int(5)}, {_Str("k"): 1}, _Int(3), _nested(150),
+    {"k": {1, 2}}, [b"x"], {"a": Q(1, 2)},
+]
+
+
+@pytest.mark.parametrize("obj", _WRITTEN + _LEFT, ids=lambda obj: repr(obj)[:40])
+def test_canonical_json_leaves_the_rest_to_json_dumps(obj, monkeypatch):
+    """What the writer writes itself, and what it hands to json.dumps whole
+    (a tuple, a subclass, a key that is no str, a value nested past 100
+    levels, a value JSON cannot hold), come out as json.dumps writes them,
+    or fail with its exception type."""
+    expected = _outcome(_dumps, obj)
+    whole = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda o, **kw: (
+        whole.append(o) if kw.get("indent") == 2 else None) or dumps(o, **kw))
+    assert _outcome(canonical_json, obj) == expected
+    assert whole == ([obj] if any(obj is x for x in _LEFT) else [])
+
+
+def test_canonical_json_refuses_a_circular_value_as_json_does():
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular"):
+        canonical_json(loop)
+
+
+def test_grids_are_read_off_the_integer_rows():
+    rng = random.Random(5)
+    for _ in range(200):
+        rows, cols = rng.randrange(4), rng.randrange(4)
+        m = Matrix(rows, cols, [[Q(rng.randint(-12, 12), rng.randint(1, 12))
+                                 for _ in range(cols)] for _ in range(rows)])
+        assert _grid(m) == [[format_rational(x) for x in row]
+                            for row in m.entries()]
+
+
+def test_every_command_writes_canonical_json(tmp_path, capsys):
+    """Each command's output, to stdout and to files, is what json.dumps
+    writes of it."""
+    dp = write(tmp_path, "d.json", DIAGRAM)
+    rp = write(tmp_path, "r.json", REP)
+    jp = write(tmp_path, "j1.json", J1_REP)
+    wp = write(tmp_path, "w.json", {
+        "diagram": WILD, "dims": {"e1": 1, "e2": 1},
+        "vertices": {"v1": {"rows": 1, "cols": 1, "entries": [["1/2"]]}}})
+    cycle = {"vertices": ["v1", "v2", "v3"],
+             "wires": [{"id": "e1", "tail": "v1", "head": "v2"},
+                       {"id": "e2", "tail": "v2", "head": "v3"},
+                       {"id": "e3", "tail": "v3", "head": "v1"}]}
+    cp = write(tmp_path, "c.json", cycle)
+    fp = write(tmp_path, "f.json", {"wires": {"e2": [5.5, -0.25], "e3": [5.5, -0.25]},
+                                    "u": ["v1", "v2"]})
+    pp = write(tmp_path, "pairs.json", {"A1": [["2", "1/3"], ["0", "1"]],
+                                        "B1": [["3", "0"], ["1", "-1/2"]],
+                                        "A2": [["2", "1/3"], ["0", "1"]],
+                                        "B2": [["3", "0"], ["1", "-1/2"]]})
+    key = tmp_path / "key.json"
+    out = tmp_path / "out.json"
+    requests = [
+        (["classify", dp], 0), (["classify", cp], 0),
+        (["decompose", rp], 0), (["decompose", jp], 0), (["decompose", wp], 2),
+        (["isotest", jp, jp], 0), (["contract", jp], 0),
+        (["flow-extend", cp, fp], 0),
+        (["wild-embed", pp, "--out", str(tmp_path / "w")], 0),
+        (["gen-random", cp, "--dims", '{"e1": 2, "e2": 3, "e3": 2}',
+          "--seed", "4"], 0),
+        (["gen-random", cp, "--dims", '{"e1": 4, "e2": 4, "e3": 4}',
+          "--seed", "4", "--mode", "sum", "--key-out", str(key)], 0),
+        (["fmt", rp], 0), (["fmt", jp, "--out", str(out)], 0)]
+    texts = []
+    for argv, code in requests:
+        assert run(argv).exit_code == code, argv
+        texts.append(capsys.readouterr().out)
+    texts += [key.read_text(), out.read_text(),
+              (tmp_path / "w" / "needle1.json").read_text(),
+              (tmp_path / "w" / "needle2.json").read_text()]
+    for text in texts:
+        if text:
+            assert text == _dumps(json.loads(text))
+    assert json.loads(texts[8])["witness"]["verified"] is True

@@ -129,6 +129,74 @@ def test_rank_oracles():
     assert rank(Matrix.from_rows([[1, 2], [2, 5]])) == 2
 
 
+def _bareiss_reference(a, cols, reduce_above):
+    """Bareiss elimination written out entry by entry: every row other than
+    the pivot row (only those below it unless reduce_above) becomes
+    (p * row - row[col] * pivot row) / prev, each division checked exact."""
+    a = [list(row) for row in a]
+    pivots, sign, prev = [], 1, 1
+    for col in range(cols):
+        r = len(pivots)
+        nonzero = [i for i in range(r, len(a)) if a[i][col] != 0]
+        if not nonzero:
+            continue
+        if nonzero[0] != r:
+            a[r], a[nonzero[0]] = a[nonzero[0]], a[r]
+            sign = -sign
+        p = a[r][col]
+        for i in range(len(a)):
+            if i == r or i < r and not reduce_above:
+                continue
+            new = []
+            for j in range(len(a[i])):
+                q, rem = divmod(p * a[i][j] - a[i][col] * a[r][j], prev)
+                assert rem == 0
+                new.append(q)
+            a[i] = new
+        pivots.append(col)
+        prev = p
+    return pivots, sign, [tuple(row) for row in a]
+
+
+def _elimination_grids(rng):
+    """Seeded integer grids: random, of low rank, with zero rows and zero
+    columns, and with no rows or no columns."""
+    yield [], 4
+    yield [(), (), ()], 0
+    yield [(0, 0), (0, 0)], 2
+    for _ in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        if rng.random() < 0.3 and rows and cols:   # rank at most k
+            k = rng.randint(1, min(rows, cols))
+            left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
+            right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
+            grid = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                    for row in left]
+        else:
+            grid = [[rng.choice([0, 0, rng.randint(-30, 30)]) for _ in range(cols)]
+                    for _ in range(rows)]
+        if rows and rng.random() < 0.3:
+            grid[rng.randrange(rows)] = [0] * cols
+        if cols and rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in grid:
+                row[j] = 0
+        yield [tuple(row) for row in grid], cols
+
+
+def test_eliminate_agrees_with_a_plain_bareiss():
+    """_eliminate's pivots, sign and rows are those of the reference, under
+    both reduce_above settings."""
+    from tdr.exactalg import _eliminate
+
+    for grid, cols in _elimination_grids(random.Random(27)):
+        for reduce_above in (False, True):
+            a = list(grid)
+            pivots, sign = _eliminate(a, cols, reduce_above)
+            assert (pivots, sign, [tuple(row) for row in a]) == \
+                _bareiss_reference(grid, cols, reduce_above), (grid, reduce_above)
+
+
 def test_det_oracles():
     assert det(Matrix.from_rows([[2, 0, 1], [1, 1, 0], [0, 3, 1]])) == 5
     assert det(Matrix.identity(4)) == 1
@@ -447,10 +515,11 @@ def _has_rational_root(p):
 
 def test_degree_2_and_3_root_test_agrees_with_the_rational_root_theorem(monkeypatch):
     """factor_poly returns a degree-2 or 3 polynomial whole when it has no
-    root mod a small prime not dividing its leading coefficient.  Seeded
+    root mod a prime up to 47 not dividing its leading coefficient.  Seeded
     draws: random polynomials, reducible ones, squares and cubes, multiples
-    of x, and linear factors whose leading coefficient 3 divides times
-    x^2 + 1, which has no root mod 3 while the product is reducible.  Each
+    of x, linear factors whose leading coefficient 3 divides times x^2 + 1,
+    which has no root mod 3 while the product is reducible, and irreducible
+    cubics with a root mod every prime up to 13.  Each
     result is checked without factor_poly's helpers: its distinct monic
     factors, in canonical order, multiply back to p; a factor of degree 2 or
     3 has no rational root, so is irreducible; and p splits exactly when it
@@ -476,6 +545,7 @@ def test_degree_2_and_3_root_test_agrees_with_the_rational_root_theorem(monkeypa
         "3 | lc": lambda: lin(Q(3 * rng.randint(1, 3))) * Poly((1, 0, 1)),
         "3 | lc, random": lambda: Poly([rng.randint(-9, 9) for _ in range(rng.randint(2, 3))]
                                        + [3 * rng.choice([-2, -1, 1, 2])]),
+        "a root mod every prime up to 13": lambda: _cubic_with_small_roots(rng),
     }
     polys = []
     for name, draw in kinds.items():
@@ -503,6 +573,50 @@ def test_degree_2_and_3_root_test_agrees_with_the_rational_root_theorem(monkeypa
         reducible += split
     assert reducible >= 200
     assert 60 <= len(polys) - len(full) < len(polys) - 200
+    hard = [_int_coeffs(p) for p in polys[-60:]]
+    assert [f for f in hard if f not in full] == [
+        f for f in hard if any(f[-1] % q and not _has_root_mod(f, q) for q in
+                               (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))]
+    assert sum(f not in full for f in hard) >= 50
+
+
+def _int_coeffs(p):
+    den = lcm(*(c.denominator for c in p.coeffs))
+    f = [int(c * den) for c in p.coeffs]
+    g = gcd(*f) * (-1 if f[-1] < 0 else 1)
+    return [c // g for c in f]
+
+
+def _has_root_mod(f, q):
+    return any(sum(c * x ** i for i, c in enumerate(f)) % q == 0 for x in range(q))
+
+
+def _cubic_with_small_roots(rng):
+    """An irreducible primitive integer cubic with a root mod every prime
+    up to 13 that does not divide its leading coefficient."""
+    while True:
+        f = [rng.randint(-30, 30) for _ in range(3)] + [rng.choice([-2, -1, 1, 2])]
+        p = Poly(f)
+        if f[0] and gcd(*f) == 1 and not _has_rational_root(p) and all(
+                f[-1] % q == 0 or _has_root_mod(f, q) for q in (2, 3, 5, 7, 11, 13)):
+            return p
+
+
+def test_a_cubic_with_a_root_mod_every_prime_up_to_13_is_not_factored(monkeypatch):
+    """x^3 + 9x + 4 has no rational root (none of +-1, +-2, +-4 is one) and
+    a root mod 2, 3, 5, 7, 11 and 13, but none mod 17: factor_poly returns it
+    whole without the squarefree split or Zassenhaus."""
+    import tdr.exactalg as ea
+
+    f = [4, 9, 0, 1]
+    assert all(_has_root_mod(f, q) for q in (2, 3, 5, 7, 11, 13))
+    assert not _has_root_mod(f, 17) and not _has_rational_root(Poly(f))
+    calls = []
+    squarefree = ea._squarefree
+    monkeypatch.setattr(ea, "_squarefree", lambda f: calls.append(f) or squarefree(f))
+    assert factor_poly(Poly(f)) == [(Poly(f), 1)]
+    assert factor_poly(Poly([Q(4, 3), 3, 0, Q(1, 3)])) == [(Poly(f), 1)]
+    assert calls == []
 
 
 def test_rational_canonical_oracles():

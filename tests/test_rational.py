@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tdr.errors import ParseError
-from tdr.rational import Q, format_rational, parse_rational
+from tdr.rational import Q, format_ratio, format_rational, parse_rational
 
 
 def test_parse_fraction_strings():
@@ -25,6 +25,16 @@ def test_format_integers_have_no_slash():
     assert format_rational(Q(6, 3)) == "2"
     assert format_rational(Q(-6, 4)) == "-3/2"
     assert format_rational(Q(0)) == "0"
+
+
+@pytest.mark.parametrize("num, den, text", [
+    (3, 4, "3/4"), (-3, 4, "-3/4"), (0, 1, "0"), (0, 7, "0"), (5, 1, "5"),
+    (-5, 1, "-5"), (6, 4, "3/2"), (-6, 4, "-3/2"), (12, 4, "3"), (-12, 6, "-2"),
+    (10 ** 30, 10 ** 29, "10"), (2 ** 70 + 1, 2 ** 70, f"{2 ** 70 + 1}/{2 ** 70}"),
+])
+def test_format_ratio_writes_lowest_terms(num, den, text):
+    assert format_ratio(num, den) == text
+    assert format_rational(Q(num, den)) == text
 
 
 def test_format_parse_round_trip():
