@@ -5,7 +5,8 @@ JSON is the single interchange format; rationals are strings ("p/q" or
 (sorted keys, two-space indent, trailing newline), so identical inputs
 and seeds produce byte-identical output.  canonical_json writes it
 itself, byte for byte what json.dumps(obj, indent=2, sort_keys=True)
-writes, and matrix grids are written from a Matrix's integer rows.
+writes of every value a command returns, and matrix grids are written
+from a Matrix's integer rows.
 
 Exit codes: 0 ok; 1 invalid input (message on stderr); 2 for operations
 that are undecidable or unsupported on wild diagrams, with
@@ -51,21 +52,13 @@ class CommandReport(NamedTuple):
 
 def canonical_json(obj):
     """json.dumps(obj, indent=2, sort_keys=True) and a newline, byte for
-    byte.  json's indented encoder is pure Python, so _json writes the
-    values a command returns (dicts with str keys, lists, str, int, float,
-    bool and None) itself, each list of strings in one join over the C
-    string encoder; anything else, such as a tuple, a subclass, a key that
-    is no str or a value nested past 100 levels, goes to json.dumps whole,
-    which also refuses what JSON cannot hold (TypeError, or ValueError on a
-    circular value)."""
-    try:
-        return _json(obj, "\n") + "\n"
-    except _Unwritten:
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-class _Unwritten(Exception):
-    """A value that _json leaves to json.dumps."""
+    byte, on the values a command returns: dicts with str keys, lists,
+    str, int, float, bool and None, nested at most 100 levels deep.
+    json's indented encoder is pure Python, so _json writes them itself,
+    each list of strings in one join over the C string encoder.  Any
+    other value is a TypeError, and one nested deeper (a circular one
+    among them) a ValueError."""
+    return _json(obj, "\n") + "\n"
 
 
 def _json(x, nl):
@@ -77,12 +70,13 @@ def _json(x, nl):
     if t is list or t is dict:
         if not x:
             return "[]" if t is list else "{}"
-        if len(nl) > 200:   # deep, or circular: json.dumps decides
-            raise _Unwritten
+        if len(nl) > 200:
+            raise ValueError("value nested past 100 levels, or circular")
         inner = nl + "  "
         if t is dict:
-            if not all(type(k) is str for k in x):
-                raise _Unwritten
+            for k in x:
+                if type(k) is not str:
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
             items = [encode_basestring_ascii(k) + ": " + _json(x[k], inner)
                      for k in sorted(x)]
             return "{" + inner + ("," + inner).join(items) + nl + "}"
@@ -101,7 +95,7 @@ def _json(x, nl):
         return "true"
     if x is False:
         return "false"
-    raise _Unwritten
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _grid(m):
