@@ -20,6 +20,7 @@ from .decompose import (
     canonical_diagram,
     decompose,
     isomorphic,
+    monodromy,
     realize,
 )
 from .errors import (
@@ -70,7 +71,6 @@ from .representation import (
     hom_dim,
     is_morphism,
     kernel,
-    monodromy,
     reverse_wire_rep,
     split_functor,
     tensor_product,

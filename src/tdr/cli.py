@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .classify import classify_diagram
-from .decompose import Band, Interval, block_alias, decompose, isomorphic
+from .decompose import Band, Interval, block_alias, decompose, isomorphic, shape_of
 from .errors import (
     NotDecidableWild,
     NotDecomposable,
@@ -113,7 +113,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON or too deep
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
 
 
@@ -171,7 +171,7 @@ def _rep_record(r):
     }
 
 
-def _decomposition_record(dec):
+def _decomposition_record(dec, shape):
     out = []
     for desc, mult in dec.blocks:
         if isinstance(desc, Interval):
@@ -183,7 +183,7 @@ def _decomposition_record(dec):
         else:
             entry = {"type": "string", "start": desc.start,
                      "len": desc.length, "mult": mult}
-        alias = block_alias(dec.shape.family, dec.shape.n, desc)
+        alias = block_alias(shape.family, shape.n, desc)
         if alias is not None:
             entry["alias"] = alias
         out.append(entry)
@@ -211,7 +211,8 @@ def _cmd_classify(ns):
 
 
 def _cmd_decompose(ns):
-    return _decomposition_record(decompose(_load_rep(ns.rep)))
+    r = _load_rep(ns.rep)
+    return _decomposition_record(decompose(r), shape_of(r.diagram))
 
 
 def _cmd_isotest(ns):
@@ -276,12 +277,12 @@ def _cmd_gen_random(ns):
     d = _load_diagram(ns.diagram)
     try:
         dims = json.loads(ns.dims)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"--dims: invalid JSON: {exc}") from None
     res = gen_random(d, dims, ns.seed, ns.mode)
     if ns.key_out and res.key is not None:
         with open(ns.key_out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(_decomposition_record(res.key)))
+            fh.write(canonical_json(_decomposition_record(res.key, shape_of(d))))
     return _rep_record(res.rep)
 
 

@@ -25,25 +25,26 @@ String blocks of the nilpotent part.  Closed paths are decomposed
 through their associated cycle, whose last position is the pinned
 scalar slot.
 
-A shape depends on the diagram alone, so shape_of and traverse keep
-their last 256 results each, keyed by the diagram: a diagram that many
-representations share is classified and walked once.  A Shape is shared
-by every call on an equal diagram, so it holds tuples.  Each cache holds
-at most 256 diagrams and their Shapes, a few KB apiece for 12-vertex
-paths; errors are not cached, and a diagram that cannot be hashed is
-walked afresh.
+A cycle's monodromy is read along the same traversal.  A shape depends
+on the diagram alone, so shape_of keeps its last 256 Shapes, keyed by the
+diagram (a few KB apiece for 12-vertex paths; errors are not cached): a
+diagram that many representations share is classified and walked once,
+and every call on it shares one Shape, so a Shape holds tuples.
 """
 
 from collections import Counter
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import NamedTuple
 
 from .classify import classify_diagram
 from .errors import (
     InvalidDescriptor,
+    NotALoop,
     NotConnected,
     NotDecidableWild,
     NotDecomposable,
+    NotNormalized,
+    UnknownWire,
 )
 from .exactalg import (
     Matrix,
@@ -57,7 +58,7 @@ from .exactalg import (
     typed_record,
 )
 from .representation import Representation, check_size, rep_diagram, reverse_wire_rep
-from .semigraph import TensorDiagram, Wire, restrict, slots
+from .semigraph import TensorDiagram, Wire, known_ids, restrict, slots
 
 
 @typed_record
@@ -103,22 +104,12 @@ class StringBlock(NamedTuple):
 @typed_record
 class Decomposition(NamedTuple):
     blocks: tuple   # ((descriptor, multiplicity), ...) canonically sorted
-    shape: object = None   # the blocks' Shape, if known; not compared or shown
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
-
-    def __repr__(self):
-        return f"Decomposition(blocks={self.blocks!r})"
 
     @classmethod
-    def of(cls, descs, shape=None):
+    def of(cls, descs):
         """The decomposition with these descriptors, repeats counted."""
         counts = sorted(Counter(descs).items(), key=lambda dm: dm[0]._key())
-        return cls(tuple(counts), shape)
+        return cls(tuple(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -139,26 +130,6 @@ class Shape(NamedTuple):
     verts: tuple    # arc order
 
 
-def _per_diagram(fn):
-    """fn, a pure function of a diagram, behind a cache of its last 256
-    results, as representation._compile keeps contraction programs; errors
-    are not cached.  A diagram that cannot be hashed, such as a hand-built
-    TensorDiagram with list fields, is walked afresh on every call."""
-    cached = lru_cache(maxsize=256)(fn)
-
-    @wraps(fn)
-    def call(*args):
-        try:
-            hash(args)
-        except TypeError:
-            return fn(*args)
-        return cached(*args)
-
-    call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
-    return call
-
-
-@_per_diagram
 def traverse(d, family):
     """Deterministic traversal of a path or cycle shape, as a Shape of
     size len(d.vertices).
@@ -194,7 +165,7 @@ def traverse(d, family):
     return Shape(family, len(d.vertices), tuple(wires), tuple(verts))
 
 
-@_per_diagram
+@lru_cache(maxsize=256)
 def shape_of(d):
     """Family, size and traversal of a connected finite or tame diagram."""
     comps = classify_diagram(d)
@@ -224,11 +195,42 @@ def _oriented_arcs(r, shape):
 # ---------------------------------------------------------------------------
 # chain counts
 
-def _cycle_blocks(arcs):
-    """Band and String blocks of a cycle's arcs."""
-    mono = arcs[0]   # the monodromy at position 1
+def _around(arcs):
+    """The product of arcs once around, the first factor applied first."""
+    mono = arcs[0]
     for arc in arcs[1:]:
         mono = arc @ mono
+    return mono
+
+
+def monodromy(r, base):
+    """Product of the vertex matrices once around a co-oriented cycle.
+
+    The first factor is the matrix at the base wire's head; factors then
+    accumulate along the orientation, so the result maps the base wire's
+    space to itself.  The arcs are read along the traversal, backward when
+    every wire points against it.
+    """
+    d = rep_diagram(r)
+    known_ids([w.id for w in d.wires], [base], UnknownWire, "wire ids")
+    try:
+        shape = shape_of(d)
+    except (NotNormalized, NotConnected, NotDecomposable):
+        shape = None
+    if shape is None or shape.family != "J":
+        raise NotALoop("shape is not a single co-oriented cycle")
+    k = [w.id for w in shape.wires].index(base)
+    arcs = [r.tensors[v] for v in shape.verts[k:] + shape.verts[:k]]
+    have = set(d.wires)
+    against = sum(w not in have for w in shape.wires)
+    if 0 < against < len(arcs):
+        raise NotALoop("the cycle's wires do not all point one way")
+    return _around(arcs[::-1] if against else arcs)
+
+
+def _cycle_blocks(arcs):
+    """Band and String blocks of a cycle's arcs."""
+    mono = _around(arcs)   # the monodromy at position 1
     core = stable_image(mono)
     # the invertible part keeps the rank of its stable image in every
     # composite of arcs, so the chains below are the nilpotent part's
@@ -255,7 +257,7 @@ def _decompose_on(r, shape):
         blocks = _cycle_blocks(arcs)
     # the simple block at the pinned position of A1 and P is no block
     pinned = {"A1": Interval(m, m), "P": StringBlock(m, 1)}.get(shape.family)
-    return Decomposition.of([blk for blk in blocks if blk != pinned], shape)
+    return Decomposition.of([blk for blk in blocks if blk != pinned])
 
 
 def block_alias(family, n, desc):

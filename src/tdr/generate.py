@@ -149,7 +149,7 @@ def _sum_mode(d, dims, rng):
           for wid in sorted(rep.dims)}
     rep = apply_group_element(gs, rep)
 
-    return reorient(rep, d.wires), Decomposition.of(blocks, shape)
+    return reorient(rep, d.wires), Decomposition.of(blocks)
 
 
 def gen_random(diagram, dims, seed, mode="generic"):

@@ -15,13 +15,13 @@ on each side.
 A Representation is valid by construction, and its constructor is the one
 check: the diagram by the rules of validate_diagram, the dims through
 vertex_shapes (InvalidDims), which gives the vertex shapes, and a Matrix of
-its shape at each vertex.  validate_representation is the record parser in
-front of it.  The functors build their outputs, valid by construction,
-through _rep, unchecked, so no operation checks its input again: each
-refuses a non-Representation and reps on different diagrams (rep_diagram),
-and _phi_checked checks a map of one Matrix per wire, a base change or a
-morphism (SizeMismatch).  Both errors are ShapeMismatch, as is a tensor of
-the wrong shape.
+its shape at each vertex.  validate_representation, the record parser, runs
+it on grids, each made a Matrix of its vertex's shape first.  The functors
+build their outputs, valid by construction, through _rep, unchecked, so no
+operation checks its input again: each refuses a non-Representation and
+reps on different diagrams (rep_diagram), and _phi_checked checks a map of
+one Matrix per wire, a base change or a morphism (SizeMismatch).  Both
+errors are ShapeMismatch, as is a tensor of the wrong shape.
 
 Everything downstream (direct sums, tensor products, wire reversal, the
 splitting functor, contraction) re-indexes a vertex's flat tensor through
@@ -43,22 +43,18 @@ from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .classify import classify_diagram
 from .errors import (
     ContractionTooLarge,
     DiagramMismatch,
     InvalidDims,
-    NotALoop,
     NotAMorphism,
     NotClosed,
     NotMonic,
-    NotNormalized,
     NotQuiverLike,
     RestrictedDimViolation,
     ShapeMismatch,
     SizeMismatch,
     TensorTooLarge,
-    UnknownWire,
 )
 from .exactalg import Matrix, column_space, inverse, new_columns, rank
 from .rational import ZERO, Q
@@ -87,26 +83,7 @@ class Representation(_Fields):
     __slots__ = ()
 
     def __new__(cls, diagram, dims, tensors):
-        if isinstance(diagram, TensorDiagram):
-            check_diagram(diagram)
-            # its own wire order, in tuples so that it keys _compile's cache
-            d = (diagram if all(type(f) is tuple for f in diagram)
-                 else TensorDiagram(*map(tuple, diagram)))
-        else:
-            d = validate_diagram(diagram)
-        shapes = vertex_shapes(d, dims)
-        if not isinstance(tensors, Mapping):
-            raise ShapeMismatch("tensors must be a mapping of vertex ids to matrices")
-        for v, shape in shapes.items():
-            m = tensors.get(v)
-            if not isinstance(m, Matrix) or (m.rows, m.cols) != shape:
-                got = f"{m.rows}x{m.cols}" if isinstance(m, Matrix) else f"{m!r:.40}"
-                raise ShapeMismatch(
-                    f"vertex {v} needs a {shape[0]}x{shape[1]} Matrix, got {got}")
-        if len(tensors) != len(shapes):
-            known_ids(d.vertices, tensors, ShapeMismatch, "vertex ids")
-        return _rep(d, {w.id: dims[w.id] for w in d.wires},
-                    {v: tensors[v] for v in shapes})
+        return _checked(diagram, dims, tensors)
 
     @classmethod
     def _make(cls, iterable):
@@ -219,20 +196,45 @@ def vertex_shapes(d, dims):
     return {v: vertex_shape(nb, dims, v) for v, nb in slots(d).items()}
 
 
+def _checked(diagram, dims, tensors, grids=False):
+    """The one check of a Representation (see the module docstring); with
+    grids, each vertex's value is first made a Matrix of its shape."""
+    if isinstance(diagram, TensorDiagram):
+        check_diagram(diagram)
+        # its own wire order, in tuples so that it keys _compile's cache
+        d = (diagram if all(type(f) is tuple for f in diagram)
+             else TensorDiagram(*map(tuple, diagram)))
+    else:
+        d = validate_diagram(diagram)
+    shapes = vertex_shapes(d, dims)
+    if not isinstance(tensors, Mapping):
+        raise ShapeMismatch("tensors must be a mapping of vertex ids to matrices")
+    if grids:
+        tensors = {v: _grid(v, m, shapes.get(v)) for v, m in tensors.items()}
+    for v, shape in shapes.items():
+        m = tensors.get(v)
+        if not isinstance(m, Matrix) or (m.rows, m.cols) != shape:
+            got = f"{m.rows}x{m.cols}" if isinstance(m, Matrix) else f"{m!r:.40}"
+            raise ShapeMismatch(
+                f"vertex {v} needs a {shape[0]}x{shape[1]} Matrix, got {got}")
+    if len(tensors) != len(shapes):
+        known_ids(d.vertices, tensors, ShapeMismatch, "vertex ids")
+    return _rep(d, {w.id: dims[w.id] for w in d.wires},
+                {v: tensors[v] for v in shapes})
+
+
 def validate_representation(diagram, dims, tensors):
     """The record parser: the Representation of a diagram (a record or a
     TensorDiagram), dims and tensors whose values are Matrices or grids of
-    rationals, each grid made a Matrix (ShapeMismatch when it is none)."""
-    if isinstance(tensors, Mapping):
-        tensors = {v: _grid(v, m) for v, m in tensors.items()}
-    return Representation(diagram, dims, tensors)
+    rationals, each grid read at its vertex's shape (else ShapeMismatch)."""
+    return _checked(diagram, dims, tensors, grids=True)
 
 
-def _grid(v, m):
+def _grid(v, m, shape):
     try:
-        return m if isinstance(m, Matrix) else Matrix.from_rows(m)
-    except (TypeError, LookupError, ShapeMismatch):
-        raise ShapeMismatch(f"vertex {v}: not a grid of rationals") from None
+        return m if isinstance(m, Matrix) or shape is None else Matrix(*shape, m)
+    except ShapeMismatch as exc:
+        raise ShapeMismatch(f"vertex {v}: {exc}") from None
 
 
 def _kron_all(v, mats):
@@ -592,37 +594,6 @@ def contract(r):
         if entries is not None:
             total *= entries[0]
     return Q(total, scale)
-
-
-def monodromy(r, base):
-    """Product of the vertex matrices once around a co-oriented cycle.
-
-    The first factor is the matrix at the base wire's head; factors then
-    accumulate along the orientation, so the result maps the base wire's
-    space to itself.
-    """
-    d = rep_diagram(r)
-    known_ids([w.id for w in d.wires], [base], UnknownWire, "wire ids")
-    known = {w.id: w for w in d.wires}
-    try:
-        comps = classify_diagram(d)
-    except NotNormalized:   # an endpointless wire
-        comps = ()
-    if len(comps) != 1 or comps[0][1].family != "J":
-        raise NotALoop("shape is not a single co-oriented cycle")
-    out_of = {}
-    for v, nb in slots(d).items():
-        if len(nb.incoming) != 1 or len(nb.outgoing) != 1:
-            raise NotALoop(f"vertex {v} is not on a co-oriented cycle")
-        out_of[v] = nb.outgoing[0]
-    v = known[base].head
-    acc = r.tensors[v]
-    wid = out_of[v]
-    while wid != base:
-        v = known[wid].head
-        acc = r.tensors[v] @ acc
-        wid = out_of[v]
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,9 @@ def small_cap(monkeypatch):
 
 @pytest.fixture
 def cold():
-    """cold() empties every lru_cache of tdr (decompose's shapes,
-    contraction programs, the CLI parser), so the next call takes its path
-    cold."""
+    """cold() empties every cache of tdr (decompose.shape_of's Shapes,
+    contraction's compiled programs, the CLI parser), so the next call
+    takes its path cold."""
     import sys
 
     def clear():

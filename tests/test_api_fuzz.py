@@ -11,6 +11,7 @@ from tdr.decompose import (
     StringBlock,
     decompose,
     isomorphic,
+    monodromy,
     realize,
 )
 from tdr.errors import (
@@ -32,7 +33,6 @@ from tdr.representation import (
     hom_dim,
     is_morphism,
     kernel,
-    monodromy,
     reverse_wire_rep,
     validate_representation,
 )

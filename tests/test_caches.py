@@ -1,5 +1,5 @@
-"""The shape caches of decompose, per diagram, and wire reversal beside
-them.  A cold call (the cold fixture empties every tdr cache first) and a
+"""The shape cache of decompose, per diagram, and wire reversal beside
+it.  A cold call (the cold fixture empties every tdr cache first) and a
 warm one must give the same result."""
 
 import random
@@ -125,21 +125,17 @@ def test_shapes_are_cached_per_diagram(cold):
     d = canonical_diagram("A0", 4)
     s = shape_of(d)
     assert shape_of(TensorDiagram(*d)) is s
-    assert traverse(d, "A0") is s
+    assert traverse(d, "A0") == s
     assert type(s.wires) is tuple and type(s.verts) is tuple
     assert shape_of.cache_info().currsize == 1
-
-
-def test_a_diagram_with_list_fields_takes_the_uncached_path(cold):
-    d = canonical_diagram("A1", 3)
+    # the constructor gives a hand-built diagram with list fields tuples,
+    # so decompose finds its shape in the cache
+    r = realize("A0", 4, Interval(1, 2))
     listed = TensorDiagram(list(d.vertices), list(d.wires))
-    assert shape_of(listed) == shape_of(d)
-    assert traverse(listed, "A1") == traverse(d, "A1")
-    assert shape_of.cache_info().currsize == 1
-    assert traverse.cache_info().currsize == 1
-    r = realize("A1", 3, Interval(1, 2))
+    assert traverse(listed, "A0") == s
     hand = Representation(listed, dict(r.dims), dict(r.tensors))
     assert decompose(hand) == Decomposition.of([Interval(1, 2)])
+    assert shape_of.cache_info().currsize == 1
 
 
 def test_shape_errors_are_not_cached(cold):

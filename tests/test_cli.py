@@ -412,6 +412,26 @@ def test_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_file_that_is_not_utf8_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"vertices": ["v\xff"], "wires": []}')
+    assert run(["classify", str(path)]).exit_code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_json_nested_past_the_recursion_limit_is_a_one_line_error(tmp_path, capsys):
+    """In a file and in --dims: the decoder's RecursionError is a ParseError."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    dp = write(tmp_path, "d.json", DIAGRAM)
+    for argv in (["classify", str(path)],
+                 ["gen-random", dp, "--dims", "[" * 5000 + "]" * 5000]):
+        assert run(argv).exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=3),
     st.floats(-2, 2, allow_nan=False), st.lists(st.integers(0, 2), max_size=2),

@@ -13,6 +13,7 @@ from tdr.decompose import (
     canonical_diagram,
     decompose,
     isomorphic,
+    monodromy,
     realize,
 )
 from tdr.errors import ShapeMismatch, UnknownVertexRef
@@ -29,7 +30,6 @@ from tdr.representation import (
     hom_dim,
     is_morphism,
     kernel,
-    monodromy,
     reverse_wire_rep,
     split_functor,
     tensor_product,
@@ -161,6 +161,22 @@ def test_a_grid_is_a_matrix_only_through_the_record_parser():
         Representation(_J2.diagram, _J2.dims, grids)
     r = validate_representation(_J2.diagram, _J2.dims, grids)
     assert r.tensors["v1"] == Matrix.from_rows([[1], [0]])
+
+
+def test_the_record_parser_builds_each_grid_at_its_vertex_shape():
+    """An empty grid is a vertex with no rows and its shape's columns, as
+    the CLI reads a record with rows 0 and cols 3; a grid of another shape
+    is refused."""
+    d, dims = canonical_diagram("A0", 1), {"e1": 3, "e2": 0}
+    r = validate_representation(d, dims, {"v1": []})
+    assert r.tensors["v1"] == Matrix.zeros(0, 3)
+    assert decompose(r).blocks == ((Interval(1, 1), 3),)
+    for grids in ({"v1": [[1, 2, 3]]}, {"v1": [[]]}, {"v1": [[1], [2], [3]]},
+                  {"v1": 3}, {"v1": [], "v2": []}):
+        with pytest.raises(ShapeMismatch):
+            validate_representation(d, dims, grids)
+    with pytest.raises(ShapeMismatch, match="v1 needs a 1x3 Matrix"):
+        validate_representation(d, {"e1": 3, "e2": 1}, {})
 
 
 def _unitriangular(rng, n):

@@ -16,6 +16,7 @@ from tdr.decompose import (
     canonical_diagram,
     decompose,
     isomorphic,
+    monodromy,
     on_shape,
     position_dims,
     realize,
@@ -25,10 +26,12 @@ from tdr.decompose import (
 from tdr.errors import (
     DiagramMismatch,
     InvalidDescriptor,
+    NotALoop,
     NotConnected,
     NotDecidableWild,
     NotDecomposable,
     TensorTooLarge,
+    UnknownWire,
 )
 from tdr.exactalg import (
     Matrix,
@@ -47,12 +50,12 @@ from tdr.representation import (
     apply_group_element,
     direct_sum,
     hom_dim,
-    monodromy,
     reverse_wire_rep,
     validate_representation,
 )
 from tdr.generate import gen_random
-from tdr.semigraph import reverse_wire, validate_diagram
+from tdr.semigraph import reverse_wire, slots, validate_diagram
+from tdr.wildness import eight_diagram, needle_diagram
 
 
 def x_minus(c):
@@ -190,23 +193,26 @@ def test_realize_refuses_descriptor_fields_of_the_wrong_type():
 
 
 def test_descriptors_are_records_equal_only_to_their_own_type():
-    """Interval, Band, StringBlock, JordanChain and CommandReport: a value
-    equals a value of its own type with equal fields, and never a plain
-    tuple or a record of another type, with ==, != and hash agreeing; a
-    field cannot be set; the repr names the fields.  A Decomposition's
-    equality, hash and repr ignore its shape.  No record is ordered, not
-    even against a tuple or a record of another type."""
+    """Interval, Band, StringBlock, JordanChain, CommandReport and
+    Decomposition, whose one field is blocks: a value equals a value of its
+    own type with equal fields, and never a plain tuple or a record of
+    another type, with ==, != and hash agreeing; a field cannot be set; the
+    repr names the fields.  No record is ordered, not even against a tuple
+    or a record of another type."""
     from tdr.cli import CommandReport
     from tdr.exactalg import JordanChain
 
     p = x_minus(2)
+    blocks = ((Interval(1, 2), 1),)
     cases = [(Interval(1, 2), Interval(1, 2), (1, 2), "Interval(a=1, b=2)"),
              (StringBlock(1, 2), StringBlock(1, 2), (1, 2),
               "StringBlock(start=1, length=2)"),
              (Band(p, 2), Band(x_minus(2), 2), (p, 2), f"Band(poly={p!r}, power=2)"),
              (JordanChain(1, ()), JordanChain(1, ()), (1, ()),
               "JordanChain(start=1, vectors=())"),
-             (CommandReport(0), CommandReport(0), (0,), "CommandReport(exit_code=0)")]
+             (CommandReport(0), CommandReport(0), (0,), "CommandReport(exit_code=0)"),
+             (Decomposition(blocks), Decomposition.of([Interval(1, 2)]), (blocks,),
+              "Decomposition(blocks=((Interval(a=1, b=2), 1),))")]
     for value, twin, plain, shown in cases:
         assert value == twin and not value != twin and hash(value) == hash(twin)
         assert value != plain and plain != value
@@ -224,21 +230,8 @@ def test_descriptors_are_records_equal_only_to_their_own_type():
                     compare(other, value)
     assert Interval(1, 2) != Interval(1, 3) and not Interval(1, 2) == Interval(2, 1)
     assert len({Interval(1, 2), StringBlock(1, 2), Interval(1, 2)}) == 2
-    blocks = ((Interval(1, 2), 1),)
-    shaped = Decomposition(blocks, shape_of(canonical_diagram("A0", 2)))
-    bare = Decomposition(blocks)
-    assert shaped == bare and not shaped != bare and hash(shaped) == hash(bare)
-    assert repr(shaped) == repr(bare) == "Decomposition(blocks=((Interval(a=1, b=2), 1),))"
-    assert shaped != Decomposition(((Interval(1, 2), 2),), shaped.shape)
-    assert shaped != (blocks, shaped.shape) and not bare == (blocks, None)
-    with pytest.raises(AttributeError):
-        shaped.shape = None
-    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
-        for other in (bare, (blocks, None)):
-            with pytest.raises(TypeError):
-                compare(shaped, other)
-            with pytest.raises(TypeError):
-                compare(other, shaped)
+    assert Decomposition._fields == ("blocks",)
+    assert Decomposition(blocks) != Decomposition(((Interval(1, 2), 2),))
 
 
 def test_canonical_diagram_rejects_bad_sizes():
@@ -661,6 +654,83 @@ def test_bands_are_the_invertible_divisors_of_the_monodromy(monkeypatch):
         assert calls == [(r.dims["e1"], r.dims["e1"])], case
 
 
+def _walked_monodromy(r, base):
+    """The monodromy read by a walk: from the base wire's head, follow each
+    vertex's one outgoing wire back to the base, each factor applied after
+    the last; None when a vertex has not one wire in and one out."""
+    nbs = slots(r.diagram)
+    if any(len(nb.incoming) != 1 or len(nb.outgoing) != 1 for nb in nbs.values()):
+        return None
+    head = {w.id: w.head for w in r.diagram.wires}
+    v = head[base]
+    acc, wid = r.tensors[v], nbs[v].outgoing[0]
+    while wid != base:
+        v = head[wid]
+        acc, wid = r.tensors[v] @ acc, nbs[v].outgoing[0]
+    return acc
+
+
+def _renamed(d, rng):
+    """d under fresh vertex and wire names, every wire keeping its way."""
+    vs = {v: f"{rng.choice('kqz')}{rng.randrange(1000)}{i}"
+          for i, v in enumerate(d.vertices)}
+    return validate_diagram({"vertices": sorted(vs.values()), "wires": [
+        {"id": f"{rng.choice('abw')}{rng.randrange(1000)}{i}",
+         "tail": vs.get(w.tail), "head": vs.get(w.head)}
+        for i, w in enumerate(d.wires)]})
+
+
+def test_monodromy_agrees_with_a_walk_along_the_wires():
+    """On J_1..J_5 under fresh names, dims 0..3 and every base, with the
+    wires as built, all reversed, and a random mixed set reversed: the
+    monodromy is the walk's product, and NotALoop where the walk finds a
+    vertex off a co-oriented cycle.  A0, A1, P, the needle, the figure
+    eight, two loops and a loop beside an endpointless wire are NotALoop
+    at every base; an unknown or unhashable base is UnknownWire."""
+    rng = random.Random(2028)
+    seen = {"agree": 0, "zero dim": 0, "not a loop": 0}
+    for n in range(1, 6):
+        for _ in range(3):
+            d = _renamed(canonical_diagram("J", n), rng)
+            wids = [w.id for w in d.wires]
+            dims = {w: rng.randrange(4) for w in wids}
+            r = gen_random(d, dims, rng.randrange(99)).rep
+            mixed = rng.sample(wids, rng.randint(1, max(n - 1, 1)))
+            for flip in ([], wids, mixed):
+                turned = reverse_wire_rep(r, *flip) if flip else r
+                for base in wids:
+                    want = _walked_monodromy(turned, base)
+                    if want is None:
+                        with pytest.raises(NotALoop):
+                            monodromy(turned, base)
+                        seen["not a loop"] += 1
+                    else:
+                        assert monodromy(turned, base) == want, (n, flip, base)
+                        seen["agree"] += 1
+                        seen["zero dim"] += want.rows == 0
+    # as built and all reversed at each of the 45 bases, J_1 also mixed; every
+    # mixed set on J_2..J_5 is off the walk
+    assert seen["agree"] == 2 * 45 + 3 and seen["not a loop"] == 45 - 3
+    assert seen["zero dim"]
+    two_loops = validate_diagram({"vertices": ["v1", "v2"], "wires": [
+        {"id": "e1", "tail": "v1", "head": "v1"},
+        {"id": "e2", "tail": "v2", "head": "v2"}]})
+    loose = validate_diagram({"vertices": ["v1"], "wires": [
+        {"id": "e1", "tail": "v1", "head": "v1"},
+        {"id": "e2", "tail": None, "head": None}]})
+    for d in (canonical_diagram("A0", 2), canonical_diagram("A1", 2),
+              canonical_diagram("P", 3), needle_diagram(), eight_diagram(),
+              two_loops, loose):
+        r = gen_random(d, {w.id: 2 for w in d.wires}, 5).rep
+        for w in d.wires:
+            with pytest.raises(NotALoop):
+                monodromy(r, w.id)
+    r = realize("J", 2, Band(x_minus(2), 1))
+    for base in ("e9", ["e1"], {}):
+        with pytest.raises(UnknownWire):
+            monodromy(r, base)
+
+
 def test_long_string_decomposes_within_its_time_bound():
     """A 28-long chain on J_1 under a base change: ranks of the powers of
     one 28 x 28 arc, and no kernel filtration to grow level by level."""
@@ -761,7 +831,7 @@ def test_open_paths_reach_rank_and_products_only(monkeypatch):
         r = conjugate(rng, r)
         for wid in ("e2", "e3", "e5"):
             r = reverse_wire_rep(r, wid)
-        reps.append((r, Decomposition.of(descs, shape_of(r.diagram))))
+        reps.append((r, Decomposition.of(descs)))
     for name, real in (("rank", emod.rank), ("rref", emod.rref),
                        ("factor_poly", emod.factor_poly), ("contract", rmod.contract)):
         wrapper = counted(name, real)

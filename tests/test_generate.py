@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from tdr.cli import _decomposition_record, _rep_record, canonical_json
-from tdr.decompose import Band, Interval, StringBlock, canonical_diagram, decompose
+from tdr.decompose import canonical_diagram, decompose, shape_of
 from tdr.errors import InvalidDims, NotConnected, NotDecomposable, TensorTooLarge
 from tdr.generate import SplitMix64, gen_random
 from tdr.rational import Q
@@ -203,7 +203,8 @@ def test_generated_bytes_are_pinned():
         res = gen_random(_GOLDEN_DIAGRAMS[name], dims, seed, mode)
         rec = {"rep": _rep_record(res.rep)}
         if res.key is not None:
-            rec["key"] = _decomposition_record(res.key)
+            shape = shape_of(_GOLDEN_DIAGRAMS[name])
+            rec["key"] = _decomposition_record(res.key, shape)
         records.append(rec)
     digest = hashlib.sha256(canonical_json(records).encode()).hexdigest()
     assert digest == _GOLDEN_SHA256

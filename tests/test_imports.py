@@ -48,6 +48,24 @@ def test_importing_tdr_and_its_cli_loads_no_dataclasses_or_inspect():
     assert json.loads(out.splitlines()[-1]) == []
 
 
+def test_representation_imports_neither_classify_nor_decompose():
+    """representation is the layer under the shapes: it reads no component
+    classes and walks no traversal, in any form of import."""
+    tree = ast.parse((SRC / "representation.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # from .m import x, from . import m and from tdr.m import x
+            base = ".".join(["tdr"] * (node.level > 0) + [node.module or ""]).strip(".")
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [name for name in names if name in ("tdr.classify", "tdr.decompose")]
+    assert found == []
+
+
 def test_benchmark_tracer_targets_resolve():
     """Every function the benchmark's tracer wraps exists in tdr, so a
     deletion that would stop a traced benchmark run fails here first;

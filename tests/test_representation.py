@@ -24,7 +24,7 @@ from tdr.errors import (
     UnknownVertexRef,
     UnknownWire,
 )
-from tdr.decompose import StringBlock, canonical_diagram, realize
+from tdr.decompose import StringBlock, canonical_diagram, monodromy, realize
 from tdr.exactalg import Matrix, det, inverse, nullspace, rank
 from tdr.generate import gen_random
 from tdr.rational import ONE, ZERO, Q
@@ -42,7 +42,6 @@ from tdr.representation import (
     intertwining_system,
     is_morphism,
     kernel,
-    monodromy,
     reverse_wire_rep,
     split_functor,
     tensor_product,
