@@ -102,8 +102,6 @@ def _grid(m):
     """The entries of a Matrix as rational strings, read off its integer
     rows over m.den without a Fraction per entry."""
     den = m.den
-    if den == 1:
-        return [list(map(str, row)) for row in m.nums]
     return [[format_ratio(x, den) for x in row] for row in m.nums]
 
 

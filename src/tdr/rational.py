@@ -6,7 +6,8 @@ an entry, a determinant or a polynomial coefficient, is the stdlib
 fractions.Fraction, named Q here.  format_ratio writes the "p/q" (or "p")
 form from a numerator and a denominator, so a Matrix entry is written
 from its integer row and the matrix's denominator without a Fraction;
-format_rational writes a Q through it.
+format_rational writes a Q through it.  It writes every digit, past the
+int-string limit that parse_rational keeps: a result outgrows its input.
 """
 
 from fractions import Fraction as Q
@@ -48,5 +49,16 @@ def format_ratio(num, den):
     and the matrix's denominator, with no Fraction."""
     g = gcd(num, den)
     if g == den:
-        return str(num // g)
-    return f"{num // g}/{den // g}"
+        return _digits(num // g)
+    return f"{_digits(num // g)}/{_digits(den // g)}"
+
+
+def _digits(n):
+    """str(n), also past Python's int-string limit: an n of 2000 bits or
+    more (over 600 digits, which any setting of the limit allows) is cut
+    at a power of ten about half way, and each part is written so."""
+    if n.bit_length() < 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20
+    hi, lo = divmod(abs(n), 10 ** k)
+    return "-" * (n < 0) + _digits(hi) + _digits(lo).zfill(k)

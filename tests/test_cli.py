@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import tracemalloc
 from math import prod
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from tdr.cli import _grid, canonical_json, run
 from tdr.exactalg import Matrix
-from tdr.rational import Q, format_rational
+from tdr.errors import ParseError
+from tdr.rational import Q, format_rational, parse_rational
 
 DIAGRAM = {
     "vertices": ["v1", "v2"],
@@ -136,6 +138,44 @@ def test_contract_command(tmp_path, capsys):
     path = write(tmp_path, "j1.json", J1_REP)
     assert run(["contract", path]).exit_code == 0
     assert json.loads(capsys.readouterr().out) == {"value": "5"}
+
+
+def _lifted(text):
+    """int(text) with Python's int-string limit lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_contract_writes_a_value_past_the_int_string_limit(tmp_path, capsys):
+    """Two 1x1 vertices of a J_2 hold 1/N, N the 4000-digit 33...3 (under
+    the 4300-digit limit on reading), so the value is 1/N^2 and its
+    denominator has 8000 digits: the command writes every one, and the
+    reading side still refuses them."""
+    n = "3" * 4000
+    rec = {"diagram": {"vertices": ["v1", "v2"], "wires": [
+        {"id": "e1", "tail": "v1", "head": "v2"},
+        {"id": "e2", "tail": "v2", "head": "v1"}]},
+        "dims": {"e1": 1, "e2": 1},
+        "vertices": {v: {"rows": 1, "cols": 1, "entries": [["1/" + n]]}
+                     for v in ("v1", "v2")}}
+    assert run(["contract", write(tmp_path, "big.json", rec)]).exit_code == 0
+    num, _, den = json.loads(capsys.readouterr().out)["value"].partition("/")
+    assert (num, len(den)) == ("1", 8000)
+    assert _lifted(den) == _lifted(n) ** 2
+    with pytest.raises(ParseError):
+        parse_rational("1/" + den)
+
+
+def test_grid_writes_every_digit_of_a_long_entry():
+    big = 7 * 10 ** 5000 + 1
+    assert _grid(Matrix.from_ints(1, 2, [[big, -big]])) == [
+        ["7" + "0" * 4999 + "1", "-7" + "0" * 4999 + "1"]]
+    assert _grid(Matrix.from_ints(1, 1, [[2]], big)) == [
+        ["2/7" + "0" * 4999 + "1"]]
 
 
 def test_contract_command_validates_its_diagram_once(tmp_path, capsys, spy):

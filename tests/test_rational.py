@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -35,6 +36,23 @@ def test_format_integers_have_no_slash():
 def test_format_ratio_writes_lowest_terms(num, den, text):
     assert format_ratio(num, den) == text
     assert format_rational(Q(num, den)) == text
+
+
+def test_format_ratio_writes_every_digit_past_the_int_string_limit():
+    """Seeded numerators and denominators of 600 to 20000 digits, and powers
+    of ten and their neighbours, are written digit for digit; str, with the
+    limit lifted in this test only, is the oracle."""
+    rng = random.Random(2937)
+    cases = [(10 ** k + j, 1) for k in (602, 4300, 9000) for j in (-1, 0, 1)]
+    cases += [(rng.choice((1, -1)) * rng.randrange(10 ** rng.randint(600, 20000)),
+               rng.randrange(1, 10 ** rng.randint(1, 20000))) for _ in range(20)]
+    got = [format_ratio(num, den) for num, den in cases]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert got == [str(Q(num, den)) for num, den in cases]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_format_parse_round_trip():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from tdr.errors import (
     NotALoop,
     NotClosed,
     NotMonic,
+    NotQuiverLike,
     RestrictedDimViolation,
     ShapeMismatch,
     SingularMatrix,
@@ -25,7 +27,16 @@ from tdr.errors import (
     UnknownWire,
 )
 from tdr.decompose import StringBlock, canonical_diagram, monodromy, realize
-from tdr.exactalg import Matrix, det, inverse, nullspace, rank
+from tdr.exactalg import (
+    Matrix,
+    column_space,
+    det,
+    inverse,
+    new_columns,
+    nullspace,
+    rank,
+    rref,
+)
 from tdr.generate import gen_random
 from tdr.rational import ONE, ZERO, Q
 from tdr.representation import (
@@ -1085,3 +1096,177 @@ def test_contract_gathers_afresh_what_a_program_does_not_keep(monkeypatch):
         afresh += sum(type(v) is tuple for step in steps for v in step[3:])
     _compile.cache_clear()
     assert afresh > 0
+
+
+# a hand-built network that lists its wires out of canonical order: a =
+# (out e2, e1), b = (in e2, e5), c = (out e5, in e1), its tensors indexed in
+# the order e2, e1, e5
+_HAND = TensorDiagram(("a", "b", "c"), (
+    Wire("e2", "a", "b"), Wire("e1", "a", "c"), Wire("e5", "c", "b")))
+
+
+def test_reversing_a_wire_of_a_hand_built_network_keeps_its_value():
+    """Reversal keeps the diagram's wire order, so the tensors it does not
+    touch (a's, here) are read as they were: every reversal of one wire,
+    and of all of them, contracts to the brute-force value."""
+    r = _rand_rep(random.Random(2929), _HAND, {"e2": 3, "e1": 2, "e5": 2})
+    value = _brute_contract(_HAND, r.dims, r.tensors)
+    assert value != 0
+    for wids in (["e5"], ["e1"], ["e2"], ["e2", "e1", "e5"]):
+        flipped = reverse_wire_rep(r, *wids)
+        assert contract(flipped) == value, wids
+        assert [w.id for w in flipped.diagram.wires] == ["e2", "e1", "e5"]
+    assert contract(dual_rep(r)) == value
+
+
+def test_reversal_and_dual_are_involutions_on_a_hand_built_network():
+    r = _rand_rep(random.Random(2930), _HAND, {"e2": 3, "e1": 2, "e5": 2})
+    for w in ("e2", "e1", "e5"):
+        assert reverse_wire_rep(reverse_wire_rep(r, w), w) == r, w
+    assert dual_rep(dual_rep(r)) == r
+
+
+def test_kernel_on_a_hand_built_j2_lives_on_its_diagram():
+    """The kernel of the zero map on a J_2 that lists e2 before e1 lives on
+    that diagram, and its inclusion is a morphism into the rep."""
+    d = TensorDiagram(("v1", "v2"), (Wire("e2", "v2", "v1"), Wire("e1", "v1", "v2")))
+    r = _rand_rep(random.Random(2931), d, {"e2": 2, "e1": 3})
+    zero = {w: Matrix.zeros(n, n) for w, n in r.dims.items()}
+    ker, incl = kernel(zero, r, r)
+    assert is_morphism(incl, ker, r)
+    assert ker.diagram == d
+    assert ker.dims == r.dims
+
+
+def test_split_functor_on_a_hand_built_network_keeps_its_value():
+    """Merging b and c over the dimension-1 wire e5 leaves a's tensor, and
+    the wire order it is indexed in, untouched: the value stays."""
+    r = _rand_rep(random.Random(2932), _HAND, {"e2": 3, "e1": 2, "e5": 1})
+    value = _brute_contract(_HAND, r.dims, r.tensors)
+    assert value != 0
+    merged = split_functor(r, "e5")
+    assert contract(merged) == value
+    assert [w.id for w in merged.diagram.wires] == ["e2", "e1"]
+
+
+def _three_step_coker(phi, r1, r2):
+    """The cokernel pieces in three steps: a basis of im(phi_e)
+    (column_space), the unit vectors that grow its span (new_columns), and
+    psi_e the rows of inverse([basis | section]) past the basis."""
+    sec, psi = {}, {}
+    for wid in r1.dims:
+        im = column_space(phi[wid])
+        eye = Matrix.identity(r2.dims[wid])
+        sec[wid] = eye.submatrix(range(eye.rows), new_columns(im, eye))
+        psi[wid] = inverse(im.hstack(sec[wid])).submatrix(
+            range(im.cols, eye.rows), range(eye.rows))
+    d = r1.diagram
+    tensors = {v: psi[b] @ r2.tensors[v] @ sec[a]
+               for v, ((a,), (b,)) in slots(d).items()}
+    return Representation(d, {w: s.cols for w, s in sec.items()}, tensors), psi
+
+
+def _three_step_kernel(phi, r1, r2):
+    c, psi = _three_step_coker({w: phi[w].transpose() for w in r1.dims},
+                               dual_rep(r2), dual_rep(r1))
+    return dual_rep(c), {w: m.transpose() for w, m in psi.items()}
+
+
+def _seeded_morphisms(rng, count):
+    """(family, phi, source, target): phi = g2 (incl of r into r + u)
+    (proj of r + s onto r) g1^-1 between base-changed sums on A0, A1, P
+    and J, every fifth one the zero map; s is zero on every third one, so
+    that phi is monic there."""
+    for k in range(count):
+        family = ("A0", "A1", "P", "J")[k % 4]
+        d = canonical_diagram(family, rng.randint(1, 3))
+        r, s, u = (gen_random(d, {w.id: 0 if i == 1 and k % 3 == 0
+                                   else rng.randint(0, 3) for w in d.wires},
+                              seed=rng.randrange(10 ** 6))[0] for i in range(3))
+        t1, t2 = direct_sum(r, s), direct_sum(r, u)
+        g1 = {w: rand_invertible(rng, n) for w, n in t1.dims.items()}
+        g2 = {w: rand_invertible(rng, n) for w, n in t2.dims.items()}
+        phi = {}
+        for w, n1 in t1.dims.items():
+            a, n2 = r.dims[w], t2.dims[w]
+            if k % 5 == 0:
+                phi[w] = Matrix.zeros(n2, n1)
+            else:
+                phi[w] = (g2[w] @ Matrix.identity(n2).submatrix(range(n2), range(a))
+                          @ Matrix.identity(n1).submatrix(range(a), range(n1))
+                          @ inverse(g1[w]))
+        yield (family, phi, apply_group_element(g1, t1),
+               apply_group_element(g2, t2))
+
+
+def test_cokernel_and_kernel_agree_with_the_three_step_formula():
+    """On 200 seeded morphisms, zero maps and rank-deficient ones included,
+    kernel and (on the monic ones) cokernel return the same rep and maps as
+    the three-step formula; A1 and P are refused (NotQuiverLike)."""
+    rng = random.Random(2933)
+    seen = set()
+    for family, phi, r1, r2 in _seeded_morphisms(rng, 200):
+        if family in ("A1", "P"):
+            with pytest.raises(NotQuiverLike):
+                kernel(phi, r1, r2)
+            continue
+        ker = kernel(phi, r1, r2)
+        assert ker == _three_step_kernel(phi, r1, r2), family
+        monic = all(rank(phi[w]) == n for w, n in r1.dims.items())
+        if monic:
+            assert cokernel(phi, r1, r2) == _three_step_coker(phi, r1, r2)
+        seen |= {"monic"} if monic else {"deficient"}
+        seen |= {"zero map"} if all(m.is_zero() for m in phi.values()) else set()
+        seen |= {"kernel"} if any(ker[0].dims.values()) else set()
+        seen |= {"dim 0"} if 0 in r2.dims.values() else set()
+    assert seen == {"monic", "deficient", "zero map", "kernel", "dim 0"}
+
+
+def test_cokernel_takes_one_rref_per_wire(spy):
+    """_coker_data reads the section and psi off one RREF per wire, with no
+    column_space, new_columns or inverse."""
+    rng = random.Random(2934)
+    d = canonical_diagram("J", 3)
+    r = gen_random(d, {w.id: 2 for w in d.wires}, seed=5)[0]
+    t = direct_sum(r, gen_random(d, {w.id: 1 for w in d.wires}, seed=6)[0])
+    g = {w: rand_invertible(rng, n) for w, n in t.dims.items()}
+    phi = {w: g[w] @ Matrix.identity(3).submatrix(range(3), range(2)) for w in g}
+    t = apply_group_element(g, t)
+    calls = spy(rref, column_space, new_columns, inverse)
+    cokernel(phi, r, t)
+    kernel(phi, r, t)
+    assert calls == {"rref": 6, "column_space": 0, "new_columns": 0, "inverse": 0}
+
+
+def test_cokernel_of_a_half_rank_map_at_dim_60_is_quick():
+    """The cokernel of the inclusion of a dim-30 summand into a base-changed
+    J_1 rep of dim 60 finishes within 1 s."""
+    rng = random.Random(2935)
+    r, u = (j1_rep(Matrix.from_rows([[rng.randint(-2, 2) for _ in range(30)]
+                                     for _ in range(30)])) for _ in range(2))
+    g = {"e1": rand_invertible(rng, 60)}
+    t = apply_group_element(g, direct_sum(r, u))
+    phi = {"e1": g["e1"] @ Matrix.identity(60).submatrix(range(60), range(30))}
+    t0 = time.perf_counter()
+    coker, psi = cokernel(phi, r, t)
+    elapsed = time.perf_counter() - t0
+    assert coker.dims == {"e1": 30} and (psi["e1"] @ phi["e1"]).is_zero()
+    assert elapsed < 1.0, elapsed
+
+
+def test_contract_plan_of_a_large_ring_is_quick():
+    """On a 200-vertex ring with 200 seeded chords at dim 2, _plan takes
+    one pass over the held wires a step and finishes within 0.5 s, where
+    an all-pairs scan, as _plain_greedy makes, takes far longer."""
+    rng = random.Random(2936)
+    vs = [f"v{i:03d}" for i in range(200)]
+    ends = [(v, vs[(i + 1) % 200]) for i, v in enumerate(vs)]
+    ends += [tuple(rng.sample(vs, 2)) for _ in range(200)]
+    d = validate_diagram({"vertices": vs, "wires": [
+        {"id": f"e{i:03d}", "tail": t, "head": h} for i, (t, h) in enumerate(ends)]})
+    held = {v: list(nb.outgoing + nb.incoming) for v, nb in slots(d).items()}
+    t0 = time.perf_counter()
+    steps, largest = _plan({w.id: 2 for w in d.wires}, held)
+    elapsed = time.perf_counter() - t0
+    assert len(steps) == 199 and largest > TENSOR_CAP
+    assert elapsed < 0.5, elapsed
