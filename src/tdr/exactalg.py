@@ -9,8 +9,8 @@ Berkowitz's division-free algorithm, products over the product of the
 denominators.  Entries are rationals only at the boundary: the Matrix
 constructor, from_rows, column and entries().  The constructor, identity
 and zeros refuse a side that is not an int >= 0, and the constructor and
-scale refuse data that is not finite rationals (or not rows x cols of
-them), as ShapeMismatch; Poly refuses its coefficients alike.
+scale refuse data that is not rows x cols of finite rationals (a bool is
+none), as ShapeMismatch; Poly refuses its coefficients alike.
 Everything that returns a basis goes through the RREF, so outputs are
 canonical: nullspace and column_space read it off, and preimage is the
 column space of the x-parts of a nullspace.  coords_in_basis reads
@@ -73,14 +73,16 @@ class Matrix:
     __slots__ = ("rows", "cols", "nums", "den")
 
     def __init__(self, rows, cols, data):
-        # data: rows x cols finite rationals (anything Q takes), cleared to
-        # one denominator; ints and Qs are read without conversion
+        # data: rows x cols finite rationals (anything Q takes but a bool),
+        # cleared to one denominator; ints and Qs are read without conversion
         _sides(rows, cols)
         try:
             try:
                 pairs = [[x.as_integer_ratio() for x in row] for row in data]
             except AttributeError:
                 pairs = [[Q(x).as_integer_ratio() for x in row] for row in data]
+            if any(type(x) is bool for row in data for x in row):
+                raise TypeError   # Q reads a bool as 0 or 1
         except (TypeError, ValueError, ArithmeticError):
             raise ShapeMismatch("data is not rows of rationals") from None
         if len(pairs) != rows or any(len(row) != cols for row in pairs):
@@ -400,6 +402,8 @@ class Poly:
     def __init__(self, coeffs):
         try:
             self.coeffs = _trim(Q(x) for x in coeffs)
+            if any(type(x) is bool for x in coeffs):
+                raise TypeError   # Q reads a bool as 0 or 1
         except (TypeError, ValueError, ArithmeticError):
             raise ShapeMismatch("coefficients are not rationals") from None
 

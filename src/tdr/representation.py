@@ -33,7 +33,8 @@ only through its steps' products: its plan and every step's gather offsets
 are compiled once per (diagram, dims) and kept in a cache of 256 programs
 (about 0.5 MB for the 120 networks of a closed-contract round, at most
 about 40 MB), and each call runs the gathers and products alone.  A
-cokernel, and a kernel (the dual one), takes one RREF per wire.
+kernel takes one RREF per wire, of its map with the columns reversed, and
+a cokernel is the dual of a kernel.
 """
 
 from collections.abc import Mapping
@@ -57,7 +58,7 @@ from .errors import (
     SizeMismatch,
     TensorTooLarge,
 )
-from .exactalg import Matrix, inverse, rank, rref
+from .exactalg import Matrix, inverse, nullspace, rank
 from .rational import ZERO, Q
 from .semigraph import (
     TensorDiagram,
@@ -390,47 +391,41 @@ def hom_dim(r1, r2):
     return total - rank(system)
 
 
-def _coker_data(phi, r1, r2):
-    """Per-wire cokernel pieces for any morphism, from one RREF of [phi_e |
-    I]: its pivots past phi_e pick the section s_e, the unit vectors that
-    grow im(phi_e) left to right, and its I-part rows past phi_e's rank are
-    psi_e.  Its row transform inverts [phi_e's pivot columns | s_e], so
-    psi_e s_e = I, psi_e phi_e = 0, and psi_e depends on im(phi_e) alone."""
-    d = r1.diagram
+def _kernel_basis(m):
+    """ker(m)'s RREF basis as columns, and the rows where it is the identity:
+    the nullspace of m with its columns reversed, read back in order, has
+    each vector zero before its own 1, the subspace's one RREF basis."""
+    null = nullspace(m.submatrix(range(m.rows), range(m.cols)[::-1]))
+    basis = null.submatrix(range(m.cols)[::-1], range(null.cols)[::-1])
+    return basis, [next(i for i, x in enumerate(c) if x) for c in zip(*basis.nums)]
+
+
+def kernel(phi, r1, r2):
+    """Kernel of a morphism with its inclusion: ker(phi_e)'s RREF basis per
+    wire, and at each vertex T1 @ incl[a] read at incl[b]'s identity rows."""
+    d = _phi_checked(phi, r1, r2)
     quiver = _quiver_slots(d)
     if not is_morphism(phi, r1, r2):
         raise NotAMorphism("the commuting squares fail")
-    psi, sec = {}, {}
+    incl, rows = {}, {}
     for wid in r1.dims:
-        m, n = phi[wid], r2.dims[wid]
-        eye = Matrix.identity(n)
-        red, pivots = rref(m.hstack(eye))
-        new = [p - m.cols for p in pivots if p >= m.cols]
-        sec[wid] = eye.submatrix(range(n), new)
-        psi[wid] = red.submatrix(range(n - len(new), n), range(m.cols, m.cols + n))
-    tensors = {v: psi[b] @ r2.tensors[v] @ sec[a]
+        incl[wid], rows[wid] = _kernel_basis(phi[wid])
+    tensors = {v: (r1.tensors[v] @ incl[a]).submatrix(rows[b], range(incl[a].cols))
                for v, ((a,), (b,)) in quiver.items()}
-    return _rep(d, {wid: s.cols for wid, s in sec.items()}, tensors), psi
+    return _rep(d, {wid: len(rows[wid]) for wid in r1.dims}, tensors), incl
 
 
 def cokernel(phi, r1, r2):
-    """Cokernel of a monic morphism with its projection."""
+    """Cokernel of a monic morphism with its projection: the dual of the
+    kernel of the transposed morphism on the duals."""
     _phi_checked(phi, r1, r2)
     for wid in r1.dims:
         if rank(phi[wid]) < r1.dims[wid]:
             raise NotMonic(f"component at wire {wid} is not injective")
-    return _coker_data(phi, r1, r2)
-
-
-def kernel(phi, r1, r2):
-    """Kernel of a morphism, via the cokernel of the transposed morphism."""
-    _phi_checked(phi, r1, r2)
-    d1, d2 = dual_rep(r1), dual_rep(r2)
-    phit = {wid: phi[wid].transpose() for wid in r1.dims}
-    c, psi = _coker_data(phit, d2, d1)
-    ker = dual_rep(c)
-    incl = {wid: psi[wid].transpose() for wid in psi}
-    return ker, incl
+    _quiver_slots(r1.diagram)   # refused by this diagram's slots, not the dual's
+    ker, incl = kernel({wid: phi[wid].transpose() for wid in r1.dims},
+                       dual_rep(r2), dual_rep(r1))
+    return dual_rep(ker), {wid: m.transpose() for wid, m in incl.items()}
 
 
 # ---------------------------------------------------------------------------

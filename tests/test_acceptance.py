@@ -407,9 +407,9 @@ def test_criterion_8():
 
     50 seeded block inclusions into A0 reps, hidden by wire-wise base
     change of the target: cokernel dimensions add up wire by wire, the
-    projection kills the inclusion, and kernel dimensions (computed by
-    the dual route) match direct nullspace dimensions for both the
-    monic map (all zero) and its cokernel projection.
+    projection kills the inclusion, and kernel dimensions match direct
+    nullspace dimensions for both the monic map (all zero) and its
+    cokernel projection.
     """
     for i in range(50):
         seed = 8000 + i

@@ -97,13 +97,17 @@ _UNKNOWN_END = TensorDiagram(("v1", "v2"), (Wire("e1", "v1", "v2"),
      ShapeMismatch),
     (lambda: Representation._make((_J2.diagram, {"e1": 2}, _J2.tensors)),
      ShapeMismatch),
+    (lambda: validate_representation(canonical_diagram("J", 1), {"e1": 1},
+                                     {"v1": [[True]]}), ShapeMismatch),
 ], ids=["identities-5x5", "missing-tensor", "unknown-endpoint",
-        "replace-tensors", "replace-diagram", "make-tensors", "make-dims"])
+        "replace-tensors", "replace-diagram", "make-tensors", "make-dims",
+        "bool-entry"])
 def test_no_path_builds_a_bad_rep(build, error):
     """The hand-built reps that direct_sum and contract once read unchecked
     (5x5 identities on J_2's String(1, 3), a missing tensor, an unknown
     endpoint) are refused by the constructor, and so by _replace and
-    _make."""
+    _make; the record parser refuses a bool entry, as the CLI's
+    parse_rational refuses a JSON true."""
     with pytest.raises(error):
         build()
 

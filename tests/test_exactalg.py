@@ -70,15 +70,18 @@ def test_matrix_checks_its_data_shape(rows, cols, data):
 @pytest.mark.parametrize("rows, cols, data", [
     (1.0, 1, [[2]]), (1, 1.0, [[2]]), (True, 1, [[2]]), (1, True, [[2]]),
     (1, 1, [["x"]]), (1, 1, [[float("nan")]]), (1, 1, [[float("inf")]]),
-    (1, 1, [[None]])])
+    (1, 1, [[None]]), (1, 2, [[True, False]]), (1, 2, [["1/2", True]])])
 def test_matrix_refuses_a_non_int_side_and_non_rational_data(rows, cols, data):
     # a float side equals its int, so it would pass every later shape check
-    # and break the kernels; every bad input is one error, as for a bad shape
+    # and break the kernels; every bad input is one error, as for a bad shape;
+    # Fraction reads a bool as 0 or 1, but a bool is no rational, as
+    # parse_rational and every other boundary hold
     with pytest.raises(ShapeMismatch):
         Matrix(rows, cols, data)
 
 
-@pytest.mark.parametrize("coeffs", [("x",), (1, None), (float("nan"),), 5])
+@pytest.mark.parametrize("coeffs", [("x",), (1, None), (float("nan"),), 5,
+                                    (True, 1), [1, False]])
 def test_poly_refuses_coefficients_that_are_not_rationals(coeffs):
     with pytest.raises(ShapeMismatch):
         Poly(coeffs)

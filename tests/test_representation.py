@@ -43,6 +43,7 @@ from tdr.representation import (
     TENSOR_CAP,
     Representation,
     _compile,
+    _kernel_basis,
     _plan,
     apply_group_element,
     cokernel,
@@ -1223,8 +1224,8 @@ def test_cokernel_and_kernel_agree_with_the_three_step_formula():
 
 
 def test_cokernel_takes_one_rref_per_wire(spy):
-    """_coker_data reads the section and psi off one RREF per wire, with no
-    column_space, new_columns or inverse."""
+    """A kernel reads its basis off one RREF per wire, and a cokernel, the
+    dual of a kernel, too, with no column_space, new_columns or inverse."""
     rng = random.Random(2934)
     d = canonical_diagram("J", 3)
     r = gen_random(d, {w.id: 2 for w in d.wires}, seed=5)[0]
@@ -1252,6 +1253,101 @@ def test_cokernel_of_a_half_rank_map_at_dim_60_is_quick():
     elapsed = time.perf_counter() - t0
     assert coker.dims == {"e1": 30} and (psi["e1"] @ phi["e1"]).is_zero()
     assert elapsed < 1.0, elapsed
+
+
+def test_kernel_of_a_half_rank_projection_at_dim_60_is_quick():
+    """The kernel of the projection from a base-changed J_1 rep of dim 60
+    onto its dim-30 cokernel, built as in the cokernel test above,
+    finishes within 1 s."""
+    rng = random.Random(2935)
+    r, u = (j1_rep(Matrix.from_rows([[rng.randint(-2, 2) for _ in range(30)]
+                                     for _ in range(30)])) for _ in range(2))
+    g = {"e1": rand_invertible(rng, 60)}
+    t = apply_group_element(g, direct_sum(r, u))
+    phi = {"e1": g["e1"] @ Matrix.identity(60).submatrix(range(60), range(30))}
+    coker, psi = cokernel(phi, r, t)
+    t0 = time.perf_counter()
+    ker, incl = kernel(psi, t, coker)
+    elapsed = time.perf_counter() - t0
+    assert ker.dims == {"e1": 30} and (psi["e1"] @ incl["e1"]).is_zero()
+    assert is_morphism(incl, ker, t)
+    assert elapsed < 1.0, elapsed
+
+
+def test_quotients_build_no_identity_and_the_kernel_no_dual(spy, monkeypatch):
+    """Over one cokernel and one kernel on J_3, Matrix.identity builds
+    nothing past is_morphism's 1 x 1 Kronecker seeds (no n x n identity
+    per wire), and the kernel takes no dual_rep."""
+    rng = random.Random(2938)
+    d = canonical_diagram("J", 3)
+    r = gen_random(d, {w.id: 2 for w in d.wires}, seed=5)[0]
+    t = direct_sum(r, gen_random(d, {w.id: 1 for w in d.wires}, seed=6)[0])
+    g = {w: rand_invertible(rng, n) for w, n in t.dims.items()}
+    phi = {w: g[w] @ Matrix.identity(3).submatrix(range(3), range(2)) for w in g}
+    t = apply_group_element(g, t)
+    sizes, real = [], Matrix.identity.__func__
+
+    def identity(cls, n):
+        sizes.append(n)
+        return real(cls, n)
+
+    monkeypatch.setattr(Matrix, "identity", classmethod(identity))
+    calls = spy(dual_rep)
+    coker, psi = cokernel(phi, r, t)
+    before = calls["dual_rep"]
+    ker, incl = kernel(psi, t, coker)
+    assert calls["dual_rep"] == before
+    assert ker.dims == r.dims and set(sizes) <= {1}, sizes
+
+
+@pytest.mark.parametrize("family, n", [("A1", 1), ("P", 2)])
+def test_quotients_name_the_diagrams_own_slot_counts(family, n):
+    """kernel and cokernel refuse a vertex without one slot a side by the
+    counts slots(d) gives it, not by those of the dual diagram."""
+    d = canonical_diagram(family, n)
+    r = gen_random(d, {w.id: 2 for w in d.wires}, 1)[0]
+    phi = {w: Matrix.identity(2) for w in r.dims}
+    v, nb = next((v, nb) for v, nb in slots(d).items()
+                 if (len(nb.incoming), len(nb.outgoing)) != (1, 1))
+    want = (f"vertex {v} has {len(nb.incoming)} incoming and "
+            f"{len(nb.outgoing)} outgoing slots")
+    for quotient in (kernel, cokernel):
+        with pytest.raises(NotQuiverLike) as exc:
+            quotient(phi, r, r)
+        assert str(exc.value) == want, quotient.__name__
+
+
+def _low_rank(rng, rows, cols, rank_):
+    """A seeded rows x cols rational matrix of rank at most rank_."""
+    def draw(a, b):
+        return Matrix(a, b, [[Q(rng.randint(-5, 5), rng.randint(1, 4))
+                              for _ in range(b)] for _ in range(a)])
+    return draw(rows, rank_) @ draw(rank_, cols)
+
+
+def test_kernel_basis_is_the_rref_basis_of_the_kernel():
+    """_kernel_basis(m) is column_space(nullspace(m)), the kernel's RREF
+    basis, on seeded rational matrices (0 x n, n x 0, zero, full column
+    rank, rank-deficient), and its rows are where that basis is the
+    identity: each column's own 1, with zeros above it."""
+    rng = random.Random(2939)
+    cases = [Matrix.zeros(0, 4), Matrix.zeros(3, 0), Matrix.zeros(0, 0),
+             Matrix.zeros(3, 4)]
+    for _ in range(80):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(_low_rank(rng, rows, cols, rng.randint(0, min(rows, cols))))
+    seen = set()
+    for m in cases:
+        basis, ones = _kernel_basis(m)
+        assert basis == column_space(nullspace(m)), m
+        k = basis.cols
+        assert basis.submatrix(ones, range(k)) == Matrix.identity(k), m
+        assert all(not any(basis.nums[h][j] for h in range(i))
+                   for j, i in enumerate(ones)), m
+        seen.add("0 x n" if not m.rows else "n x 0" if not m.cols
+                 else "zero" if m.is_zero() else "full" if rank(m) == m.cols
+                 else "deficient")
+    assert seen == {"0 x n", "n x 0", "zero", "full", "deficient"}
 
 
 def test_contract_plan_of_a_large_ring_is_quick():
