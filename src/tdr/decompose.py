@@ -19,7 +19,8 @@ Interval blocks; the closed end of a one-dangling path behaves as an
 extra pinned position of dimension 1.  A cycle splits into the stable
 image and the stable kernel of its monodromy at position 1 (Fitting's
 lemma): the Band blocks are the elementary divisors of the monodromy on
-its stable image, and the invertible part keeps the rank of that image
+its stable image, read in that image's RREF basis off its pivot rows
+with no elimination, and the invertible part keeps the rank of that image
 in every composite of arcs, so the chains counted above it are the
 String blocks of the nilpotent part.  Closed paths are decomposed
 through their associated cycle, whose last position is the pinned
@@ -51,7 +52,6 @@ from .exactalg import (
     Poly,
     chains,
     companion,
-    coords_in_basis,
     factor_poly,
     rational_canonical,
     stable_image,
@@ -236,7 +236,11 @@ def _cycle_blocks(arcs):
     # composite of arcs, so the chains below are the nilpotent part's
     out = [StringBlock(s, k) for s, k in chains(arcs, core.cols)]
     if core.cols:
-        lbar = coords_in_basis(core, mono @ core)
+        # core is an RREF basis, the identity on its pivot rows (each
+        # column's first nonzero), so mono's pivot rows times core are the
+        # coordinates of mono @ core in core
+        pivots = [next(i for i, x in enumerate(col) if x) for col in zip(*core.nums)]
+        lbar = mono.submatrix(pivots, range(mono.cols)) @ core
         out.extend(Band(p, s) for p, s in rational_canonical(lbar))
     return out
 

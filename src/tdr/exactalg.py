@@ -21,8 +21,10 @@ Fitting's lemma.  On a cycle of maps, chains counts the chains of basis
 vectors along the maps (intervals, strings, and the Jordan chains behind
 elementary divisors) from the ranks of composites alone, computing only
 the ranks that Frobenius's rank inequality does not pin and forming each
-composite only when its rank is computed; kernel_filtration and
-chain_tops pick the chains' top vectors.
+composite only when its rank is computed, and it refuses a stable that
+is not the invertible part's rank; kernel_filtration and chain_tops pick
+the chains' top vectors.  Poly.eval_matrix runs Horner's rule on a
+matrix's integer rows, each coefficient added on the diagonal.
 factor_poly factors over Q on integer coefficient lists: the primitive
 part is split by Yun's squarefree decomposition, and each squarefree part
 by Zassenhaus's algorithm (factors mod the first good prime, an odd prime
@@ -460,15 +462,30 @@ class Poly:
         return out
 
     def eval_matrix(self, m):
+        """p(m) by Horner's rule on m's integer rows M over its den D.
+
+        With the coefficients c_k = C_k / L over one denominator L, the rows
+        A = C_d I, then A M + C_k D^(d-k) I for k = d-1 .. 0, end at
+        L D^d p(m); each C_k goes on the diagonal, and the first product,
+        by C_d I, is a scaling of M.
+        """
         if m.rows != m.cols:
             raise NotSquare(f"{m.rows}x{m.cols}")
-        n = m.rows
-        acc = Matrix.zeros(n, n)
-        for c in reversed(self.coeffs):
-            acc = acc @ m
+        n, coeffs = m.rows, self.coeffs
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
+        cols = tuple(zip(*m.nums))
+        a, s = [[0] * n for _ in range(n)], 1
+        for k, c in enumerate(ints):
+            if k:
+                s *= m.den
+                a = ([[ints[0] * x for x in row] for row in m.nums] if k == 1
+                     else [[sum(map(mul, row, col)) for col in cols] for row in a])
             if c:
-                acc = acc + Matrix.identity(n).scale(c)
-        return acc
+                cs = c * s
+                for i, row in enumerate(a):
+                    row[i] += cs
+        return Matrix.from_ints(n, n, a, den * s)
 
 
 def charpoly(m):
@@ -891,13 +908,27 @@ def chains(blocks, stable=0):
     open: it lies between r(a, k-1) + r(a+1, k-1) - r(a+1, k-2) and
     min(r(a, k-1), r(a+1, k-1)).  Blocks are multiplied onto the last
     composite made only when a rank has to be computed.
+
+    ShapeMismatch, before any product, for no blocks, blocks that do not
+    chain, or a stable outside 0 .. every block's side; and for a row
+    whose ranks are still above stable past the total dimension of the
+    grades, which no chain outlasts, or that falls below stable: stable is
+    then not the rank of the invertible part.
     """
     n = len(blocks)
+    if not n or any(blocks[a].rows != blocks[(a + 1) % n].cols for a in range(n)):
+        raise ShapeMismatch("graded blocks do not chain")
+    if not 0 <= stable <= min(b.cols for b in blocks):
+        raise ShapeMismatch(f"stable rank {stable} is outside 0 .. every block's side")
+    total = sum(b.cols for b in blocks)
     ranks = [None] * n
     for a in reversed(range(n)):
         row, x, made = [blocks[a].cols], blocks[a], 1
         while row[-1] > stable:
             k = len(row)
+            if k > total:
+                raise ShapeMismatch(
+                    f"ranks stay above the stable rank {stable} past {total} blocks")
             # the row below reaches k - 1: r(a+1, k-2) >= r(a, k-1) > stable
             if a < n - 1 and k >= 2:
                 hi = min(row[-1], ranks[a + 1][k - 1])
@@ -908,6 +939,8 @@ def chains(blocks, stable=0):
                 x = blocks[(a + j) % n] @ x
             made = k
             row.append(rank(x))
+        if row[-1] < stable:
+            raise ShapeMismatch(f"ranks fall below the stable rank {stable}")
         ranks[a] = row
 
     # past its end a row reads stable: ranks stop falling, so counts are <= 0

@@ -44,6 +44,7 @@ from tdr.exactalg import (
     kernel_filtration,
     rank,
     rational_canonical,
+    stable_image,
 )
 from tdr.rational import Q
 from tdr.representation import (
@@ -652,6 +653,94 @@ def test_bands_are_the_invertible_divisors_of_the_monodromy(monkeypatch):
         assert got == want == sorted((d.poly.coeffs, d.power) for d in descs
                                      if isinstance(d, Band)), case
         assert calls == [(r.dims["e1"], r.dims["e1"])], case
+
+
+def _band_string_sum(rng, family, n):
+    """A base-changed direct sum of realized Band and String blocks on
+    family n, every wire of dim <= 7: Bands alone, Strings alone or both.
+    P takes scalar Bands only, whose one copy of the pinned position the
+    sum shares."""
+    polys = _BAND_POLYS if family == "J" else _BAND_POLYS[:2]
+    while True:
+        kind = rng.choice(("bands", "strings", "both"))
+        descs = []
+        if kind != "strings":
+            descs += [Band(rng.choice(polys), rng.randint(1, 2) if family == "J" else 1)
+                      for _ in range(rng.randint(1, 2))]
+        if kind != "bands":
+            descs += [StringBlock(rng.randint(1, n), rng.randint(1, 2 * n))
+                      for _ in range(rng.randint(1, 2))]
+        try:
+            r = direct_sum(*(realize(family, n, desc) for desc in descs))
+        except InvalidDescriptor:   # P: a string that needs two pinned copies
+            continue
+        if max(r.dims.values()) <= 7:
+            return conjugate(rng, r)
+
+
+def test_band_coordinates_are_read_off_the_cores_pivot_rows(monkeypatch):
+    """The monodromy on its Fitting core, as _cycle_blocks hands it to
+    rational_canonical, equals its coordinates in the core by one RREF of
+    [core | mono @ core], on base-changed Band and String sums on J_1..J_5
+    and P_2..P_5 with zero, partial and full cores; a zero core hands on
+    nothing."""
+    dmod = sys.modules["tdr.decompose"]
+    real, handed = dmod.rational_canonical, []
+
+    def recorded(m):
+        handed.append(m)
+        return real(m)
+
+    monkeypatch.setattr(dmod, "rational_canonical", recorded)
+    rng = random.Random(3103)
+    shapes = [("J", n) for n in range(1, 6)] + [("P", n) for n in range(2, 6)]
+    seen = set()
+    for case in range(90):
+        family, n = shapes[case % len(shapes)]
+        r = _band_string_sum(rng, family, n)
+        mono = dmod._around(_oriented_arcs(r, shape_of(r.diagram))[1])
+        core = stable_image(mono)
+        handed.clear()
+        decompose(r)
+        assert handed == ([coords_in_basis(core, mono @ core)] if core.cols else []), case
+        seen.add((family, "zero" if not core.cols else
+                  "full" if core.cols == mono.cols else "partial"))
+    assert seen == {(f, k) for f in "JP" for k in ("zero", "partial", "full")}
+
+
+def test_cycle_bands_take_no_coordinates_and_build_no_identity(spy, monkeypatch):
+    """One decompose of a base-changed Band and String sum on J_3 finds
+    the core's coordinates without coords_in_basis, and p(m), formed for
+    the factor of multiplicity 2, builds no Matrix.identity and no
+    Kronecker product; the spy sees coords_in_basis through inverse."""
+    rng = random.Random(3377)
+    descs = [Band(Poly((Q(1), Q(1), Q(1))), 2), Band(x_minus(2), 1), StringBlock(2, 4)]
+    r = conjugate(rng, direct_sum(*(realize("J", 3, desc) for desc in descs)))
+    calls = spy(coords_in_basis)
+    built, evaluated = [], []
+    real_identity, real_kron, real_eval = (Matrix.identity.__func__, Matrix.kron,
+                                           Poly.eval_matrix)
+
+    def identity(cls, n):
+        built.append(("identity", n))
+        return real_identity(cls, n)
+
+    def kron(a, b):
+        built.append(("kron", a.rows, b.rows))
+        return real_kron(a, b)
+
+    def eval_matrix(p, m):
+        evaluated.append(p)
+        return real_eval(p, m)
+
+    monkeypatch.setattr(Matrix, "identity", classmethod(identity))
+    monkeypatch.setattr(Matrix, "kron", kron)
+    monkeypatch.setattr(Poly, "eval_matrix", eval_matrix)
+    assert blocks_of(r) == {desc: 1 for desc in descs}
+    assert evaluated == [descs[0].poly]
+    assert calls["coords_in_basis"] == 0 and built == []
+    sys.modules["tdr.exactalg"].inverse(Matrix.from_rows([[2]]))
+    assert calls["coords_in_basis"] == 1
 
 
 def _walked_monodromy(r, base):

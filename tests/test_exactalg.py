@@ -356,6 +356,88 @@ def test_poly_eval_matrix():
     assert (x * x).eval_matrix(m).is_zero()
 
 
+def _horner_with_identities(p, m):
+    """p(m) by Horner's rule with Matrix arithmetic: each coefficient is
+    added as a scaled identity."""
+    n = m.rows
+    acc = Matrix.zeros(n, n)
+    for c in reversed(p.coeffs):
+        acc = acc @ m + Matrix.identity(n).scale(c)
+    return acc
+
+
+def test_eval_matrix_agrees_with_horner_on_scaled_identities():
+    """eval_matrix on integer rows against Horner's rule on Matrix values,
+    on 320 seeded draws: the zero polynomial, constants and degrees up to
+    6 with integer and non-integer coefficients, at square matrices from
+    0 x 0 to 7 x 7 whose denominator is not 1."""
+    rng = random.Random(6161)
+    seen = set()
+    for case in range(320):
+        n, degree = case % 8, case // 8 % 8 - 1   # degree -1: the zero polynomial
+        while True:
+            den = rng.choice((2, 3, 4, 6, 35))
+            m = Matrix(n, n, [[Q(rng.randint(-9, 9), den) for _ in range(n)]
+                              for _ in range(n)])
+            if m.den != 1 or not n:
+                break
+        coeffs = [Q(rng.randint(-7, 7), rng.choice((1, 1, 2, 3, 5)))
+                  for _ in range(degree)]
+        p = Poly(coeffs + [Q(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))]
+                 if degree >= 0 else [])
+        got = p.eval_matrix(m)
+        assert got == _horner_with_identities(p, m), case
+        seen.add(("degree", p.degree()))
+        seen.add(("side", n))
+        if any(c.denominator != 1 for c in p.coeffs):
+            seen.add("non-integer coefficient")
+    assert seen >= {("degree", k) for k in range(-1, 7)} | {
+        ("side", n) for n in range(8)} | {"non-integer coefficient"}
+
+
+def test_chains_refuse_what_they_cannot_count():
+    """chains refuses, with ShapeMismatch and within a second each: no
+    blocks, blocks that do not chain, a stable below 0 or above a block's
+    side, ranks that stay above stable past the grades' total dimension
+    (an identity with a stable below its rank, whose ranks never fall),
+    and ranks that fall below stable.  The calls run in a child process,
+    so one that never returns fails the test on its timeout instead of
+    hanging the suite."""
+    import json
+    import os
+    import pathlib
+    import subprocess
+
+    import tdr
+
+    script = """if True:
+        import json, time
+        from tdr.exactalg import Matrix, chains
+        eye, zero = Matrix.identity(2), Matrix.zeros(2, 2)
+        cases = [([eye], 0), ([eye], 1), ([zero], -1), ([zero], 1), ([], 0),
+                 ([Matrix.zeros(2, 3)], 0), ([zero], 3),
+                 ([eye, Matrix.zeros(3, 2)], 0), ([zero, eye], 3)]
+        out = []
+        for blocks, stable in cases:
+            t0 = time.monotonic()
+            try:
+                got = chains(blocks, stable)
+            except Exception as exc:
+                got = type(exc).__name__
+            out.append([got, time.monotonic() - t0])
+        out.append([chains([zero], 0), chains([eye], 2), chains([eye, zero], 0)])
+        print(json.dumps(out))
+    """
+    src = pathlib.Path(tdr.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    *refusals, counted = json.loads(proc.stdout.splitlines()[-1])
+    assert [got for got, _ in refusals] == ["ShapeMismatch"] * 9
+    assert all(seconds < 1 for _, seconds in refusals), refusals
+    assert counted == [[[1, 1], [1, 1]], [], [[1, 2], [1, 2]]]
+
+
 def test_charpoly_of_companion():
     p = Poly((Q(2), Q(-3), Q(1)))  # x^2 - 3x + 2
     assert charpoly(companion(p)) == p
