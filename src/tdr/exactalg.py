@@ -10,7 +10,8 @@ denominators.  Entries are rationals only at the boundary: the Matrix
 constructor, from_rows, column and entries().  The constructor, identity
 and zeros refuse a side that is not an int >= 0, and the constructor and
 scale refuse data that is not rows x cols of finite rationals (a bool is
-none), as ShapeMismatch; Poly refuses its coefficients alike.
+none), as ShapeMismatch; Poly refuses its coefficients and a scalar
+factor alike, and a power that is not an int >= 0.
 Everything that returns a basis goes through the RREF, so outputs are
 canonical: nullspace and column_space read it off, and preimage is the
 column space of the x-parts of a nullspace.  coords_in_basis reads
@@ -449,13 +450,15 @@ class Poly:
         return self + Poly(tuple(-c for c in other.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            return Poly(_convolve(self.coeffs, other.coeffs))
-        return Poly(tuple(Q(other) * c for c in self.coeffs))
+        if not isinstance(other, Poly):
+            other = Poly((other,))   # a scalar is read as a coefficient is
+        return Poly(_convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise ShapeMismatch(f"an exponent must be an int >= 0, got {k!r}")
         out = Poly((1,))
         for _ in range(k):
             out = out * self

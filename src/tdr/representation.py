@@ -24,8 +24,12 @@ one Matrix per wire, a base change or a morphism (SizeMismatch).  Both
 errors are ShapeMismatch, as is a tensor of the wrong shape.
 
 Everything downstream (direct sums, tensor products, wire reversal, the
-splitting functor, contraction) re-indexes a vertex's flat tensor through
-one primitive, _offsets: the flat offsets of an axis view with chosen
+splitting functor, contraction, the group action and the morphism check)
+reads a vertex's flat tensor, first slot slowest.  The group action and
+the morphism check apply each wire's matrix along its own slot, to fibres
+sliced at a stride (_acted), so nothing they build outgrows a tensor
+before or after one slot's product.  The others re-index it through one
+primitive, _offsets: the flat offsets of an axis view with chosen
 strides.  Each operation is a choice of strides, and takes one pass per
 vertex: reverse_wire_rep reverses any set of wires at once and direct_sum
 sums any number of summands at once.  Contraction depends on the tensors
@@ -239,24 +243,36 @@ def _grid(v, m, shape):
         raise ShapeMismatch(f"vertex {v}: {exc}") from None
 
 
-def _kron_all(v, mats):
-    """The Kronecker product of mats at vertex v, its size checked first."""
-    check_size(v, prod(m.rows * m.cols for m in mats))
-    out = Matrix.identity(1)
-    for m in mats:
-        out = out.kron(m)
-    return out
+def _acted(nb, t, dims, maps):
+    """The matrix t of a vertex with slots nb under dims, with maps[slot]
+    applied along each slot that maps holds, reduced once: the mode-n
+    product (Kolda and Bader, SIAM Review 2009, §2.5) cuts each of the
+    prod(sizes[:k]) runs of d * b entries, b = prod(sizes[k + 1:]), once
+    into its b fibres of stride b, and m.rows takes d's place."""
+    keys = slot_keys(nb)
+    sizes = [dims[w] for w, _ in keys]
+    flat, den = _flat(t), t.den
+    for k, key in enumerate(keys):
+        if key in maps:
+            m, d, b, out = maps[key], sizes[k], prod(sizes[k + 1:]), []
+            for i in range(prod(sizes[:k])):
+                fibres = [flat[i * d * b + j:(i + 1) * d * b:b] for j in range(b)]
+                out += [sum(map(mul, row, f)) for row in m.nums for f in fibres]
+            flat, sizes[k], den = out, m.rows, den * m.den
+    n = len(nb.outgoing)
+    return _as_matrix(flat, den, prod(sizes[:n]), prod(sizes[n:]))
 
 
 def apply_group_element(g, r):
-    """Change of basis: each tensor becomes (kron g_out) M (kron inv g_in)."""
+    """Change of basis: each wire's g acts on its own slot of every tensor,
+    g along an outgoing slot and inverse(g) transposed along an incoming one."""
     _phi_checked(g, r, r)
-    inv = {wid: inverse(g[wid]) for wid in r.dims}
-    tensors = {}
-    for v, nb in slots(r.diagram).items():
-        left = _kron_all(v, [g[w] for w in nb.outgoing])
-        right = _kron_all(v, [inv[w] for w in nb.incoming])
-        tensors[v] = left @ r.tensors[v] @ right
+    maps = {}
+    for wid in r.dims:
+        maps[wid, "tail"] = g[wid]
+        maps[wid, "head"] = inverse(g[wid]).transpose()
+    tensors = {v: _acted(nb, r.tensors[v], r.dims, maps)
+               for v, nb in slots(r.diagram).items()}
     return _rep(r.diagram, dict(r.dims), tensors)
 
 
@@ -333,13 +349,14 @@ def _phi_checked(phi, r1, r2):
 
 
 def is_morphism(phi, r1, r2):
+    """Whether phi along the outgoing slots of each tensor of r1 equals
+    phi transposed along the incoming slots of r2's."""
     d = _phi_checked(phi, r1, r2)
-    for v, nb in slots(d).items():
-        left = _kron_all(v, [phi[w] for w in nb.outgoing])
-        right = _kron_all(v, [phi[w] for w in nb.incoming])
-        if left @ r1.tensors[v] != r2.tensors[v] @ right:
-            return False
-    return True
+    out = {(wid, "tail"): phi[wid] for wid in r1.dims}
+    inc = {(wid, "head"): phi[wid].transpose() for wid in r1.dims}
+    return all(_acted(nb, r1.tensors[v], r1.dims, out)
+               == _acted(nb, r2.tensors[v], r2.dims, inc)
+               for v, nb in slots(d).items())
 
 
 def _quiver_slots(d):

@@ -88,9 +88,11 @@ def eight_tuple(rep):
     """Unpack a figure-eight vertex into (M_11, M_12, M_21, M_22).
 
     The vertex tensor is sum_k M_k (x) E_k over the four elementary
-    matrices of the dimension-2 loop, enumerated row-major.
+    matrices of the dimension-2 loop, enumerated row-major.  Any other rep
+    is ShapeMismatch.
     """
-    rep_diagram(rep)
+    if rep_diagram(rep) != eight_diagram() or rep.dims["e2"] != 2:
+        raise ShapeMismatch("expected a figure-eight rep whose e2 has dim 2")
     m = rep.tensors["v1"]
     d1 = rep.dims["e1"]
     return tuple(m.submatrix(range(i, 2 * d1, 2), range(j, 2 * d1, 2))
@@ -102,7 +104,15 @@ def mix_tuple(mats, g):
 
     h = g (x) (g^{-1})^T is exactly the change the dimension-2 loop factor
     induces on the elementary-matrix coordinates under conjugation by g.
+    Any g but a 2x2 Matrix, and any mats but four matrices of one shape,
+    is ShapeMismatch.
     """
+    if not isinstance(g, Matrix) or (g.rows, g.cols) != (2, 2):
+        raise ShapeMismatch("g must be a 2x2 Matrix")
+    if (not isinstance(mats, (tuple, list)) or len(mats) != 4
+            or not all(isinstance(m, Matrix) for m in mats)
+            or len({(m.rows, m.cols) for m in mats}) != 1):
+        raise ShapeMismatch("expected four matrices of one shape")
     h = g.kron(inverse(g).transpose()).entries()
     out = []
     for k in range(4):

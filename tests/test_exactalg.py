@@ -87,6 +87,22 @@ def test_poly_refuses_coefficients_that_are_not_rationals(coeffs):
         Poly(coeffs)
 
 
+@pytest.mark.parametrize("scalar", [True, False, "x", None, float("nan"), [1]])
+def test_poly_refuses_a_scalar_factor_that_is_not_a_rational(scalar):
+    """A scalar factor is read as a coefficient is: a bool is no rational,
+    and a string or None is ShapeMismatch, not a traceback."""
+    with pytest.raises(ShapeMismatch):
+        Poly((1, 2)) * scalar
+    with pytest.raises(ShapeMismatch):
+        scalar * Poly((1, 2))
+
+
+@pytest.mark.parametrize("k", [-1, 1.5, True, False, "2", None])
+def test_poly_refuses_a_power_that_is_not_an_int_at_least_0(k):
+    with pytest.raises(ShapeMismatch):
+        Poly((1, 2)) ** k
+
+
 def test_zeros_without_rows_allocates_no_row():
     # a declared 0 x cols tensor must not cost memory in cols
     tracemalloc.start()
@@ -348,6 +364,11 @@ def test_poly_arithmetic():
     p = (x - Poly((1,))) * (x + Poly((1,)))
     assert p == Poly((Q(-1), Q(0), Q(1)))
     assert (x ** 3).degree() == 3
+    q = Poly((1, Q(1, 2), 3))
+    assert q * 2 == 2 * q == Poly((2, 1, 6))
+    assert q * Q(2, 3) == Poly((Q(2, 3), Q(1, 3), 2))
+    assert q * 0 == Poly(()) and Poly(()) * 5 == Poly(())
+    assert q ** 0 == Poly((1,)) and q ** 2 == q * q
 
 
 def test_poly_eval_matrix():

@@ -66,6 +66,17 @@ def test_representation_imports_neither_classify_nor_decompose():
     assert found == []
 
 
+def test_representation_makes_no_kronecker_product():
+    """The group action and the morphism check act slot by slot through
+    the vertex's own flat tensor, so representation calls no .kron(, whose
+    product of a vertex's slot maps holds the square of its entries."""
+    tree = ast.parse((SRC / "representation.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "kron"]
+    assert found == []
+
+
 def test_benchmark_tracer_targets_resolve():
     """Every function the benchmark's tracer wraps exists in tdr, so a
     deletion that would stop a traced benchmark run fails here first;

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -60,6 +61,7 @@ from tdr.representation import (
     unit,
     validate_representation,
     vertex_shape,
+    vertex_shapes,
 )
 from tdr.semigraph import (
     TensorDiagram,
@@ -601,27 +603,135 @@ def _complete_rep(n, dim):
 
 def test_tensor_cap_is_checked_before_allocation():
     # one vertex with 12 dangling wires: dims 2 give 4096 entries, while
-    # dims 4 (a direct sum or tensor product of two) give 4^12 > TENSOR_CAP,
-    # as does the 4096 x 4096 Kronecker product of a base change at v
+    # dims 4 (a direct sum or tensor product of two) give 4^12 > TENSOR_CAP;
+    # a base change at v acts slot by slot, so it is no larger than v
     d = validate_diagram({"vertices": ["v"], "wires": [
         {"id": f"e{i:02}", "tail": "v", "head": None} for i in range(12)]})
     dims = {w.id: 2 for w in d.wires}
     r = validate_representation(d, dims, {"v": Matrix(4096, 1, ((ONE,),) * 4096)})
     eye = {w: Matrix.identity(2) for w in dims}
     assert 4 ** 12 > TENSOR_CAP
-    for build in (lambda: direct_sum(r, r), lambda: tensor_product(r, r),
-                  lambda: validate_representation(
-                      d, {w: 4 for w in dims}, {"v": Matrix.zeros(1, 1)}),
-                  lambda: apply_group_element(eye, r),
-                  lambda: is_morphism(eye, r, r)):
+    refused = (lambda: direct_sum(r, r), lambda: tensor_product(r, r),
+               lambda: validate_representation(
+                   d, {w: 4 for w in dims}, {"v": Matrix.zeros(1, 1)}))
+    held = (lambda: apply_group_element(eye, r) == r,
+            lambda: is_morphism(eye, r, r))
+    for build in refused + held:
         tracemalloc.start()
         try:
-            with pytest.raises(TensorTooLarge):
-                build()
+            if build in held:
+                assert build()
+            else:
+                with pytest.raises(TensorTooLarge):
+                    build()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _rand_invertible_q(rng, n):
+    while True:
+        m = Matrix(n, n, tuple(tuple(Q(rng.randint(-3, 3), rng.randint(1, 3))
+                                     for _ in range(n)) for _ in range(n)))
+        if det(m) != 0:
+            return m
+
+
+def test_a_base_change_on_three_dim_16_slots_needs_no_kronecker_product():
+    """One vertex with three outgoing dangling wires of dim 16 holds 4096
+    entries, while the Kronecker product of its three slot maps would hold
+    4096^2, past TENSOR_CAP: acting slot by slot, g and its inverse act and
+    the morphism check holds within 4 MB."""
+    rng = random.Random(16)
+    d = validate_diagram({"vertices": ["v"], "wires": [
+        {"id": w, "tail": "v", "head": None} for w in "abc"]})
+    r = _rand_rep(rng, d, {w: 16 for w in "abc"})
+    g = {w: _rand_invertible_q(rng, 16) for w in "abc"}
+    g_inv = {w: inverse(m) for w, m in g.items()}
+    assert 4096 ** 2 > TENSOR_CAP
+    tracemalloc.start()
+    try:
+        moved = apply_group_element(g, r)
+        back = apply_group_element(g_inv, moved)
+        held = is_morphism(g, r, moved)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == r and moved != r and held
+    assert peak < 4 << 20, peak
+
+
+def _kron(mats):
+    return functools.reduce(Matrix.kron, mats, Matrix.identity(1))
+
+
+def test_base_change_and_morphism_check_match_the_kronecker_formula():
+    """On 300 seeded wild reps (1-3 vertices, 1-4 wires, loops, dangling
+    wires, dims 0-3), apply_group_element is (kron g_out) M (kron g_in^-1)
+    and is_morphism compares (kron phi_out) M1 with M2 (kron phi_in), each
+    Kronecker product over a vertex's slots in slot order.  phi maps
+    between reps of different dims, and is a morphism (an inclusion into
+    or a projection from a direct sum with a zero rep, or a base change)
+    or any map."""
+    rng = random.Random(20261021)
+    seen = set()
+    for case in range(300):
+        vs = [f"v{i}" for i in range(rng.randint(1, 3))]
+        wires = []
+        for i in range(rng.randint(1, 4)):
+            tail = rng.choice(vs + [None])
+            head = rng.choice(vs if tail is None else vs + [None])
+            wires.append({"id": f"e{i}", "tail": tail, "head": head})
+        d = validate_diagram({"vertices": vs, "wires": wires})
+        while True:
+            dims1, dims2 = ({w.id: rng.randint(0, 3) for w in d.wires}
+                            for _ in range(2))
+            if _largest_tensor(d, {w: dims1[w] + dims2[w] for w in dims1}) <= 400:
+                break
+        r, s = _rand_rep(rng, d, dims1), _rand_rep(rng, d, dims2)
+        zero = Representation(d, dims2, {v: Matrix.zeros(*shape) for v, shape
+                                         in vertex_shapes(d, dims2).items()})
+        table = slots(d)
+        seen |= {"loop" for w in d.wires if w.is_loop()}
+        seen |= {"dangling" for w in d.wires if w.is_dangling()}
+        seen |= {f"dim {x}" for x in dims1.values()}
+        seen |= {"3 slots" for nb in table.values()
+                 if len(nb.outgoing) + len(nb.incoming) >= 3}
+
+        g = {w: _rand_invertible_q(rng, k) for w, k in dims1.items()}
+        moved = apply_group_element(g, r)
+        for v, nb in table.items():
+            assert moved.tensors[v] == (
+                _kron([g[w] for w in nb.outgoing]) @ r.tensors[v]
+                @ _kron([inverse(g[w]) for w in nb.incoming])), (case, v)
+
+        kind = ("any", "inclusion", "projection", "base change")[case % 4]
+        if kind == "any":
+            r1, r2 = r, s
+            phi = {w: Matrix(dims2[w], dims1[w], tuple(
+                tuple(Q(rng.randint(-2, 2), rng.randint(1, 2))
+                      for _ in range(dims1[w]))
+                for _ in range(dims2[w]))) for w in dims1}
+        elif kind == "inclusion":
+            r1, r2 = r, direct_sum(r, zero)
+            phi = {w: Matrix.identity(dims1[w] + dims2[w]).submatrix(
+                range(dims1[w] + dims2[w]), range(dims1[w])) for w in dims1}
+        elif kind == "projection":
+            r1, r2 = direct_sum(r, zero), r
+            phi = {w: Matrix.identity(dims1[w] + dims2[w]).submatrix(
+                range(dims1[w]), range(dims1[w] + dims2[w])) for w in dims1}
+        else:
+            r1, r2, phi = r, moved, g
+        want = all(_kron([phi[w] for w in nb.outgoing]) @ r1.tensors[v]
+                   == r2.tensors[v] @ _kron([phi[w] for w in nb.incoming])
+                   for v, nb in table.items())
+        assert is_morphism(phi, r1, r2) == want, (case, kind)
+        assert want or kind == "any", (case, kind)
+        if r1.dims != r2.dims:
+            seen.add(f"{'a' if want else 'no'} morphism, dims differ")
+    assert seen >= {"loop", "dangling", "3 slots", "dim 0", "dim 3",
+                    "a morphism, dims differ", "no morphism, dims differ"}
 
 
 def test_split_functor_caps_the_merged_tensor():
@@ -1276,8 +1386,8 @@ def test_kernel_of_a_half_rank_projection_at_dim_60_is_quick():
 
 def test_quotients_build_no_identity_and_the_kernel_no_dual(spy, monkeypatch):
     """Over one cokernel and one kernel on J_3, Matrix.identity builds
-    nothing past is_morphism's 1 x 1 Kronecker seeds (no n x n identity
-    per wire), and the kernel takes no dual_rep."""
+    nothing (no n x n identity per wire, and is_morphism acts slot by
+    slot from no seed), and the kernel takes no dual_rep."""
     rng = random.Random(2938)
     d = canonical_diagram("J", 3)
     r = gen_random(d, {w.id: 2 for w in d.wires}, seed=5)[0]
@@ -1297,7 +1407,7 @@ def test_quotients_build_no_identity_and_the_kernel_no_dual(spy, monkeypatch):
     before = calls["dual_rep"]
     ker, incl = kernel(psi, t, coker)
     assert calls["dual_rep"] == before
-    assert ker.dims == r.dims and set(sizes) <= {1}, sizes
+    assert ker.dims == r.dims and sizes == [], sizes
 
 
 @pytest.mark.parametrize("family, n", [("A1", 1), ("P", 2)])

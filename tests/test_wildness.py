@@ -7,7 +7,8 @@ from tdr.classify import classify_diagram
 from tdr.errors import NotASimilarity, ShapeMismatch, TensorTooLarge
 from tdr.exactalg import Matrix, det, inverse, rank
 from tdr.rational import Q
-from tdr.representation import TENSOR_CAP, apply_group_element
+from tdr.representation import (TENSOR_CAP, apply_group_element,
+                                 validate_representation, vertex_shapes)
 from tdr.wildness import (
     MatrixPair,
     build_Y_pair,
@@ -165,6 +166,46 @@ def test_eight_tuple_unpacks_row_major():
         d, {"e1": 1, "e2": 2},
         {"v1": Matrix.from_rows([[1, 2], [3, 4]])})
     assert [m.entries()[0][0] for m in eight_tuple(r)] == [1, 2, 3, 4]
+
+
+def _eight_like(d, dims):
+    return validate_representation(d, dims, {
+        v: Matrix.zeros(*shape) for v, shape in vertex_shapes(d, dims).items()})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _eight_like(eight_diagram(), {"e1": 1, "e2": 3}),
+    lambda: _eight_like(eight_diagram(), {"e1": 2, "e2": 1}),
+    lambda: _eight_like(eight_diagram(), {"e1": 1, "e2": 0}),
+    lambda: _eight_like(needle_diagram(), {"e1": 1, "e2": 2}),
+    lambda: _eight_like(needle_diagram(), {"e1": 2, "e2": 3})],
+    ids=["e2-dim-3", "e2-dim-1", "e2-dim-0", "needle", "needle-dim-3"])
+def test_eight_tuple_refuses_what_it_cannot_unpack(build):
+    """Only a figure eight whose e2 has dim 2 unpacks: a dim-3 e2 gave four
+    1 x 1 blocks of its 3 x 3 vertex, and a dim-1 e2 or a needle an
+    IndexError."""
+    r = build()
+    with pytest.raises(ShapeMismatch, match="figure-eight"):
+        eight_tuple(r)
+
+
+@pytest.mark.parametrize("mats, g", [
+    ((Matrix.identity(1),) * 4, Matrix.identity(3)),
+    ((Matrix.identity(1),) * 4, Matrix.identity(1)),
+    ((Matrix.identity(1),) * 4, Matrix.zeros(2, 3)),
+    ((Matrix.identity(1),) * 4, [[1, 0], [0, 1]]),
+    ((Matrix.identity(1),) * 3, Matrix.identity(2)),
+    ((Matrix.identity(1),) * 5, Matrix.identity(2)),
+    ((Matrix.identity(1),) * 3 + (Matrix.identity(2),), Matrix.identity(2)),
+    ((Matrix.identity(1),) * 3 + ([[1]],), Matrix.identity(2)),
+    (None, Matrix.identity(2))],
+    ids=["g-3x3", "g-1x1", "g-2x3", "g-grid", "three", "five", "two-shapes",
+         "a-grid", "none"])
+def test_mix_tuple_refuses_a_bad_g_or_tuple(mats, g):
+    """A 3 x 3 identity g returned its input unchanged, and three matrices
+    ended in an IndexError."""
+    with pytest.raises(ShapeMismatch):
+        mix_tuple(mats, g)
 
 
 def test_mix_tuple_matches_conjugation():
