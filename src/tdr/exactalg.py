@@ -70,6 +70,13 @@ def _sides(*sides):
             raise ShapeMismatch(f"a matrix side must be an int >= 0, got {n!r}")
 
 
+def _rational(x):
+    """Q(x), once x is no bool, which Q would read as 0 or 1."""
+    if type(x) is bool:
+        raise TypeError("a bool is no rational")
+    return Q(x)
+
+
 class Matrix:
     """Immutable rows x cols matrix over Q: integer rows nums over den > 0."""
 
@@ -77,22 +84,23 @@ class Matrix:
 
     def __init__(self, rows, cols, data):
         # data: rows x cols finite rationals (anything Q takes but a bool),
-        # cleared to one denominator; ints and Qs are read without conversion
+        # cleared to one denominator; each entry's ratio is read once, so
+        # one-shot iterators are read whole, and ints and Qs directly
         _sides(rows, cols)
         try:
-            try:
-                pairs = [[x.as_integer_ratio() for x in row] for row in data]
-            except AttributeError:
-                pairs = [[Q(x).as_integer_ratio() for x in row] for row in data]
-            if any(type(x) is bool for row in data for x in row):
-                raise TypeError   # Q reads a bool as 0 or 1
+            pairs = [[x.as_integer_ratio() if type(x) is Q or type(x) is int
+                      else _rational(x).as_integer_ratio() for x in row]
+                     for row in data]
         except (TypeError, ValueError, ArithmeticError):
             raise ShapeMismatch("data is not rows of rationals") from None
-        if len(pairs) != rows or any(len(row) != cols for row in pairs):
+        if len(pairs) != rows or any([len(row) != cols for row in pairs]):
             raise ShapeMismatch(f"data is not {rows} rows of {cols} entries")
-        den = lcm(*[d for row in pairs for _, d in row])
-        self.rows, self.cols, self.den = rows, cols, den
-        self.nums = tuple(tuple(n * (den // d) for n, d in row) for row in pairs)
+        den = lcm(*{d for row in pairs for _, d in row})
+        if den == 1:   # all integers: the numerators as they are
+            nums = [tuple([n for n, _ in row]) for row in pairs]
+        else:
+            nums = [tuple([n * (den // d) for n, d in row]) for row in pairs]
+        self.rows, self.cols, self.nums, self.den = rows, cols, tuple(nums), den
 
     @classmethod
     def _new(cls, rows, cols, nums, den=1):
@@ -404,9 +412,8 @@ class Poly:
 
     def __init__(self, coeffs):
         try:
-            self.coeffs = _trim(Q(x) for x in coeffs)
-            if any(type(x) is bool for x in coeffs):
-                raise TypeError   # Q reads a bool as 0 or 1
+            self.coeffs = _trim([x if type(x) is Q else _rational(x)
+                                 for x in coeffs])
         except (TypeError, ValueError, ArithmeticError):
             raise ShapeMismatch("coefficients are not rationals") from None
 

@@ -5,8 +5,10 @@ answer keys reproduce bit-for-bit across runs and implementations.
 Rational entries have numerators in [-9, 9] and denominators in [1, 9].
 
 Dims are checked by representation.vertex_shapes, as for the
-Representation constructor.  Generic mode fills every vertex tensor entry
-from the stream, row-major over vertices in canonical order.  Sum mode
+Representation constructor, once and before anything is drawn.  Generic
+mode fills every vertex tensor entry from the stream, row-major over
+vertices in canonical order, at those shapes, so its rep is valid by
+construction and is not checked again.  Sum mode
 treats the requested dims as per-wire caps: it draws indecomposable
 descriptors, keeps each one that fits under the caps and that
 decompose.block_arcs accepts, lays each block out along the input
@@ -37,6 +39,7 @@ from .representation import (
     Representation,
     apply_group_element,
     direct_sum,
+    drawn_rep,
     vertex_shapes,
 )
 from .semigraph import validate_diagram
@@ -161,7 +164,7 @@ def gen_random(diagram, dims, seed, mode="generic"):
     rng = SplitMix64(seed)
     if mode == "generic":
         tensors = {v: _rand_matrix(rng, *shape) for v, shape in shapes.items()}
-        return GenResult(Representation(d, dict(dims), tensors), None)
+        return GenResult(drawn_rep(d, dims, tensors), None)
     if mode in ("sum", "sum-of-indecomposables"):
         return GenResult(*_sum_mode(d, dims, rng))
     raise InvalidDims(f"unknown mode {mode!r}")

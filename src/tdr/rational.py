@@ -20,18 +20,21 @@ ONE = Q(1)
 
 
 def parse_rational(value):
-    """Parse "p/q" / "p" strings; JSON integers are accepted too."""
-    if isinstance(value, bool):
-        raise ParseError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Q(value)
-    if not isinstance(value, str):
-        raise ParseError(f"not a rational: {value!r}")
-    text = value.strip()
-    num_s, sep, den_s = text.partition("/")
+    """Parse "p/q" / "p" strings; JSON integers are accepted too.
+
+    A str is tested first, since records are text; "p" is Q(p), with no
+    normalisation to pay for."""
+    if type(value) is not str:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ParseError(f"not a rational: {value!r}")
+        if isinstance(value, int):
+            return Q(value)
+    num_s, sep, den_s = value.strip().partition("/")
     try:
         num = int(num_s)
-        den = int(den_s) if sep else 1
+        if not sep:
+            return Q(num)
+        den = int(den_s)
     except ValueError:
         raise ParseError(f"malformed rational {value!r}") from None
     if den == 0:

@@ -17,7 +17,8 @@ check: the diagram by the rules of validate_diagram, the dims through
 vertex_shapes (InvalidDims), which gives the vertex shapes, and a Matrix of
 its shape at each vertex.  validate_representation, the record parser, runs
 it on grids, each made a Matrix of its vertex's shape first.  The functors
-build their outputs, valid by construction, through _rep, unchecked, so no
+build their outputs, valid by construction, through _rep, unchecked, as
+drawn_rep builds gen_random's draws at the shapes it checked, so no
 operation checks its input again: each refuses a non-Representation and
 reps on different diagrams (rep_diagram), and _phi_checked checks a map of
 one Matrix per wire, a base change or a morphism (SizeMismatch).  Both
@@ -104,6 +105,14 @@ def _rep(d, dims, tensors):
     not checked again; dims and tensors are fresh dicts."""
     return tuple.__new__(Representation,
                          (d, MappingProxyType(dims), MappingProxyType(tensors)))
+
+
+def drawn_rep(d, dims, tensors):
+    """The Representation of d under dims, once d is a diagram
+    validate_diagram built and tensors holds a Matrix of each vertex's
+    shape in vertex_shapes(d, dims), in its order: valid by construction,
+    as gen_random's generic draws are, and not checked again."""
+    return _rep(d, {w.id: dims[w.id] for w in d.wires}, tensors)
 
 
 def rep_diagram(*reps):

@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from decimal import Decimal
 from math import gcd, isqrt, lcm
 
 import pytest
@@ -70,20 +71,112 @@ def test_matrix_checks_its_data_shape(rows, cols, data):
 @pytest.mark.parametrize("rows, cols, data", [
     (1.0, 1, [[2]]), (1, 1.0, [[2]]), (True, 1, [[2]]), (1, True, [[2]]),
     (1, 1, [["x"]]), (1, 1, [[float("nan")]]), (1, 1, [[float("inf")]]),
-    (1, 1, [[None]]), (1, 2, [[True, False]]), (1, 2, [["1/2", True]])])
+    (1, 1, [[None]]), (1, 2, [[True, False]]), (1, 2, [["1/2", True]]),
+    (2, 1, ((x,) for x in [True, False])), (1, 2, [iter([True, 2])]),
+    (1, 2, iter([iter(["1/2", False])]))])
 def test_matrix_refuses_a_non_int_side_and_non_rational_data(rows, cols, data):
     # a float side equals its int, so it would pass every later shape check
     # and break the kernels; every bad input is one error, as for a bad shape;
     # Fraction reads a bool as 0 or 1, but a bool is no rational, as
-    # parse_rational and every other boundary hold
-    with pytest.raises(ShapeMismatch):
+    # parse_rational and every other boundary hold, also in data or rows
+    # that can be read only once
+    with pytest.raises(ShapeMismatch, match="^(a matrix side must be|data is not "
+                                            "rows of rationals$)"):
         Matrix(rows, cols, data)
 
 
+def test_matrix_reads_one_shot_iterators_whole():
+    """Data and rows that can be read only once give the matrix of the same
+    data in lists, also when an entry is text that Q has to read."""
+    for data in ([["1", "2/3"], [4, "-5"]], [[Q(1, 2), 7], [0.25, "3"]],
+                 [["x", 1], [2, 3]], [[1, 2], [3]]):
+        try:
+            want = Matrix(2, 2, data)
+        except ShapeMismatch as exc:
+            want = str(exc)
+        for once in (iter(data), (iter(row) for row in data),
+                     iter([iter(row) for row in data])):
+            try:
+                got = Matrix(2, 2, once)
+            except ShapeMismatch as exc:
+                got = str(exc)
+            assert got == want
+
+
+def _matrix_reference(rows, cols, data):
+    """The constructor's rule, each entry read by Q and the matrix built by
+    from_ints: the reference of the differential test below (data in lists,
+    which it reads twice)."""
+    for n in (rows, cols):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ShapeMismatch(f"a matrix side must be an int >= 0, got {n!r}")
+    try:
+        grid = [[Q(x) for x in row] for row in data]
+        if any(type(x) is bool for row in data for x in row):
+            raise TypeError
+    except (TypeError, ValueError, ArithmeticError):
+        raise ShapeMismatch("data is not rows of rationals") from None
+    if len(grid) != rows or any(len(row) != cols for row in grid):
+        raise ShapeMismatch(f"data is not {rows} rows of {cols} entries")
+    den = lcm(*(x.denominator for row in grid for x in row))
+    return Matrix.from_ints(rows, cols, [
+        [x.numerator * (den // x.denominator) for x in row] for row in grid], den)
+
+
+_GOOD_ENTRIES = (
+    lambda r: r.randint(-9, 9), lambda r: r.randint(-2 ** 80, 2 ** 80),
+    lambda r: Q(r.randint(-9, 9), r.randint(1, 12)), lambda r: Q(r.randint(-9, 9)),
+    lambda r: r.choice((0.5, -2.0, 1e-3, 0.0, 2.0 ** 60)),
+    lambda r: Decimal(r.choice(("1.25", "-3", "0.001", "7E+2"))),
+    lambda r: r.choice(("3/4", " -2 ", "1.5", "1e3", "6/8", "0", "-7/3")))
+_BAD_ENTRIES = (True, False, None, "x", "", float("nan"), float("inf"),
+                Decimal("NaN"), Decimal("-Infinity"), 1j, [1], "1/0")
+
+
+def test_matrix_agrees_with_a_from_ints_reference():
+    """Equal matrices, or the same ShapeMismatch message, on 3000 seeded
+    inputs: ints, Qs, floats, Decimals and text, denominators 1 and above,
+    0 x n and n x 0, ragged rows, wrong row counts, bad entries and sides."""
+    rng = random.Random(4261)
+    built = refused = 0
+    for _ in range(3000):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        kinds = rng.sample(_GOOD_ENTRIES, rng.randint(1, 3))
+        data = [[rng.choice(kinds)(rng) for _ in range(cols)] for _ in range(rows)]
+        flaw = rng.randint(0, 9)
+        if flaw == 0 and rows and cols:
+            data[rng.randrange(rows)][rng.randrange(cols)] = rng.choice(_BAD_ENTRIES)
+        elif flaw == 1 and rows:
+            row = data[rng.randrange(rows)]
+            row.pop() if row and rng.randint(0, 1) else row.append(1)
+        elif flaw == 2:
+            data.pop() if data and rng.randint(0, 1) else data.append([0] * cols)
+        elif flaw == 3:
+            rows, cols = rng.choice(((1.0, cols), (rows, True), (rows, -1)))
+        if rng.randint(0, 1):
+            data = tuple(map(tuple, data))
+        try:
+            want = _matrix_reference(rows, cols, data)
+        except ShapeMismatch as exc:
+            want = str(exc)
+        try:
+            got = Matrix(rows, cols, data)
+        except ShapeMismatch as exc:
+            got = str(exc)
+        assert got == want, (rows, cols, data)
+        if isinstance(got, Matrix):
+            built += 1
+            assert all(type(n) is int for row in got.nums for n in row)
+        else:
+            refused += 1
+    assert built > 1500 and refused > 500   # 1897 and 1103
+
+
 @pytest.mark.parametrize("coeffs", [("x",), (1, None), (float("nan"),), 5,
-                                    (True, 1), [1, False]])
+                                    (True, 1), [1, False], iter([True, 1]),
+                                    (x for x in [1, 2, False])])
 def test_poly_refuses_coefficients_that_are_not_rationals(coeffs):
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="^coefficients are not rationals$"):
         Poly(coeffs)
 
 

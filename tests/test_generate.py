@@ -5,11 +5,17 @@ import pytest
 
 from tdr.cli import _decomposition_record, _rep_record, canonical_json
 from tdr.decompose import canonical_diagram, decompose, shape_of
-from tdr.errors import InvalidDims, NotConnected, NotDecomposable, TensorTooLarge
+from tdr.errors import (
+    InvalidDims,
+    NotConnected,
+    NotDecomposable,
+    TdrError,
+    TensorTooLarge,
+)
 from tdr.generate import SplitMix64, gen_random
 from tdr.rational import Q
-from tdr.representation import TENSOR_CAP
-from tdr.semigraph import validate_diagram
+from tdr.representation import TENSOR_CAP, Representation, vertex_shapes
+from tdr.semigraph import check_diagram, validate_diagram
 
 
 def test_splitmix64_reference_stream():
@@ -49,6 +55,34 @@ def test_generic_mode_caps_a_side_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_generic_mode_checks_the_diagram_and_dims_once(spy):
+    """The diagram and dims are checked once, before anything is drawn; the
+    tensors are drawn at the checked shapes, so the rep is valid by
+    construction and the Representation constructor would accept it."""
+    d = canonical_diagram("J", 2)
+    calls = spy(check_diagram, vertex_shapes)
+    rep = gen_random(d, {"e2": 3, "e1": 2}, 42).rep
+    assert calls == {"check_diagram": 1, "vertex_shapes": 1}
+    assert rep == Representation(rep.diagram, rep.dims, rep.tensors)
+    assert list(rep.dims) == ["e1", "e2"] and list(rep.tensors) == ["v1", "v2"]
+
+
+@pytest.mark.parametrize("diagram, dims, seed, mode, error", [
+    ({"vertices": [1]}, {"e1": -1}, True, "nope", "bad vertex id 1"),
+    (canonical_diagram("J", 1), {"e1": -1}, True, "nope", "wire e1 needs a dim"),
+    (canonical_diagram("J", 1), {"e1": 1, "e9": 1}, True, "nope", "unknown wire 'e9'"),
+    (canonical_diagram("A0", 1), {"e1": 1, "e2": TENSOR_CAP + 1}, True, "nope",
+     "over the cap"),
+    (canonical_diagram("J", 1), {"e1": 1}, True, "nope", "seed must be an integer"),
+    (canonical_diagram("J", 1), {"e1": 1}, 0, "nope", "unknown mode 'nope'"),
+])
+def test_generic_mode_refuses_in_the_order_of_its_checks(diagram, dims, seed,
+                                                         mode, error):
+    """Diagram, then dims (ids, then the per-vertex cap), then seed, then mode."""
+    with pytest.raises(TdrError, match=error):
+        gen_random(diagram, dims, seed, mode)
 
 
 def test_generic_mode_builds_no_rows_for_an_empty_side():

@@ -66,3 +66,75 @@ def test_exact_arithmetic():
     assert Q(1, 3) + Q(1, 6) == Q(1, 2)
     assert Q(2, 3) * Q(3, 2) == 1
     assert Q(1, 10) + Q(2, 10) == Q(3, 10)
+
+
+def _parse_rational_reference(value):
+    """parse_rational as it read before it tested for text first: the
+    reference of the differential test below."""
+    if isinstance(value, bool):
+        raise ParseError(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        return Q(value)
+    if not isinstance(value, str):
+        raise ParseError(f"not a rational: {value!r}")
+    text = value.strip()
+    num_s, sep, den_s = text.partition("/")
+    try:
+        num = int(num_s)
+        den = int(den_s) if sep else 1
+    except ValueError:
+        raise ParseError(f"malformed rational {value!r}") from None
+    if den == 0:
+        raise ParseError(f"zero denominator in {value!r}")
+    return Q(num, den)
+
+
+class _Text(str):
+    pass
+
+
+class _Halved(str):
+    """Text whose strip() keeps its first half: a subclass's own strip is
+    what reads it."""
+
+    def strip(self, chars=None):
+        return str(self)[:len(self) // 2]
+
+
+class _Count(int):
+    def __repr__(self):
+        return f"_Count({int(self)})"
+
+
+def _read(parse, value):
+    try:
+        got = parse(value)
+    except Exception as exc:   # the class and message are what is compared
+        return type(exc), str(exc)
+    return type(got), got, got.numerator, got.denominator
+
+
+def test_parse_rational_agrees_with_its_reference():
+    """Every value and refusal equal to the reference's, on fixed edge cases
+    and 3000 seeded strings over digits, signs, slashes, blanks, underscores,
+    points, exponents and non-ASCII digits."""
+    long = "7" * 4301
+    cases = ["+3", " -3/4 ", "3/-4", "0/5", "-0", "1_000", "1__0", "_1",
+             "٣", "７/８", "٣/٤", "3/0", "0/0", "-3/-0",
+             "", " ", "/", "3/", "/4", "3.5", "1e3", "1/2/3", "3 /4", "\t9\n",
+             long, "1/" + long, long[:4300], "-" + long[:4300] + "/3",
+             _Text("5/10"), _Text(" 6 "), _Halved("12/34"), _Halved("1/0xyz"),
+             _Count(4), _Count(-9), True, False, None, 1.5, 2.0,
+             float("nan"), [1], (1, 2), b"3", Q(1, 2), 10 ** 40, -7, 0]
+    rng = random.Random(3329)
+    alphabet = "0123456789+-/ _.e٣７x"
+    cases += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+              for _ in range(3000)]
+    cases += [f"{rng.randint(-10 ** 30, 10 ** 30)}/{rng.randint(-99, 10 ** 20)}"
+              for _ in range(500)]
+    values = 0
+    for value in cases:
+        want = _read(_parse_rational_reference, value)
+        assert _read(parse_rational, value) == want, value
+        values += want[0] is Q
+    assert 600 < values < len(cases) - 600   # both outcomes are exercised
