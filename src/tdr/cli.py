@@ -35,7 +35,7 @@ from .exactalg import Matrix, typed_record
 from .flows import extend_flow, flow_value
 from .generate import gen_random
 from .rational import format_ratio, format_rational, parse_rational
-from .representation import Representation, apply_group_element, contract
+from .representation import Representation, contract, is_morphism
 from .semigraph import diagram_to_record, validate_diagram
 from .wildness import (
     MatrixPair,
@@ -265,8 +265,7 @@ def _cmd_wild_embed(ns):
     witness = None
     if p is not None:
         g = iso_from_similarity(p, pair1, pair2)
-        verified = apply_group_element(g, r1) == r2
-        witness = {"P": _grid(p), "verified": verified}
+        witness = {"P": _grid(p), "verified": is_morphism(g, r1, r2)}
     return {"needle1": paths["needle1"], "needle2": paths["needle2"],
             "witness": witness}
 

@@ -541,9 +541,9 @@ def _derivative(f):
 
 def _zgcd(a, b):
     """Primitive gcd of two integer polynomials, by the primitive
-    remainder sequence: each pseudo-remainder is cut to its primitive part."""
-    if len(a) < len(b):
-        a, b = b, a
+    remainder sequence: each pseudo-remainder is cut to its primitive part.
+    A shorter a is no special case: the first pass leaves it as the
+    remainder, so the two swap."""
     while len(b) > 1:
         r = list(a)
         lb, db = b[-1], len(b) - 1
@@ -564,8 +564,6 @@ def _zgcd(a, b):
 def _divexact(a, b):
     """a / b over Z, or None when b does not divide a."""
     a, db, lb = list(a), len(b) - 1, b[-1]
-    if len(a) <= db:
-        return None if a else []
     q = [0] * (len(a) - db)
     for k in range(len(a) - 1 - db, -1, -1):
         c, r = divmod(a[k + db], lb)
@@ -854,10 +852,8 @@ def rational_canonical(m):
     divisor p^s is deg p Jordan chains of p(m) of length s.  chains counts
     them from the ranks of the powers of p(m), the invertible rest giving
     the stable rank.  A factor of multiplicity 1 is the one divisor p^1, so
-    p(m) is neither formed nor counted.
+    p(m) is neither formed nor counted.  NotSquare comes from charpoly.
     """
-    if m.rows != m.cols:
-        raise NotSquare(f"{m.rows}x{m.cols}")
     out = []
     for p, e in factor_poly(charpoly(m)):
         if e == 1:

@@ -4,7 +4,9 @@ A flow assigns a nonzero complex number to each wire so that at every
 vertex the product of outgoing values times the product of inverse
 incoming values is 1 (a loop cancels itself).  A partial flow fixes the
 values outside an induced subdiagram T[u] and imposes the condition only
-at vertices outside u; extend_flow completes it to a total flow.
+at vertices outside u; extend_flow completes it to a total flow, one
+component of T[u] at a time: one pass over that component's own wires,
+then one breadth-first list of each vertex's depth and parent class.
 
 Values are double-precision complex: the extension takes k-th roots, so
 exactness is out of reach and unnecessary (flows are witnesses, not
@@ -12,7 +14,6 @@ classification inputs).  Default tolerance 1e-9.
 """
 
 import cmath
-from collections import deque
 from collections.abc import Mapping
 
 from .errors import DomainMismatch, InvalidPartialFlow, NotClosed
@@ -119,49 +120,36 @@ def extend_flow(d, f, u, tol=1e-9):
                 f"boundary product {closure} at component of {members[0]}")
 
         classes = {}   # frozenset{x,y} -> [wire ids]
-        for wid in ref.wires:
+        adj = {v: [] for v in members}
+        for wid in comp.wires:
             w = wires[wid]
-            if w.tail in mset:
-                if w.is_loop():
-                    total[wid] = 1 + 0j
-                else:
-                    classes.setdefault(
-                        frozenset((w.tail, w.head)), []).append(wid)
-
-        root = members[0]   # lex-smallest
-        depth = {root: 0}
-        tree = {}           # vertex -> (parent, its parallel class key)
-        queue = deque([root])
-        adj = {v: set() for v in mset}
-        for key in classes:
-            x, y = sorted(key)
-            adj[x].add(y)
-            adj[y].add(x)
-        while queue:
-            x = queue.popleft()
-            for y in sorted(adj[x]):
-                if y not in depth:
-                    depth[y] = depth[x] + 1
-                    tree[y] = (x, frozenset((x, y)))
-                    queue.append(y)
-        tree_keys = {key for _, key in tree.values()}
-        for key, wids in classes.items():
-            if key not in tree_keys:
-                for wid in wids:
-                    total[wid] = 1 + 0j
-
-        for v in sorted(mset, key=lambda x: (-depth[x], x)):
-            if v == root:
+            if w.is_loop():
+                total[wid] = 1 + 0j
                 continue
-            _, key = tree[v]
-            group = classes[key]
+            key = frozenset((w.tail, w.head))
+            if key not in classes:
+                adj[w.tail].append(w.head)
+                adj[w.head].append(w.tail)
+            classes.setdefault(key, []).append(wid)
+
+        # breadth-first from the lex-smallest vertex: (vertex, depth, the
+        # wires of its tree class); the classes left over are off the tree
+        bfs, seen = [(members[0], 0, None)], {members[0]}
+        for x, depth, _ in bfs:
+            for y in sorted(adj[x]):
+                if y not in seen:
+                    seen.add(y)
+                    bfs.append((y, depth + 1, classes.pop(frozenset((x, y)))))
+        for wids in classes.values():
+            for wid in wids:
+                total[wid] = 1 + 0j
+
+        for v, _, group in sorted(bfs[1:], key=lambda t: (-t[1], t[0])):
             prod = _condition(table[v], total)
             if not (prod and cmath.isfinite(prod) and cmath.isfinite(1 / prod)):
                 raise InvalidPartialFlow(
                     f"flow values at {v} leave the floating-point range")
-            k = len(group)
-            z = cmath.exp(cmath.log(1 / prod) / k)
+            z = cmath.exp(cmath.log(1 / prod) / len(group))
             for wid in group:
-                w = wires[wid]
-                total[wid] = z if w.tail == v else 1 / z
+                total[wid] = z if wires[wid].tail == v else 1 / z
     return total

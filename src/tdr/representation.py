@@ -428,7 +428,7 @@ def _kernel_basis(m):
 
 def kernel(phi, r1, r2):
     """Kernel of a morphism with its inclusion: ker(phi_e)'s RREF basis per
-    wire, and at each vertex T1 @ incl[a] read at incl[b]'s identity rows."""
+    wire, and at each vertex T1's rows at incl[b]'s identity rows @ incl[a]."""
     d = _phi_checked(phi, r1, r2)
     quiver = _quiver_slots(d)
     if not is_morphism(phi, r1, r2):
@@ -436,7 +436,7 @@ def kernel(phi, r1, r2):
     incl, rows = {}, {}
     for wid in r1.dims:
         incl[wid], rows[wid] = _kernel_basis(phi[wid])
-    tensors = {v: (r1.tensors[v] @ incl[a]).submatrix(rows[b], range(incl[a].cols))
+    tensors = {v: r1.tensors[v].submatrix(rows[b], range(incl[a].rows)) @ incl[a]
                for v, ((a,), (b,)) in quiver.items()}
     return _rep(d, {wid: len(rows[wid]) for wid in r1.dims}, tensors), incl
 

@@ -379,6 +379,64 @@ def test_wild_embed_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _similar_pairs(rng, n):
+    """(A1, B1, A2, B2) as grids of text: A2 = P A1 P^-1 and B2 = P B1 P^-1
+    for a seeded invertible P."""
+    from tdr.exactalg import det, inverse
+
+    def rand(n):
+        return Matrix.from_rows([[rng.randint(-3, 3) for _ in range(n)]
+                                 for _ in range(n)])
+
+    a, b = rand(n), rand(n)
+    while True:
+        p = rand(n)
+        if not n or det(p) != 0:
+            break
+    a2, b2 = p @ a @ inverse(p), p @ b @ inverse(p)
+    return {k: _grid(m) for k, m in zip(("A1", "B1", "A2", "B2"), (a, b, a2, b2))}
+
+
+def test_wild_embed_verifies_its_witness_on_similar_pairs(tmp_path, capsys, spy):
+    """On 25 seeded similar pairs of sizes 0 to 4, wild-embed finds P and
+    reports it verified, with no base change of the needle rep: the
+    witness is checked by is_morphism alone."""
+    from tdr.representation import apply_group_element, is_morphism
+
+    rng = random.Random(3401)
+    calls = spy(apply_group_element, is_morphism)
+    for case in range(25):
+        pp = write(tmp_path, f"pairs{case}.json", _similar_pairs(rng, case % 5))
+        assert run(["wild-embed", pp, "--out", str(tmp_path / str(case))]).exit_code == 0
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert witness is not None and witness["verified"] is True, case
+    assert calls == {"apply_group_element": 0, "is_morphism": 25}
+
+
+def test_a_corrupted_needle_witness_is_no_morphism():
+    """iso_from_similarity's g intertwines the two needle reps; one entry
+    changed in either of its maps and is_morphism says no."""
+    from tdr.representation import is_morphism
+    from tdr.wildness import (MatrixPair, iso_from_similarity,
+                              needle_rep_from_pair, sim_similarity_solve)
+
+    rng = random.Random(3402)
+    for n in (1, 2, 3, 4):
+        grids = {k: Matrix.from_rows([[parse_rational(x) for x in row] for row in m])
+                 for k, m in _similar_pairs(rng, n).items()}
+        pair1 = MatrixPair(grids["A1"], grids["B1"])
+        pair2 = MatrixPair(grids["A2"], grids["B2"])
+        g = iso_from_similarity(sim_similarity_solve(pair1, pair2), pair1, pair2)
+        r1, r2 = needle_rep_from_pair(pair1), needle_rep_from_pair(pair2)
+        assert is_morphism(g, r1, r2)
+        for wid in ("e1", "e2"):
+            m = g[wid]
+            i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+            rows = [list(row) for row in m.entries()]
+            rows[i][j] += 1
+            assert not is_morphism(dict(g, **{wid: Matrix.from_rows(rows)}), r1, r2)
+
+
 def test_wild_embed_no_witness(tmp_path, capsys):
     pairs = {"A1": [["0"]], "B1": [["0"]], "A2": [["1"]], "B2": [["0"]]}
     pp = write(tmp_path, "pairs.json", pairs)
@@ -450,6 +508,11 @@ def test_error_paths(tmp_path, capsys):
     capsys.readouterr()
     assert run(["gen-random", dp, "--dims", '{"e1": 1}']).exit_code == 1
     capsys.readouterr()
+    for cell in ({"rows": 0, "cols": 0}, [0, 0, []]):
+        rep = {"diagram": {"vertices": ["v1"], "wires": []}, "dims": {},
+               "vertices": {"v1": cell}}
+        assert run(["decompose", write(tmp_path, "cell.json", rep)]).exit_code == 1
+        assert capsys.readouterr().err == "error: vertex v1: need rows, cols, entries\n"
 
 
 def test_a_file_that_is_not_utf8_is_a_one_line_error(tmp_path, capsys):

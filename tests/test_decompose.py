@@ -178,6 +178,8 @@ def test_realize_rejects_bad_descriptors():
         realize("P", 2, Band(x_minus(2), 2))  # pin would need dim 2
     with pytest.raises(InvalidDescriptor):
         realize("P", 2, StringBlock(1, 5))  # wraps the pin twice
+    with pytest.raises(InvalidDescriptor, match="^string out of range for n=2$"):
+        realize("J", 2, StringBlock(3, 1))  # starts past the last position
     with pytest.raises(InvalidDescriptor):
         realize("Q", 2, Interval(1, 1))
 

@@ -213,6 +213,10 @@ def test_matmul_shapes():
     assert (a @ b).rows == 2 and (a @ b).cols == 4
     with pytest.raises(ShapeMismatch):
         b @ a
+    with pytest.raises(ShapeMismatch, match="^2x3 vs 3x4$"):
+        a + b
+    with pytest.raises(ShapeMismatch, match="^hstack row mismatch$"):
+        a.hstack(b)
 
 
 def test_kron_first_factor_slowest():
@@ -313,8 +317,10 @@ def test_det_oracles():
     assert det(Matrix.from_rows([[2, 0, 1], [1, 1, 0], [0, 3, 1]])) == 5
     assert det(Matrix.identity(4)) == 1
     assert det(Matrix(0, 0, ())) == 1
-    with pytest.raises(NotSquare):
-        det(Matrix.zeros(2, 3))
+    for square_only in (det, inverse, charpoly, rational_canonical,
+                        Poly.x().eval_matrix):
+        with pytest.raises(NotSquare, match="^2x3$"):
+            square_only(Matrix.zeros(2, 3))
 
 
 def test_det_multiplicative():
@@ -352,6 +358,8 @@ def test_solve_linear():
     assert a @ coords_in_basis(a, b) == b
     with pytest.raises(ShapeMismatch):
         coords_in_basis(Matrix.from_rows([[1], [1]]), Matrix.column([0, 1]))
+    with pytest.raises(ShapeMismatch, match="^2 rows vs 3 rows$"):
+        coords_in_basis(a, Matrix.column([0, 1, 2]))
 
 
 def test_column_space_and_coords():
@@ -462,6 +470,10 @@ def test_poly_arithmetic():
     assert q * Q(2, 3) == Poly((Q(2, 3), Q(1, 3), 2))
     assert q * 0 == Poly(()) and Poly(()) * 5 == Poly(())
     assert q ** 0 == Poly((1,)) and q ** 2 == q * q
+    # the shorter summand first or last: every coefficient is kept
+    assert Poly((1,)) + Poly((1, 2)) == Poly((1, 2)) + Poly((1,)) == Poly((2, 2))
+    with pytest.raises(ZeroPolynomial, match="no leading coefficient"):
+        Poly(()).leading()
 
 
 def test_poly_eval_matrix():
@@ -556,6 +568,8 @@ def test_charpoly_of_companion():
     p = Poly((Q(2), Q(-3), Q(1)))  # x^2 - 3x + 2
     assert charpoly(companion(p)) == p
     assert charpoly(Matrix.identity(2)) == Poly((Q(1), Q(-2), Q(1)))
+    with pytest.raises(ZeroPolynomial, match="^companion needs degree >= 1$"):
+        companion(Poly((Q(3),)))
 
 
 def test_factor_poly():
@@ -567,6 +581,22 @@ def test_factor_poly():
     assert factor_poly(Poly((Q(1), Q(0), Q(1)))) == [(Poly((Q(1), Q(0), Q(1))), 1)]
     with pytest.raises(ZeroPolynomial):
         factor_poly(Poly(()))
+
+
+def test_integer_gcd_and_exact_division_take_either_length():
+    """_zgcd gives the same primitive gcd with either argument first, and
+    _divexact refuses a nonzero dividend shorter than its divisor (None)
+    and divides the zero polynomial to zero."""
+    from tdr.exactalg import _divexact, _zgcd
+
+    # x^2 - 1 and 2x + 2: the gcd is x + 1
+    assert _zgcd([2, 2], [-1, 0, 1]) == _zgcd([-1, 0, 1], [2, 2]) == [1, 1]
+    assert _zgcd([3], [-1, 0, 1]) == _zgcd([-1, 0, 1], [3]) == [1]
+    assert _zgcd([], [2, 4]) == _zgcd([2, 4], []) == [1, 2]
+    assert _divexact([2, 2], [-1, 0, 1]) is None
+    assert _divexact([5], [1, 1]) is None
+    assert _divexact([], [1, 1]) == []
+    assert _divexact([-1, 0, 1], [1, 1]) == [-1, 1]
 
 
 def test_linear_factor_poly_agrees_with_sympy_without_calling_it(monkeypatch):

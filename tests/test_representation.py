@@ -107,6 +107,10 @@ def test_validate_checks_shapes():
         validate_representation(J1, {}, {"v1": Matrix.identity(2)})
     with pytest.raises(ShapeMismatch):
         validate_representation(J1, {"e1": "2"}, {"v1": Matrix.identity(2)})
+    # a valid one reads back as its diagram and dims, not its tensors
+    assert repr(j1_rep(Matrix.identity(2))) == (
+        "Representation(TensorDiagram(vertices=('v1',), wires=(Wire(id='e1', "
+        "tail='v1', head='v1'),)), dims={'e1': 2})")
 
 
 def test_vertex_shape_convention():
@@ -388,6 +392,14 @@ def test_split_functor_merges_dim1_wire():
             d, {"e1": 1, "e2": 2, "e3": 1},
             {"v1": Matrix.from_rows([[1], [0]]),
              "v2": Matrix.from_rows([[1, 0]])}), "e2")
+    # a fresh wire of dimension 1 must join two distinct vertices
+    for ends in (("v1", None), (None, "v1"), ("v1", "v1")):
+        bad = validate_diagram({"vertices": ["v1"], "wires": [
+            {"id": "f", "tail": ends[0], "head": ends[1]}]})
+        r = gen_random(bad, {"f": 1}, seed=1)[0]
+        with pytest.raises(RestrictedDimViolation,
+                           match="^wire f must join two distinct vertices$"):
+            split_functor(r, "f")
 
 
 def _rand_rep(rng, d, dims):
@@ -1347,6 +1359,35 @@ def test_cokernel_takes_one_rref_per_wire(spy):
     cokernel(phi, r, t)
     kernel(phi, r, t)
     assert calls == {"rref": 6, "column_space": 0, "new_columns": 0, "inverse": 0}
+
+
+def test_kernel_multiplies_only_the_rows_it_keeps(monkeypatch):
+    """At each vertex the kernel's tensor is T1's rows at the identity rows
+    of the inclusion, times the inclusion: the left factor of every product
+    by an inclusion has the kernel's dimension in rows, not T1's."""
+    rng = random.Random(2939)
+    d = canonical_diagram("J", 3)
+    r = gen_random(d, {w.id: 2 for w in d.wires}, seed=7)[0]
+    t = direct_sum(r, gen_random(d, {w.id: 1 for w in d.wires}, seed=8)[0])
+    g = {w: rand_invertible(rng, n) for w, n in t.dims.items()}
+    psi = {w: Matrix.identity(3).submatrix(range(2), range(3)) @ inverse(g[w])
+           for w in g}
+    t = apply_group_element(g, t)
+    products = []
+    matmul = Matrix.__matmul__
+
+    def recorded(a, b):
+        products.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", recorded)
+    ker, incl = kernel(psi, t, r)
+    monkeypatch.undo()
+    assert ker.dims == {w: 1 for w in t.dims}
+    assert is_morphism(incl, ker, t)
+    lefts = [a for a, b in products if any(b is m for m in incl.values())]
+    assert len(lefts) == 3
+    assert [(a.rows, a.cols) for a in lefts] == [(1, 3)] * 3
 
 
 def test_cokernel_of_a_half_rank_map_at_dim_60_is_quick():

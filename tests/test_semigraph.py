@@ -115,6 +115,21 @@ def test_split_vertex_partitions_slots():
         split_vertex(d, "v1", ["e1", "e2"], ["e2"])
 
 
+def test_split_vertex_names_past_taken_vertices():
+    """v·1 taken, and v·1·1 too: the first half is v·1·2, the next free
+    v·1·j, and the second half the untaken v·2."""
+    from tdr.semigraph import fresh_vertex
+
+    assert fresh_vertex("v", {"v", "v·1"}) == "v·2"
+    assert fresh_vertex("v", {"v·1"}) == "v"
+    d = validate_diagram({"vertices": ["v1", "v1·1", "v1·1·1"], "wires": [
+        {"id": "e1", "tail": None, "head": "v1"},
+        {"id": "e2", "tail": "v1", "head": None}]})
+    d2, fresh = split_vertex(d, "v1", ["e1"], ["e2"])
+    assert d2.vertices == ("v1·1", "v1·1·1", "v1·1·2", "v1·2")
+    assert d2.wire(fresh) == Wire(fresh, "v1·1·2", "v1·2")
+
+
 def test_split_vertex_loop_slots():
     d = validate_diagram({"vertices": ["v1"], "wires": [
         {"id": "e1", "tail": "v1", "head": "v1"}]})

@@ -40,6 +40,9 @@ def test_pair_validation():
         build_Y_pair(MatrixPair(Matrix.identity(2), Matrix.identity(3)))
     with pytest.raises(ShapeMismatch):
         build_Y_pair(MatrixPair(Matrix.zeros(2, 3), Matrix.zeros(2, 3)))
+    with pytest.raises(ShapeMismatch, match="^pairs must have equal sizes$"):
+        sim_similarity_solve(MatrixPair(Matrix.identity(2), Matrix.identity(2)),
+                             MatrixPair(Matrix.identity(3), Matrix.identity(3)))
 
 
 def test_y_pair_layout_n1():
