@@ -4,9 +4,7 @@ A flow assigns a nonzero complex number to each wire so that at every
 vertex the product of outgoing values times the product of inverse
 incoming values is 1 (a loop cancels itself).  A partial flow fixes the
 values outside an induced subdiagram T[u] and imposes the condition only
-at vertices outside u; extend_flow completes it to a total flow, one
-component of T[u] at a time: one pass over that component's own wires,
-then one breadth-first list of each vertex's depth and parent class.
+at vertices outside u; extend_flow completes it to a total flow.
 
 Values are double-precision complex: the extension takes k-th roots, so
 exactness is out of reach and unnecessary (flows are witnesses, not
@@ -102,19 +100,21 @@ def extend_flow(d, f, u, tol=1e-9):
         raise InvalidPartialFlow("input violates the partial flow condition")
     total = dict(f)
     wires = {w.id: w for w in d.wires}
+    position = {wid: i for i, wid in enumerate(wires)}
     table = slots(d)
 
     for comp in connected_components(restrict(d, ref)):
         members = comp.vertices
         mset = set(members)
-        # closure: boundary values, signed toward the component, multiply to 1
+        # closure: boundary values, signed toward the component, multiply
+        # to 1; the product runs in d.wires order, which its message shows
+        into = {wid for v in members for wid in table[v].incoming
+                if wires[wid].tail not in mset}
+        out = {wid for v in members for wid in table[v].outgoing
+               if wires[wid].head not in mset}
         closure = 1 + 0j
-        for w in wires.values():
-            if w.id in total:
-                if w.head in mset and w.tail not in mset:
-                    closure *= total[w.id]
-                elif w.tail in mset and w.head not in mset:
-                    closure /= total[w.id]
+        for wid in sorted(into | out, key=position.__getitem__):
+            closure = closure * total[wid] if wid in into else closure / total[wid]
         if not abs(closure - 1) <= tol:
             raise InvalidPartialFlow(
                 f"boundary product {closure} at component of {members[0]}")

@@ -1,6 +1,6 @@
 """One SHA-256 per (workload, seed) over the outputs of one benchmark round.
 
-    python3 tools/output_digest.py [--seeds 1 2] [--workloads NAME ...]
+    python3 tools/output_digest.py [--seeds 1 2]
 
 Each workload's inputs are drawn by the benchmark's own generator
 (tdrbench/gen.py) in a temporary directory and turned into operations by
@@ -58,9 +58,8 @@ def digest(workload, seed):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     args = ap.parse_args(argv)
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         for seed in args.seeds:
             print(workload, seed, digest(workload, seed), flush=True)
 
