@@ -165,16 +165,22 @@ def traverse(d, family):
     return Shape(family, len(d.vertices), tuple(wires), tuple(verts))
 
 
+def _shapes(d, comps, wild_error):
+    """The traversal of each component of d, classified as comps, in turn;
+    wild_error at once if one of them is wild."""
+    for _, cls in comps:
+        if cls.kind == "wild":
+            raise wild_error(f"wild component ({cls.witness.kind})")
+    return (traverse(restrict(d, comp), cls.family) for comp, cls in comps)
+
+
 @lru_cache(maxsize=256)
 def shape_of(d):
     """Family, size and traversal of a connected finite or tame diagram."""
     comps = classify_diagram(d)
     if len(comps) != 1:
         raise NotConnected(f"{len(comps)} components")
-    _, cls = comps[0]
-    if cls.kind == "wild":
-        raise NotDecomposable(f"wild component ({cls.witness.kind})")
-    return traverse(d, cls.family)
+    return next(_shapes(d, comps, NotDecomposable))
 
 
 def position_dims(dims, shape):
@@ -212,7 +218,7 @@ def monodromy(r, base):
     every wire points against it.
     """
     d = rep_diagram(r)
-    known_ids([w.id for w in d.wires], [base], UnknownWire, "wire ids")
+    known_ids((w.id for w in d.wires), [base], UnknownWire, "wire ids")
     try:
         shape = shape_of(d)
     except (NotNormalized, NotConnected, NotDecomposable):
@@ -289,17 +295,9 @@ def isomorphic(r1, r2):
     """Orbit equality through decomposition, componentwise: each component
     is decomposed along its own traversal on the whole representation."""
     d = rep_diagram(r1, r2)
-    comps = classify_diagram(d)
-    for _, cls in comps:
-        if cls.kind == "wild":
-            raise NotDecidableWild(f"wild component ({cls.witness.kind})")
-    if r1.dims != r2.dims:
-        return False
-    for comp, cls in comps:
-        shape = traverse(restrict(d, comp), cls.family)
-        if _decompose_on(r1, shape) != _decompose_on(r2, shape):
-            return False
-    return True
+    shapes = _shapes(d, classify_diagram(d), NotDecidableWild)
+    return r1.dims == r2.dims and all(
+        _decompose_on(r1, s) == _decompose_on(r2, s) for s in shapes)
 
 
 # ---------------------------------------------------------------------------

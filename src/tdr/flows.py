@@ -38,7 +38,7 @@ def _check_input(d, f, u, tol):
     mapping over exactly the wires outside T[u], a bad value."""
     if not isinstance(tol, (int, float)) or not 0 <= tol < float("inf"):
         raise InvalidPartialFlow(f"tolerance must be finite and >= 0, got {tol!r}")
-    u_set = set(known_ids(d.vertices, u, DomainMismatch, "vertex ids"))
+    u_set = known_ids(d.vertices, u, DomainMismatch, "vertex ids")
     ref = subdiagram_ref(d, u_set)
     if not isinstance(f, Mapping):
         raise DomainMismatch("a flow must be a mapping of wire ids to values")

@@ -617,7 +617,7 @@ def reverse_wire_rep(r, *wids):
     and column indices at its vertex (a partial transpose).
     """
     d = rep_diagram(r)
-    dd = reverse_wire(d, *wids)
+    dd, wids = reverse_wire(d, *wids), set(wids)
     tensors = dict(r.tensors)
     flip = {"tail": "head", "head": "tail"}
     before, after = slots(d), slots(dd)

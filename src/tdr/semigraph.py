@@ -14,8 +14,8 @@ slots, and every layer (neighborhood and degree, splitting, classify, the
 shape walk, the tensor layout, flows) reads them from that table;
 slot_keys names them (wire id, "tail"/"head") in tensor index order.
 
-known_ids looks up every vertex, wire or slot id a caller passes, by
-equality against the diagram's own, so an unhashable id is unknown too.
+known_ids looks up every vertex, wire or slot id a caller passes by hash
+among the diagram's own, so an unhashable id is unknown too.
 """
 
 from typing import NamedTuple, Optional
@@ -50,9 +50,8 @@ class TensorDiagram(NamedTuple):
     wires: tuple
 
     def wire(self, wire_id):
-        ids = [w.id for w in self.wires]
-        known_ids(ids, [wire_id], UnknownWire, "wire ids")
-        return self.wires[ids.index(wire_id)]
+        known_ids((w.id for w in self.wires), [wire_id], UnknownWire, "wire ids")
+        return next(w for w in self.wires if w.id == wire_id)
 
     def is_closed(self):
         return all(w.tail is not None and w.head is not None for w in self.wires)
@@ -69,18 +68,26 @@ class SubdiagramRef(NamedTuple):
 
 
 def known_ids(pool, ids, error, what):
-    """ids as a list, once each one equals an id in pool, a tuple or a list
-    of what (a plural such as "vertex ids"); otherwise error, also when ids
-    is not iterable.  pool is searched, never hashed, so an unhashable id
-    is unknown too."""
+    """ids as a set, once each one is in pool, a collection of what (a
+    plural such as "vertex ids"), looked up by hash; otherwise error, also
+    when ids is not iterable, or pool (a hand-built diagram's) not hashable.
+    An unhashable id is unknown, since hashing it fails."""
     try:
         ids = list(ids)
     except TypeError:
         raise error(f"{ids!r} is not a collection of {what}") from None
+    try:
+        pool = set(pool)
+    except TypeError:
+        raise error(f"the {what} of this diagram cannot be hashed") from None
     for i in ids:
-        if i not in pool:
+        try:
+            known = i in pool
+        except TypeError:
+            known = False
+        if not known:
             raise error(f"{i!r} is not among the {what}")
-    return ids
+    return set(ids)
 
 
 def check_diagram(raw):
@@ -167,7 +174,7 @@ def reverse_wire(d, *wire_ids):
     """d with every listed wire reversed, in d's wire order, once known_ids
     finds each among d's wires (UnknownWire); the ids are a set, so a wire
     listed twice is reversed once."""
-    ids = known_ids([w.id for w in d.wires], wire_ids, UnknownWire, "wire ids")
+    ids = known_ids((w.id for w in d.wires), wire_ids, UnknownWire, "wire ids")
     # from a list: tuple() of a generator resizes as it fills (+1 MB peak RSS)
     return TensorDiagram(d.vertices, tuple([
         Wire(w.id, w.head, w.tail) if w.id in ids else w for w in d.wires]))
@@ -249,7 +256,7 @@ def split_vertex(d, v, part1, part2):
 def subdiagram_ref(d, vertices):
     """Reference to the subdiagram of d on these vertices (known_ids, else
     NotASubdiagram), with each wire whose named ends all lie among them."""
-    vset = set(known_ids(d.vertices, vertices, NotASubdiagram, "vertex ids"))
+    vset = known_ids(d.vertices, vertices, NotASubdiagram, "vertex ids")
     return SubdiagramRef(tuple(sorted(vset)), tuple(sorted(
         w.id for w in d.wires if (w.tail, w.head) != (None, None)
         and {w.tail, w.head} - {None} <= vset)))
@@ -258,9 +265,8 @@ def subdiagram_ref(d, vertices):
 def _check_subdiagram(d, s):
     """(vertex set, wire set) of s, once known_ids finds its ids in d and no
     wire of s leaves its vertices (NotASubdiagram)."""
-    vset = set(known_ids(d.vertices, s.vertices, NotASubdiagram, "vertex ids"))
-    wset = set(known_ids([w.id for w in d.wires], s.wires, NotASubdiagram,
-                         "wire ids"))
+    vset = known_ids(d.vertices, s.vertices, NotASubdiagram, "vertex ids")
+    wset = known_ids((w.id for w in d.wires), s.wires, NotASubdiagram, "wire ids")
     for w in d.wires:
         for end in (w.tail, w.head):
             if w.id in wset and end is not None and end not in vset:
@@ -297,31 +303,26 @@ def isolate_subdiagram(d, s):
         for wid, side in at:
             w = wires[wid]
             other = w.head if side == "tail" else w.tail
-            if other is not None and other in inside:
-                w1.add((wid, side))
-            elif other is None and wid in f_set:
+            if other in inside or (other is None and wid in f_set):
                 w1.add((wid, side))
         w2 = at - w1
+        c1, fresh = v, None
         if w2:
-            cur, fresh, v1, _ = _split(cur, v, w1, w2)
+            cur, fresh, c1, _ = _split(cur, v, w1, w2)
             restricted.append(fresh)
             inside.discard(v)
-            inside.add(v1)
-            carrier1[v] = (v1, fresh)
-        else:
-            carrier1[v] = (v, None)
+            inside.add(c1)
+        carrier1[v] = (c1, fresh)
     copy_vertices = []
     for v in sorted(u_set):
         c1, fresh1 = carrier1[v]
         at = set(slot_keys(slots(cur)[c1]))
         w1 = {(wid, side) for wid, side in at if wid in f_set or wid == fresh1}
         w2 = at - w1
-        if fresh1 is not None or w2:
-            cur, fresh, v11, _ = _split(cur, c1, w1, w2)
+        if w2:
+            cur, fresh, c1, _ = _split(cur, c1, w1, w2)
             restricted.append(fresh)
-            copy_vertices.append(v11)
-        else:
-            copy_vertices.append(c1)
+        copy_vertices.append(c1)
     copy = subdiagram_ref(cur, copy_vertices)
     return cur, restricted, copy
 

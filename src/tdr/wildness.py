@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .errors import NotASimilarity, ShapeMismatch
 from .exactalg import Matrix, block_diag, det, inverse, nullspace
 from .rational import Q, ZERO
-from .representation import (Representation, intertwining_system, rep_diagram,
+from .representation import (drawn_rep, intertwining_system, rep_diagram,
                              vertex_shapes)
 from .semigraph import TensorDiagram, Wire
 
@@ -69,7 +69,7 @@ def _packed(p, d, u1, u2):
     dims = {"e1": 6 * _check_pair(p), "e2": 2}
     vertex_shapes(d, dims)
     y1, y2 = build_Y_pair(p)
-    return Representation(d, dims, {"v1": y1.kron(u1) + y2.kron(u2)})
+    return drawn_rep(d, dims, {"v1": y1.kron(u1) + y2.kron(u2)})
 
 
 def needle_rep_from_pair(p):

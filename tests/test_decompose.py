@@ -30,6 +30,7 @@ from tdr.errors import (
     NotConnected,
     NotDecidableWild,
     NotDecomposable,
+    TdrError,
     TensorTooLarge,
     UnknownWire,
 )
@@ -527,6 +528,90 @@ def test_isomorphic_refuses_wild():
         wild, {"e1": 1, "e2": 1}, {"v1": Matrix.from_rows([[1]])})
     with pytest.raises(NotDecidableWild):
         isomorphic(r, r)
+
+
+def _reference_isomorphic(r1, r2):
+    """isomorphic with its own component loop, as it was before shape_of
+    and isomorphic shared one: the reference."""
+    from tdr.classify import classify_diagram
+    from tdr.decompose import _decompose_on, traverse
+    from tdr.representation import rep_diagram
+    from tdr.semigraph import restrict
+
+    d = rep_diagram(r1, r2)
+    comps = classify_diagram(d)
+    for _, cls in comps:
+        if cls.kind == "wild":
+            raise NotDecidableWild(f"wild component ({cls.witness.kind})")
+    if r1.dims != r2.dims:
+        return False
+    for comp, cls in comps:
+        shape = traverse(restrict(d, comp), cls.family)
+        if _decompose_on(r1, shape) != _decompose_on(r2, shape):
+            return False
+    return True
+
+
+_CLAW = validate_diagram({"vertices": ["v1"], "wires": [
+    {"id": "e1", "tail": None, "head": "v1"},
+    {"id": "e2", "tail": "v1", "head": None},
+    {"id": "e3", "tail": "v1", "head": None}]})
+
+
+def _union(parts, rng):
+    """The disjoint union of diagrams, relabelled as one."""
+    vertices, wires = [], []
+    for k, d in enumerate(parts):
+        vertices += [f"c{k}{v}" for v in d.vertices]
+        wires += [{"id": f"c{k}{w.id}", "tail": w.tail and f"c{k}{w.tail}",
+                   "head": w.head and f"c{k}{w.head}"} for w in d.wires]
+    return _relabelled(validate_diagram(
+        {"vertices": vertices, "wires": wires}), rng)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except TdrError as exc:
+        return type(exc), str(exc)
+
+
+def test_isomorphic_agrees_with_its_own_component_loop():
+    """On 200 seeded pairs of reps of 1 to 3 components (paths, cycles,
+    now and then a wild or an endpointless one), isomorphic gives the
+    reference's answer or its error class and message: conjugate pairs,
+    other draws, a zeroed vertex and a changed dim."""
+    rng = random.Random(3535)
+    tame = [canonical_diagram(f, n) for f in ("A0", "A1", "P", "J")
+            for n in (1, 2, 3)]
+    odd = [needle_diagram(), eight_diagram(), _CLAW,
+           validate_diagram({"vertices": [], "wires": [{"id": "e1"}]})]
+    seen = set()
+    for _ in range(200):
+        parts = [rng.choice(odd) if rng.random() < 0.08 else rng.choice(tame)
+                 for _ in range(rng.randint(1, 3))]
+        d = _union(parts, rng)
+        dims = {w.id: rng.randint(0, 2) for w in d.wires}
+        r = gen_random(d, dims, rng.randrange(1 << 30)).rep
+        kind = rng.choice([0, 1] + [2] * bool(d.vertices) + [3] * bool(d.wires))
+        if kind == 0:
+            other = conjugate(rng, r)
+        elif kind == 1:
+            other = gen_random(d, dims, rng.randrange(1 << 30)).rep
+        elif kind == 2:
+            v = rng.choice(d.vertices)
+            t = r.tensors[v]
+            other = validate_representation(
+                d, r.dims, {**r.tensors, v: Matrix.zeros(t.rows, t.cols)})
+        else:
+            w = rng.choice(d.wires).id
+            other = gen_random(d, {**dims, w: dims[w] + 1}, 1).rep
+        want = _outcome(lambda: _reference_isomorphic(r, other))
+        assert _outcome(lambda: isomorphic(r, other)) == want
+        seen.add((kind, want if isinstance(want, bool) else want[0]))
+    for answer in (True, False, NotDecidableWild):
+        assert any(a == answer for _, a in seen), seen
+    assert (1, False) in seen and (2, False) in seen and (3, False) in seen
 
 
 def test_decomposition_order_is_canonical():

@@ -585,8 +585,9 @@ def test_factor_poly():
 
 def test_integer_gcd_and_exact_division_take_either_length():
     """_zgcd gives the same primitive gcd with either argument first, and
-    _divexact refuses a nonzero dividend shorter than its divisor (None)
-    and divides the zero polynomial to zero."""
+    _divexact refuses a nonzero dividend shorter than its divisor, or one
+    it leaves a remainder of (None), and divides the zero polynomial to
+    zero."""
     from tdr.exactalg import _divexact, _zgcd
 
     # x^2 - 1 and 2x + 2: the gcd is x + 1
@@ -595,6 +596,9 @@ def test_integer_gcd_and_exact_division_take_either_length():
     assert _zgcd([], [2, 4]) == _zgcd([2, 4], []) == [1, 2]
     assert _divexact([2, 2], [-1, 0, 1]) is None
     assert _divexact([5], [1, 1]) is None
+    # 3x + 2 by 2x + 2: 2 does not divide the leading 3, and the floored
+    # quotient 1 would leave nothing below it, so only that test refuses
+    assert _divexact([2, 3], [2, 2]) is None
     assert _divexact([], [1, 1]) == []
     assert _divexact([-1, 0, 1], [1, 1]) == [-1, 1]
 
@@ -896,8 +900,12 @@ def test_graded_chains_shift_cycle():
 
 
 def test_graded_chains_need_nilpotent():
+    """A cyclic composite that is not nilpotent is NotNilpotent, and blocks
+    that do not chain are ShapeMismatch before any preimage."""
     with pytest.raises(NotNilpotent):
         graded_jordan_chains([Matrix.identity(2)])
+    with pytest.raises(ShapeMismatch, match="^graded blocks do not chain$"):
+        graded_jordan_chains([Matrix.zeros(2, 3)])
 
 
 def test_graded_chains_form_basis():

@@ -19,6 +19,7 @@ from tdr.semigraph import (
     neighborhood,
     normalize,
     reverse_wire,
+    slots,
     split_vertex,
     subdiagram_ref,
     validate_diagram,
@@ -166,6 +167,30 @@ def test_isolate_subdiagram_splits_off_copy():
     assert set(copy.wires) == set()
     assert restricted and all(cur.wire(wid) is not None for wid in restricted)
     assert set(d.vertices) <= set()|{v.split("·")[0] for v in cur.vertices}
+
+
+def test_isolate_subdiagram_adds_no_pendant_vertex():
+    """The second split of a vertex of s is skipped when every slot of its
+    pass-1 carrier stays with the copy: then no vertex outside the copy
+    holds a fresh wire as its only slot, and the copy's vertices keep one
+    slot per wire of s at them plus their one fresh wire."""
+    one_pass = validate_diagram({"vertices": ["v1", "v2", "v3"], "wires": [
+        {"id": "e1", "tail": "v1", "head": "v2"},
+        {"id": "e2", "tail": "v2", "head": "v3"}]})
+    looped = validate_diagram({"vertices": ["a", "b", "c"], "wires": [
+        {"id": "l", "tail": "a", "head": "a"},
+        {"id": "x", "tail": "a", "head": "b"},
+        {"id": "y", "tail": "b", "head": "c"}]})
+    for d, vs, copy_slots in ((one_pass, ["v2"], {"v2·1": 1}),
+                              (looped, ["a", "b"], {"a": 3, "b·1": 2})):
+        cur, restricted, copy = isolate_subdiagram(d, subdiagram_ref(d, vs))
+        assert restricted == ["_split1"]
+        table = slots(cur)
+        assert {v: sum(map(len, table[v])) for v in copy.vertices} == copy_slots
+        for v, nb in table.items():
+            if v not in copy.vertices:
+                assert not (len(nb.incoming) + len(nb.outgoing) == 1
+                            and (nb.incoming + nb.outgoing)[0] in restricted)
 
 
 def test_isolate_whole_diagram_is_noop():

@@ -102,6 +102,20 @@ def test_needle_rep_shape():
             assert t[2 * i + 1][j] == e2[i][j]
 
 
+@pytest.mark.parametrize("build", [needle_rep_from_pair, eight_rep_from_pair])
+def test_packed_rep_is_sized_once_and_built_unchecked(build, spy):
+    """A packing sizes its rep once, through vertex_shapes, and builds it
+    at those shapes through drawn_rep: no second check of the diagram or
+    of the shapes.  The rep it builds is the one the constructor accepts."""
+    from tdr.semigraph import check_diagram
+
+    calls = spy(vertex_shapes, check_diagram)
+    p = MatrixPair(rand_matrix(random.Random(3), 2), rand_matrix(random.Random(4), 2))
+    r = build(p)
+    assert calls == {"vertex_shapes": 1, "check_diagram": 0}
+    assert validate_representation(r.diagram, r.dims, r.tensors) == r
+
+
 @pytest.mark.parametrize("build, entries", [
     (needle_rep_from_pair, 72), (eight_rep_from_pair, 144)])
 def test_packed_tensor_is_capped_before_allocation(build, entries):
