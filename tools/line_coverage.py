@@ -26,7 +26,8 @@ SRC = os.path.join(ROOT, "src", "tdr")
 
 
 def statements(path):
-    """{line: first line of its source} of every statement listed above."""
+    """{first line: (last line that counts, first line of its source)} of
+    every statement listed above."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     lines = text.splitlines()
