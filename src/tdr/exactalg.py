@@ -20,12 +20,14 @@ new_columns picks the candidate columns that grow a span.
 stable_image shrinks a square matrix's image to the invertible part of
 Fitting's lemma.  On a cycle of maps, chains counts the chains of basis
 vectors along the maps (intervals, strings, and the Jordan chains behind
-elementary divisors) from the ranks of composites alone, computing only
-the ranks that Frobenius's rank inequality does not pin and forming each
-composite only when its rank is computed, and it refuses a stable that
-is not the invertible part's rank; kernel_filtration and chain_tops pick
-the chains' top vectors.  Poly.eval_matrix runs Horner's rule on a
-matrix's integer rows, each coefficient added on the diagonal.
+elementary divisors) from the ranks of composites alone: it fills the
+rank table level by level, so that Frobenius's rank inequality bounds
+every row, computes only the ranks the bounds leave open (a rank whose
+upper bound is 0 is 0), forms each composite only when its rank is
+computed, and refuses a stable that is not the invertible part's rank;
+kernel_filtration and chain_tops pick the chains' top vectors.
+Poly.eval_matrix runs Horner's rule on a matrix's integer rows, each
+coefficient added on the diagonal.
 factor_poly factors over Q on integer coefficient lists: the primitive
 part is split by Yun's squarefree decomposition, and each squarefree part
 by Zassenhaus's algorithm (factors mod the first good prime, an odd prime
@@ -909,17 +911,21 @@ def chains(blocks, stable=0):
     the rank of the invertible (Fitting) part, which every composite keeps,
     so it cancels: each start stops at its first composite of rank stable,
     and every r past it reads as stable.  An open path is the cycle closed
-    by a zero block.  Rows are built from the last start down, and r(a, k)
-    for k >= 2 is computed only when Frobenius's rank inequality leaves it
-    open: it lies between r(a, k-1) + r(a+1, k-1) - r(a+1, k-2) and
-    min(r(a, k-1), r(a+1, k-1)).  Blocks are multiplied onto the last
-    composite made only when a rank has to be computed.
+    by a zero block.  The table is filled by levels, k = 1, 2, ..., so
+    that every r(a, k), in the first row and for a single block too, is
+    bounded by the level before, grades taken mod n: it is at most
+    min(r(a, k-1), r(a+1, k-1)) and, for k >= 2, at least r(a, k-1) +
+    r(a+1, k-1) - r(a+1, k-2) (Frobenius's rank inequality), and it is
+    computed only when the bounds differ.  So an upper bound of 0 pins
+    the rank, which drops every product with an open path's closing zero
+    block.  Each running row keeps its own composite, and blocks are
+    multiplied onto it only when a rank has to be computed.
 
     ShapeMismatch, before any product, for no blocks, blocks that do not
-    chain, or a stable outside 0 .. every block's side; and for a row
-    whose ranks are still above stable past the total dimension of the
-    grades, which no chain outlasts, or that falls below stable: stable is
-    then not the rank of the invertible part.
+    chain, or a stable outside 0 .. every block's side; and for ranks still
+    above stable past the total dimension of the grades, which no chain
+    outlasts, or a row that falls below stable: stable is then not the
+    rank of the invertible part.
     """
     n = len(blocks)
     if not n or any(blocks[a].rows != blocks[(a + 1) % n].cols for a in range(n)):
@@ -927,27 +933,33 @@ def chains(blocks, stable=0):
     if not 0 <= stable <= min(b.cols for b in blocks):
         raise ShapeMismatch(f"stable rank {stable} is outside 0 .. every block's side")
     total = sum(b.cols for b in blocks)
-    ranks = [None] * n
-    for a in reversed(range(n)):
-        row, x, made = [blocks[a].cols], blocks[a], 1
-        while row[-1] > stable:
-            k = len(row)
-            if k > total:
-                raise ShapeMismatch(
-                    f"ranks stay above the stable rank {stable} past {total} blocks")
-            # the row below reaches k - 1: r(a+1, k-2) >= r(a, k-1) > stable
-            if a < n - 1 and k >= 2:
-                hi = min(row[-1], ranks[a + 1][k - 1])
-                if hi == row[-1] + ranks[a + 1][k - 1] - ranks[a + 1][k - 2]:
-                    row.append(hi)
-                    continue
-            for j in range(made, k):
-                x = blocks[(a + j) % n] @ x
-            made = k
-            row.append(rank(x))
-        if row[-1] < stable:
-            raise ShapeMismatch(f"ranks fall below the stable rank {stable}")
-        ranks[a] = row
+    ranks = [[b.cols] for b in blocks]
+    # (row, its composite, the blocks in it) of every row still above stable
+    running = [(a, b, 1) for a, b in enumerate(blocks) if b.cols > stable]
+    k = 0
+    while running:
+        k += 1
+        if k > total:
+            raise ShapeMismatch(
+                f"ranks stay above the stable rank {stable} past {total} blocks")
+        still = []
+        for a, x, made in running:
+            row, nxt = ranks[a], ranks[(a + 1) % n]
+            # row a+1 reached k - 1: r(a+1, k-2) >= r(a, k-1) > stable
+            hi = min(row[-1], nxt[k - 1])
+            lo = row[-1] + nxt[k - 1] - nxt[k - 2] if k >= 2 else 0
+            if hi == max(lo, 0):
+                row.append(hi)
+            else:
+                for j in range(made, k):
+                    x = blocks[(a + j) % n] @ x
+                made = k
+                row.append(rank(x))
+            if row[-1] > stable:
+                still.append((a, x, made))
+            elif row[-1] < stable:
+                raise ShapeMismatch(f"ranks fall below the stable rank {stable}")
+        running = still
 
     # past its end a row reads stable: ranks stop falling, so counts are <= 0
     width = max(map(len, ranks)) + 1

@@ -32,8 +32,9 @@ sliced at a stride (_acted), so nothing they build outgrows a tensor
 before or after one slot's product.  The others re-index it through one
 primitive, _offsets: the flat offsets of an axis view with chosen
 strides.  Each operation is a choice of strides, and takes one pass per
-vertex: reverse_wire_rep reverses any set of wires at once and direct_sum
-sums any number of summands at once.  Contraction depends on the tensors
+vertex: reverse_wire_rep reverses any set of wires at once, reading the
+touched vertices' slots in one pass over the wires, and direct_sum sums
+any number of summands at once.  Contraction depends on the tensors
 only through its steps' products: its plan and every step's gather offsets
 are compiled once per (diagram, dims) and kept in a cache of 256 programs
 (about 0.5 MB for the 120 networks of a closed-contract round, at most
@@ -618,20 +619,25 @@ def reverse_wire_rep(r, *wids):
     """
     d = rep_diagram(r)
     dd, wids = reverse_wire(d, *wids), set(wids)
+    # per touched vertex: its slot keys (outgoing, incoming) before, and
+    # after, each new slot named by the old slot whose index it carries
+    sides = {v: ([], [], [], []) for w in d.wires if w.id in wids
+             for v in (w.tail, w.head) if v is not None}
+    for w in d.wires:
+        flipped = w.id in wids
+        for v, s in ((w.tail, "tail"), (w.head, "head")):
+            if v in sides:
+                old_out, old_in, new_out, new_in = sides[v]
+                (old_out if s == "tail" else old_in).append((w.id, s))
+                (new_out if (s == "tail") != flipped else new_in).append((w.id, s))
     tensors = dict(r.tensors)
-    flip = {"tail": "head", "head": "tail"}
-    before, after = slots(d), slots(dd)
-    for v in {e for w in dd.wires if w.id in wids
-              for e in (w.tail, w.head)} - {None}:
-        old = slot_keys(before[v])
+    for v, (old_out, old_in, new_out, new_in) in sides.items():
+        old = old_out + old_in
         strides = dict(zip(old, _strides([r.dims[x] for x, _ in old])))
-        new = slot_keys(after[v])
-        # each slot of a listed wire changes side and carries its index along
-        offs = _offsets([r.dims[x] for x, _ in new],
-                        [strides[(x, flip[s]) if x in wids else (x, s)]
-                         for x, s in new])
-        tensors[v] = _moved(r.tensors[v], offs,
-                            *vertex_shape(after[v], r.dims, v))
+        new = new_out + new_in
+        offs = _offsets([r.dims[x] for x, _ in new], [strides[k] for k in new])
+        tensors[v] = _moved(r.tensors[v], offs, prod(r.dims[x] for x, _ in new_out),
+                            prod(r.dims[x] for x, _ in new_in))
     return _rep(dd, dict(r.dims), tensors)
 
 

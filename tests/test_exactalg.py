@@ -1400,6 +1400,34 @@ def test_chains_agree_with_the_plain_rank_table():
                     "invertible part and chains", "grade of dimension 0",
                     "1 grades", "2 grades"}
 
+    # a zero block inside the cycle; and one block, the powers of p(m) as
+    # rational_canonical counts them, with a divisor p^s repeated and an
+    # invertible rest giving the stable rank
+    seen = set()
+    for case in range(60):
+        if case % 2 == 0:
+            grades = case // 2 % 4 + 2
+            blocks = _graded_case(rng, grades, "random")
+            j = rng.randrange(grades - 1)
+            blocks[j] = Matrix.zeros(blocks[j].rows, blocks[j].cols)
+            stable = stable_image(_monodromy_at(blocks, 0)).cols
+            seen.add("zero block inside the cycle")
+        else:
+            p = Poly(tuple(map(Q, rng.choice(((-2, 1), (1, 0, 1))))))
+            s = rng.randint(1, 3)
+            powers = sorted([s, s] + [rng.randint(1, 3) for _ in range(rng.randint(0, 1))])
+            rest = [companion(Poly((Q(c), Q(1)))) for c in rng.sample((1, -3, 5), 2)]
+            g = rand_invertible(rng, sum(powers) * p.degree() + 2)
+            m = g @ block_diag([companion(p ** t) for t in powers] + rest) @ inverse(g)
+            blocks, stable = [p.eval_matrix(m)], 2
+            seen.add(("repeated divisor", p.degree(), s > 1))
+        got = chains(blocks, stable)
+        assert got == _plain_chains(blocks, stable), case
+        if len(blocks) == 1:   # d chains of length t for each divisor p^t
+            assert [t for _, t in got][::p.degree()] == powers, case
+    assert seen == {"zero block inside the cycle"} | {
+        ("repeated divisor", d, above_1) for d in (1, 2) for above_1 in (False, True)}
+
 
 def test_chains_infer_ranks_on_an_a0_12_interval_sum(monkeypatch):
     """On planted interval sums on A0_12 (13 positions, closed by a zero
@@ -1435,6 +1463,125 @@ def test_chains_infer_ranks_on_an_a0_12_interval_sum(monkeypatch):
     assert plain["rank"] > 0 and plain["matmul"] > 0
     assert pruned["rank"] <= 0.6 * plain["rank"], tally
     assert pruned["matmul"] <= 0.6 * plain["matmul"], tally
+
+
+def _graded_case(rng, grades, kind):
+    """A seeded graded tuple: a planted cycle with a 0-2 invertible part
+    ("band"), a random cycle, or a planted or random open path closed by a
+    zero block; random grades have dimensions 0-4."""
+    if kind == "band":
+        return _planted_graded(rng, grades, rng.randint(0, 2))
+    if kind == "planted path":
+        return _planted_graded(rng, grades, path=True)
+    dims = [rng.randint(0, 4) for _ in range(grades)]
+    blocks = [_tdr(dims[(a + 1) % grades], dims[a],
+                   _rand_grid(rng, dims[(a + 1) % grades], dims[a]))
+              for a in range(grades)]
+    if kind == "random path":
+        blocks[-1] = Matrix.zeros(dims[0], dims[-1])
+    return blocks
+
+
+def _row_order_chains(blocks, stable=0):
+    """chains with its rank table built row by row from the last start
+    down, each row bounded only by the row after it, so the first row
+    built has no bounds: the oracle of the level-order table's answers
+    and refusals."""
+    n = len(blocks)
+    if not n or any(blocks[a].rows != blocks[(a + 1) % n].cols for a in range(n)):
+        raise ShapeMismatch("graded blocks do not chain")
+    if not 0 <= stable <= min(b.cols for b in blocks):
+        raise ShapeMismatch(f"stable rank {stable} is outside 0 .. every block's side")
+    total = sum(b.cols for b in blocks)
+    ranks = [None] * n
+    for a in reversed(range(n)):
+        row, x, made = [blocks[a].cols], blocks[a], 1
+        while row[-1] > stable:
+            k = len(row)
+            if k > total:
+                raise ShapeMismatch(
+                    f"ranks stay above the stable rank {stable} past {total} blocks")
+            if a < n - 1 and k >= 2:
+                hi = min(row[-1], ranks[a + 1][k - 1])
+                if hi == row[-1] + ranks[a + 1][k - 1] - ranks[a + 1][k - 2]:
+                    row.append(hi)
+                    continue
+            for j in range(made, k):
+                x = blocks[(a + j) % n] @ x
+            made = k
+            row.append(sys.modules["tdr.exactalg"].rank(x))
+        if row[-1] < stable:
+            raise ShapeMismatch(f"ranks fall below the stable rank {stable}")
+        ranks[a] = row
+    width = max(map(len, ranks)) + 1
+    for row in ranks:
+        row += [stable] * (width - len(row))
+    return [(a + 1, k + 1) for a in range(n) for k in range(width - 2)
+            for _ in range(ranks[a][k] - ranks[a - 1][k + 1]
+                           - ranks[a][k + 1] + ranks[a - 1][k + 2])]
+
+
+def test_chains_answer_and_refuse_as_the_row_order_table_does():
+    """Filling the table by levels turns no refusal into an answer: on 1200
+    seeded tuples of 1-6 grades (planted cycles with and without an
+    invertible part, random cycles, planted and random open paths, some
+    grades of dimension 0) and every stable from s - 1 to s + 2 about the
+    invertible part's rank s, chains gives the row-order table's answer,
+    or its exception with the same class and message."""
+    rng = random.Random(3636)
+    seen = set()
+    for case in range(1200):
+        grades = case % 6 + 1
+        kind = ("band", "random", "planted path", "random path")[case // 6 % 4]
+        blocks = _graded_case(rng, grades, kind)
+        s = stable_image(_monodromy_at(blocks, 0)).cols
+        for stable in range(s - 1, s + 3):
+            outcome = []
+            for count in (chains, _row_order_chains):
+                try:
+                    outcome.append(count(blocks, stable))
+                except Exception as exc:
+                    outcome.append((type(exc), str(exc)))
+            assert outcome[0] == outcome[1], (case, stable)
+            got = outcome[0]
+            if isinstance(got, list):
+                seen.add("answer" if stable == s else "answer to another stable")
+            else:
+                seen.add(next(why for why in ("outside", "stay above", "fall below")
+                              if why in got[1]))
+    assert seen == {"answer", "answer to another stable", "outside", "stay above",
+                    "fall below"}
+
+
+def test_chains_bound_the_first_row_of_a_cycle(monkeypatch):
+    """On planted cycles of 3-5 grades with an invertible part and a string
+    that wraps past the last grade, the first row of the table gets its
+    Frobenius bounds like every other row: chains computes no more ranks
+    than the row-order table on any case, and fewer in all."""
+    emod = sys.modules["tdr.exactalg"]
+    real, calls = emod.rank, [0]
+
+    def counted(m):
+        calls[0] += 1
+        return real(m)
+
+    monkeypatch.setattr(emod, "rank", counted)
+    rng = random.Random(3737)
+    spent = {chains: [], _row_order_chains: []}
+    for case in range(45):
+        grades, band = case % 3 + 3, case % 2 + 1
+        while True:
+            blocks = _planted_graded(rng, grades, band, strings=5)
+            want = _row_order_chains(blocks, band)
+            if any(start - 1 + length > grades for start, length in want):
+                break
+        for count, tally in spent.items():
+            calls[0] = 0
+            assert count(blocks, band) == want, case
+            tally.append(calls[0])
+    level, row = spent[chains], spent[_row_order_chains]
+    assert all(a <= b for a, b in zip(level, row)), spent
+    assert sum(level) < sum(row), spent
 
 
 _IRREDUCIBLE = ((0, 1), (-2, 1), (1, 1), (1, 0, 1), (-2, 0, 1), (1, 1, 1))

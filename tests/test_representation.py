@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -69,6 +70,7 @@ from tdr.semigraph import (
     connected_components,
     neighborhood,
     reverse_wire,
+    slot_keys,
     slots,
     split_vertex,
     validate_diagram,
@@ -545,6 +547,93 @@ def test_dual_rep_transposes_every_tensor():
         seen |= {"endpointless" for w in d.wires if w.tail is None and w.head is None}
         seen |= {"dim 0" for x in dims.values() if x == 0}
     assert seen >= {"loop", "dangling", "endpointless", "dim 0"}
+
+
+def _two_table_reversal(r, *wids):
+    """reverse_wire_rep through both whole slot tables, before and after,
+    with each new shape from vertex_shape: the oracle of the reversal that
+    reads only the touched vertices' slots."""
+    rep = sys.modules["tdr.representation"]
+    d = rep.rep_diagram(r)
+    dd, wids = reverse_wire(d, *wids), set(wids)
+    tensors = dict(r.tensors)
+    flip = {"tail": "head", "head": "tail"}
+    before, after = slots(d), slots(dd)
+    for v in {e for w in dd.wires if w.id in wids
+              for e in (w.tail, w.head)} - {None}:
+        old = slot_keys(before[v])
+        strides = dict(zip(old, rep._strides([r.dims[x] for x, _ in old])))
+        new = slot_keys(after[v])
+        offs = rep._offsets([r.dims[x] for x, _ in new],
+                            [strides[(x, flip[s]) if x in wids else (x, s)]
+                             for x, s in new])
+        tensors[v] = rep._moved(r.tensors[v], offs,
+                                *vertex_shape(after[v], r.dims, v))
+    return rep._rep(dd, dict(r.dims), tensors)
+
+
+def _wild_rep(rng):
+    """A seeded rep of a 1-3-vertex diagram with loops, dangling and
+    endpointless wires, at dims 0-3 and at most 400 entries a tensor."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 3))]
+    wires = [{"id": f"e{i}", "tail": rng.choice(vs + [None]),
+              "head": rng.choice(vs + [None])} for i in range(rng.randint(1, 5))]
+    d = validate_diagram({"vertices": vs, "wires": wires})
+    while True:
+        dims = {w.id: rng.choice([0, 1, 2, 3]) for w in d.wires}
+        if _largest_tensor(d, dims) <= 400:
+            return _rand_rep(rng, d, dims)
+
+
+def test_reversal_agrees_with_the_two_table_reversal():
+    """On 300 seeded reps with loops, dangling and endpointless wires and
+    dims 0-3, reversing a random set of wires, a set with an id listed
+    twice, and every wire (dual_rep) gives the two-table reversal's rep."""
+    rng = random.Random(3601)
+    seen = set()
+    for case in range(300):
+        r = _wild_rep(rng)
+        d, ids = r.diagram, list(r.dims)
+        subset = rng.sample(ids, rng.randint(1, len(ids)))
+        twice = subset + [rng.choice(subset)]
+        for got, want in [(reverse_wire_rep(r, *subset), _two_table_reversal(r, *subset)),
+                          (reverse_wire_rep(r, *twice), _two_table_reversal(r, *twice)),
+                          (dual_rep(r), _two_table_reversal(r, *ids))]:
+            assert got == want, (case, subset)
+            assert all(got.tensors[v].nums == want.tensors[v].nums for v in d.vertices)
+        seen |= {"loop" for w in d.wires if w.is_loop()}
+        seen |= {"dangling" for w in d.wires if w.is_dangling()}
+        seen |= {"endpointless" for w in d.wires if w.tail is None and w.head is None}
+        seen |= {"dim 0" for x in r.dims.values() if x == 0}
+        seen |= {"3 slots" for nb in slots(d).values()
+                 if len(nb.outgoing) + len(nb.incoming) >= 3}
+    assert seen == {"loop", "dangling", "endpointless", "dim 0", "3 slots"}
+
+
+def test_reversal_reads_no_slot_table_and_no_vertex_shape(monkeypatch):
+    """reverse_wire_rep reads the touched vertices' slots in one pass over
+    the wires and takes each shape as the product of its dims: it builds
+    no slot table of the whole diagram and makes no vertex_shape check."""
+    rep = sys.modules["tdr.representation"]
+    calls = []
+
+    def counting(name, real):
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("slots", "vertex_shape"):
+        monkeypatch.setattr(rep, name, counting(name, getattr(rep, name)))
+    rng = random.Random(3602)
+    reps = [_wild_rep(rng) for _ in range(20)]
+    vertex_shapes(reps[0].diagram, reps[0].dims)
+    assert set(calls) == {"slots", "vertex_shape"}   # the counters count
+    calls.clear()
+    for r in reps:
+        reverse_wire_rep(r, *list(r.dims)[:1])
+        dual_rep(r)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad", [("e1", "zz"), ("zz", "e2"), (["e1"],),
