@@ -12,7 +12,9 @@ vertex of three or more slots makes its component wild.  slots(d) is the
 one incidence convention: one pass over the wires gives every vertex's
 slots, and every layer (neighborhood and degree, splitting, classify, the
 shape walk, the tensor layout, flows) reads them from that table;
-slot_keys names them (wire id, "tail"/"head") in tensor index order.
+slot_keys names them (wire id, "tail"/"head") in tensor index order, and
+reversal_slots gives them in that order before and after a reversal, at
+the vertices it touches only.
 
 known_ids looks up every vertex, wire or slot id a caller passes by hash
 among the diagram's own, so an unhashable id is unknown too.
@@ -184,6 +186,24 @@ def slot_keys(nb):
     """A vertex's slots in tensor index order: (wire id, "tail") per
     outgoing wire (the rows), then (wire id, "head") per incoming one."""
     return [(w, "tail") for w in nb.outgoing] + [(w, "head") for w in nb.incoming]
+
+
+def reversal_slots(d, ids):
+    """For each vertex that reversing the wires ids (a set) touches: its
+    slot keys in tensor index order before and after, and how many slots
+    are outgoing after; one pass over d.wires, the order of slots(d) and of
+    slots(reverse_wire(d, *ids)).  A slot after is named by the slot before
+    whose index it carries, so a reversed wire's (id, "tail") is incoming."""
+    sides = {v: ([], [], [], []) for w in d.wires if w.id in ids
+             for v in (w.tail, w.head) if v is not None}
+    for w in d.wires:
+        flipped = w.id in ids
+        for v, s in ((w.tail, "tail"), (w.head, "head")):
+            if v in sides:
+                old_out, old_in, new_out, new_in = sides[v]
+                (old_out if s == "tail" else old_in).append((w.id, s))
+                (new_out if (s == "tail") != flipped else new_in).append((w.id, s))
+    return {v: (oo + oi, no + ni, len(no)) for v, (oo, oi, no, ni) in sides.items()}
 
 
 def _normalize_part(v, part, all_slots):

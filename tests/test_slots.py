@@ -20,6 +20,7 @@ from tdr.semigraph import (
     degree,
     neighborhood,
     normalize,
+    reversal_slots,
     slots,
     split_vertex,
 )
@@ -66,6 +67,28 @@ def test_slots_neighborhood_and_degree_match_the_wire_list():
             assert neighborhood(d, v) == table[v]
             assert degree(d, v) == sum(1 for w in d.wires
                                        for end in (w.tail, w.head) if end == v)
+
+
+def test_reversal_slots_match_the_wire_list_before_and_after():
+    """At every vertex a reversal touches, and at no other: the slots before
+    and after it in tensor index order, each slot after named by the slot
+    before whose index it carries."""
+    rng = random.Random(3)
+    flip = {"tail": "head", "head": "tail"}
+    for d in diagrams(400, 3):
+        ids = {w.id for w in d.wires if rng.random() < 0.5}
+        dd = TensorDiagram(d.vertices, tuple(
+            Wire(w.id, w.head, w.tail) if w.id in ids else w for w in d.wires))
+        got = reversal_slots(d, ids)
+        assert set(got) == {e for w in d.wires if w.id in ids
+                            for e in (w.tail, w.head)} - {None}
+        for v, (old, new, n_out) in got.items():
+            out, inc = plain_slots(d, v)
+            assert old == [(w, "tail") for w in out] + [(w, "head") for w in inc]
+            out, inc = plain_slots(dd, v)
+            assert [(w, flip[s]) if w in ids else (w, s) for w, s in new] == (
+                [(w, "tail") for w in out] + [(w, "head") for w in inc])
+            assert n_out == len(out)
 
 
 def test_split_vertex_accepts_exactly_the_slot_partitions():

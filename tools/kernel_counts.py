@@ -1,20 +1,20 @@
 """Kernel calls per operation, by workload and op kind, over one benchmark round.
 
-    python3 tools/kernel_counts.py [--seed 1] [--workloads NAME ...]
+    python3 tools/kernel_counts.py
 
-Each workload's inputs are drawn by the benchmark's own generator
+Each workload's seed-1 inputs are drawn by the benchmark's own generator
 (tdrbench/gen.py) in a temporary directory and turned into operations by
 its own ingest (tdrbench/workloads.py), as in tools/output_digest.py.  One
-round runs uncounted, so that tdr's caches stand as a timed round finds
-them; the next round counts, per op kind, the calls of exactalg's rank,
-rref and column_space and of Matrix.__matmul__, with the multiplications
-(rows x inner x cols) of the products, wherever in tdr they are called
-from (column_space's own rref counts as an rref).  The counts are exact
-and repeat from run to run: run it in two checkouts to compare them.  It
-writes nothing outside its temporary directory.
+round runs untraced, so that tdr's caches stand as a timed round finds
+them; the next runs under the benchmark's tracer (tdrbench/tracer.py),
+and its call counts of exactalg's rank, rref and column_space and of
+Matrix.__matmul__, with the products' multiplications (rows x inner x
+cols), are split by op kind.  The counts are the traced run's
+exactalg.*.calls, exact and repeating from run to run: run it in two
+checkouts to compare them.  It writes nothing outside its temporary
+directory.
 """
 
-import argparse
 import os
 import sys
 import tempfile
@@ -24,70 +24,45 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tdrbench")]
 
 import tdr  # noqa: E402
-import tdr.exactalg as exactalg  # noqa: E402
 from gen import generate  # noqa: E402
+from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS, ingest  # noqa: E402
 
-KERNELS = ("rank", "rref", "column_space")
+SEED = 1
 COLUMNS = ("rank", "matmul", "mults", "rref", "column_space")
 
 
-def _counting(tally):
-    """Install counting wrappers in every tdr module that holds a kernel,
-    and on Matrix; returns the undo function."""
-    undo = []
-    for name in KERNELS:
-        real = getattr(exactalg, name)
-
-        def counted(*args, _name=name, _real=real):
-            tally[_name] += 1
-            return _real(*args)
-
-        for mod in list(sys.modules.values()):
-            if (mod and (mod.__name__ == "tdr" or mod.__name__.startswith("tdr."))
-                    and vars(mod).get(name) is real):
-                setattr(mod, name, counted)
-                undo.append((mod, name, real))
-    real_matmul = exactalg.Matrix.__matmul__
-
-    def matmul(a, b):
-        tally["matmul"] += 1
-        tally["mults"] += a.rows * a.cols * b.cols
-        return real_matmul(a, b)
-
-    exactalg.Matrix.__matmul__ = matmul
-    undo.append((exactalg.Matrix, "__matmul__", real_matmul))
-    return lambda: [setattr(obj, name, real) for obj, name, real in reversed(undo)]
+def _tally(tracer):
+    calls = dict(zip(tracer.names, tracer.calls))
+    return Counter({c: calls[f"exactalg.{c}"] for c in COLUMNS if c != "mults"},
+                   mults=tracer.sizes["exactalg.matmul.mults"])
 
 
-def counts(workload, seed):
-    """{op kind: (ops, Counter of calls)} over one counted round."""
+def counts(workload):
+    """{op kind: [ops, Counter of calls]} over one traced round."""
     out = defaultdict(lambda: [0, Counter()])
     with tempfile.TemporaryDirectory() as work:
-        ops = ingest(tdr, workload, generate(workload, seed, work))
+        ops = ingest(tdr, workload, generate(workload, SEED, work))
         for op in ops:
             op.run()
-        for op in ops:
-            tally = Counter()
-            undo = _counting(tally)
-            try:
+        tracer = Tracer()
+        tracer.install()
+        try:
+            for op in ops:
+                before = _tally(tracer)
                 op.run()
-            finally:
-                undo()
-            out[op.kind][0] += 1
-            out[op.kind][1].update(tally)
+                out[op.kind][0] += 1
+                out[op.kind][1].update(_tally(tracer) - before)
+        finally:
+            tracer.uninstall()
     return dict(sorted(out.items()))
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    args = ap.parse_args(argv)
+def main():
     print("| workload | op kind | ops | " + " | ".join(COLUMNS) + " |")
     print("|---" * (len(COLUMNS) + 3) + "|")
-    for workload in args.workloads:
-        table = counts(workload, args.seed)
+    for workload in WORKLOADS:
+        table = counts(workload)
         table["all"] = (sum(n for n, _ in table.values()),
                         sum((c for _, c in table.values()), Counter()))
         for kind, (n, tally) in table.items():
